@@ -12,9 +12,9 @@ use scaddar_core::{
     plan_last_op_parallel, plan_last_op_parallel_instrumented, EngineStats, Scaddar, ScaddarConfig,
     ScalingOp,
 };
+use scaddar_net::seam::{Phase, Seam};
 use scaddar_obs::{
-    Counter, Histogram, MonotonicClock, Profiler, Registry, StateHandle, ThreadState, Tracer,
-    VirtualClock,
+    Counter, Histogram, MonotonicClock, Profiler, Registry, StateHandle, Tracer, VirtualClock,
 };
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,26 +92,31 @@ fn bench_plan_overhead(c: &mut Criterion) {
 }
 
 /// The armed-profiler tax on the serving hot path: both sides run the
-/// fully instrumented locate loop and bracket every call with the two
-/// state-word stores the reactor performs (`engine` on entry, `decode`
-/// on exit). `bare` uses a detached handle and no sampler;
-/// `instrumented` registers with a live [`Profiler`] whose 1 kHz
-/// sampler thread runs for the whole measurement — so the ratio is
-/// exactly what arming the profiler costs a worker. CI's
-/// profile-smoke job gates this ratio at 1.10 via `BENCH_obs.json`.
+/// fully instrumented locate loop and bracket every call with the
+/// reactor's seam edges — one sampling decision, `engine` on entry,
+/// `decode` on exit, and phase timing on 1 in 64 calls. `bare`
+/// publishes to a detached state word with no sampler; `instrumented`
+/// registers with a live [`Profiler`] whose 1 kHz sampler thread runs
+/// for the whole measurement — so the ratio is exactly what arming the
+/// profiler costs a worker. CI's profile-smoke job gates this ratio at
+/// 1.10 via `BENCH_obs.json`.
 fn bench_profile_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_profile_overhead");
     let run = |b: &mut criterion::Bencher, handle: &StateHandle| {
         let mut engine = churned_engine(8);
         let registry = Registry::new();
         engine.attach_stats(EngineStats::register_monotonic(&registry));
+        let clock = Arc::new(MonotonicClock::new());
+        let mut seam = Seam::new(handle.clone(), &registry, clock, true);
         let id = engine.catalog().objects()[0].id;
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 1) % 10_000;
-            handle.set(ThreadState::Engine);
+            let mut sample = seam.decoded(seam.readable(|_| 1));
+            seam.edge(Phase::Engine, &mut sample, None);
             let located = engine.locate(id, black_box(i)).expect("valid block");
-            handle.set(ThreadState::Decode);
+            seam.edge(Phase::Decode, &mut sample, None);
+            seam.record();
             black_box(located)
         });
     };

@@ -127,11 +127,6 @@ impl ClusterMap {
             .map(|(_, addr)| addr.as_str())
     }
 
-    /// Sorted position of `shard` (its jump bucket), if it serves.
-    pub fn bucket_of(&self, shard: u32) -> Option<usize> {
-        self.shards.iter().position(|(id, _)| *id == shard)
-    }
-
     /// The next map after adding a shard. `id` must exceed every
     /// current id — new shards always take the last jump bucket, which
     /// is what keeps the expected migration delta at `1/(n+1)`.
@@ -417,11 +412,6 @@ impl ShardRuntime {
     /// `StaleMap`.
     pub fn retire(&self) {
         self.lock().retired = true;
-    }
-
-    /// True once [`retire`](Self::retire) ran.
-    pub fn is_retired(&self) -> bool {
-        self.lock().retired
     }
 
     /// `(resident objects, handoff_out, pending_in)` counts, for
@@ -864,65 +854,6 @@ impl ClusterClient {
         }
         self.stats.routing_errors.fetch_add(1, Ordering::Relaxed);
         Err(last_err.unwrap_or(ClientError::DeadlineExceeded))
-    }
-
-    /// Fans a multi-object batch out per shard: requests are grouped by
-    /// owner, each group pipelined to its shard in one write, and
-    /// stragglers that bounce (`WrongShard` mid-handoff) are re-routed
-    /// individually. Answers come back in input order.
-    pub fn locate_many(
-        &self,
-        items: &[(u64, Vec<u64>)],
-    ) -> Result<Vec<ClusterBatchAnswer>, ClientError> {
-        let map = self.map();
-        let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (i, (object, _)) in items.iter().enumerate() {
-            let Some(owner) = map.route(*object) else {
-                return Err(ClientError::UnexpectedResponse { got: "stale-map" });
-            };
-            groups.entry(owner).or_default().push(i);
-        }
-        let mut answers: Vec<Option<ClusterBatchAnswer>> = vec![None; items.len()];
-        for (shard, indexes) in groups {
-            let requests: Vec<Frame> = indexes
-                .iter()
-                .map(|&i| Frame::LocateBatch {
-                    object: items[i].0,
-                    blocks: items[i].1.clone(),
-                })
-                .collect();
-            let responses = self.with_shard(shard, |c| c.pipeline(&requests));
-            match responses {
-                Ok(responses) => {
-                    for (&i, response) in indexes.iter().zip(responses) {
-                        match response {
-                            Frame::BatchLocated {
-                                epoch,
-                                disks,
-                                locations,
-                            } => {
-                                answers[i] = Some(ClusterBatchAnswer {
-                                    epoch,
-                                    disks,
-                                    locations,
-                                    shard,
-                                })
-                            }
-                            // Bounced mid-handoff (or an error): retry
-                            // this object on the slow path.
-                            _ => answers[i] = Some(self.locate_batch(items[i].0, &items[i].1)?),
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Whole shard unreachable: slow-path every member.
-                    for &i in &indexes {
-                        answers[i] = Some(self.locate_batch(items[i].0, &items[i].1)?);
-                    }
-                }
-            }
-        }
-        Ok(answers.into_iter().map(|a| a.expect("filled")).collect())
     }
 
     /// `(direct, bounces, stale, refreshes, routing_errors)` counters.

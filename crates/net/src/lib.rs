@@ -24,6 +24,9 @@
 //!   request coalescing into single [`cmsim::SharedServer`] read-lock
 //!   acquisitions, batched writes with graceful EAGAIN handling, and
 //!   the PR 5 deadline/backpressure policy preserved.
+//! * [`seam`] — the reactor's one instrumentation seam: each edge
+//!   publishes the worker's profiler state word and, for the 1-in-64
+//!   sampled requests, times the phase it closes into `net_phase_ns`.
 //! * [`client`] — [`NetClient`]: connection pooling, request
 //!   pipelining, and deadline-aware retry-on-reconnect.
 //! * [`load`] — a deterministic loopback load generator (seeded
@@ -56,6 +59,7 @@ pub mod client;
 pub mod cluster;
 pub mod load;
 pub mod reactor;
+pub mod seam;
 pub mod server;
 pub mod wire;
 
@@ -65,9 +69,8 @@ pub use cluster::{
     ClusterMap, RouteDecision, ShardRuntime,
 };
 pub use load::{run_load, LatencySummary, LoadConfig, LoadReport, LoopMode};
-pub use server::{
-    depth_bucket, NetServerConfig, PhaseStats, Scaddard, ServerMode, ENGINE_DEPTH_BUCKETS,
-};
+pub use seam::ENGINE_DEPTH_BUCKETS;
+pub use server::{NetServerConfig, Scaddard, ServerMode};
 pub use wire::{
     decode_frame, decode_frame_limited, ErrorCode, Frame, FrameError, StatsFormat,
     MAX_PROFILE_STATES,

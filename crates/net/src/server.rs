@@ -84,17 +84,10 @@ pub struct NetServerConfig {
     pub write_timeout: Duration,
     /// Largest accepted frame (both directions).
     pub max_frame_len: u32,
-    /// When false, per-request histograms/spans are skipped — the bare
-    /// baseline the `BENCH_net.json` overhead ratio divides by.
+    /// When false, per-request histograms/spans and the 1-in-64 phase
+    /// timing ([`crate::seam`]) are skipped — the bare baseline the
+    /// `BENCH_net.json` overhead ratio divides by.
     pub instrument: bool,
-    /// Phase-decomposition sampling mask: a request's lifecycle phases
-    /// are clock-timed when a weak counter increment ANDed with this
-    /// mask is zero — `0` times every request, `63` one in 64 (the
-    /// default, keeping the 1.10× overhead gate comfortable). The
-    /// phase *state words* the profiler samples are always published;
-    /// only the nanosecond histograms are sampled. Ignored when
-    /// `instrument` is false.
-    pub phase_sample_mask: u64,
 }
 
 impl Default for NetServerConfig {
@@ -108,7 +101,6 @@ impl Default for NetServerConfig {
             write_timeout: Duration::from_secs(5),
             max_frame_len: 1 << 20,
             instrument: true,
-            phase_sample_mask: 63,
         }
     }
 }
@@ -223,91 +215,6 @@ impl NetStats {
     }
 }
 
-/// REMAP chain-depth label values for the `engine` phase histogram:
-/// the engine epoch *is* the worst-case chain length a lookup may
-/// walk, so residency is bucketed by it.
-pub const ENGINE_DEPTH_BUCKETS: [&str; 4] = ["0", "1-4", "5-16", "17+"];
-
-/// The [`ENGINE_DEPTH_BUCKETS`] index for an engine epoch.
-pub fn depth_bucket(epoch: u64) -> usize {
-    match epoch {
-        0 => 0,
-        1..=4 => 1,
-        5..=16 => 2,
-        _ => 3,
-    }
-}
-
-/// Request-lifecycle phase histograms (`net_phase_ns{phase=...}`),
-/// one log-scale [`Histogram`] per phase of the reactor's anatomy:
-///
-/// | phase | covers |
-/// |---|---|
-/// | `decode` | socket readable → frame decoded |
-/// | `coalesce-wait` | decoded → lookup wave dispatched |
-/// | `lock-wait` | wave dispatched → engine read lock held |
-/// | `engine` | lock held → answers computed (labelled by REMAP chain depth) |
-/// | `encode` | answers → response frames in the write buffer |
-/// | `write-flush` | write buffer → kernel accepted the bytes |
-///
-/// Recording is sampled 1-in-N ([`NetServerConfig::phase_sample_mask`])
-/// via the weak-counter idiom so the instrumented path stays inside
-/// the 1.10× overhead gate.
-pub struct PhaseStats {
-    /// Weak 1-in-N decision counter; its running value drives the
-    /// mask, so it counts *decisions*, not hits.
-    sample: Counter,
-    mask: u64,
-    /// Socket readable → frame decoded.
-    pub decode: Histogram,
-    /// Frame decoded → its lookup wave dispatched.
-    pub coalesce_wait: Histogram,
-    /// Wave dispatched → engine read lock acquired.
-    pub lock_wait: Histogram,
-    /// Lock held → answers computed, by [`ENGINE_DEPTH_BUCKETS`].
-    pub engine: [Histogram; 4],
-    /// Answers computed → responses encoded.
-    pub encode: Histogram,
-    /// One connection's buffered responses → kernel took the bytes.
-    pub write_flush: Histogram,
-}
-
-impl PhaseStats {
-    /// Registers the `net_phase_ns` family against `registry`.
-    pub fn register(registry: &Registry, mask: u64) -> Arc<PhaseStats> {
-        let phase = |name: &str| {
-            registry.histogram(
-                &format!("net_phase_ns{{phase=\"{name}\"}}"),
-                "Request lifecycle phase latency",
-            )
-        };
-        Arc::new(PhaseStats {
-            sample: registry.counter(
-                "net_phase_decisions_total",
-                "Phase-sampling decisions taken (1 in mask+1 of them time the phases)",
-            ),
-            mask,
-            decode: phase("decode"),
-            coalesce_wait: phase("coalesce-wait"),
-            lock_wait: phase("lock-wait"),
-            engine: ENGINE_DEPTH_BUCKETS.map(|depth| {
-                registry.histogram(
-                    &format!("net_phase_ns{{phase=\"engine\",depth=\"{depth}\"}}"),
-                    "Engine execute phase latency, by REMAP chain depth",
-                )
-            }),
-            encode: phase("encode"),
-            write_flush: phase("write-flush"),
-        })
-    }
-
-    /// One 1-in-N sampling decision: true when this request's (or
-    /// flush's) phases should pay for clock reads.
-    pub(crate) fn sample_hit(&self) -> bool {
-        self.sample.inc_weak() & self.mask == 0
-    }
-}
-
 /// Everything the serving threads share, in either mode.
 pub(crate) struct Shared {
     pub(crate) server: Arc<SharedServer>,
@@ -323,8 +230,6 @@ pub(crate) struct Shared {
     pub(crate) active: AtomicUsize,
     /// Cluster-mode routing state; `None` for a standalone daemon.
     pub(crate) shard: Option<Arc<ShardRuntime>>,
-    /// Request-lifecycle phase histograms (sampled 1-in-N).
-    pub(crate) phases: Arc<PhaseStats>,
     /// The always-on cooperative profiler; reactor workers and offload
     /// threads register state words against it, `ProfileDump` reads it.
     pub(crate) profiler: Arc<Profiler>,
@@ -332,6 +237,55 @@ pub(crate) struct Shared {
     /// threads (one row; concurrent ops share it, which is the
     /// documented approximation).
     pub(crate) op_state: StateHandle,
+}
+
+impl Shared {
+    /// Accepts the next connection past the drain and backpressure
+    /// gates (a turned-away peer gets one typed `Error` frame) and
+    /// counts it open; `None` once the daemon is draining.
+    pub(crate) fn accept(&self, listener: &TcpListener) -> Option<TcpStream> {
+        loop {
+            let (stream, _peer) = match listener.accept() {
+                Ok(pair) => pair,
+                Err(_) if self.shutdown.load(Ordering::SeqCst) => return None,
+                Err(_) => continue,
+            };
+            let (code, message) = if self.shutdown.load(Ordering::SeqCst) {
+                // The wake-up connection (or a late arrival during drain).
+                (ErrorCode::ShuttingDown, "draining".to_string())
+            } else if self.active.load(Ordering::Relaxed) >= self.config.max_connections {
+                self.stats.conns_rejected.inc();
+                let limit = self.config.max_connections;
+                (ErrorCode::Busy, format!("{limit} connections"))
+            } else {
+                self.active.fetch_add(1, Ordering::Relaxed);
+                self.stats.conns_opened.inc();
+                self.stats.connections.add(1);
+                return Some(stream);
+            };
+            flush(&stream, self, &Frame::Error { code, message }.to_bytes());
+            if code == ErrorCode::ShuttingDown {
+                return None;
+            }
+        }
+    }
+
+    /// Counts an accepted connection closed.
+    pub(crate) fn release(&self) {
+        self.active.fetch_sub(1, Ordering::Relaxed);
+        self.stats.conns_closed.inc();
+        self.stats.connections.add(-1);
+    }
+
+    /// The health monitor, fed the engine's current state and census.
+    fn observed_monitor(&self) -> std::sync::MutexGuard<'_, HealthMonitor> {
+        let mut monitor = self.monitor.lock().unwrap_or_else(|e| e.into_inner());
+        self.server.with_read(|s| {
+            monitor.observe_engine(s.engine());
+            monitor.observe_census(&s.load_census());
+        });
+        monitor
+    }
 }
 
 /// The `scaddard` daemon: a bound listener plus its accept thread.
@@ -442,7 +396,6 @@ impl Scaddard {
         // refuse to merge histograms from a peer built with different
         // bucket boundaries.
         registry.mark_bucket_layout();
-        let phases = PhaseStats::register(registry, config.phase_sample_mask);
         let profiler = Profiler::new(tracer.clock().clone());
         let op_state = profiler.register("scaddard-op");
         let shared = Arc::new(Shared {
@@ -456,7 +409,6 @@ impl Scaddard {
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             shard,
-            phases,
             profiler: Arc::clone(&profiler),
             op_state,
         });
@@ -509,31 +461,10 @@ impl Scaddard {
         &self.shared.stats
     }
 
-    /// The daemon's cooperative profiler (tests and benches sample or
-    /// snapshot it directly; remote callers use `ProfileDump`).
-    pub fn profiler(&self) -> &Arc<Profiler> {
-        &self.shared.profiler
-    }
-
-    /// The shard routing state, when bound via
-    /// [`bind_sharded`](Self::bind_sharded).
-    pub fn shard_runtime(&self) -> Option<&Arc<ShardRuntime>> {
-        self.shared.shard.as_ref()
-    }
-
     /// Severity of the server's current health report — what
     /// `serve --check` maps to an exit code.
     pub fn health_verdict(&self) -> Severity {
-        let mut monitor = self
-            .shared
-            .monitor
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        self.shared.server.with_read(|s| {
-            monitor.observe_engine(s.engine());
-            monitor.observe_census(&s.load_census());
-        });
-        monitor.report().verdict()
+        self.shared.observed_monitor().report().verdict()
     }
 
     /// Graceful drain: stop accepting, let in-flight requests finish,
@@ -591,47 +522,13 @@ fn accept_loop(
     shared: Arc<Shared>,
     conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
-    loop {
-        let (stream, _peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The wake-up connection (or a late arrival during drain).
-            let _ = reply(
-                &stream,
-                &shared,
-                &Frame::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "draining".into(),
-                },
-            );
-            return;
-        }
-        if shared.active.load(Ordering::Relaxed) >= shared.config.max_connections {
-            shared.stats.conns_rejected.inc();
-            let _ = reply(
-                &stream,
-                &shared,
-                &Frame::Error {
-                    code: ErrorCode::Busy,
-                    message: format!("{} connections", shared.config.max_connections),
-                },
-            );
-            continue;
-        }
-        shared.active.fetch_add(1, Ordering::Relaxed);
-        shared.stats.conns_opened.inc();
-        shared.stats.connections.add(1);
+    while let Some(stream) = shared.accept(&listener) {
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("scaddard-conn".into())
             .spawn(move || {
                 handle_connection(stream, &conn_shared);
-                conn_shared.active.fetch_sub(1, Ordering::Relaxed);
-                conn_shared.stats.conns_closed.inc();
-                conn_shared.stats.connections.add(-1);
+                conn_shared.release();
             })
             .expect("spawn handler thread");
         conn_handles
@@ -643,15 +540,6 @@ fn accept_loop(
         let mut guard = conn_handles.lock().unwrap_or_else(|e| e.into_inner());
         guard.retain(|h| !h.is_finished());
     }
-}
-
-/// Encodes and writes one frame, counting the bytes.
-pub(crate) fn reply(mut stream: &TcpStream, shared: &Shared, frame: &Frame) -> std::io::Result<()> {
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let bytes = frame.to_bytes();
-    stream.write_all(&bytes)?;
-    shared.stats.bytes_tx.add(bytes.len() as u64);
-    Ok(())
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
@@ -674,7 +562,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             match decode_frame_traced(&buf, shared.config.max_frame_len) {
                 Ok((frame, ctx, used)) => {
                     buf.drain(..used);
-                    if !handle_request(frame, shared, &mut out, instrument, ctx) {
+                    if !handle_request(frame, shared, &mut out, ctx) {
                         flush(&stream, shared, &out);
                         return;
                     }
@@ -739,8 +627,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Writes the buffered responses; false on failure (connection dead).
-fn flush(mut stream: &TcpStream, shared: &Shared, out: &[u8]) -> bool {
+/// Writes `out` under the write deadline, counting the bytes; false on
+/// failure (connection dead).
+pub(crate) fn flush(mut stream: &TcpStream, shared: &Shared, out: &[u8]) -> bool {
     if out.is_empty() {
         return true;
     }
@@ -765,7 +654,6 @@ pub(crate) fn handle_request(
     frame: Frame,
     shared: &Shared,
     out: &mut Vec<u8>,
-    instrument: bool,
     ctx: Option<TraceContext>,
 ) -> bool {
     if !frame.is_request() {
@@ -778,6 +666,7 @@ pub(crate) fn handle_request(
         return false;
     }
     let endpoint = frame.endpoint();
+    let instrument = shared.config.instrument;
     let mut span = match &ctx {
         Some(c) if instrument && c.sampled => {
             let salt = shared.shard.as_ref().map_or(0, |s| u64::from(s.self_id()));
@@ -791,7 +680,7 @@ pub(crate) fn handle_request(
         _ => None,
     };
     let start = instrument.then(|| shared.tracer.clock().now_ns());
-    let response = dispatch(frame, shared, instrument);
+    let response = dispatch(frame, shared);
     let ns = start.map_or(0, |s| shared.tracer.clock().now_ns().saturating_sub(s));
     shared.stats.record(endpoint, ns, instrument);
     if matches!(response, Frame::Error { .. }) {
@@ -824,7 +713,7 @@ pub(crate) fn engine_error(e: impl std::fmt::Display) -> Frame {
 /// shard-local translation in cluster mode, the wire id standalone);
 /// `Err` is the routing response that must go back instead of touching
 /// the engine.
-fn shard_gate(shared: &Shared, object: u64) -> Result<u64, Frame> {
+pub(crate) fn shard_gate(shared: &Shared, object: u64) -> Result<u64, Frame> {
     let Some(shard) = &shared.shard else {
         return Ok(object);
     };
@@ -840,7 +729,7 @@ fn shard_gate(shared: &Shared, object: u64) -> Result<u64, Frame> {
     }
 }
 
-fn dispatch(frame: Frame, shared: &Shared, instrument: bool) -> Frame {
+fn dispatch(frame: Frame, shared: &Shared) -> Frame {
     match frame {
         Frame::Locate { object, block } => {
             let local = match shard_gate(shared, object) {
@@ -880,7 +769,10 @@ fn dispatch(frame: Frame, shared: &Shared, instrument: bool) -> Frame {
             }
         }
         Frame::Scale { op } => {
-            let mut span = instrument.then(|| shared.tracer.span("net.scale"));
+            let mut span = shared
+                .config
+                .instrument
+                .then(|| shared.tracer.span("net.scale"));
             let result = shared.server.scale_read(op);
             match result {
                 Ok((epoch, disks, queued)) => {
@@ -962,18 +854,11 @@ fn dispatch(frame: Frame, shared: &Shared, instrument: bool) -> Frame {
             })
         }
         Frame::Health => {
-            let mut monitor = shared.monitor.lock().unwrap_or_else(|e| e.into_inner());
-            shared.server.with_read(|s| {
-                monitor.observe_engine(s.engine());
-                monitor.observe_census(&s.load_census());
-            });
+            let monitor = shared.observed_monitor();
             let report = monitor.report();
             Frame::HealthStatus {
-                verdict: match report.verdict() {
-                    Severity::Ok => 0,
-                    Severity::Warn => 1,
-                    Severity::Crit => 2,
-                },
+                // The wire verdict is the ordered severity: 0 OK, 1 WARN, 2 CRIT.
+                verdict: report.verdict() as u8,
                 alerts: monitor.alerts_emitted() as u64,
                 report: report.render(),
             }
@@ -992,18 +877,7 @@ fn dispatch(frame: Frame, shared: &Shared, instrument: bool) -> Frame {
             // One RPC carries everything the fleet aggregator needs:
             // the structured registry snapshot plus the epoch and the
             // health verdict it would otherwise fetch separately.
-            let verdict = {
-                let mut monitor = shared.monitor.lock().unwrap_or_else(|e| e.into_inner());
-                shared.server.with_read(|s| {
-                    monitor.observe_engine(s.engine());
-                    monitor.observe_census(&s.load_census());
-                });
-                match monitor.report().verdict() {
-                    Severity::Ok => 0,
-                    Severity::Warn => 1,
-                    Severity::Crit => 2,
-                }
-            };
+            let verdict = shared.observed_monitor().report().verdict() as u8;
             Frame::StatsReply {
                 epoch: shared.server.epoch_view().0 as u64,
                 verdict,
@@ -1291,44 +1165,79 @@ mod tests {
 
     #[test]
     fn profile_dump_and_phase_histograms_cover_the_anatomy() {
-        let mut server = CmServer::new(ServerConfig::new(4).with_catalog_seed(11)).unwrap();
-        server.add_object(5_000).unwrap();
-        let registry = Registry::new();
-        let tracer = Tracer::new(Arc::new(MonotonicClock::new()), 64);
-        let daemon = Scaddard::bind(
-            "127.0.0.1:0",
-            Arc::new(SharedServer::new(server)),
-            NetServerConfig {
-                // Time every request's phases — no sampling noise.
-                phase_sample_mask: 0,
-                ..NetServerConfig::default()
-            },
-            &registry,
-            tracer,
-        )
-        .unwrap();
+        let (daemon, registry) = boot(5_000);
         let addr = daemon.local_addr();
-        // Pipelined lookups so coalescing waves form and every phase
-        // of the anatomy fires.
+        // N pipelined lookups on one connection (so one worker decodes
+        // them all, in order): waves form and every phase fires. Seven
+        // in flight puts most sampled requests mid-batch.
+        const ROUNDS: u64 = 60;
+        const PIPELINE: u64 = 7;
+        let n = ROUNDS * PIPELINE;
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut buf = Vec::new();
-        for round in 0..50u64 {
+        for round in 0..ROUNDS {
             let mut batch = Vec::new();
-            for block in 0..8u64 {
+            for block in 0..PIPELINE {
                 Frame::Locate {
                     object: 0,
-                    block: round * 8 + block,
+                    block: round * PIPELINE + block,
                 }
                 .encode(&mut batch);
             }
             stream.write_all(&batch).unwrap();
-            for _ in 0..8 {
+            for _ in 0..PIPELINE {
                 assert!(matches!(
                     read_buffered(&mut stream, &mut buf),
                     Frame::Located { .. }
                 ));
             }
         }
+        // The worker records a wakeup's phases after its flushes; a Ping
+        // on the same connection (decision n, unsampled) waits them out.
+        stream.write_all(&Frame::Ping.to_bytes()).unwrap();
+        assert!(matches!(
+            read_buffered(&mut stream, &mut buf),
+            Frame::Pong { .. }
+        ));
+        // Snapshot before any other request takes a sampling decision.
+        let snap = registry.snapshot();
+        assert_eq!(
+            registry.value("net_phase_decisions_total"),
+            Some(scaddar_obs::MetricValue::Counter(n + 1))
+        );
+        let sampled = n.div_ceil(crate::seam::SAMPLE_EVERY as u64);
+        let phase = |name: &str| {
+            snap.histogram(&format!("net_phase_ns{{phase=\"{name}\"}}"))
+                .unwrap_or_else(|| panic!("missing phase histogram {name}"))
+        };
+        // Epoch 0: every lookup walks a chain of depth 0.
+        let engine = snap
+            .histogram("net_phase_ns{phase=\"engine\",depth=\"0\"}")
+            .expect("missing engine depth-0 histogram");
+        assert_eq!(engine.count, sampled, "engine");
+        for name in ["decode", "coalesce-wait", "lock-wait", "encode"] {
+            assert_eq!(phase(name).count, sampled, "phase {name}");
+        }
+        let flushes = phase("write-flush").count;
+        assert!(flushes > 0 && flushes <= sampled, "write-flush {flushes}");
+        // Sum-consistency: medians are not additive across distinct
+        // histograms, but the serve-side phases (lock-wait + engine +
+        // encode, which together span one wave) cannot collectively
+        // dwarf the end-to-end latency. The envelope is deliberately
+        // generous — 10× the per-request p50 (a wave of up to 7 frames
+        // splits its wall time 7 ways) plus 100 µs of scheduling noise
+        // and log-bucket overshoot.
+        let e2e = snap
+            .histogram("net_server_request_ns{endpoint=\"locate\"}")
+            .expect("missing locate histogram");
+        let phase_sum = phase("lock-wait").quantile(0.5).unwrap()
+            + engine.quantile(0.5).unwrap()
+            + phase("encode").quantile(0.5).unwrap();
+        let envelope = 10 * e2e.quantile(0.5).unwrap() + 100_000;
+        assert!(
+            phase_sum <= envelope,
+            "phase p50 sum {phase_sum}ns exceeds envelope {envelope}ns"
+        );
         // ProfileDump over the wire: worker rows present, conservation
         // invariant exact, and the ~1 kHz sampler has run.
         let mut profile = None;
@@ -1355,42 +1264,6 @@ mod tests {
             .render_prometheus()
             .contains("# TYPE profiler_rounds gauge"));
         daemon.shutdown();
-        let snap = registry.snapshot();
-        let phase = |name: &str| {
-            snap.histogram(&format!("net_phase_ns{{phase=\"{name}\"}}"))
-                .unwrap_or_else(|| panic!("missing phase histogram {name}"))
-        };
-        for name in [
-            "decode",
-            "coalesce-wait",
-            "lock-wait",
-            "encode",
-            "write-flush",
-        ] {
-            assert!(phase(name).count > 0, "phase {name} never recorded");
-        }
-        let engine = snap
-            .histogram("net_phase_ns{phase=\"engine\",depth=\"0\"}")
-            .expect("missing engine depth-0 histogram");
-        assert!(engine.count > 0, "engine phase never recorded");
-        // Sum-consistency: medians are not additive across distinct
-        // histograms, but the serve-side phases (lock-wait + engine +
-        // encode, which together span one wave) cannot collectively
-        // dwarf the end-to-end latency. The envelope is deliberately
-        // generous — 10× the per-request p50 (a wave of up to 8 frames
-        // splits its wall time 8 ways) plus 100 µs of scheduling noise
-        // and log-bucket overshoot.
-        let e2e = snap
-            .histogram("net_server_request_ns{endpoint=\"locate\"}")
-            .expect("missing locate histogram");
-        let phase_sum = phase("lock-wait").quantile(0.5).unwrap()
-            + engine.quantile(0.5).unwrap()
-            + phase("encode").quantile(0.5).unwrap();
-        let envelope = 10 * e2e.quantile(0.5).unwrap() + 100_000;
-        assert!(
-            phase_sum <= envelope,
-            "phase p50 sum {phase_sum}ns exceeds envelope {envelope}ns"
-        );
     }
 
     #[test]

@@ -847,6 +847,21 @@ pub fn decode_frame_traced(
     Ok((frame, ctx, total))
 }
 
+/// How many complete frames `buf` starts with, counting at most
+/// `limit`: a walk over the length prefixes that decodes nothing.
+pub(crate) fn complete_frames(mut buf: &[u8], limit: usize) -> usize {
+    let mut frames = 0;
+    while frames < limit && buf.len() >= 4 {
+        let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+        let Some(rest) = buf.get(len.saturating_add(4)..) else {
+            break;
+        };
+        buf = rest;
+        frames += 1;
+    }
+    frames
+}
+
 fn tag_name(tag: u8) -> Result<&'static str, FrameError> {
     Ok(match tag {
         TAG_LOCATE => "Locate",
@@ -1440,6 +1455,11 @@ mod tests {
             offset += used;
         }
         assert_eq!(offset, buf.len());
+        // The length-prefix walk counts what the decoder would decode.
+        let n = frames.len();
+        assert_eq!(complete_frames(&buf, usize::MAX), n);
+        assert_eq!(complete_frames(&buf[..buf.len() - 1], usize::MAX), n - 1);
+        assert_eq!(complete_frames(&buf, 2), 2);
     }
 
     #[test]
