@@ -67,7 +67,7 @@ pub use metrics::{
     SUB_BUCKETS,
 };
 pub use profile::{
-    ProfileSnapshot, Profiler, StateGuard, StateHandle, ThreadProfile, ThreadState, THREAD_STATES,
+    ProfileSnapshot, Profiler, StateHandle, ThreadProfile, ThreadState, THREAD_STATES,
     THREAD_STATE_NAMES,
 };
 pub use registry::{

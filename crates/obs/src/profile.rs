@@ -134,33 +134,9 @@ impl StateHandle {
         self.word.store(state as u8, Ordering::Relaxed);
     }
 
-    /// Publishes `state` and returns a guard that restores the
-    /// previous state on drop — the shape for nested phases (e.g.
-    /// `engine` inside `decode` returns to `decode`, not `idle`).
-    pub fn enter(&self, state: ThreadState) -> StateGuard<'_> {
-        let prev = self.word.swap(state as u8, Ordering::Relaxed);
-        StateGuard {
-            word: &self.word,
-            prev,
-        }
-    }
-
     /// The raw state byte (test/diagnostic use).
     pub fn current(&self) -> u8 {
         self.word.load(Ordering::Relaxed)
-    }
-}
-
-/// Restores the pre-[`enter`](StateHandle::enter) state on drop.
-#[derive(Debug)]
-pub struct StateGuard<'a> {
-    word: &'a AtomicU8,
-    prev: u8,
-}
-
-impl Drop for StateGuard<'_> {
-    fn drop(&mut self) {
-        self.word.store(self.prev, Ordering::Relaxed);
     }
 }
 
@@ -475,23 +451,6 @@ mod tests {
         }
         assert_eq!(snap.threads[0].samples, 10);
         assert_eq!(snap.threads[1].samples, 3);
-    }
-
-    #[test]
-    fn enter_guard_restores_the_previous_state() {
-        let profiler = Profiler::new(Arc::new(VirtualClock::new()));
-        let handle = profiler.register("w");
-        handle.set(ThreadState::Decode);
-        {
-            let _g = handle.enter(ThreadState::Engine);
-            assert_eq!(handle.current(), ThreadState::Engine as u8);
-            {
-                let _g2 = handle.enter(ThreadState::LockWait);
-                assert_eq!(handle.current(), ThreadState::LockWait as u8);
-            }
-            assert_eq!(handle.current(), ThreadState::Engine as u8);
-        }
-        assert_eq!(handle.current(), ThreadState::Decode as u8);
     }
 
     #[test]
