@@ -1,15 +1,19 @@
 //! E9 support — simulator throughput: service rounds per second under
-//! load, and the cost of committing a scaling operation (plan + queue)
-//! versus executing it offline.
+//! load, the cost of committing a scaling operation (plan + queue)
+//! versus executing it offline, and the cost of building block
+//! residency (ingesting an object, restoring from a snapshot).
 
 use cmsim::{CmServer, ServerConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use scaddar_core::ScalingOp;
 use std::hint::black_box;
 
+fn config() -> ServerConfig {
+    ServerConfig::new(8).with_bandwidth(32).with_catalog_seed(9)
+}
+
 fn loaded_server(streams: u32) -> CmServer {
-    let mut s = CmServer::new(ServerConfig::new(8).with_bandwidth(32).with_catalog_seed(9))
-        .expect("server builds");
+    let mut s = CmServer::new(config()).expect("server builds");
     let obj = s.add_object(100_000).expect("ingest");
     for _ in 0..streams {
         let id = s.open_stream(obj).expect("admitted");
@@ -54,5 +58,22 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tick, bench_scale);
+fn bench_ingest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("server_ingest");
+    group.throughput(Throughput::Elements(100_000));
+    group.bench_function("add_object_100k", |b| {
+        b.iter_batched(
+            || CmServer::new(config()).expect("server builds"),
+            |mut s| black_box(s.add_object(100_000).expect("ingest")),
+            criterion::BatchSize::SmallInput,
+        );
+    });
+    let snapshot = loaded_server(0).snapshot().expect("quiet server");
+    group.bench_function("restore_100k", |b| {
+        b.iter(|| black_box(CmServer::restore(config(), &snapshot).expect("restore")));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_tick, bench_scale, bench_ingest);
 criterion_main!(benches);

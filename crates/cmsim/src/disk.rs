@@ -52,6 +52,12 @@ impl DiskArray {
         self.map.physical(logical.0)
     }
 
+    /// Physical identities of a run of logical indices (one object's
+    /// `locate_all`, say), in order.
+    pub(crate) fn physical_all(&self, logical: &[DiskIndex]) -> Vec<PhysicalDiskId> {
+        logical.iter().map(|&l| self.physical(l)).collect()
+    }
+
     /// The spec of a live physical disk.
     pub fn spec(&self, id: PhysicalDiskId) -> DiskSpec {
         self.specs[&id]

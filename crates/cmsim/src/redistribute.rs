@@ -123,6 +123,23 @@ impl RedistributionExecutor {
         changed
     }
 
+    /// Removes and returns the pending moves matching `pred`, in queue
+    /// order.
+    pub(crate) fn extract<F: FnMut(&PendingMove) -> bool>(
+        &mut self,
+        mut pred: F,
+    ) -> Vec<PendingMove> {
+        let mut taken = Vec::new();
+        self.queue.retain(|mv| {
+            let take = pred(mv);
+            if take {
+                taken.push(*mv);
+            }
+            !take
+        });
+        taken
+    }
+
     /// Drops pending moves for blocks that no longer exist (object
     /// deletion during redistribution). Returns how many were dropped.
     pub fn cancel_blocks<F: Fn(BlockRef) -> bool>(&mut self, gone: F) -> u64 {
@@ -206,5 +223,15 @@ mod tests {
         let dropped = ex.cancel_blocks(|b| b.block % 2 == 0);
         assert_eq!(dropped, 3);
         assert_eq!(ex.backlog(), 3);
+    }
+
+    #[test]
+    fn extract_takes_matching_moves_in_order() {
+        let mut ex = RedistributionExecutor::new();
+        ex.enqueue((0..6).map(|i| mv(i, 0, i % 3)));
+        let taken = ex.extract(|m| m.to == PhysicalDiskId(1));
+        assert_eq!(taken, vec![mv(1, 0, 1), mv(4, 0, 1)]);
+        assert_eq!(ex.backlog(), 4);
+        assert!(ex.pending().all(|m| m.to != PhysicalDiskId(1)));
     }
 }

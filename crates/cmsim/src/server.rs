@@ -4,7 +4,7 @@
 //!
 //! The server realizes the paper's deployment story end to end:
 //!
-//! 1. objects are ingested block-by-block to wherever `AF()` points;
+//! 1. objects are ingested whole, each block to wherever `AF()` points;
 //! 2. streams consume one block per round, served from the block's
 //!    *actual* residency (which lags `AF()` during redistribution);
 //! 3. a scaling operation plans its moves with `RF()` and hands them to
@@ -13,7 +13,7 @@
 //! 4. metrics record whether they actually kept playing (hiccups).
 
 use crate::admission::AdmissionController;
-use crate::compaction::{CompactionProgress, CompactionState};
+use crate::compaction::{has_block, BlockSet, CompactionProgress, CompactionState};
 use crate::config::ServerConfig;
 use crate::disk::{DiskArray, DiskSpec};
 use crate::metrics::{Metrics, RoundRecord};
@@ -245,17 +245,9 @@ impl CmServer {
                 .expect("snapshot history was validated on decode");
         }
         let mut store = BlockStore::new();
-        for obj in engine.catalog().objects().to_vec() {
+        for obj in engine.catalog().objects() {
             let placements = engine.locate_all(obj.id).expect("catalog object");
-            for (block, logical) in placements.into_iter().enumerate() {
-                store.ingest(
-                    BlockRef {
-                        object: obj.id,
-                        block: block as u64,
-                    },
-                    disks.physical(logical),
-                );
-            }
+            store.ingest_object(obj.id, disks.physical_all(&placements));
         }
         Ok(CmServer {
             engine,
@@ -295,15 +287,7 @@ impl CmServer {
         // compaction (resident but unreadable, mirror-served). No
         // bandwidth is charged because nothing can be written.
         if let Some(c) = self.compaction.as_mut() {
-            let stranded: Vec<PendingMove> = self
-                .executor
-                .pending()
-                .filter(|mv| mv.to == id)
-                .copied()
-                .collect();
-            self.executor
-                .cancel_blocks(|b| stranded.iter().any(|mv| mv.block == b));
-            for mv in stranded {
+            for mv in self.executor.extract(|mv| mv.to == id) {
                 if let Some(stored) = self.store.locate(mv.block) {
                     if stored != id {
                         self.store.relocate(mv.block, stored, id);
@@ -358,31 +342,15 @@ impl CmServer {
 
     /// Ingests a new object of `blocks` blocks. Every block is written
     /// where `AF()` currently points. Fails (and rolls back the catalog
-    /// entry) if any target disk is at capacity.
+    /// entry) if any target disk is at capacity; nothing is written then.
     pub fn add_object(&mut self, blocks: u64) -> Result<ObjectId, ServerError> {
         let id = self.engine.add_object(blocks);
-        for b in 0..blocks {
-            let logical = self.engine.locate(id, b).expect("fresh object block");
-            let disk = self.disks.physical(logical);
-            if self.store.blocks_on(disk) >= self.disks.spec(disk).capacity {
-                // Roll back: evict what we ingested, drop the object.
-                for undo in 0..b {
-                    self.store.evict(BlockRef {
-                        object: id,
-                        block: undo,
-                    });
-                }
-                self.engine.remove_object(id).expect("object just added");
-                return Err(ServerError::DiskFull(disk));
-            }
-            self.store.ingest(
-                BlockRef {
-                    object: id,
-                    block: b,
-                },
-                disk,
-            );
+        let placements = self.engine.locate_all(id).expect("fresh object");
+        if let Err(full) = self.check_capacity(&placements) {
+            self.engine.remove_object(id).expect("object just added");
+            return Err(full);
         }
+        let resident = self.disks.physical_all(&placements);
         // Object churn during a compaction: the staging generation must
         // carry the same catalog, so register the object there too (ids
         // advance in lockstep — both catalogs share `next_id`) and
@@ -392,45 +360,51 @@ impl CmServer {
             debug_assert_eq!(staged, id, "generations allocate ids in lockstep");
             c.total += blocks;
             let mut moves = Vec::new();
-            for b in 0..blocks {
-                let blockref = BlockRef {
-                    object: id,
-                    block: b,
-                };
-                let stored = self.store.locate(blockref).expect("just ingested");
-                let target = self
-                    .disks
-                    .physical(c.staging.locate(id, b).expect("staged block"));
-                if stored == target {
-                    c.migrated.insert(blockref);
-                } else {
-                    moves.push(PendingMove {
-                        block: blockref,
-                        from: stored,
-                        to: target,
-                    });
-                }
-            }
+            c.plan_object(&self.disks, id, &resident, &mut moves);
             self.executor.enqueue(moves);
         }
+        self.store.ingest_object(id, resident);
         Ok(id)
+    }
+
+    /// Fails with [`ServerError::DiskFull`] if ingesting blocks at the
+    /// logical `placements` would overfill a disk, naming the disk of
+    /// the lowest-indexed block that does not fit — where a
+    /// block-by-block ingest would have stopped. One capacity lookup per
+    /// disk, one counter decrement per block.
+    fn check_capacity(&self, placements: &[DiskIndex]) -> Result<(), ServerError> {
+        let ids = self.disks.physical_ids();
+        let mut room: Vec<u64> = ids
+            .iter()
+            .map(|&d| {
+                self.disks
+                    .spec(d)
+                    .capacity
+                    .saturating_sub(self.store.blocks_on(d))
+            })
+            .collect();
+        for &logical in placements {
+            let left = &mut room[logical.0 as usize];
+            if *left == 0 {
+                return Err(ServerError::DiskFull(ids[logical.0 as usize]));
+            }
+            *left -= 1;
+        }
+        Ok(())
     }
 
     /// Deletes an object: evicts its blocks and cancels its pending
     /// moves.
     pub fn remove_object(&mut self, id: ObjectId) -> Result<(), ServerError> {
         let obj = self.engine.remove_object(id)?;
-        for b in 0..obj.blocks {
-            self.store.evict(BlockRef {
-                object: id,
-                block: b,
-            });
-        }
+        self.store
+            .evict_object(id)
+            .expect("catalog objects are resident");
         if let Some(c) = &mut self.compaction {
             c.staging
                 .remove_object(id)
                 .expect("generations hold the same catalog");
-            c.migrated.retain(|blk| blk.object != id);
+            c.migrated.remove_object(id);
             c.total = c.total.saturating_sub(obj.blocks);
         }
         self.executor.cancel_blocks(|blk| blk.object == id);
@@ -660,38 +634,20 @@ impl CmServer {
         if !self.failed.is_empty() {
             return Err(ServerError::FailedDisksPresent);
         }
-        let staging = self.engine.open_next_generation();
-        let mut migrated = HashSet::new();
+        let mut c = CompactionState {
+            staging: self.engine.open_next_generation(),
+            migrated: BlockSet::default(),
+            total: self.engine.catalog().total_blocks(),
+        };
         let mut moves = Vec::new();
-        for obj in staging.catalog().objects().to_vec() {
-            let targets = staging.locate_all(obj.id).expect("staged object");
-            for (b, &logical) in targets.iter().enumerate() {
-                let blockref = BlockRef {
-                    object: obj.id,
-                    block: b as u64,
-                };
-                let stored = self.store.locate(blockref).expect("catalog block stored");
-                let target = self.disks.physical(logical);
-                if stored == target {
-                    migrated.insert(blockref);
-                } else {
-                    moves.push(PendingMove {
-                        block: blockref,
-                        from: stored,
-                        to: target,
-                    });
-                }
-            }
+        for obj in self.engine.catalog().objects() {
+            let resident = self.store.object(obj.id).expect("catalog object stored");
+            c.plan_object(&self.disks, obj.id, resident, &mut moves);
         }
         let queued = moves.len() as u64;
         self.executor.enqueue(moves);
-        let total = self.engine.catalog().total_blocks();
-        let generation = staging.generation();
-        self.compaction = Some(CompactionState {
-            staging,
-            migrated,
-            total,
-        });
+        let generation = c.staging.generation();
+        self.compaction = Some(c);
         if let Some(stats) = &self.stats {
             stats.compactions_started.inc();
             stats.compaction_active.set(1);
@@ -714,7 +670,7 @@ impl CmServer {
             from_generation: self.engine.generation(),
             to_generation: c.staging.generation(),
             total_blocks: c.total,
-            migrated_blocks: c.migrated.len() as u64,
+            migrated_blocks: c.migrated.len(),
             backlog: self.executor.backlog(),
         })
     }
@@ -755,9 +711,9 @@ impl CmServer {
         }
         let c = self.compaction.take().expect("checked above");
         let mut staging = c.staging;
-        debug_assert_eq!(
+        assert_eq!(
             c.migrated.len(),
-            self.store.len(),
+            self.store.len() as u64,
             "flip with unmigrated blocks"
         );
         if let Some(stats) = self.engine.stats() {
@@ -783,7 +739,7 @@ impl CmServer {
         if let Some(c) = &self.compaction {
             stats
                 .compaction_remaining
-                .set((c.total.saturating_sub(c.migrated.len() as u64)).min(i64::MAX as u64) as i64);
+                .set((c.total.saturating_sub(c.migrated.len())).min(i64::MAX as u64) as i64);
             stats
                 .compaction_total
                 .set(c.total.min(i64::MAX as u64) as i64);
@@ -800,30 +756,23 @@ impl CmServer {
         let Some(c) = &self.compaction else {
             return self.residency_consistent();
         };
-        let pending: HashSet<BlockRef> = self.executor.pending().map(|mv| mv.block).collect();
-        for obj in self.engine.catalog().objects() {
+        let pending: BlockSet = self.executor.pending().map(|mv| mv.block).collect();
+        self.engine.catalog().objects().iter().all(|obj| {
+            let Some(resident) = self.store.object(obj.id) else {
+                return false;
+            };
             let old = self.engine.locate_all(obj.id).expect("catalog object");
             let new = c.staging.locate_all(obj.id).expect("staged object");
-            for b in 0..obj.blocks {
-                let blockref = BlockRef {
-                    object: obj.id,
-                    block: b,
-                };
-                let Some(stored) = self.store.locate(blockref) else {
-                    return false;
-                };
-                if c.migrated.contains(&blockref) {
-                    if stored != self.disks.physical(new[b as usize]) {
-                        return false;
+            let (migrated, queued) = (c.migrated.bits(obj.id), pending.bits(obj.id));
+            resident.len() == old.len()
+                && resident.iter().enumerate().all(|(b, &stored)| {
+                    if has_block(migrated, b as u64) {
+                        stored == self.disks.physical(new[b])
+                    } else {
+                        has_block(queued, b as u64) || stored == self.disks.physical(old[b])
                     }
-                } else if !pending.contains(&blockref)
-                    && stored != self.disks.physical(old[b as usize])
-                {
-                    return false;
-                }
-            }
-        }
-        true
+                })
+        })
     }
 
     /// Advances one service round.
@@ -874,7 +823,7 @@ impl CmServer {
                 let af = match self
                     .compaction
                     .as_ref()
-                    .filter(|c| c.migrated.contains(&blockref))
+                    .filter(|c| c.migrated.contains(blockref))
                 {
                     Some(c) => c.staging.locate(stream.object, block),
                     None => self.engine.locate(stream.object, block),
@@ -980,9 +929,9 @@ impl CmServer {
         // the staging generation (new-gen residency first, old-gen
         // fallback — residency is never ambiguous between the two).
         if let Some(c) = &self.compaction {
+            let migrated = c.migrated.bits(object);
             for (slot, &b) in out.iter_mut().zip(blocks) {
-                let blockref = BlockRef { object, block: b };
-                if c.migrated.contains(&blockref) {
+                if has_block(migrated, b) {
                     *slot = self
                         .disks
                         .physical(c.staging.locate(object, b).expect("staged block"));
@@ -1000,8 +949,7 @@ impl CmServer {
     /// it is what collapses back to a single O(1) hash at flip.
     pub fn locate_current(&self, object: ObjectId, block: u64) -> Result<DiskIndex, ServerError> {
         if let Some(c) = &self.compaction {
-            let blockref = BlockRef { object, block };
-            if c.migrated.contains(&blockref) {
+            if c.migrated.contains(BlockRef { object, block }) {
                 return Ok(c.staging.locate(object, block)?);
             }
         }
@@ -1038,20 +986,16 @@ impl CmServer {
         if !self.executor.is_idle() {
             return false;
         }
-        for obj in self.engine.catalog().objects() {
+        self.engine.catalog().objects().iter().all(|obj| {
             let placements = self.engine.locate_all(obj.id).expect("catalog object");
-            for (b, &logical) in placements.iter().enumerate() {
-                let expect = self.disks.physical(logical);
-                let blockref = BlockRef {
-                    object: obj.id,
-                    block: b as u64,
-                };
-                if self.store.locate(blockref) != Some(expect) {
-                    return false;
-                }
-            }
-        }
-        true
+            self.store.object(obj.id).is_some_and(|resident| {
+                resident.len() == placements.len()
+                    && resident
+                        .iter()
+                        .zip(&placements)
+                        .all(|(&stored, &logical)| stored == self.disks.physical(logical))
+            })
+        })
     }
 }
 
@@ -1329,15 +1273,53 @@ mod tests {
         assert_eq!(s.metrics().drain_times().len(), 1);
     }
 
+    /// The disk a block-by-block ingest of a `blocks`-block object
+    /// stops at: the first block whose disk is already full.
+    fn first_overflow(s: &CmServer, blocks: u64) -> PhysicalDiskId {
+        let mut probe = s.engine.clone();
+        let id = probe.add_object(blocks);
+        let mut held: HashMap<PhysicalDiskId, u64> = HashMap::new();
+        for b in 0..blocks {
+            let disk = s.disks.physical(probe.locate(id, b).unwrap());
+            let count = held.entry(disk).or_insert(s.store.blocks_on(disk));
+            if *count >= s.disks.spec(disk).capacity {
+                return disk;
+            }
+            *count += 1;
+        }
+        panic!("a {blocks}-block object fits");
+    }
+
     #[test]
     fn capacity_limit_rolls_back() {
         let mut cfg = ServerConfig::new(2).with_catalog_seed(1);
         cfg.disk_capacity = 10;
         let mut s = CmServer::new(cfg).unwrap();
-        assert!(matches!(s.add_object(1_000), Err(ServerError::DiskFull(_))));
+        let expected = first_overflow(&s, 1_000);
+        assert_eq!(expected, PhysicalDiskId(0));
+        assert_eq!(s.add_object(1_000), Err(ServerError::DiskFull(expected)));
         // Rollback leaves the server empty and usable.
+        assert_eq!(s.load_census(), vec![0, 0]);
         assert_eq!(s.store().len(), 0);
-        assert!(s.add_object(10).is_ok());
+        assert!(s.engine().catalog().objects().is_empty());
+        let fits = s.add_object(10).unwrap();
+        // A second overflow, onto a partly filled array, names the disk
+        // the block-by-block ingest would and leaves residency alone.
+        let census = s.load_census();
+        let expected = first_overflow(&s, 30);
+        assert_eq!(expected, PhysicalDiskId(1));
+        assert_eq!(s.add_object(30), Err(ServerError::DiskFull(expected)));
+        assert_eq!(s.load_census(), census);
+        assert_eq!(s.store().len(), 10);
+        let ids: Vec<ObjectId> = s
+            .engine()
+            .catalog()
+            .objects()
+            .iter()
+            .map(|o| o.id)
+            .collect();
+        assert_eq!(ids, vec![fits]);
+        assert!(s.residency_consistent());
     }
 }
 

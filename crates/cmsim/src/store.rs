@@ -3,18 +3,30 @@
 //! SCADDAR's access function says where a block *should* be; during an
 //! online redistribution the data may still be in transit. The store
 //! tracks actual residency so the simulator can model serving from stale
-//! locations, and it validates every applied move plan against the
-//! engine's arithmetic (a continuous end-to-end check that `RF()` and
-//! `AF()` agree).
+//! locations, and every applied move is checked against it (a continuous
+//! end-to-end check that `RF()` and `AF()` agree).
+//!
+//! ## Representation
+//!
+//! `AF()` is a pure function of an object's seed and a *dense* block
+//! index (Def. 4.1), so residency is dense too: one map entry per
+//! object, holding a `Vec<PhysicalDiskId>` indexed by block (8 B per
+//! block), plus a per-disk census. Objects enter and leave whole —
+//! [`BlockStore::ingest_object`] and [`BlockStore::evict_object`] cost
+//! one map operation per object and one census update per disk the
+//! object touches, never a hash per block. Single-block
+//! [`BlockStore::locate`] and [`BlockStore::relocate`] serve the
+//! redistribution executor, scrubbing and fault handling.
 
 use scaddar_baselines::PhysicalDiskId;
-use scaddar_core::{BlockMove, BlockRef};
+use scaddar_core::{BlockRef, ObjectId};
 use std::collections::HashMap;
 
-/// Residency of all blocks, keyed by block reference.
+/// Residency of all blocks: per object, the physical disk of each block.
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
-    residency: HashMap<BlockRef, PhysicalDiskId>,
+    objects: HashMap<ObjectId, Vec<PhysicalDiskId>>,
+    blocks: usize,
     per_disk: HashMap<PhysicalDiskId, u64>,
 }
 
@@ -26,38 +38,52 @@ impl BlockStore {
 
     /// Number of stored blocks.
     pub fn len(&self) -> usize {
-        self.residency.len()
+        self.blocks
     }
 
     /// True when no blocks are stored.
     pub fn is_empty(&self) -> bool {
-        self.residency.is_empty()
+        self.blocks == 0
     }
 
-    /// Ingests a block onto a disk (initial load or object addition).
+    /// Ingests a whole object: block `b` lands on `disks[b]` (initial
+    /// load, object addition, or rebuilding residency from `AF()`).
     ///
     /// # Panics
-    /// If the block is already stored (double ingest is a logic error).
-    pub fn ingest(&mut self, block: BlockRef, disk: PhysicalDiskId) {
-        let prev = self.residency.insert(block, disk);
-        assert!(prev.is_none(), "block {block:?} ingested twice");
-        *self.per_disk.entry(disk).or_insert(0) += 1;
+    /// If the object is already stored (double ingest is a logic error).
+    pub fn ingest_object(&mut self, object: ObjectId, disks: Vec<PhysicalDiskId>) {
+        assert!(
+            !self.objects.contains_key(&object),
+            "{object:?} ingested twice"
+        );
+        for (disk, count) in tally(&disks) {
+            *self.per_disk.entry(disk).or_insert(0) += count;
+        }
+        self.blocks += disks.len();
+        self.objects.insert(object, disks);
     }
 
-    /// Drops a block (object deletion).
-    pub fn evict(&mut self, block: BlockRef) -> Option<PhysicalDiskId> {
-        let disk = self.residency.remove(&block)?;
-        let count = self.per_disk.get_mut(&disk).expect("census in sync");
-        *count -= 1;
-        if *count == 0 {
-            self.per_disk.remove(&disk);
+    /// Drops a whole object (object deletion), returning where its
+    /// blocks were; `None` if the object is not stored.
+    pub fn evict_object(&mut self, object: ObjectId) -> Option<Vec<PhysicalDiskId>> {
+        let disks = self.objects.remove(&object)?;
+        for (disk, count) in tally(&disks) {
+            self.debit(disk, count);
         }
-        Some(disk)
+        self.blocks -= disks.len();
+        Some(disks)
+    }
+
+    /// Where each block of `object` currently lives, in block order.
+    pub fn object(&self, object: ObjectId) -> Option<&[PhysicalDiskId]> {
+        self.objects.get(&object).map(Vec::as_slice)
     }
 
     /// Where a block's data currently lives.
     pub fn locate(&self, block: BlockRef) -> Option<PhysicalDiskId> {
-        self.residency.get(&block).copied()
+        self.object(block.object)?
+            .get(usize::try_from(block.block).ok()?)
+            .copied()
     }
 
     /// Moves one block between disks.
@@ -67,16 +93,11 @@ impl BlockStore {
     /// plan and the store have diverged, which must never happen.
     pub fn relocate(&mut self, block: BlockRef, from: PhysicalDiskId, to: PhysicalDiskId) {
         let slot = self
-            .residency
-            .get_mut(&block)
+            .slot_mut(block)
             .unwrap_or_else(|| panic!("relocating unknown block {block:?}"));
         assert_eq!(*slot, from, "move plan disagrees with store for {block:?}");
         *slot = to;
-        let count = self.per_disk.get_mut(&from).expect("census in sync");
-        *count -= 1;
-        if *count == 0 {
-            self.per_disk.remove(&from);
-        }
+        self.debit(from, 1);
         *self.per_disk.entry(to).or_insert(0) += 1;
     }
 
@@ -93,16 +114,11 @@ impl BlockStore {
         block: BlockRef,
         to: PhysicalDiskId,
     ) -> PhysicalDiskId {
-        let from = self
-            .locate(block)
+        let slot = self
+            .slot_mut(block)
             .unwrap_or_else(|| panic!("reconstructing unknown block {block:?}"));
-        let slot = self.residency.get_mut(&block).expect("just located");
-        *slot = to;
-        let count = self.per_disk.get_mut(&from).expect("census in sync");
-        *count -= 1;
-        if *count == 0 {
-            self.per_disk.remove(&from);
-        }
+        let from = std::mem::replace(slot, to);
+        self.debit(from, 1);
         *self.per_disk.entry(to).or_insert(0) += 1;
         from
     }
@@ -112,39 +128,44 @@ impl BlockStore {
         self.per_disk.get(&disk).copied().unwrap_or(0)
     }
 
-    /// The blocks currently on `disk` (unordered). O(total blocks) — used
-    /// by removal planning and failure simulation, not per-round serving.
-    pub fn scan_disk(&self, disk: PhysicalDiskId) -> Vec<BlockRef> {
-        self.residency
-            .iter()
-            .filter_map(|(b, &d)| (d == disk).then_some(*b))
-            .collect()
-    }
-
     /// Load census over an explicit disk ordering (absent disks count 0).
     pub fn census(&self, disks: &[PhysicalDiskId]) -> Vec<u64> {
         disks.iter().map(|&d| self.blocks_on(d)).collect()
     }
 
-    /// Applies a whole move plan at once (*offline* redistribution),
-    /// translating logical endpoints through the given pre/post logical
-    /// maps. Returns the number of blocks relocated.
-    pub fn apply_moves<F, G>(&mut self, moves: &[BlockMove], pre: F, post: G) -> u64
-    where
-        F: Fn(u32) -> PhysicalDiskId,
-        G: Fn(u32) -> PhysicalDiskId,
-    {
-        for mv in moves {
-            self.relocate(mv.block, pre(mv.from.0), post(mv.to.0));
-        }
-        moves.len() as u64
+    fn slot_mut(&mut self, block: BlockRef) -> Option<&mut PhysicalDiskId> {
+        self.objects
+            .get_mut(&block.object)?
+            .get_mut(usize::try_from(block.block).ok()?)
     }
+
+    /// Takes `count` blocks off `disk`'s census entry.
+    fn debit(&mut self, disk: PhysicalDiskId, count: u64) {
+        let held = self.per_disk.get_mut(&disk).expect("census in sync");
+        *held = held.checked_sub(count).expect("census in sync");
+        if *held == 0 {
+            self.per_disk.remove(&disk);
+        }
+    }
+}
+
+/// Blocks per disk in one object's residency. An object spans at most
+/// the array's disks, so a linear scan over the disks seen so far beats
+/// hashing every block.
+fn tally(disks: &[PhysicalDiskId]) -> Vec<(PhysicalDiskId, u64)> {
+    let mut counts: Vec<(PhysicalDiskId, u64)> = Vec::new();
+    for &disk in disks {
+        match counts.iter_mut().find(|(d, _)| *d == disk) {
+            Some((_, count)) => *count += 1,
+            None => counts.push((disk, 1)),
+        }
+    }
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scaddar_core::ObjectId;
 
     fn blk(o: u64, b: u64) -> BlockRef {
         BlockRef {
@@ -156,57 +177,77 @@ mod tests {
     #[test]
     fn ingest_locate_evict_roundtrip() {
         let mut s = BlockStore::new();
-        s.ingest(blk(0, 0), PhysicalDiskId(2));
-        s.ingest(blk(0, 1), PhysicalDiskId(2));
+        s.ingest_object(ObjectId(0), vec![PhysicalDiskId(2)]);
+        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(2)]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.locate(blk(0, 0)), Some(PhysicalDiskId(2)));
+        assert_eq!(s.locate(blk(0, 1)), None);
         assert_eq!(s.blocks_on(PhysicalDiskId(2)), 2);
-        assert_eq!(s.evict(blk(0, 0)), Some(PhysicalDiskId(2)));
+        assert_eq!(s.evict_object(ObjectId(0)), Some(vec![PhysicalDiskId(2)]));
         assert_eq!(s.blocks_on(PhysicalDiskId(2)), 1);
-        assert_eq!(s.evict(blk(9, 9)), None);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.evict_object(ObjectId(9)), None);
+    }
+
+    #[test]
+    fn census_counts_every_disk_of_an_object() {
+        let mut s = BlockStore::new();
+        s.ingest_object(
+            ObjectId(0),
+            (0..10).map(|b| PhysicalDiskId(b % 2)).collect(),
+        );
+        assert_eq!(
+            s.census(&[PhysicalDiskId(0), PhysicalDiskId(1), PhysicalDiskId(7)]),
+            vec![5, 5, 0]
+        );
+        assert_eq!(s.object(ObjectId(0)).map(<[_]>::len), Some(10));
+        s.evict_object(ObjectId(0));
+        assert!(s.is_empty());
+        assert_eq!(
+            s.census(&[PhysicalDiskId(0), PhysicalDiskId(1)]),
+            vec![0, 0]
+        );
     }
 
     #[test]
     fn relocate_updates_census() {
         let mut s = BlockStore::new();
-        s.ingest(blk(1, 0), PhysicalDiskId(0));
+        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(0)]);
         s.relocate(blk(1, 0), PhysicalDiskId(0), PhysicalDiskId(3));
         assert_eq!(s.blocks_on(PhysicalDiskId(0)), 0);
         assert_eq!(s.blocks_on(PhysicalDiskId(3)), 1);
         assert_eq!(s.locate(blk(1, 0)), Some(PhysicalDiskId(3)));
+        assert_eq!(
+            s.relocate_reconstructed(blk(1, 0), PhysicalDiskId(4)),
+            PhysicalDiskId(3)
+        );
+        assert_eq!(
+            s.census(&[PhysicalDiskId(3), PhysicalDiskId(4)]),
+            vec![0, 1]
+        );
     }
 
     #[test]
     #[should_panic(expected = "disagrees")]
     fn relocate_from_wrong_disk_panics() {
         let mut s = BlockStore::new();
-        s.ingest(blk(1, 0), PhysicalDiskId(0));
+        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(0)]);
         s.relocate(blk(1, 0), PhysicalDiskId(7), PhysicalDiskId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown block")]
+    fn relocate_past_the_last_block_panics() {
+        let mut s = BlockStore::new();
+        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(0)]);
+        s.relocate(blk(1, 1), PhysicalDiskId(0), PhysicalDiskId(3));
     }
 
     #[test]
     #[should_panic(expected = "twice")]
     fn double_ingest_panics() {
         let mut s = BlockStore::new();
-        s.ingest(blk(1, 0), PhysicalDiskId(0));
-        s.ingest(blk(1, 0), PhysicalDiskId(1));
-    }
-
-    #[test]
-    fn scan_disk_finds_all_and_only() {
-        let mut s = BlockStore::new();
-        for b in 0..10 {
-            s.ingest(blk(0, b), PhysicalDiskId(b % 2));
-        }
-        let mut on0 = s.scan_disk(PhysicalDiskId(0));
-        on0.sort();
-        assert_eq!(
-            on0,
-            (0..10).step_by(2).map(|b| blk(0, b)).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            s.census(&[PhysicalDiskId(0), PhysicalDiskId(1)]),
-            vec![5, 5]
-        );
+        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(0)]);
+        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(1)]);
     }
 }

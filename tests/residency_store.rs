@@ -1,0 +1,230 @@
+//! Property test of the server's block residency: random histories of
+//! object churn, online scaling, disk failure, rehash compaction and
+//! snapshot/restore against the store's bookkeeping, checked after every
+//! step.
+
+use proptest::prelude::*;
+use scaddar::baselines::PhysicalDiskId;
+use scaddar::cmsim::ServerError;
+use scaddar::prelude::*;
+use std::collections::HashMap;
+
+/// One step of a server's history.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Ingest an object of this many blocks.
+    Add(u64),
+    /// Remove the catalog object picked by this value, if any.
+    Remove(u64),
+    /// Add disks and drain the moves.
+    ScaleAdd(u32),
+    /// Remove the disk picked by this value and drain the moves.
+    ScaleRemove(u32),
+    /// Fail the disk picked by this value, then remove it and drain.
+    FailAndRemove(u32),
+    /// Begin a compaction and run this many rounds of it; the rest
+    /// drains when a later step needs the flip.
+    Compact(u32),
+    /// Run this many service rounds.
+    Tick(u32),
+    /// Snapshot the server and continue on the restored copy.
+    Restore,
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        (0u32..10, 0u32..64, 1u64..600).prop_map(|(kind, pick, blocks)| match kind {
+            0 | 1 => Step::Add(blocks),
+            2 => Step::Remove(u64::from(pick)),
+            3 => Step::ScaleAdd(1 + pick % 2),
+            4 => Step::ScaleRemove(pick),
+            5 => Step::FailAndRemove(pick),
+            6 | 7 => Step::Compact(pick % 4),
+            8 => Step::Tick(1 + pick % 4),
+            _ => Step::Restore,
+        }),
+        1..=16,
+    )
+}
+
+/// Narrow disks, so a compaction stays in flight across several steps.
+fn config() -> ServerConfig {
+    ServerConfig::new(4)
+        .with_bandwidth(4)
+        .with_redistribution_bandwidth(2)
+        .with_catalog_seed(17)
+}
+
+/// Drives one history and checks the residency invariants after every
+/// step.
+struct Run {
+    server: CmServer,
+    /// `migrated_blocks` at the last check of an in-flight compaction.
+    migrated: Option<u64>,
+}
+
+impl Run {
+    fn tick(&mut self) {
+        let generation = self.server.generation();
+        let was_compacting = self.server.compaction_active();
+        self.server.tick();
+        if was_compacting && !self.server.compaction_active() {
+            assert_eq!(self.server.generation(), generation + 1, "flip");
+        }
+        self.check_progress();
+    }
+
+    /// Ticks until the compaction flips and the executor is idle.
+    fn quiesce(&mut self) {
+        let mut rounds = 0;
+        while self.server.compaction_active() || self.server.backlog() > 0 {
+            self.tick();
+            rounds += 1;
+            assert!(rounds < 100_000, "moves never drain");
+        }
+    }
+
+    /// `migrated_blocks` never decreases, and every catalog block is
+    /// either migrated or queued — so it reaches `total_blocks` exactly
+    /// when the last move lands.
+    fn check_progress(&mut self) {
+        match self.server.compaction_progress() {
+            Some(p) => {
+                if let Some(last) = self.migrated {
+                    assert!(p.migrated_blocks >= last, "{} < {last}", p.migrated_blocks);
+                }
+                assert_eq!(p.migrated_blocks + p.backlog, p.total_blocks, "{p:?}");
+                self.migrated = Some(p.migrated_blocks);
+            }
+            None => self.migrated = None,
+        }
+    }
+
+    /// Applies `op` online and drains it, ticking at least once (a
+    /// tick retires drained and reconstructed disks).
+    fn scale(&mut self, op: ScalingOp) {
+        self.quiesce();
+        match self.server.scale(op) {
+            Ok(_) | Err(ServerError::Engine(_)) => {}
+            Err(e) => panic!("scale refused on a quiet server: {e}"),
+        }
+        self.tick();
+        self.quiesce();
+    }
+
+    fn apply(&mut self, step: &Step) {
+        let disks = self.server.disks().disks();
+        match *step {
+            Step::Add(blocks) => {
+                self.server.add_object(blocks).expect("ample capacity");
+                self.check_progress();
+            }
+            Step::Remove(pick) => {
+                let objects = self.server.engine().catalog().objects();
+                if objects.is_empty() {
+                    return;
+                }
+                let id = objects[(pick % objects.len() as u64) as usize].id;
+                self.server.remove_object(id).expect("catalog object");
+                // Removal takes the object's migrated blocks with it.
+                self.migrated = None;
+                self.check_progress();
+            }
+            Step::ScaleAdd(count) => self.scale(ScalingOp::Add { count }),
+            Step::ScaleRemove(pick) if disks > 2 => self.scale(ScalingOp::remove_one(pick % disks)),
+            Step::FailAndRemove(pick) if disks > 2 => {
+                let logical = pick % disks;
+                let dead = self.server.fail_disk(DiskIndex(logical));
+                self.check_progress();
+                // A failure mid-compaction still lets it flip; the dead
+                // disk leaves the array once the flip allows scaling.
+                self.quiesce();
+                let at = self
+                    .server
+                    .disks()
+                    .physical_ids()
+                    .iter()
+                    .position(|&d| d == dead)
+                    .expect("failed disk still in the array") as u32;
+                self.scale(ScalingOp::remove_one(at));
+                assert!(self.server.failed_disks().is_empty());
+            }
+            Step::ScaleRemove(_) | Step::FailAndRemove(_) => {}
+            Step::Compact(rounds) => {
+                self.quiesce();
+                self.server
+                    .begin_compaction()
+                    .expect("quiet, healthy server");
+                self.check_progress();
+                for _ in 0..rounds {
+                    self.tick();
+                }
+            }
+            Step::Tick(rounds) => {
+                for _ in 0..rounds {
+                    self.tick();
+                }
+            }
+            Step::Restore => {
+                self.quiesce();
+                let census = self.server.load_census();
+                let bytes = self.server.snapshot().expect("quiet server");
+                self.server = CmServer::restore(config(), &bytes).expect("own snapshot");
+                assert_eq!(self.server.load_census(), census);
+            }
+        }
+    }
+
+    fn check(&self) {
+        let s = &self.server;
+        let catalog = s.engine().catalog();
+        assert_eq!(s.store().len() as u64, catalog.total_blocks());
+        let mut recount: HashMap<PhysicalDiskId, u64> = HashMap::new();
+        for obj in catalog.objects() {
+            for block in 0..obj.blocks {
+                let disk = s
+                    .store()
+                    .locate(BlockRef {
+                        object: obj.id,
+                        block,
+                    })
+                    .expect("catalog block is resident");
+                *recount.entry(disk).or_insert(0) += 1;
+            }
+        }
+        let live = s.disks().physical_ids();
+        let expected: Vec<u64> = live
+            .iter()
+            .map(|d| recount.get(d).copied().unwrap_or(0))
+            .collect();
+        assert_eq!(s.load_census(), expected);
+        if s.compaction_active() {
+            assert!(s.compaction_consistent());
+        } else if s.backlog() == 0 {
+            assert!(s.residency_consistent());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// After every step of any history the store holds exactly the
+    /// catalog's blocks, its census matches a recount, residency agrees
+    /// with placement at quiet points, and compaction progress only
+    /// moves forward.
+    #[test]
+    fn residency_tracks_every_history(history in steps()) {
+        let mut run = Run {
+            server: CmServer::new(config()).unwrap(),
+            migrated: None,
+        };
+        for step in &history {
+            run.apply(step);
+            run.check();
+        }
+        run.quiesce();
+        run.check();
+        prop_assert!(run.server.residency_consistent());
+    }
+}
