@@ -72,6 +72,21 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("restore_100k", |b| {
         b.iter(|| black_box(CmServer::restore(config(), &snapshot).expect("restore")));
     });
+    // perfbench's catalog shape: many mid-sized objects admitted one by
+    // one into a fresh server.
+    group.throughput(Throughput::Elements(64 * 4096));
+    group.bench_function("add_object_64x4096", |b| {
+        b.iter_batched(
+            || CmServer::new(config()).expect("server builds"),
+            |mut s| {
+                for _ in 0..64 {
+                    black_box(s.add_object(4096).expect("ingest"));
+                }
+                s
+            },
+            criterion::BatchSize::SmallInput,
+        );
+    });
     group.finish();
 }
 

@@ -597,13 +597,25 @@ impl CmServer {
     /// forgets failed disks that have been pulled from the array and
     /// fully reconstructed — once nothing resides on a removed dead
     /// disk the failure is history, and a later compaction sees a
-    /// healthy array again.
+    /// healthy array again. A retired disk leaves the gauge refresh, so
+    /// its per-disk gauges are zeroed here, once.
     fn purge_drained(&mut self) {
-        let store = &self.store;
-        self.draining.retain(|&id, _| store.blocks_on(id) > 0);
         let in_array: HashSet<PhysicalDiskId> = self.disks.physical_ids().into_iter().collect();
-        self.failed
-            .retain(|&id| in_array.contains(&id) || store.blocks_on(id) > 0);
+        let retired: Vec<PhysicalDiskId> = self
+            .draining
+            .keys()
+            .chain(&self.failed)
+            .copied()
+            .filter(|id| !in_array.contains(id) && self.store.blocks_on(*id) == 0)
+            .collect();
+        for id in retired {
+            self.draining.remove(&id);
+            self.failed.remove(&id);
+            if let Some(stats) = &self.stats {
+                stats.disk_load(id).set(0);
+                stats.disk_queue_depth(id).set(0);
+            }
+        }
     }
 
     /// Begins an **online rehash compaction**: opens the next placement
@@ -1271,6 +1283,38 @@ mod tests {
             .contains("cmsim_server_rounds_total"));
         // Drain interval visible through the fixed drain accounting.
         assert_eq!(s.metrics().drain_times().len(), 1);
+    }
+
+    #[test]
+    fn load_gauge_of_a_disk_drained_within_one_tick_reads_zero() {
+        use crate::stats::ServerStats;
+        use scaddar_obs::Registry;
+        let registry = Registry::new();
+        let stats = ServerStats::register_monotonic(&registry);
+        let mut s = CmServer::new(
+            ServerConfig::new(4)
+                .with_bandwidth(u32::MAX)
+                .with_catalog_seed(21),
+        )
+        .unwrap();
+        s.attach_stats(stats.clone());
+        for _ in 0..4 {
+            s.add_object(1_000).unwrap();
+        }
+        s.tick();
+        let victim = s.disks().physical(DiskIndex(1));
+        assert!(stats.disk_load(victim).get() > 0, "gauges published");
+        s.scale(ScalingOp::remove_one(1)).unwrap();
+        s.tick();
+        assert_eq!(s.backlog(), 0, "unbounded bandwidth drains in one tick");
+        assert!(s.draining_disks().is_empty(), "the victim retired");
+        let census = stats.disk_load_census();
+        assert!(
+            census.contains(&(victim.0, 0)),
+            "drained disk reads 0: {census:?}"
+        );
+        assert_eq!(census.iter().map(|&(_, n)| n).sum::<u64>(), 4_000);
+        assert_eq!(stats.disk_queue_depth(victim).get(), 0);
     }
 
     /// The disk a block-by-block ingest of a `blocks`-block object

@@ -11,12 +11,14 @@
 //! `AF()` is a pure function of an object's seed and a *dense* block
 //! index (Def. 4.1), so residency is dense too: one map entry per
 //! object, holding a `Vec<PhysicalDiskId>` indexed by block (8 B per
-//! block), plus a per-disk census. Objects enter and leave whole —
-//! [`BlockStore::ingest_object`] and [`BlockStore::evict_object`] cost
-//! one map operation per object and one census update per disk the
-//! object touches, never a hash per block. Single-block
-//! [`BlockStore::locate`] and [`BlockStore::relocate`] serve the
-//! redistribution executor, scrubbing and fault handling.
+//! block). The per-disk census is dense as well: physical ids are
+//! minted in sequence (`PhysicalMap`), so it is a `Vec<u64>` indexed by
+//! `PhysicalDiskId.0`, and a retired disk's slot simply reads 0. Objects
+//! enter and leave whole — [`BlockStore::ingest_object`] and
+//! [`BlockStore::evict_object`] cost one map operation per object and
+//! one indexed add or subtract per block, never a hash or a search.
+//! Single-block [`BlockStore::locate`] and [`BlockStore::relocate`]
+//! serve the redistribution executor, scrubbing and fault handling.
 
 use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{BlockRef, ObjectId};
@@ -27,7 +29,9 @@ use std::collections::HashMap;
 pub struct BlockStore {
     objects: HashMap<ObjectId, Vec<PhysicalDiskId>>,
     blocks: usize,
-    per_disk: HashMap<PhysicalDiskId, u64>,
+    /// Blocks per physical disk, indexed by `PhysicalDiskId.0`; ids past
+    /// the end hold no blocks.
+    per_disk: Vec<u64>,
 }
 
 impl BlockStore {
@@ -56,8 +60,8 @@ impl BlockStore {
             !self.objects.contains_key(&object),
             "{object:?} ingested twice"
         );
-        for (disk, count) in tally(&disks) {
-            *self.per_disk.entry(disk).or_insert(0) += count;
+        for &disk in &disks {
+            *self.count_mut(disk) += 1;
         }
         self.blocks += disks.len();
         self.objects.insert(object, disks);
@@ -67,8 +71,8 @@ impl BlockStore {
     /// blocks were; `None` if the object is not stored.
     pub fn evict_object(&mut self, object: ObjectId) -> Option<Vec<PhysicalDiskId>> {
         let disks = self.objects.remove(&object)?;
-        for (disk, count) in tally(&disks) {
-            self.debit(disk, count);
+        for &disk in &disks {
+            self.debit(disk);
         }
         self.blocks -= disks.len();
         Some(disks)
@@ -97,8 +101,8 @@ impl BlockStore {
             .unwrap_or_else(|| panic!("relocating unknown block {block:?}"));
         assert_eq!(*slot, from, "move plan disagrees with store for {block:?}");
         *slot = to;
-        self.debit(from, 1);
-        *self.per_disk.entry(to).or_insert(0) += 1;
+        self.debit(from);
+        *self.count_mut(to) += 1;
     }
 
     /// Moves a block to `to` from wherever the store believes it is,
@@ -118,14 +122,14 @@ impl BlockStore {
             .slot_mut(block)
             .unwrap_or_else(|| panic!("reconstructing unknown block {block:?}"));
         let from = std::mem::replace(slot, to);
-        self.debit(from, 1);
-        *self.per_disk.entry(to).or_insert(0) += 1;
+        self.debit(from);
+        *self.count_mut(to) += 1;
         from
     }
 
     /// Number of blocks currently on `disk`.
     pub fn blocks_on(&self, disk: PhysicalDiskId) -> u64 {
-        self.per_disk.get(&disk).copied().unwrap_or(0)
+        self.per_disk.get(disk.0 as usize).copied().unwrap_or(0)
     }
 
     /// Load census over an explicit disk ordering (absent disks count 0).
@@ -139,28 +143,24 @@ impl BlockStore {
             .get_mut(usize::try_from(block.block).ok()?)
     }
 
-    /// Takes `count` blocks off `disk`'s census entry.
-    fn debit(&mut self, disk: PhysicalDiskId, count: u64) {
-        let held = self.per_disk.get_mut(&disk).expect("census in sync");
-        *held = held.checked_sub(count).expect("census in sync");
-        if *held == 0 {
-            self.per_disk.remove(&disk);
+    /// `disk`'s census slot, growing the census to cover a newly minted
+    /// id.
+    fn count_mut(&mut self, disk: PhysicalDiskId) -> &mut u64 {
+        let i = disk.0 as usize;
+        if i >= self.per_disk.len() {
+            self.per_disk.resize(i + 1, 0);
         }
+        &mut self.per_disk[i]
     }
-}
 
-/// Blocks per disk in one object's residency. An object spans at most
-/// the array's disks, so a linear scan over the disks seen so far beats
-/// hashing every block.
-fn tally(disks: &[PhysicalDiskId]) -> Vec<(PhysicalDiskId, u64)> {
-    let mut counts: Vec<(PhysicalDiskId, u64)> = Vec::new();
-    for &disk in disks {
-        match counts.iter_mut().find(|(d, _)| *d == disk) {
-            Some((_, count)) => *count += 1,
-            None => counts.push((disk, 1)),
-        }
+    /// Takes one block off `disk`'s census slot.
+    fn debit(&mut self, disk: PhysicalDiskId) {
+        let held = self
+            .per_disk
+            .get_mut(disk.0 as usize)
+            .expect("census in sync");
+        *held = held.checked_sub(1).expect("census in sync");
     }
-    counts
 }
 
 #[cfg(test)]
@@ -225,6 +225,44 @@ mod tests {
             s.census(&[PhysicalDiskId(3), PhysicalDiskId(4)]),
             vec![0, 1]
         );
+    }
+
+    #[test]
+    fn dense_census_covers_minted_and_retired_ids() {
+        let mut s = BlockStore::new();
+        // The initial array: disks 0..4.
+        s.ingest_object(ObjectId(0), (0..8).map(|b| PhysicalDiskId(b % 4)).collect());
+        assert_eq!(s.per_disk.len(), 4);
+        // A never-seen id reads 0 and does not grow the census.
+        assert_eq!(s.blocks_on(PhysicalDiskId(9)), 0);
+        assert_eq!(s.blocks_on(PhysicalDiskId(u64::MAX)), 0);
+        assert_eq!(s.per_disk.len(), 4);
+        // Scale-outs mint ids past the initial array; an object landing
+        // there grows the census to cover them.
+        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(6), PhysicalDiskId(5)]);
+        assert_eq!(s.per_disk.len(), 7);
+        assert_eq!(
+            s.census(&(0..8).map(PhysicalDiskId).collect::<Vec<_>>()),
+            vec![2, 2, 2, 2, 0, 1, 1, 0]
+        );
+        // So does a block relocated onto a newer one.
+        s.relocate(blk(0, 0), PhysicalDiskId(0), PhysicalDiskId(8));
+        assert_eq!(s.blocks_on(PhysicalDiskId(8)), 1);
+        // Retire disk 0 (drained by relocation) and disk 6 (drained by
+        // eviction): both read 0 from then on.
+        s.relocate_reconstructed(blk(0, 4), PhysicalDiskId(8));
+        assert_eq!(s.blocks_on(PhysicalDiskId(0)), 0);
+        s.evict_object(ObjectId(1));
+        assert_eq!(s.blocks_on(PhysicalDiskId(6)), 0);
+        assert_eq!(s.blocks_on(PhysicalDiskId(5)), 0);
+        assert_eq!(
+            s.census(&(0..9).map(PhysicalDiskId).collect::<Vec<_>>()),
+            vec![0, 2, 2, 2, 0, 0, 0, 0, 2]
+        );
+        assert_eq!(s.len(), 8);
+        s.evict_object(ObjectId(0));
+        assert!(s.is_empty());
+        assert!(s.per_disk.iter().all(|&n| n == 0));
     }
 
     #[test]

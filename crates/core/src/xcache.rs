@@ -54,13 +54,14 @@ impl XCache {
         cache
     }
 
+    /// One object's `X_0` stream folded to the pipeline's epoch: an
+    /// exactly-sized bulk fill, then one step-outer batch fold.
     fn fold_object(catalog: &Catalog, obj: &CmObject, pipeline: &RemapPipeline) -> Vec<u64> {
-        catalog
-            .randoms(obj)
-            .cursor()
-            .take(obj.blocks as usize)
-            .map(|x0| pipeline.fold(x0))
-            .collect()
+        let blocks = obj.blocks as usize;
+        let mut xs = Vec::with_capacity(blocks);
+        catalog.randoms(obj).fill_values(blocks, &mut xs);
+        pipeline.fold_batch(&mut xs);
+        xs
     }
 
     /// The epoch the cached values are valid at.
@@ -192,6 +193,48 @@ mod tests {
                         obj.id,
                         log.epoch()
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn admission_at_nonzero_epoch_matches_oracle_for_every_kind() {
+        for kind in RngKind::ALL {
+            for bits in [Bits::B32, Bits::B64] {
+                let mut catalog = Catalog::new(kind, bits, 11);
+                let mut log = ScalingLog::new(5).unwrap();
+                let mut pipeline = RemapPipeline::compile(&log);
+                let mut cache = XCache::rebuild(&catalog, &pipeline);
+                for (i, op) in [
+                    ScalingOp::Add { count: 3 },
+                    ScalingOp::Remove { disks: vec![1, 4] },
+                    ScalingOp::add_one(),
+                    ScalingOp::remove_one(0),
+                ]
+                .into_iter()
+                .enumerate()
+                {
+                    log.push(&op).unwrap();
+                    pipeline.extend_from(&log);
+                    cache.advance_to(&pipeline);
+                    let id = catalog.add_object(300 + i as u64);
+                    cache.insert_object(&catalog, catalog.object(id).unwrap(), &pipeline);
+                    // Every object, whether admitted now or advanced from
+                    // an earlier epoch, equals the stateless X_0 fold.
+                    for obj in catalog.objects() {
+                        let seq = catalog.randoms(obj);
+                        let oracle: Vec<u64> = (0..obj.blocks)
+                            .map(|b| x_at_current_epoch(seq.value_at(b), &log))
+                            .collect();
+                        assert_eq!(
+                            cache.xs(obj.id),
+                            Some(&oracle[..]),
+                            "{kind} {bits} {} epoch {}",
+                            obj.id,
+                            log.epoch()
+                        );
+                    }
                 }
             }
         }

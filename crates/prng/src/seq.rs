@@ -121,10 +121,35 @@ impl BlockRandoms {
         cursor
     }
 
-    /// Convenience: the first `n` values, materialized.
+    /// The first `n` values, materialized.
     pub fn take_values(&self, n: u64) -> Vec<u64> {
-        self.cursor().take(n as usize).collect()
+        let mut values = Vec::with_capacity(n as usize);
+        self.fill_values(n as usize, &mut values);
+        values
     }
+
+    /// Appends `X_0^{(0)}, …, X_0^{(n-1)}` to `out` — the bulk path for
+    /// admitting a whole object. Dispatches on the generator family once
+    /// per call rather than once per value (as the cursor must), and
+    /// extends from a counted range, so `out` reserves exactly `n` slots
+    /// and never regrows mid-fill.
+    pub fn fill_values(&self, n: usize, out: &mut Vec<u64>) {
+        match self.kind {
+            RngKind::SplitMix64 => extend_from::<SplitMix64>(self.seed, self.bits, n, out),
+            RngKind::Lcg64 => extend_from::<Lcg64>(self.seed, self.bits, n, out),
+            RngKind::Pcg64 => extend_from::<Pcg64>(self.seed, self.bits, n, out),
+            RngKind::XorShift64Star => extend_from::<XorShift64Star>(self.seed, self.bits, n, out),
+            RngKind::Philox4x32 => extend_from::<Philox4x32>(self.seed, self.bits, n, out),
+        }
+    }
+}
+
+/// The first `n` `bits`-wide values of generator `G` seeded with `seed`,
+/// appended to `out`. `(0..n).map(..)` reports an exact length, so the
+/// extend reserves once and writes without per-element capacity checks.
+fn extend_from<G: SeededRng>(seed: u64, bits: Bits, n: usize, out: &mut Vec<u64>) {
+    let mut g = G::from_seed(seed);
+    out.extend((0..n).map(|_| bits.truncate(g.next_u64())));
 }
 
 /// Dispatch-free sequential state for one stream.
@@ -139,7 +164,8 @@ enum CursorState {
 
 /// Sequential iterator over a [`BlockRandoms`] stream.
 ///
-/// Infinite; use `take` or [`BlockRandoms::take_values`] to bound it.
+/// Infinite; use `take` to bound it. Whole-object walks go through
+/// [`BlockRandoms::fill_values`] instead.
 #[derive(Debug, Clone)]
 pub struct BlockRandomCursor {
     state: CursorState,
@@ -204,6 +230,34 @@ mod tests {
                 assert_eq!(seq.value_at(i as u64), v, "kind {kind} index {i}");
             }
         }
+    }
+
+    #[test]
+    fn fill_values_matches_cursor_and_value_at() {
+        for kind in RngKind::ALL {
+            for bits in [Bits::B32, Bits::B64, Bits::new(17).unwrap()] {
+                let seq = BlockRandoms::new(kind, 0x5EED_F111, bits);
+                for n in [0usize, 1, 4095, 4096] {
+                    let mut filled = Vec::new();
+                    seq.fill_values(n, &mut filled);
+                    let walked: Vec<u64> = seq.cursor().take(n).collect();
+                    assert_eq!(filled, walked, "{kind} {bits} n={n}");
+                    for (i, &v) in filled.iter().enumerate() {
+                        assert_eq!(seq.value_at(i as u64), v, "{kind} {bits} index {i}");
+                    }
+                    assert_eq!(seq.take_values(n as u64), filled, "{kind} {bits} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_values_appends_after_existing_values() {
+        let seq = BlockRandoms::new(RngKind::Pcg64, 3, Bits::B32);
+        let mut out = vec![7, 8];
+        seq.fill_values(5, &mut out);
+        assert_eq!(out[..2], [7, 8]);
+        assert_eq!(out[2..], seq.take_values(5)[..]);
     }
 
     #[test]
