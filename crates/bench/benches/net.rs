@@ -10,9 +10,9 @@
 //! 3. `net_pipeline` — 16 pipelined locates per wakeup, the client
 //!    library's batching path (amortizes the per-write syscall cost).
 //!
-//! The end-to-end percentile/overhead numbers in `BENCH_net.json` come
-//! from the seeded load generator (`scaddard-load`), not from here —
-//! these groups exist for profiling the components.
+//! The gated end-to-end percentile and overhead numbers come from the
+//! seeded load generator (`scaddard-load`), not from here; these groups
+//! exist for profiling the components and no gate reads them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scaddar_net::{decode_frame, Frame, NetClient, NetServerConfig, Scaddard};

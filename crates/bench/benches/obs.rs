@@ -4,8 +4,8 @@
 //! relaxed load + store pair, no locked read-modify-write) per
 //! `locate`; the counter doubles as the 1-in-1024 latency sampling
 //! basis. The instrumented engine must stay within a few percent of
-//! bare. `bench_report` condenses these groups into `BENCH_obs.json`;
-//! CI's obs-smoke job fails if the locate overhead ratio exceeds 1.10.
+//! bare. The gate table (`scaddar_bench::gate::GATES`) fails CI if the
+//! locate or armed-profiler overhead ratio exceeds 1.10.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scaddar_core::{
@@ -98,8 +98,7 @@ fn bench_plan_overhead(c: &mut Criterion) {
 /// publishes to a detached state word with no sampler; `instrumented`
 /// registers with a live [`Profiler`] whose 1 kHz sampler thread runs
 /// for the whole measurement — so the ratio is exactly what arming the
-/// profiler costs a worker. CI's profile-smoke job gates this ratio at
-/// 1.10 via `BENCH_obs.json`.
+/// profiler costs a worker. The gate table holds this ratio to 1.10.
 fn bench_profile_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_profile_overhead");
     let run = |b: &mut criterion::Bencher, handle: &StateHandle| {

@@ -2,10 +2,16 @@
 //! load, the cost of committing a scaling operation (plan + queue)
 //! versus executing it offline, and the cost of building block
 //! residency (ingesting an object, restoring from a snapshot).
+//!
+//! E24 — `compact_locate`: a shard whose §4.3 budget was burned and
+//! then rehash-compacted must locate as fast as a fresh chain-length-0
+//! shard over the same catalog. The gate table
+//! (`scaddar_bench::gate::GATES`) holds `post_flip / fresh` to 1.2.
 
 use cmsim::{CmServer, ServerConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use scaddar_core::ScalingOp;
+use scaddar_core::{ObjectId, ScalingOp};
+use scaddar_prng::{Pcg64, SeededRng};
 use std::hint::black_box;
 
 fn config() -> ServerConfig {
@@ -90,5 +96,60 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tick, bench_scale, bench_ingest);
+/// 24 objects of 2 000 blocks on 8 disks, seeded like E24's run.
+fn compaction_catalog() -> CmServer {
+    let mut s = CmServer::new(ServerConfig::new(8).with_catalog_seed(6_073_421)).expect("boot");
+    for _ in 0..24 {
+        s.add_object(2_000).expect("ingest");
+    }
+    s
+}
+
+fn bench_compact_locate(c: &mut Criterion) {
+    // Burn the budget with remove/add round-trips, then compact through
+    // the server's own API until the generation flips.
+    let mut compacted = compaction_catalog();
+    while compacted.next_op_is_safe(&ScalingOp::remove_one(0)) {
+        compacted
+            .scale_offline(ScalingOp::remove_one(0))
+            .expect("remove");
+        compacted
+            .scale_offline(ScalingOp::Add { count: 1 })
+            .expect("add");
+    }
+    compacted.begin_compaction().expect("idle executor");
+    for _ in 0..1_000_000 {
+        if !compacted.compaction_active() {
+            break;
+        }
+        compacted.tick();
+    }
+    assert_eq!(compacted.generation(), 1, "compaction never flipped");
+    let fresh = compaction_catalog();
+
+    let mut rng = Pcg64::from_seed(0xBEAC);
+    let lookups: Vec<(ObjectId, u64)> = (0..4096)
+        .map(|_| (ObjectId(rng.next_u64() % 24), rng.next_u64() % 2_000))
+        .collect();
+    let mut group = c.benchmark_group("compact_locate");
+    for (label, server) in [("post_flip", &compacted), ("fresh", &fresh)] {
+        group.bench_function(label, |b| {
+            let mut i = 0;
+            b.iter(|| {
+                let (object, block) = lookups[i % lookups.len()];
+                i += 1;
+                black_box(server.locate_current(object, block).expect("catalog block"))
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_tick,
+    bench_scale,
+    bench_ingest,
+    bench_compact_locate
+);
 criterion_main!(benches);

@@ -7,14 +7,22 @@
 //! | bench target | measures | experiment |
 //! |--------------|----------|------------|
 //! | `access` | `AF()` ns/lookup vs epoch `j`, per RNG family | E8 |
-//! | `remap` | raw `REMAP_j` throughput; `RF()` planning over 100k blocks | E8 |
+//! | `remap` | raw `REMAP_j` throughput; `RF()` planning over 100k and 1M blocks | E8, E8c |
 //! | `strategies` | `place()` cost across all strategies | E11 support |
-//! | `server` | cmsim round throughput; offline scale cost | E9 support |
+//! | `server` | cmsim round throughput; scale, ingest and restore cost; post-compaction locate | E9 support, E24 |
+//! | `persist` | snapshot encode/decode; bulk `locate_all` | E8 |
+//! | `obs` | instrumented vs bare locate, plan and profiler paths | E8b |
+//! | `monitor` | monitor-attached vs detached locate and tick | — |
+//! | `net` | wire codec; loopback request and pipeline paths | E21 |
 //!
-//! Run with `cargo bench --workspace`. Shared fixtures live here.
+//! Run with `cargo bench --workspace`. Shared fixtures live here, and
+//! so does the gate table ([`gate::GATES`]) that CI checks the results
+//! against with the `bench_gate` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod gate;
 
 use scaddar_core::{ScalingLog, ScalingOp};
 

@@ -6,8 +6,8 @@
 //! the in-process invariants the harness pins down (residency
 //! consistent, zero stream hiccups). Runs once per serving core: the
 //! event-loop reactor (the default) and the thread-per-connection
-//! reference. CI's `net-smoke` job runs the release-mode cousin of this
-//! via `scaddard-load --mode both`.
+//! reference. CI's `bench-gates` job runs the release-mode cousin of
+//! this via `scaddard-load --mode both`.
 
 use cmsim::{CmServer, ServerConfig, SharedServer};
 use scaddar_net::{LoadConfig, NetServerConfig, Scaddard, ServerMode};

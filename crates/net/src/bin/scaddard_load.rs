@@ -1,6 +1,7 @@
 //! Loopback load harness: boots `scaddard` in-process and measures the
 //! serving layer end-to-end, emitting criterion-shim-compatible JSON
-//! that `bench_report` condenses into `BENCH_net.json`.
+//! that `bench_gate` checks against the gate table
+//! (`scaddar_bench::gate::GATES`).
 //!
 //! Per server mode (`--mode event-loop`, `--mode threaded`, or the
 //! default `--mode both` for the A/B table), three passes:
@@ -17,21 +18,21 @@
 //! 3. **Overhead** (primary mode only) — a locate-only closed loop,
 //!    instrumented vs bare; the mean ns-per-request pair feeds the
 //!    instrumented/bare overhead ratio gated at ≤ 1.10 (same
-//!    discipline as BENCH_obs and BENCH_monitor).
+//!    discipline as the obs and monitor overhead rows).
 //!
 //! ```text
 //! cargo run --release -p scaddar-net --bin scaddard-load -- \
 //!     [--mode event-loop|threaded|both] [--seed N] [--clients N] \
 //!     [--requests N] [--scale-ops N] [--window N] [--out PATH]
-//! cargo run -p scaddar-bench --bin bench_report
+//! cargo run -p scaddar-bench --bin bench_gate
 //! ```
 //!
 //! The event-loop rows keep the historical `net_load/*` names (the
-//! headline); threaded rows land under `net_load_threaded/*` so
-//! `bench_report` can print the A/B speedup.
+//! headline); threaded rows land under `net_load_threaded/*` so the
+//! gate table can take the A/B throughput ratio.
 //!
 //! Exits nonzero on any protocol error or epoch-consistency violation
-//! in any pass, so CI's net-smoke job can gate directly on the run.
+//! in any pass, so CI can gate directly on the run.
 
 use scaddar_net::{LoadConfig, LoadReport, LoopMode, NetServerConfig, Scaddard, ServerMode};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
@@ -177,7 +178,7 @@ fn main() {
     let mut window = 64usize;
     let mut modes: Vec<ServerMode> = vec![ServerMode::EventLoop, ServerMode::Threaded];
     // Its own stem (not `net.json`, which the codec bench owns):
-    // `bench_report` reads one file per stem.
+    // the criterion shim writes one file per stem.
     let mut out_path = "target/criterion-json/net_load.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -235,8 +236,7 @@ fn main() {
             push_result(&mut results, group, bench, ns, m.mixed.requests);
         }
         // Non-latency facts ride in `ns_per_iter` too: the shim format
-        // has one numeric field, and bench_report copies it through
-        // verbatim.
+        // has one numeric field, and bench_gate reads it verbatim.
         for (bench, v) in [
             ("throughput_rps", m.pipelined.throughput_rps),
             ("closed_loop_rps", m.mixed.throughput_rps),

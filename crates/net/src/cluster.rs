@@ -449,7 +449,7 @@ pub struct ClusterClientStats {
     /// Map refreshes performed (fetches that adopted a newer version).
     pub map_refreshes: AtomicU64,
     /// Requests that exhausted their routing retries — the routing
-    /// errors the cluster-smoke gate requires to be zero.
+    /// errors the cluster routing test requires to be zero.
     pub routing_errors: AtomicU64,
 }
 

@@ -30,8 +30,8 @@
 //! * [`client`] — [`NetClient`]: connection pooling, request
 //!   pipelining, and deadline-aware retry-on-reconnect.
 //! * [`load`] — a deterministic loopback load generator (seeded
-//!   open/closed-loop workloads) whose measurements feed
-//!   `BENCH_net.json` via `bench_report`.
+//!   open/closed-loop workloads) whose measurements feed the
+//!   `net_load` rows of the bench gate table via `scaddard-load`.
 //! * [`cluster`] — the sharded-topology layer: the versioned
 //!   [`ClusterMap`] with jump-consistent-hash object routing, the
 //!   server-side [`ShardRuntime`] handoff gates, and the shard-aware

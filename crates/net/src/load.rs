@@ -27,8 +27,8 @@
 //!
 //! Every locate response is additionally checked for epoch consistency
 //! (`disk < disks` under the epoch it carries); violations are counted
-//! in [`LoadReport::consistency_violations`] and gate CI's net-smoke
-//! job at zero.
+//! in [`LoadReport::consistency_violations`], which the bench gate table
+//! holds at zero.
 
 use crate::client::{ClientConfig, ClientError, NetClient};
 use crate::wire::Frame;
@@ -107,7 +107,7 @@ pub struct LatencySummary {
     pub p95: u64,
     /// 99th percentile.
     pub p99: u64,
-    /// 99.9th percentile (the BENCH_net tail gate).
+    /// 99.9th percentile (the tail the `net_load/pipelined_p999` gate bounds).
     pub p999: u64,
     /// Worst observed.
     pub max: u64,

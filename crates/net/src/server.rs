@@ -86,7 +86,7 @@ pub struct NetServerConfig {
     pub max_frame_len: u32,
     /// When false, per-request histograms/spans and the 1-in-64 phase
     /// timing ([`crate::seam`]) are skipped — the bare baseline the
-    /// `BENCH_net.json` overhead ratio divides by.
+    /// `net_locate_overhead` gate ratio divides by.
     pub instrument: bool,
 }
 
