@@ -12,10 +12,14 @@
 //! physical disk (the block store); once executed, from the new one. The
 //! engine's `AF()` answers are thus eventually consistent with residency,
 //! and the server layer resolves reads through the store.
+//!
+//! A round's budgets are a `&mut [u32]` indexed by `PhysicalDiskId.0`,
+//! one slot per id the disk array has minted (ids are dense and never
+//! reused); the server builds it from its disk table, and an id past
+//! the end of the slice has no budget.
 
 use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::BlockRef;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// One queued block move, in physical coordinates.
@@ -64,39 +68,34 @@ impl RedistributionExecutor {
 
     /// Executes up to the per-disk budgets' worth of moves this round.
     ///
-    /// `budget` maps each live physical disk to the number of block
-    /// transfers it may participate in this round (as source *or*
-    /// target). Returns the executed moves, in queue order; moves whose
-    /// source or target is out of budget are deferred, preserving their
-    /// relative order (head-of-line blocking is deliberate — it models a
-    /// sequential sweep and keeps the executor fair across disks).
-    pub fn execute_round(&mut self, budget: &mut HashMap<PhysicalDiskId, u32>) -> Vec<PendingMove> {
+    /// `budget[d]` is the number of block transfers physical disk `d`
+    /// may participate in this round (as source *or* target); an id past
+    /// the end of the slice has no budget. Returns the executed moves,
+    /// in queue order; moves whose source or target is out of budget
+    /// are deferred, preserving their relative order (head-of-line
+    /// blocking is deliberate — it models a sequential sweep and keeps
+    /// the executor fair across disks).
+    pub fn execute_round(&mut self, budget: &mut [u32]) -> Vec<PendingMove> {
+        let has_budget = |budget: &[u32], d: PhysicalDiskId| {
+            budget.get(d.0 as usize).is_some_and(|&left| left > 0)
+        };
         let mut executed = Vec::new();
         let mut deferred = VecDeque::new();
         while let Some(mv) = self.queue.pop_front() {
-            if mv.from == mv.to {
-                // A local copy (e.g. materializing a reconstructed block
-                // from a mirror co-resident with the target): one disk
-                // operation on a single spindle.
-                if budget.get(&mv.to).copied().unwrap_or(0) > 0 {
-                    *budget.get_mut(&mv.to).expect("checked") -= 1;
-                    executed.push(mv);
-                } else {
-                    deferred.push_back(mv);
+            // A local copy (from == to, e.g. materializing a
+            // reconstructed block from a mirror co-resident with the
+            // target) is one disk operation on a single spindle.
+            let local = mv.from == mv.to;
+            if has_budget(budget, mv.to) && (local || has_budget(budget, mv.from)) {
+                budget[mv.to.0 as usize] -= 1;
+                if !local {
+                    budget[mv.from.0 as usize] -= 1;
                 }
-                continue;
-            }
-            let src_ok = budget.get(&mv.from).copied().unwrap_or(0) > 0;
-            let dst_ok = budget.get(&mv.to).copied().unwrap_or(0) > 0;
-            if src_ok && dst_ok {
-                *budget.get_mut(&mv.from).expect("checked") -= 1;
-                *budget.get_mut(&mv.to).expect("checked") -= 1;
                 executed.push(mv);
             } else {
-                deferred.push_back(mv);
-                // If *every* remaining budget is zero we could stop, but
-                // other moves may touch disks with budget left; keep
+                // Other moves may touch disks with budget left; keep
                 // scanning — queue lengths are bounded by the plan size.
+                deferred.push_back(mv);
             }
         }
         self.queue = deferred;
@@ -165,8 +164,19 @@ mod tests {
         }
     }
 
-    fn budget(pairs: &[(u64, u32)]) -> HashMap<PhysicalDiskId, u32> {
-        pairs.iter().map(|&(d, b)| (PhysicalDiskId(d), b)).collect()
+    /// A slice budget holding `pairs`; ids not named, and ids past the
+    /// largest one named, have none.
+    fn budget(pairs: &[(u64, u32)]) -> Vec<u32> {
+        let len = pairs
+            .iter()
+            .map(|&(d, _)| d as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut b = vec![0; len];
+        for &(d, n) in pairs {
+            b[d as usize] = n;
+        }
+        b
     }
 
     #[test]
@@ -178,8 +188,7 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert_eq!(ex.backlog(), 1);
         // Budgets fully consumed.
-        assert_eq!(b[&PhysicalDiskId(0)], 0);
-        assert_eq!(b[&PhysicalDiskId(1)], 0);
+        assert_eq!(b, vec![0, 0]);
     }
 
     #[test]

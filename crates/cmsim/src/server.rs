@@ -15,7 +15,7 @@
 use crate::admission::AdmissionController;
 use crate::compaction::{has_block, BlockSet, CompactionProgress, CompactionState};
 use crate::config::ServerConfig;
-use crate::disk::{DiskArray, DiskSpec};
+use crate::disk::{DiskArray, DiskSpec, DiskState};
 use crate::metrics::{Metrics, RoundRecord};
 use crate::redistribute::{PendingMove, RedistributionExecutor};
 use crate::stats::ServerStats;
@@ -25,7 +25,7 @@ use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{
     BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig, ScaddarError, ScalingOp,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Errors from server operations.
@@ -47,9 +47,10 @@ pub enum ServerError {
     /// (scaling, snapshots, and a second compaction must wait for the
     /// generation flip).
     CompactionActive,
-    /// A rehash compaction was requested while failed disks are still
-    /// in the array (they cannot receive their new-generation share;
-    /// remove them first — reconstruction — then compact).
+    /// A rehash compaction or a snapshot was requested while failed
+    /// disks are still in the array (they cannot receive their
+    /// new-generation share, and a restored server would serve them as
+    /// healthy; remove them first — reconstruction — then retry).
     FailedDisksPresent,
 }
 
@@ -71,10 +72,7 @@ impl std::fmt::Display for ServerError {
                 write!(f, "a rehash compaction is in flight — wait for the flip")
             }
             ServerError::FailedDisksPresent => {
-                write!(
-                    f,
-                    "failed disk(s) still in the array — remove them before compacting"
-                )
+                write!(f, "failed disk(s) still in the array — remove them first")
             }
         }
     }
@@ -100,16 +98,6 @@ pub struct CmServer {
     executor: RedistributionExecutor,
     metrics: Metrics,
     admission: AdmissionController,
-    /// Disks removed from the logical array but still spinning until
-    /// their blocks are copied off (§1: removal is known a priori, so
-    /// the data is redistributed *before* the disk is pulled). They keep
-    /// serving reads and participating in move bandwidth.
-    draining: HashMap<PhysicalDiskId, DiskSpec>,
-    /// Disks that failed *unexpectedly* (§1 distinguishes this from
-    /// planned removal). Their data is gone; reads are served from the
-    /// §6 mirror until the operator removes the disk, and removal moves
-    /// reconstruct from mirrors.
-    failed: HashSet<PhysicalDiskId>,
     /// In-flight rehash compaction, if any: the staging next-generation
     /// engine plus the migrated set (see [`crate::compaction`]). While
     /// set, lookups dual-serve (migrated blocks answer from the staging
@@ -128,27 +116,48 @@ impl CmServer {
                 .with_catalog_seed(config.catalog_seed)
                 .with_epsilon(config.epsilon),
         )?;
-        Ok(CmServer {
-            engine,
-            disks: DiskArray::new(
-                config.initial_disks,
-                DiskSpec {
-                    bandwidth: config.disk_bandwidth,
-                    capacity: config.disk_capacity,
+        Ok(CmServer::from_engine(config, engine))
+    }
+
+    /// A quiet server around `engine`. The disk array replays the
+    /// engine's scaling log, so physical identities line up with a
+    /// server that lived through the history, and the block store is
+    /// derived from `AF()`.
+    fn from_engine(config: ServerConfig, engine: Scaddar) -> Self {
+        let spec = DiskSpec {
+            bandwidth: config.disk_bandwidth,
+            capacity: config.disk_capacity,
+        };
+        let mut disks = DiskArray::new(engine.log().initial_disks(), spec);
+        for record in engine.log().records() {
+            let op = match record.action() {
+                scaddar_core::RecordAction::Added { count } => ScalingOp::Add { count: *count },
+                scaddar_core::RecordAction::Removed(set) => ScalingOp::Remove {
+                    disks: set.indices().to_vec(),
                 },
-            ),
-            store: BlockStore::new(),
+            };
+            disks.apply(&op).expect("the engine validated its log");
+        }
+        let mut store = BlockStore::new();
+        for obj in engine.catalog().objects() {
+            let placements = engine.locate_all(obj.id).expect("catalog object");
+            store.ingest_object(obj.id, disks.physical_all(&placements));
+        }
+        // The replay left every removed disk draining; none holds a block.
+        disks.retire_empty(&store);
+        CmServer {
+            engine,
+            disks,
+            store,
             streams: Vec::new(),
             next_stream: 0,
             executor: RedistributionExecutor::new(),
             metrics: Metrics::with_retention(config.metrics_retention),
             admission: AdmissionController::new(0.8),
-            draining: HashMap::new(),
-            failed: HashSet::new(),
             compaction: None,
             stats: None,
             config,
-        })
+        }
     }
 
     /// Attaches server metric handles: subsequent rounds, scaling
@@ -205,13 +214,17 @@ impl CmServer {
     /// Serializes placement metadata (catalog + scaling log) for durable
     /// storage. Only callable when no redistribution is pending — a real
     /// server quiesces before checkpointing, and a snapshot taken
-    /// mid-drain would teleport in-transit blocks on restore.
+    /// mid-drain would teleport in-transit blocks on restore — and with no
+    /// failed disk, which a restored server would serve as healthy.
     pub fn snapshot(&self) -> Result<Vec<u8>, ServerError> {
         if self.compaction.is_some() {
             return Err(ServerError::CompactionActive);
         }
         if !self.executor.is_idle() {
             return Err(ServerError::RedistributionPending);
+        }
+        if !self.failed_disks().is_empty() {
+            return Err(ServerError::FailedDisksPresent);
         }
         Ok(self.engine.snapshot())
     }
@@ -224,46 +237,7 @@ impl CmServer {
     pub fn restore(config: ServerConfig, bytes: &[u8]) -> Result<Self, ServerError> {
         let engine = Scaddar::from_snapshot(bytes, config.epsilon)
             .map_err(|e| ServerError::Snapshot(e.to_string()))?;
-        let mut disks = DiskArray::new(
-            engine.log().initial_disks(),
-            DiskSpec {
-                bandwidth: config.disk_bandwidth,
-                capacity: config.disk_capacity,
-            },
-        );
-        // Replay the logged operations so physical identities line up
-        // with a server that lived through the history.
-        for record in engine.log().records().to_vec() {
-            let op = match record.action() {
-                scaddar_core::RecordAction::Added { count } => ScalingOp::Add { count: *count },
-                scaddar_core::RecordAction::Removed(set) => ScalingOp::Remove {
-                    disks: set.indices().to_vec(),
-                },
-            };
-            disks
-                .apply(&op)
-                .expect("snapshot history was validated on decode");
-        }
-        let mut store = BlockStore::new();
-        for obj in engine.catalog().objects() {
-            let placements = engine.locate_all(obj.id).expect("catalog object");
-            store.ingest_object(obj.id, disks.physical_all(&placements));
-        }
-        Ok(CmServer {
-            engine,
-            disks,
-            store,
-            streams: Vec::new(),
-            next_stream: 0,
-            executor: RedistributionExecutor::new(),
-            metrics: Metrics::with_retention(config.metrics_retention),
-            admission: AdmissionController::new(0.8),
-            draining: HashMap::new(),
-            failed: HashSet::new(),
-            compaction: None,
-            stats: None,
-            config,
-        })
+        Ok(CmServer::from_engine(config, engine))
     }
 
     /// Simulates an **unexpected failure** of the disk at logical index
@@ -273,8 +247,7 @@ impl CmServer {
     /// reconstruction moves will read from mirrors too. Returns the
     /// failed physical id.
     pub fn fail_disk(&mut self, logical: scaddar_core::DiskIndex) -> PhysicalDiskId {
-        let id = self.disks.physical(logical);
-        self.failed.insert(id);
+        let id = self.disks.fail(logical);
         if let Some(stats) = &self.stats {
             stats.disk_failures.inc();
         }
@@ -318,18 +291,17 @@ impl CmServer {
         id
     }
 
-    /// Physical disks currently marked failed.
+    /// Physical disks currently marked failed: still in the array, or
+    /// pulled with blocks awaiting reconstruction. Ascending.
     pub fn failed_disks(&self) -> Vec<PhysicalDiskId> {
-        let mut ids: Vec<PhysicalDiskId> = self.failed.iter().copied().collect();
-        ids.sort();
-        ids
+        self.disks.ids_where(DiskState::failed).collect()
     }
 
-    /// Removed disks still draining their blocks.
+    /// Removed disks still draining their blocks. Ascending.
     pub fn draining_disks(&self) -> Vec<PhysicalDiskId> {
-        let mut ids: Vec<PhysicalDiskId> = self.draining.keys().copied().collect();
-        ids.sort();
-        ids
+        self.disks
+            .ids_where(|state| state == DiskState::Draining)
+            .collect()
     }
 
     /// Currently active (not Done) streams.
@@ -485,20 +457,6 @@ impl CmServer {
         }
         let scale_start = self.stats.as_ref().map(|s| s.clock.now_ns());
         let plan = self.engine.scale(op.clone())?;
-        // A removed disk enters the *draining* state: it leaves the
-        // logical array immediately (AF() no longer maps anything to it)
-        // but keeps spinning — serving stale reads and sourcing moves —
-        // until its last block is copied off.
-        if let ScalingOp::Remove { disks } = &op {
-            for &logical in disks {
-                let id = self.disks.physical(scaddar_core::DiskIndex(logical));
-                // A failed disk has nothing to drain; it is simply
-                // pulled. A healthy disk drains per the §1 discipline.
-                if !self.failed.contains(&id) {
-                    self.draining.insert(id, self.disks.spec(id));
-                }
-            }
-        }
         // Snapshot the pre-op logical -> physical mapping: reconstruction
         // sources (mirrors) are defined against the pre-op epoch.
         let pre_physicals: Vec<PhysicalDiskId> = self.disks.physical_ids();
@@ -518,7 +476,7 @@ impl CmServer {
                     .locate(m.block)
                     .expect("planned block exists in store");
                 let to = self.disks.physical(m.to);
-                if self.failed.contains(&stored) {
+                if self.disks.state(stored).failed() {
                     // Reconstruction: data is read from the pre-op
                     // mirror. Keep the move even when mirror == target —
                     // the block must still be materialized there (the
@@ -566,13 +524,9 @@ impl CmServer {
 
     /// Executes every pending move immediately, ignoring bandwidth.
     fn drain_all_moves(&mut self) -> u64 {
-        let mut unlimited: HashMap<PhysicalDiskId, u32> = self
+        let mut unlimited = self
             .disks
-            .physical_ids()
-            .into_iter()
-            .chain(self.draining.keys().copied())
-            .map(|d| (d, u32::MAX))
-            .collect();
+            .table(|_, state| if state.attached() { u32::MAX } else { 0 });
         let executed = self.executor.execute_round(&mut unlimited);
         self.apply_executed(&executed);
         self.purge_drained();
@@ -600,17 +554,7 @@ impl CmServer {
     /// healthy array again. A retired disk leaves the gauge refresh, so
     /// its per-disk gauges are zeroed here, once.
     fn purge_drained(&mut self) {
-        let in_array: HashSet<PhysicalDiskId> = self.disks.physical_ids().into_iter().collect();
-        let retired: Vec<PhysicalDiskId> = self
-            .draining
-            .keys()
-            .chain(&self.failed)
-            .copied()
-            .filter(|id| !in_array.contains(id) && self.store.blocks_on(*id) == 0)
-            .collect();
-        for id in retired {
-            self.draining.remove(&id);
-            self.failed.remove(&id);
+        for id in self.disks.retire_empty(&self.store) {
             if let Some(stats) = &self.stats {
                 stats.disk_load(id).set(0);
                 stats.disk_queue_depth(id).set(0);
@@ -643,7 +587,7 @@ impl CmServer {
         // reconstruct from mirrors onto the survivors) and compact the
         // healthy array; refusing here is what keeps the migration
         // guaranteed to drain.
-        if !self.failed.is_empty() {
+        if !self.failed_disks().is_empty() {
             return Err(ServerError::FailedDisksPresent);
         }
         let mut c = CompactionState {
@@ -790,19 +734,9 @@ impl CmServer {
     /// Advances one service round.
     pub fn tick(&mut self) {
         let tick_start = self.stats.as_ref().map(|s| s.clock.now_ns());
-        let ids = self.disks.physical_ids();
-        let mut remaining: HashMap<PhysicalDiskId, u32> = ids
-            .iter()
-            .map(|&d| (d, self.disks.spec(d).bandwidth))
-            .collect();
-        // Draining disks still serve reads and moves at full bandwidth.
-        for (&d, spec) in &self.draining {
-            remaining.insert(d, spec.bandwidth);
-        }
-        // Failed disks serve nothing.
-        for d in &self.failed {
-            remaining.remove(d);
-        }
+        let mut budget = self
+            .disks
+            .table(|spec, state| if state.serves() { spec.bandwidth } else { 0 });
 
         // 1. Serve playing streams from actual residency, in id order.
         //    Requests landing on a failed disk fall back to the §6
@@ -828,7 +762,7 @@ impl CmServer {
                 hiccups += 1;
                 continue;
             };
-            let (serve_from, is_recovery) = if self.failed.contains(&disk) {
+            let (serve_from, is_recovery) = if self.disks.state(disk).failed() {
                 // Primary gone: read the mirror copy at
                 // (AF + N/2) mod N. The mirror is defined against the
                 // generation the block is currently served by.
@@ -842,7 +776,7 @@ impl CmServer {
                 }
                 .expect("stream block in catalog");
                 let mirror = self.disks.physical(crate::faults::mirror_of(af, n));
-                if self.failed.contains(&mirror) {
+                if self.disks.state(mirror).failed() {
                     // Both copies gone: data loss, permanent stall.
                     hiccups += 1;
                     continue;
@@ -851,7 +785,7 @@ impl CmServer {
             } else {
                 (disk, false)
             };
-            let cap = remaining.get_mut(&serve_from).expect("live disk");
+            let cap = &mut budget[serve_from.0 as usize];
             if *cap > 0 {
                 *cap -= 1;
                 served += 1;
@@ -866,11 +800,11 @@ impl CmServer {
 
         // 2. Redistribution: reserved bandwidth plus whatever streams
         //    left unused this round.
-        let mut move_budget: HashMap<PhysicalDiskId, u32> = remaining
-            .iter()
-            .map(|(&d, &left)| (d, left.saturating_add(self.config.redistribution_bandwidth)))
-            .collect();
-        let executed = self.executor.execute_round(&mut move_budget);
+        for id in self.disks.ids_where(DiskState::serves) {
+            let left = &mut budget[id.0 as usize];
+            *left = left.saturating_add(self.config.redistribution_bandwidth);
+        }
+        let executed = self.executor.execute_round(&mut budget);
         self.apply_executed(&executed);
         self.note_compaction_executed(&executed);
         self.purge_drained();
@@ -901,21 +835,15 @@ impl CmServer {
     }
 
     /// Refreshes the per-disk labeled gauges: outbound move queue depth
-    /// and the residency load census, over live and draining disks.
+    /// and the residency load census, over the disks in the array
+    /// (failed or not) and the draining ones.
     fn refresh_disk_gauges(&self, stats: &ServerStats) {
-        let mut queue: HashMap<PhysicalDiskId, i64> = HashMap::new();
+        let mut queue = self.disks.table(|_, _| 0i64);
         for mv in self.executor.pending() {
-            *queue.entry(mv.from).or_insert(0) += 1;
+            queue[mv.from.0 as usize] += 1;
         }
-        for id in self
-            .disks
-            .physical_ids()
-            .into_iter()
-            .chain(self.draining.keys().copied())
-        {
-            stats
-                .disk_queue_depth(id)
-                .set(queue.get(&id).copied().unwrap_or(0));
+        for id in self.disks.ids_where(DiskState::attached) {
+            stats.disk_queue_depth(id).set(queue[id.0 as usize]);
             stats
                 .disk_load(id)
                 .set(self.store.blocks_on(id).min(i64::MAX as u64) as i64);
@@ -1014,6 +942,7 @@ impl CmServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn server(disks: u32) -> CmServer {
         CmServer::new(ServerConfig::new(disks).with_catalog_seed(21)).unwrap()
@@ -1732,6 +1661,28 @@ mod failure_tests {
         }
         assert!(s.residency_consistent());
         assert_eq!(s.disks().disks(), 6); // 6 + 1 - 1
+    }
+
+    #[test]
+    fn snapshot_refuses_a_failed_disk_until_it_is_removed() {
+        let mut s = CmServer::new(ServerConfig::new(4).with_catalog_seed(21)).unwrap();
+        s.add_object(400).unwrap();
+        let dead = s.fail_disk(DiskIndex(1));
+        assert!(s.store().blocks_on(dead) > 0);
+        // The snapshot records no failure: a restore would serve the
+        // dead disk's blocks as healthy.
+        assert_eq!(s.snapshot(), Err(ServerError::FailedDisksPresent));
+        s.scale(ScalingOp::remove_one(1)).unwrap();
+        while s.backlog() > 0 {
+            s.tick();
+        }
+        assert!(s.failed_disks().is_empty());
+        let bytes = s.snapshot().unwrap();
+        let restored =
+            CmServer::restore(ServerConfig::new(4).with_catalog_seed(21), &bytes).unwrap();
+        assert!(restored.failed_disks().is_empty());
+        assert!(restored.draining_disks().is_empty());
+        assert_eq!(restored.load_census(), s.load_census());
     }
 
     #[test]

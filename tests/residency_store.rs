@@ -1,13 +1,13 @@
 //! Property test of the server's block residency: random histories of
 //! object churn, online scaling, disk failure, rehash compaction and
-//! snapshot/restore against the store's bookkeeping, checked after every
-//! step.
+//! snapshot/restore against the store's bookkeeping and a model of each
+//! disk's lifecycle, checked after every step.
 
 use proptest::prelude::*;
 use scaddar::baselines::PhysicalDiskId;
 use scaddar::cmsim::ServerError;
 use scaddar::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// One step of a server's history.
 #[derive(Debug, Clone)]
@@ -22,6 +22,11 @@ enum Step {
     ScaleRemove(u32),
     /// Fail the disk picked by this value, then remove it and drain.
     FailAndRemove(u32),
+    /// Fail the disk picked by this value and leave it in the array.
+    Fail(u32),
+    /// Remove the disk picked by this value without draining: it keeps
+    /// draining through later steps.
+    ScaleRemoveOnline(u32),
     /// Begin a compaction and run this many rounds of it; the rest
     /// drains when a later step needs the flip.
     Compact(u32),
@@ -33,7 +38,7 @@ enum Step {
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
-        (0u32..10, 0u32..64, 1u64..600).prop_map(|(kind, pick, blocks)| match kind {
+        (0u32..12, 0u32..64, 1u64..600).prop_map(|(kind, pick, blocks)| match kind {
             0 | 1 => Step::Add(blocks),
             2 => Step::Remove(u64::from(pick)),
             3 => Step::ScaleAdd(1 + pick % 2),
@@ -41,6 +46,8 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
             5 => Step::FailAndRemove(pick),
             6 | 7 => Step::Compact(pick % 4),
             8 => Step::Tick(1 + pick % 4),
+            9 => Step::Fail(pick),
+            10 => Step::ScaleRemoveOnline(pick),
             _ => Step::Restore,
         }),
         1..=16,
@@ -61,9 +68,23 @@ struct Run {
     server: CmServer,
     /// `migrated_blocks` at the last check of an in-flight compaction.
     migrated: Option<u64>,
+    /// Model of the failed disks: in the array, or pulled with blocks
+    /// still on them.
+    failed: BTreeSet<PhysicalDiskId>,
+    /// Model of the removed disks still draining.
+    draining: BTreeSet<PhysicalDiskId>,
 }
 
 impl Run {
+    fn new() -> Self {
+        Run {
+            server: CmServer::new(config()).unwrap(),
+            migrated: None,
+            failed: BTreeSet::new(),
+            draining: BTreeSet::new(),
+        }
+    }
+
     fn tick(&mut self) {
         let generation = self.server.generation();
         let was_compacting = self.server.compaction_active();
@@ -71,6 +92,12 @@ impl Run {
         if was_compacting && !self.server.compaction_active() {
             assert_eq!(self.server.generation(), generation + 1, "flip");
         }
+        // A tick retires every removed disk that holds no block.
+        let s = &self.server;
+        let live = s.disks().physical_ids();
+        self.draining.retain(|&d| s.store().blocks_on(d) > 0);
+        self.failed
+            .retain(|&d| live.contains(&d) || s.store().blocks_on(d) > 0);
         self.check_progress();
     }
 
@@ -103,16 +130,53 @@ impl Run {
     /// Applies `op` online and drains it, ticking at least once (a
     /// tick retires drained and reconstructed disks).
     fn scale(&mut self, op: ScalingOp) {
-        self.quiesce();
-        match self.server.scale(op) {
-            Ok(_) | Err(ServerError::Engine(_)) => {}
-            Err(e) => panic!("scale refused on a quiet server: {e}"),
-        }
+        self.scale_online(op);
         self.tick();
         self.quiesce();
     }
 
+    /// Applies `op` online on a quiet server and leaves its moves
+    /// queued. A removed disk drains unless it had failed.
+    fn scale_online(&mut self, op: ScalingOp) {
+        self.quiesce();
+        let victims: Vec<PhysicalDiskId> = match &op {
+            ScalingOp::Remove { disks } => disks
+                .iter()
+                .map(|&l| self.server.disks().physical(DiskIndex(l)))
+                .collect(),
+            ScalingOp::Add { .. } => Vec::new(),
+        };
+        match self.server.scale(op) {
+            Ok(_) => {
+                let failed = &self.failed;
+                self.draining
+                    .extend(victims.into_iter().filter(|d| !failed.contains(d)));
+            }
+            Err(ServerError::Engine(_)) => {}
+            Err(e) => panic!("scale refused on a quiet server: {e}"),
+        }
+    }
+
+    /// The §6 remedy before any scaling: remove a failed disk still in
+    /// the array and reconstruct its blocks from their mirrors.
+    fn heal(&mut self) {
+        let live = self.server.disks().physical_ids();
+        if let Some(at) = live.iter().position(|d| self.failed.contains(d)) {
+            self.scale(ScalingOp::remove_one(at as u32));
+            assert!(self.failed.is_empty(), "{:?}", self.failed);
+        }
+    }
+
     fn apply(&mut self, step: &Step) {
+        if matches!(
+            step,
+            Step::ScaleAdd(_)
+                | Step::ScaleRemove(_)
+                | Step::FailAndRemove(_)
+                | Step::ScaleRemoveOnline(_)
+        ) {
+            self.heal();
+        }
         let disks = self.server.disks().disks();
         match *step {
             Step::Add(blocks) => {
@@ -133,8 +197,15 @@ impl Run {
             Step::ScaleAdd(count) => self.scale(ScalingOp::Add { count }),
             Step::ScaleRemove(pick) if disks > 2 => self.scale(ScalingOp::remove_one(pick % disks)),
             Step::FailAndRemove(pick) if disks > 2 => {
+                // Mid-compaction the server completes migration moves into
+                // the dead disk. An online removal's moves into it would
+                // wait for its removal instead, so they land first.
+                if !self.server.compaction_active() {
+                    self.quiesce();
+                }
                 let logical = pick % disks;
                 let dead = self.server.fail_disk(DiskIndex(logical));
+                self.failed.insert(dead);
                 self.check_progress();
                 // A failure mid-compaction still lets it flip; the dead
                 // disk leaves the array once the flip allows scaling.
@@ -149,7 +220,29 @@ impl Run {
                 self.scale(ScalingOp::remove_one(at));
                 assert!(self.server.failed_disks().is_empty());
             }
-            Step::ScaleRemove(_) | Step::FailAndRemove(_) => {}
+            // One failure at a time stays within the mirror's
+            // redundancy. Quiescing first leaves no queued move into
+            // the dead disk, and later scaling steps heal it first, so
+            // no move ever waits on it.
+            Step::Fail(pick) if disks > 2 && self.failed.is_empty() => {
+                self.quiesce();
+                let dead = self.server.fail_disk(DiskIndex(pick % disks));
+                self.failed.insert(dead);
+            }
+            Step::ScaleRemoveOnline(pick) if disks > 2 => {
+                self.scale_online(ScalingOp::remove_one(pick % disks));
+            }
+            Step::ScaleRemove(_)
+            | Step::FailAndRemove(_)
+            | Step::Fail(_)
+            | Step::ScaleRemoveOnline(_) => {}
+            Step::Compact(_) if !self.failed.is_empty() => {
+                self.quiesce();
+                assert_eq!(
+                    self.server.begin_compaction(),
+                    Err(ServerError::FailedDisksPresent)
+                );
+            }
             Step::Compact(rounds) => {
                 self.quiesce();
                 self.server
@@ -165,18 +258,26 @@ impl Run {
                     self.tick();
                 }
             }
+            Step::Restore if !self.failed.is_empty() => {
+                self.quiesce();
+                assert_eq!(self.server.snapshot(), Err(ServerError::FailedDisksPresent));
+            }
             Step::Restore => {
                 self.quiesce();
                 let census = self.server.load_census();
                 let bytes = self.server.snapshot().expect("quiet server");
                 self.server = CmServer::restore(config(), &bytes).expect("own snapshot");
                 assert_eq!(self.server.load_census(), census);
+                // The snapshot holds no removed disk.
+                self.draining.clear();
             }
         }
     }
 
     fn check(&self) {
         let s = &self.server;
+        assert_eq!(s.failed_disks(), Vec::from_iter(self.failed.clone()));
+        assert_eq!(s.draining_disks(), Vec::from_iter(self.draining.clone()));
         let catalog = s.engine().catalog();
         assert_eq!(s.store().len() as u64, catalog.total_blocks());
         let mut recount: HashMap<PhysicalDiskId, u64> = HashMap::new();
@@ -215,10 +316,7 @@ proptest! {
     /// moves forward.
     #[test]
     fn residency_tracks_every_history(history in steps()) {
-        let mut run = Run {
-            server: CmServer::new(config()).unwrap(),
-            migrated: None,
-        };
+        let mut run = Run::new();
         for step in &history {
             run.apply(step);
             run.check();
