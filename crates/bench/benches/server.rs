@@ -78,21 +78,24 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("restore_100k", |b| {
         b.iter(|| black_box(CmServer::restore(config(), &snapshot).expect("restore")));
     });
-    // perfbench's catalog shape: many mid-sized objects admitted one by
-    // one into a fresh server.
-    group.throughput(Throughput::Elements(64 * 4096));
-    group.bench_function("add_object_64x4096", |b| {
-        b.iter_batched(
-            || CmServer::new(config()).expect("server builds"),
-            |mut s| {
-                for _ in 0..64 {
-                    black_box(s.add_object(4096).expect("ingest"));
-                }
-                s
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
+    // perfbench's two catalog shapes (the lookup workloads' and
+    // reorganize's): mid-sized objects admitted one by one into a fresh
+    // server.
+    for (objects, blocks) in [(64u64, 4096u64), (32, 2048)] {
+        group.throughput(Throughput::Elements(objects * blocks));
+        group.bench_function(format!("add_object_{objects}x{blocks}"), |b| {
+            b.iter_batched(
+                || CmServer::new(config()).expect("server builds"),
+                |mut s| {
+                    for _ in 0..objects {
+                        black_box(s.add_object(blocks).expect("ingest"));
+                    }
+                    s
+                },
+                criterion::BatchSize::SmallInput,
+            );
+        });
+    }
     group.finish();
 }
 

@@ -52,9 +52,9 @@ impl CompactionState {
         resident: &[PhysicalDiskId],
         moves: &mut Vec<PendingMove>,
     ) {
-        let targets = self.staging.locate_all(object).expect("staged object");
+        let targets = self.staging.placements(object).expect("staged object");
         let mut bits = vec![0u64; resident.len().div_ceil(64)];
-        for (b, (&from, &logical)) in resident.iter().zip(&targets).enumerate() {
+        for (b, (&from, logical)) in resident.iter().zip(targets).enumerate() {
             let to = disks.physical(logical);
             if from == to {
                 bits[b / 64] |= 1 << (b % 64);

@@ -82,12 +82,6 @@ impl DiskArray {
         self.map.physical(logical.0)
     }
 
-    /// Physical identities of a run of logical indices (one object's
-    /// `locate_all`, say), in order.
-    pub(crate) fn physical_all(&self, logical: &[DiskIndex]) -> Vec<PhysicalDiskId> {
-        logical.iter().map(|&l| self.physical(l)).collect()
-    }
-
     /// The spec of a physical disk the array has minted.
     pub fn spec(&self, id: PhysicalDiskId) -> DiskSpec {
         self.slots[id.0 as usize].0
@@ -173,6 +167,7 @@ impl DiskArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tally;
     use scaddar_core::ObjectId;
 
     const SPEC: DiskSpec = DiskSpec {
@@ -223,7 +218,8 @@ mod tests {
         assert_eq!(a.slots.len(), 5);
         // Only removed disks retire, and only when empty.
         let mut store = BlockStore::new();
-        store.ingest_object(ObjectId(0), vec![dead, PhysicalDiskId(0)]);
+        let resident = vec![dead, PhysicalDiskId(0)];
+        store.ingest_object(ObjectId(0), resident.clone(), tally(&resident));
         assert_eq!(a.retire_empty(&store), vec![healthy]);
         store.evict_object(ObjectId(0)).unwrap();
         assert_eq!(a.retire_empty(&store), vec![dead]);
@@ -243,7 +239,8 @@ mod tests {
         })
         .unwrap();
         let mut store = BlockStore::new();
-        store.ingest_object(ObjectId(0), vec![PhysicalDiskId(1), PhysicalDiskId(2)]);
+        let resident = vec![PhysicalDiskId(1), PhysicalDiskId(2)];
+        store.ingest_object(ObjectId(0), resident.clone(), tally(&resident));
         a.retire_empty(&store);
         // A round serves on live and draining disks only.
         let serves = a.table(|_, state| state.serves());

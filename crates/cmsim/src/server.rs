@@ -138,10 +138,11 @@ impl CmServer {
             };
             disks.apply(&op).expect("the engine validated its log");
         }
+        let ids = disks.physical_ids();
         let mut store = BlockStore::new();
         for obj in engine.catalog().objects() {
-            let placements = engine.locate_all(obj.id).expect("catalog object");
-            store.ingest_object(obj.id, disks.physical_all(&placements));
+            let (resident, tally) = place(&engine, &ids, obj.id);
+            store.ingest_object(obj.id, resident, ids.iter().copied().zip(tally));
         }
         // The replay left every removed disk draining; none holds a block.
         disks.retire_empty(&store);
@@ -315,54 +316,87 @@ impl CmServer {
     /// Ingests a new object of `blocks` blocks. Every block is written
     /// where `AF()` currently points. Fails (and rolls back the catalog
     /// entry) if any target disk is at capacity; nothing is written then.
+    ///
+    /// One pass over the object's cached `X_j` maps every block to its
+    /// physical disk and tallies the blocks per disk; capacity is one
+    /// comparison per disk, and the census one add per disk.
     pub fn add_object(&mut self, blocks: u64) -> Result<ObjectId, ServerError> {
         let id = self.engine.add_object(blocks);
-        let placements = self.engine.locate_all(id).expect("fresh object");
-        if let Err(full) = self.check_capacity(&placements) {
-            self.engine.remove_object(id).expect("object just added");
-            return Err(full);
-        }
-        let resident = self.disks.physical_all(&placements);
         // Object churn during a compaction: the staging generation must
         // carry the same catalog, so register the object there too (ids
-        // advance in lockstep — both catalogs share `next_id`) and
-        // schedule its blocks toward their new-generation placement.
+        // advance in lockstep — both catalogs share `next_id`, and a
+        // refused object burns its id in both).
         if let Some(c) = &mut self.compaction {
             let staged = c.staging.add_object(blocks);
             debug_assert_eq!(staged, id, "generations allocate ids in lockstep");
+        }
+        let ids = self.disks.physical_ids();
+        let (resident, tally) = place(&self.engine, &ids, id);
+        if ids
+            .iter()
+            .zip(&tally)
+            .any(|(&disk, &n)| n > self.room(disk))
+        {
+            let full = self.first_full(&resident);
+            self.engine.remove_object(id).expect("object just added");
+            if let Some(c) = &mut self.compaction {
+                c.staging.remove_object(id).expect("object just staged");
+            }
+            return Err(ServerError::DiskFull(full));
+        }
+        self.store
+            .ingest_object(id, resident, ids.iter().copied().zip(tally));
+        // Schedule the blocks toward their new-generation placement.
+        if let Some(c) = &mut self.compaction {
             c.total += blocks;
             let mut moves = Vec::new();
-            c.plan_object(&self.disks, id, &resident, &mut moves);
+            let resident = self.store.object(id).expect("object just ingested");
+            c.plan_object(&self.disks, id, resident, &mut moves);
+            // A failed disk has no move bandwidth, so a move into or out
+            // of one would wedge the flip. Treat them as `fail_disk`
+            // treats stranded moves: a move into the dead disk completes
+            // as metadata (its data stays mirror-served), and a move out
+            // of it reads from the mirror of the block's old-generation
+            // placement.
+            let n = self.disks.disks();
+            moves.retain_mut(|mv| {
+                if self.disks.state(mv.to).failed() {
+                    self.store.relocate(mv.block, mv.from, mv.to);
+                    c.migrated.insert(mv.block);
+                    return false;
+                }
+                if self.disks.state(mv.from).failed() {
+                    let af = self.engine.locate(id, mv.block.block).expect("fresh block");
+                    mv.from = self.disks.physical(crate::faults::mirror_of(af, n));
+                }
+                true
+            });
             self.executor.enqueue(moves);
         }
-        self.store.ingest_object(id, resident);
         Ok(id)
     }
 
-    /// Fails with [`ServerError::DiskFull`] if ingesting blocks at the
-    /// logical `placements` would overfill a disk, naming the disk of
-    /// the lowest-indexed block that does not fit — where a
-    /// block-by-block ingest would have stopped. One capacity lookup per
-    /// disk, one counter decrement per block.
-    fn check_capacity(&self, placements: &[DiskIndex]) -> Result<(), ServerError> {
-        let ids = self.disks.physical_ids();
-        let mut room: Vec<u64> = ids
+    /// Blocks `disk` can still take.
+    fn room(&self, disk: PhysicalDiskId) -> u64 {
+        self.disks
+            .spec(disk)
+            .capacity
+            .saturating_sub(self.store.blocks_on(disk))
+    }
+
+    /// Cold path of a refused admission: the disk of the lowest-indexed
+    /// block of `resident` that does not fit — where a block-by-block
+    /// ingest would have stopped.
+    fn first_full(&self, resident: &[PhysicalDiskId]) -> PhysicalDiskId {
+        let mut taken = self.disks.table(|_, _| 0u64);
+        *resident
             .iter()
-            .map(|&d| {
-                self.disks
-                    .spec(d)
-                    .capacity
-                    .saturating_sub(self.store.blocks_on(d))
+            .find(|&&disk| {
+                let n = &mut taken[disk.0 as usize];
+                *n += 1;
+                *n > self.room(disk)
             })
-            .collect();
-        for &logical in placements {
-            let left = &mut room[logical.0 as usize];
-            if *left == 0 {
-                return Err(ServerError::DiskFull(ids[logical.0 as usize]));
-            }
-            *left -= 1;
-        }
-        Ok(())
+            .expect("some disk overflows")
     }
 
     /// Deletes an object: evicts its blocks and cancels its pending
@@ -927,16 +961,39 @@ impl CmServer {
             return false;
         }
         self.engine.catalog().objects().iter().all(|obj| {
-            let placements = self.engine.locate_all(obj.id).expect("catalog object");
+            let mut placements = self.engine.placements(obj.id).expect("catalog object");
             self.store.object(obj.id).is_some_and(|resident| {
                 resident.len() == placements.len()
                     && resident
                         .iter()
-                        .zip(&placements)
-                        .all(|(&stored, &logical)| stored == self.disks.physical(logical))
+                        .zip(&mut placements)
+                        .all(|(&stored, logical)| stored == self.disks.physical(logical))
             })
         })
     }
+}
+
+/// The one admission pass, shared by [`CmServer::add_object`] and every
+/// rebuild of residency from `AF()` (`new`, `restore`): each of the
+/// object's cached `X_j`, reduced to its logical disk by the engine's
+/// reciprocal, mapped through the live `ids` table (logical order) into
+/// an exactly sized residency vector, and tallied per logical disk.
+fn place(
+    engine: &Scaddar,
+    ids: &[PhysicalDiskId],
+    object: ObjectId,
+) -> (Vec<PhysicalDiskId>, Vec<u64>) {
+    let mut tally = vec![0u64; ids.len()];
+    let resident = engine
+        .placements(object)
+        .expect("catalog object")
+        .map(|logical| {
+            let l = logical.0 as usize;
+            tally[l] += 1;
+            ids[l]
+        })
+        .collect();
+    (resident, tally)
 }
 
 #[cfg(test)]
@@ -1294,6 +1351,169 @@ mod tests {
         assert_eq!(ids, vec![fits]);
         assert!(s.residency_consistent());
     }
+
+    /// The census over every minted disk id.
+    fn minted_census(s: &CmServer) -> Vec<u64> {
+        s.store
+            .census(&s.disks.ids_where(|_| true).collect::<Vec<_>>())
+    }
+
+    /// The three-pass admission the one pass replaced, kept as its
+    /// oracle: `locate_all`, a room counter per block, the physical id
+    /// of every block, then one census add per block. `Ok` holds the
+    /// new object's residency and the resulting census over every
+    /// minted id; `Err` the disk `DiskFull` names.
+    fn three_pass_admission(
+        s: &CmServer,
+        blocks: u64,
+    ) -> Result<(Vec<PhysicalDiskId>, Vec<u64>), PhysicalDiskId> {
+        let mut engine = s.engine.clone();
+        let id = engine.add_object(blocks);
+        let placements = engine.locate_all(id).unwrap();
+        let ids = s.disks.physical_ids();
+        let mut room: Vec<u64> = ids
+            .iter()
+            .map(|&d| {
+                s.disks
+                    .spec(d)
+                    .capacity
+                    .saturating_sub(s.store.blocks_on(d))
+            })
+            .collect();
+        for &logical in &placements {
+            let left = &mut room[logical.0 as usize];
+            if *left == 0 {
+                return Err(ids[logical.0 as usize]);
+            }
+            *left -= 1;
+        }
+        let resident: Vec<PhysicalDiskId> =
+            placements.iter().map(|&l| s.disks.physical(l)).collect();
+        let mut census = minted_census(s);
+        for &disk in &resident {
+            census[disk.0 as usize] += 1;
+        }
+        Ok((resident, census))
+    }
+
+    /// Everything a refused admission must leave as it was.
+    fn observable(s: &CmServer) -> impl PartialEq + std::fmt::Debug {
+        (
+            minted_census(s),
+            s.store.len(),
+            s.engine.catalog().objects().to_vec(),
+            s.pending_moves(),
+            s.compaction_progress(),
+        )
+    }
+
+    /// Ticks until no compaction is in flight.
+    fn finish_compaction(s: &mut CmServer) {
+        let mut rounds = 0;
+        while s.compaction_active() {
+            s.tick();
+            rounds += 1;
+            assert!(rounds < 100_000, "compaction never flips");
+        }
+    }
+
+    /// Checks one admission against the oracle, on `s` itself.
+    fn admit_like_oracle(s: &mut CmServer, blocks: u64) {
+        let expected = three_pass_admission(s, blocks);
+        let before = observable(s);
+        match (s.add_object(blocks), expected) {
+            (Ok(id), Ok((resident, census))) => {
+                assert_eq!(s.store.object(id), Some(&resident[..]), "{blocks} blocks");
+                assert_eq!(minted_census(s), census, "{blocks} blocks");
+            }
+            (Err(ServerError::DiskFull(disk)), Err(oracle)) => {
+                assert_eq!(disk, oracle, "{blocks} blocks");
+                assert_eq!(observable(s), before, "{blocks} blocks");
+            }
+            (got, oracle) => panic!("{blocks} blocks: one pass {got:?}, oracle {oracle:?}"),
+        }
+    }
+
+    #[test]
+    fn admission_agrees_with_the_oracle_at_every_size() {
+        // An object's first k blocks do not depend on its size, so as
+        // the size grows one block at a time each disk's tally passes
+        // its room exactly once: every capacity boundary gets checked.
+        let mut cfg = ServerConfig::new(3).with_catalog_seed(5);
+        cfg.disk_capacity = 50;
+        let mut s = CmServer::new(cfg).unwrap();
+        s.add_object(40).unwrap();
+        for blocks in 0..=120 {
+            admit_like_oracle(&mut s.clone(), blocks);
+        }
+        s.scale_offline(ScalingOp::Add { count: 1 }).unwrap();
+        s.begin_compaction().unwrap();
+        for blocks in 0..=160 {
+            admit_like_oracle(&mut s.clone(), blocks);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Over random scaling histories, with capacities small enough
+        /// to refuse objects, inside and outside a compaction, the one
+        /// pass admits exactly what the three passes admit: the same
+        /// residency and census, or the same `DiskFull` disk (the one a
+        /// block-by-block ingest stops at) and an unchanged server.
+        #[test]
+        fn one_pass_admission_matches_three_pass_oracle(
+            disks in 3u32..7,
+            capacity in 200u64..3_000,
+            history in proptest::collection::vec((0u32..10, 0u32..64, 0u64..=5_000), 1..12),
+        ) {
+            let mut cfg = ServerConfig::new(disks)
+                .with_bandwidth(16)
+                .with_redistribution_bandwidth(8)
+                .with_catalog_seed(u64::from(capacity as u32 ^ disks));
+            cfg.disk_capacity = capacity;
+            let mut s = CmServer::new(cfg).unwrap();
+            for (kind, pick, blocks) in history {
+                let n = s.disks().disks();
+                match kind {
+                    0..=3 => {
+                        admit_like_oracle(&mut s, blocks);
+                        if s.compaction_active() {
+                            proptest::prop_assert!(s.compaction_consistent());
+                        }
+                    }
+                    4 => {
+                        if let Some(obj) = s.engine.catalog().objects().first() {
+                            s.remove_object(obj.id).unwrap();
+                        }
+                    }
+                    5 => {
+                        finish_compaction(&mut s);
+                        s.scale_offline(ScalingOp::Add { count: 1 + pick % 2 }).unwrap();
+                    }
+                    6 if n > 2 => {
+                        finish_compaction(&mut s);
+                        s.scale_offline(ScalingOp::remove_one(pick % n)).unwrap();
+                    }
+                    7 if n > 2 => {
+                        finish_compaction(&mut s);
+                        s.fail_disk(DiskIndex(pick % n));
+                        s.scale_offline(ScalingOp::remove_one(pick % n)).unwrap();
+                    }
+                    _ => {
+                        if !s.compaction_active() {
+                            s.begin_compaction().unwrap();
+                        }
+                        for _ in 0..pick % 4 {
+                            s.tick();
+                        }
+                    }
+                }
+            }
+            finish_compaction(&mut s);
+            proptest::prop_assert!(s.residency_consistent());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1573,6 +1793,38 @@ mod compaction_tests {
         }
         assert_eq!(s.metrics().total_hiccups(), 0);
         assert!(s.metrics().total_recovered() > 0, "mirror reads happened");
+    }
+
+    #[test]
+    fn object_ingested_after_a_failure_mid_compaction_still_flips() {
+        let mut s = server(6);
+        s.add_object(4_000).unwrap();
+        s.begin_compaction().unwrap();
+        for _ in 0..3 {
+            s.tick();
+        }
+        let dead = s.fail_disk(scaddar_core::DiskIndex(2));
+        let obj = s.add_object(2_000).unwrap();
+        // No queued move reads from or writes to the dead disk.
+        assert!(s
+            .executor
+            .pending()
+            .all(|mv| mv.from != dead && mv.to != dead));
+        assert!(s.compaction_consistent());
+        let mut rounds = 0;
+        while s.compaction_active() {
+            s.tick();
+            assert!(s.compaction_consistent(), "round {rounds}");
+            rounds += 1;
+            assert!(rounds < 2_000, "compaction wedged on the dead disk");
+        }
+        assert_eq!(s.generation(), 1);
+        assert!(s.residency_consistent());
+        // The new object's share of the dead disk is resident there,
+        // mirror-served like the rest of its blocks.
+        let on_dead = s.store().object(obj).unwrap().iter();
+        assert!(on_dead.filter(|&&d| d == dead).count() > 0);
+        assert_eq!(s.store().len(), 6_000);
     }
 }
 

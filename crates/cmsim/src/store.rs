@@ -14,9 +14,11 @@
 //! block). The per-disk census is dense as well: physical ids are
 //! minted in sequence (`PhysicalMap`), so it is a `Vec<u64>` indexed by
 //! `PhysicalDiskId.0`, and a retired disk's slot simply reads 0. Objects
-//! enter and leave whole — [`BlockStore::ingest_object`] and
-//! [`BlockStore::evict_object`] cost one map operation per object and
-//! one indexed add or subtract per block, never a hash or a search.
+//! enter and leave whole: [`BlockStore::ingest_object`] costs one map
+//! operation per object and one census add per disk (the caller's
+//! placement pass tallies the blocks), [`BlockStore::evict_object`] one
+//! map operation and one indexed subtract per block — never a hash or a
+//! search.
 //! Single-block [`BlockStore::locate`] and [`BlockStore::relocate`]
 //! serve the redistribution executor, scrubbing and fault handling.
 
@@ -52,17 +54,29 @@ impl BlockStore {
 
     /// Ingests a whole object: block `b` lands on `disks[b]` (initial
     /// load, object addition, or rebuilding residency from `AF()`).
+    /// `tally` is how many of the blocks land on each disk, counted by
+    /// the caller's placement pass; the census takes one add per disk.
     ///
     /// # Panics
     /// If the object is already stored (double ingest is a logic error).
-    pub fn ingest_object(&mut self, object: ObjectId, disks: Vec<PhysicalDiskId>) {
+    pub fn ingest_object(
+        &mut self,
+        object: ObjectId,
+        disks: Vec<PhysicalDiskId>,
+        tally: impl IntoIterator<Item = (PhysicalDiskId, u64)>,
+    ) {
         assert!(
             !self.objects.contains_key(&object),
             "{object:?} ingested twice"
         );
-        for &disk in &disks {
-            *self.count_mut(disk) += 1;
+        let mut counted = 0;
+        for (disk, blocks) in tally {
+            if blocks > 0 {
+                *self.count_mut(disk) += blocks;
+                counted += blocks;
+            }
         }
+        debug_assert_eq!(counted, disks.len() as u64, "tally covers every block");
         self.blocks += disks.len();
         self.objects.insert(object, disks);
     }
@@ -163,9 +177,29 @@ impl BlockStore {
     }
 }
 
+/// `disks` counted per disk: the tally [`BlockStore::ingest_object`]
+/// takes, for tests that build residency by hand.
+#[cfg(test)]
+pub(crate) fn tally(disks: &[PhysicalDiskId]) -> Vec<(PhysicalDiskId, u64)> {
+    let mut counts: Vec<(PhysicalDiskId, u64)> = Vec::new();
+    for &disk in disks {
+        match counts.iter_mut().find(|(d, _)| *d == disk) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((disk, 1)),
+        }
+    }
+    counts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Ingests `disks` with its tally.
+    fn ingest(s: &mut BlockStore, object: u64, disks: Vec<PhysicalDiskId>) {
+        let counts = tally(&disks);
+        s.ingest_object(ObjectId(object), disks, counts);
+    }
 
     fn blk(o: u64, b: u64) -> BlockRef {
         BlockRef {
@@ -177,8 +211,8 @@ mod tests {
     #[test]
     fn ingest_locate_evict_roundtrip() {
         let mut s = BlockStore::new();
-        s.ingest_object(ObjectId(0), vec![PhysicalDiskId(2)]);
-        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(2)]);
+        ingest(&mut s, 0, vec![PhysicalDiskId(2)]);
+        ingest(&mut s, 1, vec![PhysicalDiskId(2)]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.locate(blk(0, 0)), Some(PhysicalDiskId(2)));
         assert_eq!(s.locate(blk(0, 1)), None);
@@ -192,10 +226,7 @@ mod tests {
     #[test]
     fn census_counts_every_disk_of_an_object() {
         let mut s = BlockStore::new();
-        s.ingest_object(
-            ObjectId(0),
-            (0..10).map(|b| PhysicalDiskId(b % 2)).collect(),
-        );
+        ingest(&mut s, 0, (0..10).map(|b| PhysicalDiskId(b % 2)).collect());
         assert_eq!(
             s.census(&[PhysicalDiskId(0), PhysicalDiskId(1), PhysicalDiskId(7)]),
             vec![5, 5, 0]
@@ -212,7 +243,7 @@ mod tests {
     #[test]
     fn relocate_updates_census() {
         let mut s = BlockStore::new();
-        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(0)]);
+        ingest(&mut s, 1, vec![PhysicalDiskId(0)]);
         s.relocate(blk(1, 0), PhysicalDiskId(0), PhysicalDiskId(3));
         assert_eq!(s.blocks_on(PhysicalDiskId(0)), 0);
         assert_eq!(s.blocks_on(PhysicalDiskId(3)), 1);
@@ -231,7 +262,7 @@ mod tests {
     fn dense_census_covers_minted_and_retired_ids() {
         let mut s = BlockStore::new();
         // The initial array: disks 0..4.
-        s.ingest_object(ObjectId(0), (0..8).map(|b| PhysicalDiskId(b % 4)).collect());
+        ingest(&mut s, 0, (0..8).map(|b| PhysicalDiskId(b % 4)).collect());
         assert_eq!(s.per_disk.len(), 4);
         // A never-seen id reads 0 and does not grow the census.
         assert_eq!(s.blocks_on(PhysicalDiskId(9)), 0);
@@ -239,7 +270,7 @@ mod tests {
         assert_eq!(s.per_disk.len(), 4);
         // Scale-outs mint ids past the initial array; an object landing
         // there grows the census to cover them.
-        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(6), PhysicalDiskId(5)]);
+        ingest(&mut s, 1, vec![PhysicalDiskId(6), PhysicalDiskId(5)]);
         assert_eq!(s.per_disk.len(), 7);
         assert_eq!(
             s.census(&(0..8).map(PhysicalDiskId).collect::<Vec<_>>()),
@@ -269,7 +300,7 @@ mod tests {
     #[should_panic(expected = "disagrees")]
     fn relocate_from_wrong_disk_panics() {
         let mut s = BlockStore::new();
-        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(0)]);
+        ingest(&mut s, 1, vec![PhysicalDiskId(0)]);
         s.relocate(blk(1, 0), PhysicalDiskId(7), PhysicalDiskId(3));
     }
 
@@ -277,7 +308,7 @@ mod tests {
     #[should_panic(expected = "unknown block")]
     fn relocate_past_the_last_block_panics() {
         let mut s = BlockStore::new();
-        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(0)]);
+        ingest(&mut s, 1, vec![PhysicalDiskId(0)]);
         s.relocate(blk(1, 1), PhysicalDiskId(0), PhysicalDiskId(3));
     }
 
@@ -285,7 +316,7 @@ mod tests {
     #[should_panic(expected = "twice")]
     fn double_ingest_panics() {
         let mut s = BlockStore::new();
-        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(0)]);
-        s.ingest_object(ObjectId(1), vec![PhysicalDiskId(1)]);
+        ingest(&mut s, 1, vec![PhysicalDiskId(0)]);
+        ingest(&mut s, 1, vec![PhysicalDiskId(1)]);
     }
 }

@@ -321,7 +321,8 @@ impl Scaddar {
     }
 
     /// `AF()`: the disk of `block` of `object` at the current epoch.
-    /// O(1): one lookup in the X-cache and one `mod` — no per-epoch fold.
+    /// O(log objects): a binary search of the catalog, one X-cache
+    /// lookup and one reciprocal `mod` — no per-epoch fold.
     ///
     /// With stats attached the overhead is one relaxed atomic increment
     /// per call (the X-cache hit counter, which doubles as the sampling
@@ -359,21 +360,31 @@ impl Scaddar {
             .cache
             .x(object, block)
             .expect("cache holds every catalog block");
-        Ok(DiskIndex((x % u64::from(self.disks())) as u32))
+        Ok(self.pipeline.disk_of(x))
     }
 
-    /// Bulk `AF()`: the disks of *every* block of `object`, in block
-    /// order. O(B): one `mod` per cached `X_j`.
-    pub fn locate_all(&self, object: ObjectId) -> Result<Vec<DiskIndex>, ScaddarError> {
+    /// Bulk `AF()` as an iterator: the disk of every block of `object`,
+    /// in block order. O(B): each cached `X_j` is reduced mod `N_j` by
+    /// one reciprocal multiply, with no division and no allocation.
+    pub fn placements(
+        &self,
+        object: ObjectId,
+    ) -> Result<impl ExactSizeIterator<Item = DiskIndex> + '_, ScaddarError> {
         let xs = self
             .cache
             .xs(object)
             .ok_or(ScaddarError::UnknownObject(object))?;
-        let disks = u64::from(self.disks());
         if let Some(stats) = &self.stats {
             stats.locate_bulk_blocks.add(xs.len() as u64);
         }
-        Ok(xs.iter().map(|&x| DiskIndex((x % disks) as u32)).collect())
+        let disks = self.pipeline.disk_divisor();
+        Ok(xs.iter().map(move |&x| DiskIndex(disks.rem(x) as u32)))
+    }
+
+    /// Bulk `AF()`: the disks of *every* block of `object`, in block
+    /// order — [`Scaddar::placements`], collected.
+    pub fn locate_all(&self, object: ObjectId) -> Result<Vec<DiskIndex>, ScaddarError> {
+        Ok(self.placements(object)?.collect())
     }
 
     /// Bulk `AF()` for an arbitrary list of blocks of one object, in
@@ -388,7 +399,7 @@ impl Scaddar {
             .cache
             .xs(object)
             .ok_or(ScaddarError::UnknownObject(object))?;
-        let disks = u64::from(self.disks());
+        let disks = self.pipeline.disk_divisor();
         if let Some(stats) = &self.stats {
             stats.locate_bulk_blocks.add(blocks.len() as u64);
         }
@@ -402,7 +413,7 @@ impl Scaddar {
                         block,
                         blocks: xs.len() as u64,
                     })?;
-                Ok(DiskIndex((x % disks) as u32))
+                Ok(DiskIndex(disks.rem(*x) as u32))
             })
             .collect()
     }

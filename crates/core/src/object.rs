@@ -63,26 +63,26 @@ impl Catalog {
     }
 
     /// Reconstructs a catalog from persisted parts (see
-    /// [`crate::persist`]). `next_id` must be at least one past every id
-    /// in `objects` so ids are never reused after a restore.
+    /// [`crate::persist`]). `None` unless the ids in `objects` are
+    /// strictly ascending (the order a live catalog keeps, which
+    /// [`Catalog::object`]'s binary search relies on) and `next_id` is
+    /// past the last of them, so ids are never reused after a restore.
     pub fn restore(
         kind: RngKind,
         bits: Bits,
         catalog_seed: u64,
         objects: Vec<CmObject>,
         next_id: u64,
-    ) -> Self {
-        debug_assert!(
-            objects.iter().all(|o| o.id.0 < next_id),
-            "next_id must exceed every restored object id"
-        );
-        Catalog {
+    ) -> Option<Self> {
+        let ascending = objects.windows(2).all(|w| w[0].id < w[1].id);
+        let below_next = objects.last().is_none_or(|o| o.id.0 < next_id);
+        (ascending && below_next).then(|| Catalog {
             kind,
             bits,
             deriver: SeedDeriver::new(catalog_seed),
             objects,
             next_id,
-        }
+        })
     }
 
     /// The generator family used for placement.
@@ -118,16 +118,23 @@ impl Catalog {
     /// Removes an object (e.g. content retired from the service).
     /// Returns its metadata, or `None` if unknown.
     pub fn remove_object(&mut self, id: ObjectId) -> Option<CmObject> {
-        let pos = self.objects.iter().position(|o| o.id == id)?;
+        let pos = self.position(id)?;
         Some(self.objects.remove(pos))
     }
 
-    /// Looks up one object.
+    /// Looks up one object: a binary search by id.
     pub fn object(&self, id: ObjectId) -> Option<&CmObject> {
-        self.objects.iter().find(|o| o.id == id)
+        self.position(id).map(|pos| &self.objects[pos])
     }
 
-    /// All stored objects.
+    /// Where `id` sits in `objects`. Ids are strictly ascending: new
+    /// objects take `next_id`, removal keeps the order, and
+    /// [`Catalog::restore`] refuses anything else.
+    fn position(&self, id: ObjectId) -> Option<usize> {
+        self.objects.binary_search_by_key(&id, |o| o.id).ok()
+    }
+
+    /// All stored objects, in ascending id order.
     pub fn objects(&self) -> &[CmObject] {
         &self.objects
     }
@@ -241,9 +248,57 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn catalog() -> Catalog {
         Catalog::new(RngKind::SplitMix64, Bits::B32, 99)
+    }
+
+    /// The linear scan the binary search replaced.
+    fn linear(c: &Catalog, id: ObjectId) -> Option<&CmObject> {
+        c.objects().iter().find(|o| o.id == id)
+    }
+
+    proptest! {
+        /// Over any history of additions and removals, the binary
+        /// search finds exactly what a linear scan finds, for present,
+        /// removed and never-allocated ids alike.
+        #[test]
+        fn prop_object_lookup_matches_linear_scan(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..40, 1u64..50), 0..60),
+        ) {
+            let mut c = catalog();
+            for (add, pick, blocks) in ops {
+                if add || c.objects().is_empty() {
+                    c.add_object(blocks);
+                } else {
+                    let id = c.objects()[(pick % c.objects().len() as u64) as usize].id;
+                    let expected = *linear(&c, id).unwrap();
+                    prop_assert_eq!(c.remove_object(id), Some(expected));
+                    prop_assert_eq!(c.remove_object(id), None);
+                }
+                for id in (0..c.next_object_id() + 2).map(ObjectId) {
+                    prop_assert_eq!(c.object(id), linear(&c, id));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_requires_ascending_ids_below_next_id() {
+        let obj = |id| CmObject {
+            id: ObjectId(id),
+            seed: id,
+            blocks: 1,
+        };
+        let restore = |objects: Vec<CmObject>, next_id| {
+            Catalog::restore(RngKind::SplitMix64, Bits::B32, 1, objects, next_id)
+        };
+        assert!(restore(vec![], 0).is_some());
+        assert!(restore(vec![obj(1), obj(4)], 5).is_some());
+        assert!(restore(vec![obj(0), obj(0)], 5).is_none(), "repeated id");
+        assert!(restore(vec![obj(3), obj(1)], 5).is_none(), "descending ids");
+        assert!(restore(vec![obj(1), obj(4)], 4).is_none(), "next_id reused");
     }
 
     #[test]

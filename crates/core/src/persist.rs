@@ -21,8 +21,12 @@
 //! ```
 //!
 //! Decoding validates structurally (every record is re-validated through
-//! [`ScalingLog::push`]) and by checksum, so a truncated or bit-flipped
-//! snapshot is rejected rather than silently mislocating every block.
+//! [`ScalingLog::push`], object ids must be strictly ascending below
+//! `next_id`) and by checksum, so a truncated or bit-flipped snapshot is
+//! rejected rather than silently mislocating every block. A count field
+//! preallocates no more elements than there are bytes left, so a
+//! checksum-valid hostile count fails as `Truncated` instead of
+//! exhausting memory.
 //!
 //! Version history: v1 predates rehash compaction; v2 adds the placement
 //! generation right after the version byte. v1 snapshots still decode
@@ -54,6 +58,9 @@ pub enum PersistError {
     InvalidHistory(ScalingError),
     /// An invalid bit width.
     BadBits(u8),
+    /// The catalog's object ids are not strictly ascending, or
+    /// `next_id` is not past the last of them.
+    UnorderedCatalog,
 }
 
 impl std::fmt::Display for PersistError {
@@ -68,6 +75,10 @@ impl std::fmt::Display for PersistError {
             PersistError::TrailingBytes => write!(f, "trailing bytes after snapshot"),
             PersistError::InvalidHistory(e) => write!(f, "snapshot describes invalid history: {e}"),
             PersistError::BadBits(b) => write!(f, "invalid bit width {b}"),
+            PersistError::UnorderedCatalog => write!(
+                f,
+                "catalog object ids are not strictly ascending below next_id"
+            ),
         }
     }
 }
@@ -220,6 +231,15 @@ pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
 
 // --- decode --------------------------------------------------------------
 
+/// A decoded element count, capped for preallocation by the bytes left
+/// in `body`: every element takes at least one byte, so a hostile count
+/// fails as `Truncated` instead of reserving memory it never fills.
+fn capped(count: u64, body: &[u8], pos: usize) -> usize {
+    usize::try_from(count)
+        .unwrap_or(usize::MAX)
+        .min(body.len().saturating_sub(pos))
+}
+
 /// Decodes and fully validates a snapshot.
 pub fn decode(data: &[u8]) -> Result<Snapshot, PersistError> {
     if data.len() < 4 + 1 + 4 {
@@ -265,7 +285,7 @@ pub fn decode(data: &[u8]) -> Result<Snapshot, PersistError> {
             }
             1 => {
                 let k = get_varint(body, &mut pos)?;
-                let mut disks = Vec::with_capacity(k as usize);
+                let mut disks = Vec::with_capacity(capped(k, body, pos));
                 for _ in 0..k {
                     disks.push(
                         u32::try_from(get_varint(body, &mut pos)?)
@@ -286,14 +306,15 @@ pub fn decode(data: &[u8]) -> Result<Snapshot, PersistError> {
     let catalog_seed = get_u64(body, &mut pos)?;
     let next_id = get_varint(body, &mut pos)?;
     let objects = get_varint(body, &mut pos)?;
-    let mut restored = Vec::with_capacity(objects as usize);
+    let mut restored = Vec::with_capacity(capped(objects, body, pos));
     for _ in 0..objects {
         let id = ObjectId(get_varint(body, &mut pos)?);
         let seed = get_u64(body, &mut pos)?;
         let blocks = get_varint(body, &mut pos)?;
         restored.push(CmObject { id, seed, blocks });
     }
-    let catalog = Catalog::restore(kind, bits, catalog_seed, restored, next_id);
+    let catalog = Catalog::restore(kind, bits, catalog_seed, restored, next_id)
+        .ok_or(PersistError::UnorderedCatalog)?;
 
     if pos != body.len() {
         return Err(PersistError::TrailingBytes);
@@ -457,6 +478,62 @@ mod tests {
                 "accepted truncation at {len}"
             );
         }
+    }
+
+    /// A checksum-valid v2 snapshot from raw log bytes and the catalog
+    /// bytes after its seed (`next_id | object count | objects`).
+    fn sealed(log: &[u8], catalog: &[u8]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&[VERSION, 0]);
+        buf.extend_from_slice(log);
+        buf.extend_from_slice(&[rng_tag(RngKind::SplitMix64), 32]);
+        put_u64(&mut buf, 0);
+        buf.extend_from_slice(catalog);
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
+    }
+
+    /// Catalog bytes for objects with the given ids.
+    fn objects(next_id: u64, ids: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, next_id);
+        put_varint(&mut buf, ids.len() as u64);
+        for &id in ids {
+            put_varint(&mut buf, id);
+            put_u64(&mut buf, id);
+            put_varint(&mut buf, 10);
+        }
+        buf
+    }
+
+    #[test]
+    fn rejects_unordered_object_ids() {
+        let log = [4, 0];
+        assert!(decode(&sealed(&log, &objects(3, &[0, 2]))).is_ok());
+        for (next_id, ids) in [(5, &[0, 0][..]), (5, &[3, 1]), (2, &[0, 2]), (0, &[0])] {
+            assert_eq!(
+                decode(&sealed(&log, &objects(next_id, ids))).err(),
+                Some(PersistError::UnorderedCatalog),
+                "next_id {next_id}, ids {ids:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_counts_fail_without_preallocating() {
+        let mut count = Vec::new();
+        put_varint(&mut count, 1 << 50);
+        // 2^50 objects.
+        let mut catalog = vec![0];
+        catalog.extend_from_slice(&count);
+        let bytes = sealed(&[4, 0], &catalog);
+        assert_eq!(decode(&bytes).err(), Some(PersistError::Truncated));
+        // A removal of 2^50 disks.
+        let mut log = vec![4, 1, 1];
+        log.extend_from_slice(&count);
+        let bytes = sealed(&log, &objects(0, &[]));
+        assert_eq!(decode(&bytes).err(), Some(PersistError::Truncated));
     }
 
     #[test]

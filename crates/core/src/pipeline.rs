@@ -14,7 +14,9 @@
 //!   a precomputed 128-bit reciprocal (`⌊2¹²⁸/N⌋ + 1`) and two 64×64
 //!   multiplies — exact for all `x` and all `N ≥ 1` (Granlund &
 //!   Montgomery's invariant-divisor scheme; see [`MagicDivisor`]) —
-//!   instead of a `div` instruction per `mod`/`div` pair.
+//!   instead of a `div` instruction per `mod`/`div` pair. `AF()`'s
+//!   final `X_j mod N_j` uses the same scheme, so no lookup path pays a
+//!   hardware division.
 //!
 //! The pipeline is append-only, mirroring the log: after a scaling
 //! operation, [`RemapPipeline::extend_from`] compiles just the new
@@ -38,7 +40,7 @@ const ADDITION: usize = usize::MAX;
 /// bound holds because `2¹²⁸ < M·d ≤ 2¹²⁸ + d - 1 < 2¹²⁸ + 2⁶⁴`.
 /// `d = 1` is kept as a trivial branch (its magic would overflow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MagicDivisor {
+pub(crate) struct MagicDivisor {
     d: u64,
     magic: u128,
 }
@@ -67,7 +69,7 @@ impl MagicDivisor {
 
     /// `x % d` alone.
     #[inline(always)]
-    fn rem(self, x: u64) -> u64 {
+    pub(crate) fn rem(self, x: u64) -> u64 {
         if self.d == 1 {
             return 0;
         }
@@ -129,7 +131,8 @@ impl Step {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemapPipeline {
     initial_disks: u32,
-    current_disks: u32,
+    /// `N_j` with its reciprocal: `AF()`'s final `mod`.
+    disks: MagicDivisor,
     steps: Vec<Step>,
     /// Concatenated dense renumber tables of every removal step.
     tables: Vec<u32>,
@@ -150,7 +153,7 @@ impl RemapPipeline {
         assert!(epochs <= log.epoch(), "epoch {epochs} is in the future");
         let mut pipeline = RemapPipeline {
             initial_disks: log.initial_disks(),
-            current_disks: log.initial_disks(),
+            disks: MagicDivisor::new(u64::from(log.initial_disks())),
             steps: Vec::with_capacity(epochs),
             tables: Vec::new(),
         };
@@ -179,7 +182,7 @@ impl RemapPipeline {
             "log is behind the compiled pipeline"
         );
         assert_eq!(
-            self.current_disks,
+            self.current_disks(),
             log.disks_at(self.epoch()),
             "log diverged from the compiled pipeline"
         );
@@ -189,7 +192,7 @@ impl RemapPipeline {
     }
 
     fn push_record(&mut self, record: &ScalingRecord) {
-        debug_assert_eq!(self.current_disks, record.disks_before());
+        debug_assert_eq!(self.current_disks(), record.disks_before());
         let table_off = match record.action() {
             RecordAction::Added { .. } => ADDITION,
             RecordAction::Removed(set) => {
@@ -203,7 +206,7 @@ impl RemapPipeline {
             n_new: MagicDivisor::new(u64::from(record.disks_after())),
             table_off,
         });
-        self.current_disks = record.disks_after();
+        self.disks = MagicDivisor::new(u64::from(record.disks_after()));
     }
 
     /// Number of compiled operations (the epoch the pipeline folds to).
@@ -218,7 +221,19 @@ impl RemapPipeline {
 
     /// `N_j` at the pipeline's epoch.
     pub fn current_disks(&self) -> u32 {
-        self.current_disks
+        self.disks.d as u32
+    }
+
+    /// `N_j` with its reciprocal, for reducing an `X_j` to its disk.
+    #[inline]
+    pub(crate) fn disk_divisor(&self) -> MagicDivisor {
+        self.disks
+    }
+
+    /// `D_j = X_j mod N_j` by reciprocal multiply.
+    #[inline]
+    pub(crate) fn disk_of(&self, x: u64) -> DiskIndex {
+        DiskIndex(self.disks.rem(x) as u32)
     }
 
     /// Applies compiled step `i` (i.e. `REMAP_{i+1}`) to `x`, returning
@@ -292,17 +307,14 @@ impl RemapPipeline {
     /// `AF()` against the compiled log: `D_j = fold(x0) mod N_j`.
     #[inline]
     pub fn locate(&self, x0: u64) -> DiskIndex {
-        DiskIndex((self.fold(x0) % u64::from(self.current_disks.max(1))) as u32)
+        self.disk_of(self.fold(x0))
     }
 
     /// Bulk `AF()`: batch-folds every `x0` and reduces mod `N_j`.
     pub fn locate_batch(&self, x0s: &[u64]) -> Vec<DiskIndex> {
         let mut xs = x0s.to_vec();
         self.fold_batch(&mut xs);
-        let disks = u64::from(self.current_disks.max(1));
-        xs.into_iter()
-            .map(|x| DiskIndex((x % disks) as u32))
-            .collect()
+        xs.into_iter().map(|x| self.disk_of(x)).collect()
     }
 
     /// Bulk `AF()` across `threads` scoped worker threads, each batch-
@@ -315,14 +327,13 @@ impl RemapPipeline {
         }
         let mut out = vec![DiskIndex(0); x0s.len()];
         let chunk = x0s.len().div_ceil(threads);
-        let disks = u64::from(self.current_disks.max(1));
         crossbeam::scope(|scope| {
             for (xs, outs) in x0s.chunks(chunk).zip(out.chunks_mut(chunk)) {
                 scope.spawn(move |_| {
                     let mut buf = xs.to_vec();
                     self.fold_batch(&mut buf);
                     for (x, slot) in buf.iter().zip(outs.iter_mut()) {
-                        *slot = DiskIndex((x % disks) as u32);
+                        *slot = self.disk_of(*x);
                     }
                 });
             }

@@ -1,7 +1,10 @@
 //! Property test of the server's block residency: random histories of
 //! object churn, online scaling, disk failure, rehash compaction and
 //! snapshot/restore against the store's bookkeeping and a model of each
-//! disk's lifecycle, checked after every step.
+//! disk's lifecycle, checked after every step. Half the histories run on
+//! disks small enough that ingesting an object can fail with `DiskFull`,
+//! which must name the disk a block-by-block ingest stops at and leave
+//! the server as it was.
 
 use proptest::prelude::*;
 use scaddar::baselines::PhysicalDiskId;
@@ -54,18 +57,37 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
     )
 }
 
-/// Narrow disks, so a compaction stays in flight across several steps.
-fn config() -> ServerConfig {
-    ServerConfig::new(4)
+/// Narrow disks, so a compaction stays in flight across several steps,
+/// each holding `capacity` blocks.
+fn config(capacity: u64) -> ServerConfig {
+    let mut config = ServerConfig::new(4)
         .with_bandwidth(4)
         .with_redistribution_bandwidth(2)
-        .with_catalog_seed(17)
+        .with_catalog_seed(17);
+    config.disk_capacity = capacity;
+    config
+}
+
+/// Model of a refused ingest: the live disk the first block that does
+/// not fit would land on, had an object of `blocks` blocks been added.
+fn first_full_disk(s: &CmServer, blocks: u64) -> Option<PhysicalDiskId> {
+    let mut probe = s.engine().clone();
+    let id = probe.add_object(blocks);
+    let mut taken: HashMap<PhysicalDiskId, u64> = HashMap::new();
+    (0..blocks).find_map(|block| {
+        let disk = s.disks().physical(probe.locate(id, block).unwrap());
+        let n = taken.entry(disk).or_insert(s.store().blocks_on(disk));
+        *n += 1;
+        (*n > s.disks().spec(disk).capacity).then_some(disk)
+    })
 }
 
 /// Drives one history and checks the residency invariants after every
 /// step.
 struct Run {
     server: CmServer,
+    /// Blocks per disk.
+    capacity: u64,
     /// `migrated_blocks` at the last check of an in-flight compaction.
     migrated: Option<u64>,
     /// Model of the failed disks: in the array, or pulled with blocks
@@ -76,9 +98,10 @@ struct Run {
 }
 
 impl Run {
-    fn new() -> Self {
+    fn new(capacity: u64) -> Self {
         Run {
-            server: CmServer::new(config()).unwrap(),
+            server: CmServer::new(config(capacity)).unwrap(),
+            capacity,
             migrated: None,
             failed: BTreeSet::new(),
             draining: BTreeSet::new(),
@@ -180,7 +203,28 @@ impl Run {
         let disks = self.server.disks().disks();
         match *step {
             Step::Add(blocks) => {
-                self.server.add_object(blocks).expect("ample capacity");
+                let full = first_full_disk(&self.server, blocks);
+                let before = (
+                    self.server.load_census(),
+                    self.server.engine().catalog().objects().to_vec(),
+                    self.server.pending_moves(),
+                    self.server.compaction_progress(),
+                );
+                match self.server.add_object(blocks) {
+                    Ok(_) => assert_eq!(full, None, "admitted past capacity"),
+                    Err(ServerError::DiskFull(disk)) => {
+                        assert_eq!(Some(disk), full);
+                        // Rolled back: nothing written, nothing queued.
+                        let after = (
+                            self.server.load_census(),
+                            self.server.engine().catalog().objects().to_vec(),
+                            self.server.pending_moves(),
+                            self.server.compaction_progress(),
+                        );
+                        assert_eq!(after, before);
+                    }
+                    Err(e) => panic!("ingest failed: {e}"),
+                }
                 self.check_progress();
             }
             Step::Remove(pick) => {
@@ -266,7 +310,8 @@ impl Run {
                 self.quiesce();
                 let census = self.server.load_census();
                 let bytes = self.server.snapshot().expect("quiet server");
-                self.server = CmServer::restore(config(), &bytes).expect("own snapshot");
+                self.server =
+                    CmServer::restore(config(self.capacity), &bytes).expect("own snapshot");
                 assert_eq!(self.server.load_census(), census);
                 // The snapshot holds no removed disk.
                 self.draining.clear();
@@ -312,11 +357,14 @@ proptest! {
 
     /// After every step of any history the store holds exactly the
     /// catalog's blocks, its census matches a recount, residency agrees
-    /// with placement at quiet points, and compaction progress only
-    /// moves forward.
+    /// with placement at quiet points, compaction progress only moves
+    /// forward, and a refused ingest changes nothing.
     #[test]
-    fn residency_tracks_every_history(history in steps()) {
-        let mut run = Run::new();
+    fn residency_tracks_every_history(history in steps(), capacity in 0u64..400) {
+        // Disks of 100 to 299 blocks fill within an ingest or two; the
+        // rest never fill.
+        let capacity = if capacity < 200 { 100 + capacity } else { u64::MAX };
+        let mut run = Run::new(capacity);
         for step in &history {
             run.apply(step);
             run.check();

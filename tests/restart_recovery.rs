@@ -119,6 +119,66 @@ fn every_truncation_fails_to_decode() {
     }
 }
 
+/// A snapshot that passes its checksum but lies: `objects` is the raw
+/// catalog tail (`next_id | object count | objects`) after an empty log
+/// on 4 disks. Such bytes can only come from a buggy or hostile writer.
+fn hostile_snapshot(catalog: &[u64]) -> Vec<u8> {
+    fn varint(buf: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        buf.push(v as u8);
+    }
+    // Magic, v2, generation 0, 4 disks, no records, SplitMix64, 32 bits.
+    let mut buf = b"SCDR".to_vec();
+    buf.extend_from_slice(&[2, 0, 4, 0, 0, 32]);
+    buf.extend_from_slice(&7u64.to_le_bytes());
+    for &field in catalog {
+        varint(&mut buf, field);
+    }
+    let crc = scaddar::core::persist::crc32(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf
+}
+
+/// Checksum-valid hostile snapshots are refused by the engine and the
+/// server alike, without a panic or an abort: a catalog that repeats an
+/// object id, and an object count of 2^50 in a few dozen bytes.
+#[test]
+fn hostile_snapshots_are_refused_without_panicking() {
+    // next_id 5; two objects, both id 0 (seed 8 bytes, blocks 10). The
+    // seed is a fixed u64, so write it as 8 one-byte varint fields.
+    let mut repeated = vec![5, 2];
+    for _ in 0..2 {
+        repeated.push(0);
+        repeated.extend([0; 8]);
+        repeated.push(10);
+    }
+    let huge_count = [0, 1 << 50];
+    for (what, catalog) in [
+        ("repeated id", &repeated[..]),
+        ("2^50 objects", &huge_count),
+    ] {
+        let bytes = hostile_snapshot(catalog);
+        assert!(
+            scaddar::core::Scaddar::from_snapshot(&bytes, 0.05).is_err(),
+            "{what}: engine accepted it"
+        );
+        assert!(
+            CmServer::restore(ServerConfig::new(4), &bytes).is_err(),
+            "{what}: server accepted it"
+        );
+    }
+    // The same shape with ascending ids decodes, so the refusal above is
+    // about the ids, not the encoding.
+    let mut ascending = repeated.clone();
+    ascending[12] = 1;
+    let bytes = hostile_snapshot(&ascending);
+    let server = CmServer::restore(ServerConfig::new(4), &bytes).expect("valid catalog");
+    assert_eq!(server.store().len(), 20);
+}
+
 /// Corruption fuzz, bit-flip sweep: flipping any single bit anywhere in
 /// the snapshot must yield a decode error — never a *wrong placement*.
 /// The CRC32 trailer guarantees detection of all 1-bit errors, so a
