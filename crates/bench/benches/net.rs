@@ -8,15 +8,19 @@
 //! 2. `net_request` — one `locate` round-trip over a real loopback
 //!    socket through `scaddard` (syscalls + framing + dispatch);
 //! 3. `net_pipeline` — 16 pipelined locates per wakeup, the client
-//!    library's batching path (amortizes the per-write syscall cost).
+//!    library's batching path (amortizes the per-write syscall cost);
+//! 4. `net_boot` — a daemon's boot: `bind` plus the first `Pong` on a
+//!    fresh connection (the serving share of perfbench's `setup_s`),
+//!    with the engine built beforehand and the shutdown off the clock.
 //!
 //! The gated end-to-end percentile and overhead numbers come from the
 //! seeded load generator (`scaddard-load`), not from here; these groups
 //! exist for profiling the components and no gate reads them.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use scaddar_net::{decode_frame, Frame, NetClient, NetServerConfig, Scaddard};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -56,24 +60,58 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn boot() -> Scaddard {
+fn engine() -> Arc<cmsim::SharedServer> {
     let mut server =
         cmsim::CmServer::new(cmsim::ServerConfig::new(4).with_catalog_seed(0xBE)).unwrap();
     server.add_object(10_000).unwrap();
-    let registry = Registry::new();
+    Arc::new(cmsim::SharedServer::new(server))
+}
+
+fn boot_over(server: Arc<cmsim::SharedServer>, registry: &Registry) -> Scaddard {
     let tracer = Tracer::new(Arc::new(MonotonicClock::new()), 64);
     Scaddard::bind(
         "127.0.0.1:0",
-        Arc::new(cmsim::SharedServer::new(server)),
+        server,
         NetServerConfig::default(),
-        &registry,
+        registry,
         tracer,
     )
     .unwrap()
 }
 
+/// Each iteration binds a daemon over the same engine and waits for the
+/// first `Pong`; the next set-up shuts the previous daemon down.
+fn bench_boot(c: &mut Criterion) {
+    let server = engine();
+    let running: RefCell<Option<(Scaddard, NetClient)>> = RefCell::new(None);
+    let stop = || {
+        if let Some((daemon, client)) = running.borrow_mut().take() {
+            drop(client);
+            daemon.shutdown();
+        }
+    };
+    let mut group = c.benchmark_group("net_boot");
+    group.bench_function(BenchmarkId::from_parameter("bind_first_pong"), |b| {
+        b.iter_batched(
+            || {
+                stop();
+                Registry::new()
+            },
+            |registry| {
+                let daemon = boot_over(Arc::clone(&server), &registry);
+                let client = NetClient::connect(daemon.local_addr());
+                client.ping().expect("ping");
+                *running.borrow_mut() = Some((daemon, client));
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+    stop();
+}
+
 fn bench_request_path(c: &mut Criterion) {
-    let daemon = boot();
+    let daemon = boot_over(engine(), &Registry::new());
     let client = NetClient::connect(daemon.local_addr());
     let mut group = c.benchmark_group("net_request");
     group.bench_function(BenchmarkId::from_parameter("locate_roundtrip"), |b| {
@@ -100,5 +138,5 @@ fn bench_request_path(c: &mut Criterion) {
     daemon.shutdown();
 }
 
-criterion_group!(benches, bench_codec, bench_request_path);
+criterion_group!(benches, bench_codec, bench_request_path, bench_boot);
 criterion_main!(benches);

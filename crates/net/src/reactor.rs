@@ -2,21 +2,32 @@
 //!
 //! ## Threading model
 //!
-//! One **acceptor** thread owns the listener and does nothing but
-//! `accept`, apply the backpressure policy (`Error{Busy}` over
-//! [`max_connections`](crate::NetServerConfig::max_connections)), and
-//! hand each accepted socket to a **worker** round-robin. Each worker
-//! owns a [`polling::Poller`] (epoll on Linux, poll(2) elsewhere — both
+//! N **worker** threads, nothing else. Each worker owns a
+//! [`polling::Poller`] (epoll on Linux, poll(2) elsewhere — both
 //! level-triggered), a slab of connection states, and reusable scratch
 //! buffers; a connection lives its whole life on the worker that
 //! admitted it, so no connection state is ever shared or locked.
-//! Workers are optionally pinned to CPUs
+//! Worker 0 also owns the nonblocking listener, registered in its
+//! poller beside its connections. When the listener is ready it accepts
+//! until `WouldBlock`, applies the accept policy both cores share
+//! (`Error{Busy}` over
+//! [`max_connections`](crate::NetServerConfig::max_connections)), and
+//! deals connection *k* to worker *k* mod N: its own share it registers
+//! in place, the rest go onto the peer's injection queue with a
+//! `notify`. An `accept` error other than an interrupt or an aborted
+//! peer (descriptor exhaustion, say) drops the listener's read
+//! interest for 10 ms, or until one of worker 0's connections closes,
+//! so a backlog it cannot take does not spin the worker. `workers: 0`
+//! means one worker per core, read once per process. Workers are
+//! optionally pinned to CPUs
 //! ([`pin_workers`](crate::NetServerConfig::pin_workers)).
 //!
 //! ## A wakeup, start to finish
 //!
 //! 1. `wait` returns ready sockets (or a deadline/notify wakeup).
-//! 2. Newly accepted sockets from the injection queue are registered.
+//! 2. Sockets dealt to this worker are registered; on worker 0, a ready
+//!    listener is accepted from, and its own new sockets are read in
+//!    this same wakeup.
 //! 3. Every readable socket is drained to `WouldBlock` into its
 //!    connection's read buffer, and complete frames are decoded in
 //!    place by the re-entrant [`crate::wire`] decoder (partial frames
@@ -40,12 +51,17 @@
 //! 6. Expired read/write deadlines close their connection (with a
 //!    best-effort `Error{BadRequest}` for an overdue request).
 //!
-//! Shutdown mirrors the threaded core: the acceptor stops, each worker
-//! is notified, flushes what it owes (reverting the socket to blocking
-//! writes under `write_timeout`), closes everything, and joins.
+//! Shutdown sets the flag and notifies every poller; no connection is
+//! needed to wake anyone. Worker 0 first deregisters and closes the
+//! listener, so later arrivals are refused by the kernel. Then each
+//! worker waits boundedly for its offloaded ops, flushes what it owes
+//! (reverting the socket to blocking writes under `write_timeout`),
+//! closes everything, and is joined.
 
 use crate::seam::{Phase, Sample, Seam};
-use crate::server::{engine_error, flush, handle_request, shard_gate, Shared};
+use crate::server::{
+    engine_error, flush, handle_request, shard_gate, Accept, Shared, ACCEPT_PAUSE,
+};
 use crate::wire::{complete_frames, decode_frame_traced, ErrorCode, Frame, FrameError};
 use cmsim::LocateQuery;
 use polling::{Event, Poller};
@@ -55,7 +71,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Read-drain scratch size per worker (reused across connections).
@@ -75,6 +91,33 @@ fn open_poller() -> std::io::Result<Poller> {
         Ok(v) if v.eq_ignore_ascii_case("poll") => Poller::with_backend(polling::Backend::Poll),
         _ => Poller::new(),
     }
+}
+
+/// `workers: 0`'s worker count, one per available core. Read once per
+/// process: `available_parallelism` scans cgroup files on every call.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// Worker 0's poller key for the listener. Connection slots count up
+/// from 0, and the poller reserves `usize::MAX` for its waker.
+const LISTENER_KEY: usize = usize::MAX - 1;
+
+/// Connections dealt to a worker and not yet registered by it.
+type Injector = Arc<Mutex<Vec<TcpStream>>>;
+
+/// Worker 0's accepting half: the listener, and the other workers'
+/// pollers and queues to deal connections to.
+struct Acceptor {
+    listener: TcpListener,
+    /// Workers 1 to n - 1, in order.
+    peers: Vec<(Arc<Poller>, Injector)>,
+    /// Connections admitted so far; connection k goes to worker k mod n.
+    dealt: usize,
+    /// After an accept error the listener's read interest is off until
+    /// this deadline, or until one of worker 0's connections closes.
+    paused_until: Option<Instant>,
 }
 
 /// One live connection owned by exactly one worker.
@@ -154,7 +197,9 @@ type PendingReq = (usize, Option<TracedFrame>, Sample);
 struct Worker {
     shared: Arc<Shared>,
     poller: Arc<Poller>,
-    injector: Arc<Mutex<Vec<TcpStream>>>,
+    injector: Injector,
+    /// Worker 0 only: the listener it accepts from for every worker.
+    acceptor: Option<Acceptor>,
     /// Finished offloaded ops waiting to be folded back in.
     completions: Arc<Mutex<Vec<Completion>>>,
     conns: Vec<Option<Conn>>,
@@ -187,6 +232,7 @@ impl Worker {
             }
             self.admit_new();
             self.apply_completions();
+            self.accept_ready();
             self.seam.enter(Phase::Decode);
             let mut pending: Vec<PendingReq> = Vec::new();
             let events = std::mem::take(&mut self.events);
@@ -216,10 +262,13 @@ impl Worker {
                 nearest = Some(nearest.map_or(deadline, |n| n.min(deadline)));
             }
         }
+        if let Some(resume) = self.acceptor.as_ref().and_then(|a| a.paused_until) {
+            nearest = Some(nearest.map_or(resume, |n| n.min(resume)));
+        }
         nearest.map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// Registers connections the acceptor has handed over.
+    /// Registers the connections worker 0 has dealt to this worker.
     fn admit_new(&mut self) {
         loop {
             let stream = {
@@ -229,42 +278,110 @@ impl Worker {
                     None => return,
                 }
             };
-            if stream.set_nonblocking(true).is_err() {
-                self.shared.release();
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let slot = self.free.pop().unwrap_or_else(|| {
-                self.conns.push(None);
-                self.conns.len() - 1
-            });
-            if self
-                .poller
-                .add(stream.as_raw_fd(), Event::readable(slot))
-                .is_err()
-            {
-                self.free.push(slot);
-                self.shared.release();
-                continue;
-            }
-            self.next_generation += 1;
-            self.conns[slot] = Some(Conn {
-                stream,
-                rbuf: Vec::with_capacity(4096),
-                out: Vec::with_capacity(4096),
-                out_pos: 0,
-                read_deadline: None,
-                write_deadline: None,
-                interest: (true, false),
-                read_suspended: false,
-                close_after_flush: false,
-                close_when_drained: false,
-                busy: false,
-                generation: self.next_generation,
-                deferred: VecDeque::new(),
-                flush: Sample::default(),
-            });
+            self.register(stream);
         }
+    }
+
+    /// Worker 0 only: re-arms the listener once an accept pause is over,
+    /// and accepts when it is ready.
+    fn accept_ready(&mut self) {
+        let Some(mut acceptor) = self.acceptor.take() else {
+            return;
+        };
+        let mut ready = self.events.iter().any(|ev| ev.key == LISTENER_KEY);
+        if acceptor.paused_until.is_some_and(|t| Instant::now() >= t)
+            && self
+                .poller
+                .modify(acceptor.listener.as_raw_fd(), Event::readable(LISTENER_KEY))
+                .is_ok()
+        {
+            acceptor.paused_until = None;
+            ready = true;
+        }
+        if ready {
+            self.accept_all(&mut acceptor);
+        }
+        self.acceptor = Some(acceptor);
+    }
+
+    /// Accepts until the listener runs dry and deals connection k to
+    /// worker k mod n. Worker 0's own share is registered in place and
+    /// read this wakeup (its first request is often already waiting); a
+    /// peer's goes onto its queue, with a notify when the queue was
+    /// empty (else one is already pending). An accept error pauses
+    /// accepting (see [`Accept::Pause`]).
+    fn accept_all(&mut self, acceptor: &mut Acceptor) {
+        loop {
+            let stream = match self.shared.accept(&acceptor.listener) {
+                Accept::Open(stream) => stream,
+                Accept::Again => continue,
+                Accept::Empty | Accept::Stop => return,
+                Accept::Pause => {
+                    // Level-triggered: a peer left in the backlog would
+                    // wake this worker again at once.
+                    let fd = acceptor.listener.as_raw_fd();
+                    let _ = self.poller.modify(fd, Event::none(LISTENER_KEY));
+                    acceptor.paused_until = Some(Instant::now() + ACCEPT_PAUSE);
+                    return;
+                }
+            };
+            let k = acceptor.dealt % (acceptor.peers.len() + 1);
+            acceptor.dealt = acceptor.dealt.wrapping_add(1);
+            if k == 0 {
+                if let Some(slot) = self.register(stream) {
+                    self.events.push(Event::readable(slot));
+                }
+                continue;
+            }
+            let (poller, injector) = &acceptor.peers[k - 1];
+            let mut queue = injector.lock().unwrap_or_else(|e| e.into_inner());
+            queue.push(stream);
+            if queue.len() == 1 {
+                drop(queue);
+                let _ = poller.notify();
+            }
+        }
+    }
+
+    /// Takes an admitted connection into the slab and the poller;
+    /// `None` (and counted closed) if either step fails.
+    fn register(&mut self, stream: TcpStream) -> Option<usize> {
+        if stream.set_nonblocking(true).is_err() {
+            self.shared.release();
+            return None;
+        }
+        let _ = stream.set_nodelay(true);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        if self
+            .poller
+            .add(stream.as_raw_fd(), Event::readable(slot))
+            .is_err()
+        {
+            self.free.push(slot);
+            self.shared.release();
+            return None;
+        }
+        self.next_generation += 1;
+        self.conns[slot] = Some(Conn {
+            stream,
+            rbuf: Vec::with_capacity(4096),
+            out: Vec::with_capacity(4096),
+            out_pos: 0,
+            read_deadline: None,
+            write_deadline: None,
+            interest: (true, false),
+            read_suspended: false,
+            close_after_flush: false,
+            close_when_drained: false,
+            busy: false,
+            generation: self.next_generation,
+            deferred: VecDeque::new(),
+            flush: Sample::default(),
+        });
+        Some(slot)
     }
 
     /// Reads a ready connection to `WouldBlock` and decodes every
@@ -703,12 +820,16 @@ impl Worker {
         }
     }
 
-    /// Removes a connection: deregisters, counts, frees the slot.
+    /// Removes a connection: deregisters, counts, frees the slot. A
+    /// freed descriptor ends an accept pause early.
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
             self.free.push(slot);
             self.shared.release();
+            if let Some(paused) = self.acceptor.as_mut().and_then(|a| a.paused_until.as_mut()) {
+                *paused = Instant::now();
+            }
         }
     }
 
@@ -716,6 +837,11 @@ impl Worker {
     /// flush what each connection is owed (blocking, under
     /// `write_timeout`), then close everything.
     fn drain(&mut self) {
+        // Stop accepting first: later arrivals are refused by the kernel
+        // rather than left waiting in the backlog through the drain.
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = self.poller.delete(acceptor.listener.as_raw_fd());
+        }
         self.admit_new();
         let deadline = Instant::now() + self.shared.config.write_timeout;
         while self.conns.iter().flatten().any(|c| c.busy) && Instant::now() < deadline {
@@ -736,8 +862,7 @@ impl Worker {
 }
 
 /// Handle for one spawned worker: its poller (to wake it for shutdown)
-/// and its join handle. The matching injection queue lives with the
-/// acceptor's target list.
+/// and its join handle.
 struct WorkerHandle {
     poller: Arc<Poller>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -746,27 +871,41 @@ struct WorkerHandle {
 /// The running event-loop core behind a [`crate::Scaddard`] in
 /// [`crate::ServerMode::EventLoop`].
 pub(crate) struct Reactor {
-    acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<WorkerHandle>,
 }
 
 impl Reactor {
-    /// Spawns the acceptor and worker threads over a bound listener.
+    /// Spawns the worker threads; worker 0 takes the listener.
     pub(crate) fn start(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<Reactor> {
-        let n = if shared.config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            shared.config.workers
+        let n = match shared.config.workers {
+            0 => cores(),
+            n => n,
         };
-        let mut workers = Vec::with_capacity(n);
-        let mut targets = Vec::with_capacity(n);
-        for i in 0..n {
-            let poller = Arc::new(open_poller()?);
-            let injector: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        listener.set_nonblocking(true)?;
+        let mut queues = Vec::with_capacity(n);
+        for _ in 0..n {
+            let injector: Injector = Arc::new(Mutex::new(Vec::new()));
+            queues.push((Arc::new(open_poller()?), injector));
+        }
+        queues[0]
+            .0
+            .add(listener.as_raw_fd(), Event::readable(LISTENER_KEY))?;
+        let mut acceptor = Some(Acceptor {
+            listener,
+            peers: queues[1..].to_vec(),
+            dealt: 0,
+            paused_until: None,
+        });
+        let mut reactor = Reactor {
+            workers: Vec::with_capacity(n),
+        };
+        for (i, (poller, injector)) in queues.into_iter().enumerate() {
             let mut worker = Worker {
                 shared: Arc::clone(&shared),
                 poller: Arc::clone(&poller),
-                injector: Arc::clone(&injector),
+                injector,
+                // Worker 0, spawned first: the first client waits on it.
+                acceptor: acceptor.take(),
                 completions: Arc::new(Mutex::new(Vec::new())),
                 conns: Vec::new(),
                 free: Vec::new(),
@@ -782,36 +921,34 @@ impl Reactor {
                 ),
             };
             let pin = shared.config.pin_workers;
-            let thread = std::thread::Builder::new()
+            let spawned = std::thread::Builder::new()
                 .name(format!("scaddard-worker-{i}"))
                 .spawn(move || {
                     if pin {
                         let _ = polling::pin_current_thread_to_cpu(i);
                     }
                     worker.run();
-                })?;
-            targets.push((Arc::clone(&poller), injector));
-            workers.push(WorkerHandle {
-                poller,
-                thread: Some(thread),
-            });
+                });
+            match spawned {
+                Ok(thread) => reactor.workers.push(WorkerHandle {
+                    poller,
+                    thread: Some(thread),
+                }),
+                Err(e) => {
+                    // Stop the workers already running; worker 0 closes
+                    // the listener as it drains.
+                    shared.shutdown.store(true, Ordering::SeqCst);
+                    reactor.shutdown();
+                    return Err(e);
+                }
+            }
         }
-        let accept_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name("scaddard-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared, targets))?;
-        Ok(Reactor {
-            acceptor: Some(acceptor),
-            workers,
-        })
+        Ok(reactor)
     }
 
-    /// Joins the acceptor and every worker. The shutdown flag must be
-    /// set (and the acceptor woken) by the caller first.
+    /// Wakes and joins every worker. The caller sets the shutdown flag
+    /// first; worker 0 then closes the listener as it drains.
     pub(crate) fn shutdown(&mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
         for worker in &self.workers {
             let _ = worker.poller.notify();
         }
@@ -823,25 +960,7 @@ impl Reactor {
     }
 
     pub(crate) fn is_shut_down(&self) -> bool {
-        self.acceptor.is_none()
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    targets: Vec<(Arc<Poller>, Arc<Mutex<Vec<TcpStream>>>)>,
-) {
-    let mut next = 0usize;
-    while let Some(stream) = shared.accept(&listener) {
-        let (poller, injector) = &targets[next % targets.len()];
-        next = next.wrapping_add(1);
-        injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(stream);
-        let _ = poller.notify();
+        self.workers.iter().all(|w| w.thread.is_none())
     }
 }
 

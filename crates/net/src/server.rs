@@ -3,8 +3,8 @@
 //! [`ServerMode::EventLoop`] (the default) drives nonblocking sockets
 //! from a few readiness-polled worker threads — see [`crate::reactor`].
 //! [`ServerMode::Threaded`] is the PR 5 reference core kept for A/B
-//! benchmarking and differential testing: one accept thread, one
-//! handler thread per connection. Both share a [`cmsim::SharedServer`]
+//! benchmarking and differential testing: one blocking accept thread,
+//! one handler thread per connection. Both share a [`cmsim::SharedServer`]
 //! — reads take its shared lock, `Scale`/`Tick` its exclusive lock, so
 //! the epoch-consistency guarantee the in-process tests pin down holds
 //! unchanged for remote clients in either mode.
@@ -21,9 +21,14 @@
 //!   [`read_timeout`](NetServerConfig::read_timeout); responses must
 //!   flush within [`write_timeout`](NetServerConfig::write_timeout).
 //!   Idle connections may sit forever (they poll the shutdown flag).
-//! * **Graceful drain**: [`Scaddard::shutdown`] stops the accept loop,
-//!   lets in-flight requests finish, and joins every handler; idle
-//!   handlers notice the flag within one poll tick.
+//! * **Accept errors**: an interrupted `accept` is retried and an
+//!   aborted peer skipped; any other error (descriptor exhaustion, say)
+//!   is counted in `net_server_accept_errors_total` and pauses
+//!   accepting for 10 ms instead of spinning on a backlog it cannot
+//!   take.
+//! * **Graceful drain**: [`Scaddard::shutdown`] stops accepting, lets
+//!   in-flight requests finish, and joins every handler; idle handlers
+//!   notice the flag within one poll tick.
 //! * **Hostile input**: an undecodable frame earns a typed
 //!   `Error{Protocol}` reply (best effort) and a close — the decoder
 //!   never panics, so neither does the server.
@@ -51,9 +56,9 @@ const POLL_TICK: Duration = Duration::from_millis(100);
 /// Which serving core drives accepted connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerMode {
-    /// Readiness-based event loop: a sharded acceptor feeding a few
-    /// poller-driven worker threads (epoll on Linux, poll(2) elsewhere)
-    /// with cross-connection request coalescing. The default.
+    /// Readiness-based event loop: a few poller-driven worker threads
+    /// (epoll on Linux, poll(2) elsewhere), the first of which also
+    /// accepts, with cross-connection request coalescing. The default.
     #[default]
     EventLoop,
     /// One handler thread per connection — the PR 5 reference core,
@@ -128,6 +133,9 @@ pub struct NetStats {
     pub conns_opened: Counter,
     /// Connections turned away by the backpressure limit.
     pub conns_rejected: Counter,
+    /// `accept` errors that paused accepting (descriptor or memory
+    /// exhaustion).
+    pub accept_errors: Counter,
     /// Handler threads exited (peer close, error, or drain).
     pub conns_closed: Counter,
     /// Live handler threads.
@@ -193,6 +201,10 @@ impl NetStats {
                 "net_server_connections_rejected_total",
                 "Connections rejected by the backpressure limit",
             ),
+            accept_errors: registry.counter(
+                "net_server_accept_errors_total",
+                "accept errors that paused accepting",
+            ),
             conns_closed: registry.counter(
                 "net_server_connections_closed_total",
                 "Handler threads exited",
@@ -239,34 +251,72 @@ pub(crate) struct Shared {
     pub(crate) op_state: StateHandle,
 }
 
+/// How long accepting stops after an `accept` error that an immediate
+/// retry would only repeat (descriptor or memory exhaustion). The
+/// listener stays readable while a peer waits in its backlog, so
+/// retrying at once would spin a core until something frees up.
+pub(crate) const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
+
+/// One `accept` call, after the drain and backpressure policy.
+pub(crate) enum Accept {
+    /// Admitted and counted open.
+    Open(TcpStream),
+    /// Nothing to hand on, accept again: the peer was turned away with
+    /// `Error{Busy}`, the call was interrupted, or the peer aborted
+    /// before it was taken.
+    Again,
+    /// No connection pending (nonblocking listener).
+    Empty,
+    /// Any other error, counted in `net_server_accept_errors_total`:
+    /// stop accepting for [`ACCEPT_PAUSE`].
+    Pause,
+    /// The daemon is draining.
+    Stop,
+}
+
 impl Shared {
-    /// Accepts the next connection past the drain and backpressure
-    /// gates (a turned-away peer gets one typed `Error` frame) and
-    /// counts it open; `None` once the daemon is draining.
-    pub(crate) fn accept(&self, listener: &TcpListener) -> Option<TcpStream> {
-        loop {
-            let (stream, _peer) = match listener.accept() {
-                Ok(pair) => pair,
-                Err(_) if self.shutdown.load(Ordering::SeqCst) => return None,
-                Err(_) => continue,
-            };
-            let (code, message) = if self.shutdown.load(Ordering::SeqCst) {
-                // The wake-up connection (or a late arrival during drain).
-                (ErrorCode::ShuttingDown, "draining".to_string())
-            } else if self.active.load(Ordering::Relaxed) >= self.config.max_connections {
-                self.stats.conns_rejected.inc();
-                let limit = self.config.max_connections;
-                (ErrorCode::Busy, format!("{limit} connections"))
-            } else {
-                self.active.fetch_add(1, Ordering::Relaxed);
-                self.stats.conns_opened.inc();
-                self.stats.connections.add(1);
-                return Some(stream);
-            };
-            flush(&stream, self, &Frame::Error { code, message }.to_bytes());
-            if code == ErrorCode::ShuttingDown {
-                return None;
+    /// Takes one connection off `listener` and applies the accept
+    /// policy both cores share: a peer over
+    /// [`max_connections`](NetServerConfig::max_connections) or
+    /// arriving during drain gets one typed `Error` frame and a close;
+    /// an admitted one is counted open.
+    pub(crate) fn accept(&self, listener: &TcpListener) -> Accept {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(_) if self.shutdown.load(Ordering::SeqCst) => return Accept::Stop,
+            Err(e) => {
+                return match e.kind() {
+                    ErrorKind::WouldBlock => Accept::Empty,
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted => Accept::Again,
+                    _ => {
+                        self.stats.accept_errors.inc();
+                        Accept::Pause
+                    }
+                }
             }
+        };
+        let (code, message) = if self.shutdown.load(Ordering::SeqCst) {
+            // The threaded core's wake-up connection, or a late arrival.
+            (ErrorCode::ShuttingDown, "draining".to_string())
+        } else if self.active.load(Ordering::Relaxed) >= self.config.max_connections {
+            self.stats.conns_rejected.inc();
+            let limit = self.config.max_connections;
+            (ErrorCode::Busy, format!("{limit} connections"))
+        } else {
+            self.active.fetch_add(1, Ordering::Relaxed);
+            self.stats.conns_opened.inc();
+            self.stats.connections.add(1);
+            return Accept::Open(stream);
+        };
+        // Some platforms hand out a nonblocking listener's sockets
+        // nonblocking; the rejection is a blocking write under
+        // `write_timeout`.
+        let _ = stream.set_nonblocking(false);
+        flush(&stream, self, &Frame::Error { code, message }.to_bytes());
+        if code == ErrorCode::ShuttingDown {
+            Accept::Stop
+        } else {
+            Accept::Again
         }
     }
 
@@ -288,7 +338,7 @@ impl Shared {
     }
 }
 
-/// The `scaddard` daemon: a bound listener plus its accept thread.
+/// The `scaddard` daemon: a bound listener and the core serving it.
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -340,7 +390,7 @@ impl std::fmt::Debug for Scaddard {
 
 impl Scaddard {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and
-    /// starts the accept loop. The health monitor is seeded from the
+    /// starts the serving core. The health monitor is seeded from the
     /// engine's current state and mirrored into `registry` alongside
     /// the `net_server_*` metrics.
     pub fn bind(
@@ -475,13 +525,13 @@ impl Scaddard {
 
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
         match &mut self.core {
             Core::Threaded {
                 accept_handle,
                 conn_handles,
             } => {
+                // Wake the blocking accept with a throwaway connection.
+                let _ = TcpStream::connect(self.local_addr);
                 if let Some(handle) = accept_handle.take() {
                     let _ = handle.join();
                 }
@@ -522,7 +572,16 @@ fn accept_loop(
     shared: Arc<Shared>,
     conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
-    while let Some(stream) = shared.accept(&listener) {
+    loop {
+        let stream = match shared.accept(&listener) {
+            Accept::Open(stream) => stream,
+            Accept::Again | Accept::Empty => continue,
+            Accept::Pause => {
+                std::thread::sleep(ACCEPT_PAUSE);
+                continue;
+            }
+            Accept::Stop => return,
+        };
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("scaddard-conn".into())
@@ -1270,7 +1329,7 @@ mod tests {
     fn shutdown_drains_idle_connections() {
         let (daemon, registry) = boot(100);
         let stream = TcpStream::connect(daemon.local_addr()).unwrap();
-        // Give the accept loop a moment to hand the connection off.
+        // Give the core a moment to accept the connection.
         while daemon.active_connections() == 0 {
             std::thread::yield_now();
         }

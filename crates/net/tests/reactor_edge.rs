@@ -3,32 +3,44 @@
 //! must earn explicitly: partial frames trickling in across many
 //! readiness events (slow loris), a peer vanishing mid-frame, and
 //! response queues wedged behind a client that writes but does not
-//! read (`EAGAIN` on write with a half-flushed queue).
+//! read (`EAGAIN` on write with a half-flushed queue). Worker 0 accepts
+//! for every worker, so bursts of connects, the connection cap and
+//! shutdown are pinned down here too.
 
 use cmsim::{CmServer, ServerConfig, SharedServer};
 use scaddar_net::{
     decode_frame_limited, ErrorCode, Frame, FrameError, NetClient, NetServerConfig, Scaddard,
     ServerMode,
 };
-use scaddar_obs::{MonotonicClock, Registry, Tracer};
+use scaddar_obs::{MetricValue, MonotonicClock, Registry, Tracer};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn boot(config: NetServerConfig) -> Scaddard {
+    boot_in(config, &Registry::new())
+}
+
+fn boot_in(config: NetServerConfig, registry: &Registry) -> Scaddard {
     let mut server = CmServer::new(ServerConfig::new(4).with_catalog_seed(7)).unwrap();
     server.add_object(50_000).unwrap();
-    let registry = Registry::new();
     let tracer = Tracer::new(Arc::new(MonotonicClock::new()), 64);
     Scaddard::bind(
         "127.0.0.1:0",
         Arc::new(SharedServer::new(server)),
         config.with_mode(ServerMode::EventLoop),
-        &registry,
+        registry,
         tracer,
     )
     .unwrap()
+}
+
+fn counter(registry: &Registry, name: &str) -> Option<u64> {
+    match registry.value(name) {
+        Some(MetricValue::Counter(n)) => Some(n),
+        _ => None,
+    }
 }
 
 /// Reads exactly one frame off a raw stream (no client-side timeout
@@ -222,4 +234,126 @@ fn half_flushed_response_queue_survives_eagain_and_backpressure() {
     // all at the same (unscaled) epoch.
     assert!(epochs.iter().all(|&e| e == 0));
     daemon.shutdown();
+}
+
+#[test]
+fn a_burst_of_connects_is_dealt_to_every_worker_and_answered() {
+    let registry = Registry::new();
+    let daemon = boot_in(
+        NetServerConfig {
+            workers: 3,
+            ..NetServerConfig::default()
+        },
+        &registry,
+    );
+    // All nine connect before any of them sends, so worker 0 accepts
+    // them in one or a few wakeups and deals six to its peers.
+    let mut streams: Vec<TcpStream> = (0..9)
+        .map(|_| TcpStream::connect(daemon.local_addr()).unwrap())
+        .collect();
+    for stream in &mut streams {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(&Frame::Ping.to_bytes()).unwrap();
+    }
+    for (k, stream) in streams.iter_mut().enumerate() {
+        let frame = read_one_frame(stream, &mut Vec::new()).unwrap();
+        assert!(
+            matches!(frame, Frame::Pong { epoch: 0 }),
+            "connection {k}: {frame:?}"
+        );
+    }
+    assert_eq!(
+        counter(&registry, "net_server_connections_opened_total"),
+        Some(9)
+    );
+    assert_eq!(daemon.active_connections(), 9);
+    drop(streams);
+    daemon.shutdown();
+}
+
+#[test]
+fn a_burst_past_the_connection_cap_is_turned_away_busy() {
+    let registry = Registry::new();
+    let daemon = boot_in(
+        NetServerConfig {
+            workers: 2,
+            max_connections: 2,
+            ..NetServerConfig::default()
+        },
+        &registry,
+    );
+    let addr = daemon.local_addr();
+    let admitted: Vec<NetClient> = (0..2)
+        .map(|_| {
+            let client = NetClient::connect(addr);
+            client.ping().expect("admitted");
+            client
+        })
+        .collect();
+    let mut burst: Vec<TcpStream> = (0..5).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    for (k, stream) in burst.iter_mut().enumerate() {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let frame = read_one_frame(stream, &mut Vec::new()).unwrap();
+        let Frame::Error { code, .. } = frame else {
+            panic!("burst connection {k}: expected Error, got {frame:?}");
+        };
+        assert_eq!(code, ErrorCode::Busy, "burst connection {k}");
+        let mut rest = Vec::new();
+        assert_eq!(
+            stream.read_to_end(&mut rest).unwrap(),
+            0,
+            "closed after Busy"
+        );
+    }
+    assert_eq!(
+        counter(&registry, "net_server_connections_rejected_total"),
+        Some(5)
+    );
+    assert_eq!(
+        counter(&registry, "net_server_connections_opened_total"),
+        Some(2)
+    );
+    // The admitted two still serve.
+    for client in &admitted {
+        assert_eq!(client.ping().unwrap(), 0);
+    }
+    drop(admitted);
+    daemon.shutdown();
+}
+
+#[test]
+fn shutdown_returns_promptly_with_idle_clients_attached() {
+    let daemon = boot(NetServerConfig {
+        workers: 2,
+        ..NetServerConfig::default()
+    });
+    let mut clients: Vec<TcpStream> = (0..4)
+        .map(|_| {
+            let mut stream = TcpStream::connect(daemon.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(&Frame::Ping.to_bytes()).unwrap();
+            let frame = read_one_frame(&mut stream, &mut Vec::new()).unwrap();
+            assert!(matches!(frame, Frame::Pong { .. }), "{frame:?}");
+            stream
+        })
+        .collect();
+    assert_eq!(daemon.active_connections(), 4);
+    let start = Instant::now();
+    daemon.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown took {took:?} with idle clients attached"
+    );
+    // The drain closed every idle client.
+    for (k, stream) in clients.iter_mut().enumerate() {
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "client {k}");
+    }
 }
