@@ -17,9 +17,7 @@ use scaddar_obs::{
     Counter, Histogram, MonotonicClock, Profiler, Registry, StateHandle, Tracer, VirtualClock,
 };
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A churned engine: 8 disks, one 10k-block object, `ops` scale ops.
 fn churned_engine(ops: usize) -> Scaddar {
@@ -96,9 +94,10 @@ fn bench_plan_overhead(c: &mut Criterion) {
 /// reactor's seam edges — one sampling decision, `engine` on entry,
 /// `decode` on exit, and phase timing on 1 in 64 calls. `bare`
 /// publishes to a detached state word with no sampler; `instrumented`
-/// registers with a live [`Profiler`] whose 1 kHz sampler thread runs
-/// for the whole measurement — so the ratio is exactly what arming the
-/// profiler costs a worker. The gate table holds this ratio to 1.10.
+/// registers with a live [`Profiler`] attached to the 1 kHz
+/// `obs-sampler` thread for the whole measurement — so the ratio is
+/// exactly what arming the profiler costs a worker. The gate table
+/// holds this ratio to 1.10.
 fn bench_profile_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_profile_overhead");
     let run = |b: &mut criterion::Bencher, handle: &StateHandle| {
@@ -125,13 +124,10 @@ fn bench_profile_overhead(c: &mut Criterion) {
     });
     let profiler = Profiler::new(Arc::new(MonotonicClock::new()));
     let registered = profiler.register("bench-worker");
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let sampler = profiler.spawn_sampler(Duration::from_millis(1), shutdown.clone());
+    profiler.sample_in_background();
     group.bench_with_input(BenchmarkId::from_parameter("instrumented"), &(), |b, ()| {
         run(b, &registered)
     });
-    shutdown.store(true, Ordering::SeqCst);
-    sampler.join().expect("sampler joins");
     assert!(profiler.rounds() > 0, "sampler never ran during the bench");
     group.finish();
 }

@@ -1,7 +1,8 @@
 //! E9 support — simulator throughput: service rounds per second under
 //! load, the cost of committing a scaling operation (plan + queue)
-//! versus executing it offline, and the cost of building block
-//! residency (ingesting an object, restoring from a snapshot).
+//! versus executing it offline, the cost of building block residency
+//! (ingesting an object, restoring from a snapshot), and of opening
+//! streams up to the admission limit.
 //!
 //! E24 — `compact_locate`: a shard whose §4.3 budget was burned and
 //! then rehash-compacted must locate as fast as a fresh chain-length-0
@@ -99,6 +100,31 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+/// perfbench's stream admission on `reorganize`: streams opened on a
+/// fresh 8-disk server (32 blocks per round each) until admission
+/// refuses one, each sought into its object — 204 streams.
+fn bench_streams(c: &mut Criterion) {
+    let mut group = c.benchmark_group("server_streams");
+    group.throughput(Throughput::Elements(204));
+    group.bench_function("open_to_limit", |b| {
+        b.iter_batched(
+            || {
+                let mut s = CmServer::new(config()).expect("server builds");
+                let obj = s.add_object(2_048).expect("ingest");
+                (s, obj)
+            },
+            |(mut s, obj)| {
+                while let Ok(id) = s.open_stream(obj) {
+                    s.stream_mut(id).expect("live").seek(id.0 * 7 % 512);
+                }
+                s
+            },
+            criterion::BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
 /// 24 objects of 2 000 blocks on 8 disks, seeded like E24's run.
 fn compaction_catalog() -> CmServer {
     let mut s = CmServer::new(ServerConfig::new(8).with_catalog_seed(6_073_421)).expect("boot");
@@ -153,6 +179,7 @@ criterion_group!(
     bench_tick,
     bench_scale,
     bench_ingest,
+    bench_streams,
     bench_compact_locate
 );
 criterion_main!(benches);

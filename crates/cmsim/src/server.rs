@@ -432,11 +432,12 @@ impl CmServer {
             .object(object)
             .ok_or(ServerError::Engine(ScaddarError::UnknownObject(object)))?
             .blocks;
-        let active = self.active_streams() as u64;
-        if !self
-            .admission
-            .admit(active, self.disks.disks(), self.config.disk_bandwidth)
-        {
+        // `streams` still holds the `Done` streams no tick has reaped,
+        // so its length bounds the live count from above: live streams
+        // are counted only when that bound is refused.
+        let (disks, bandwidth) = (self.disks.disks(), self.config.disk_bandwidth);
+        let admit = |streams: usize| self.admission.admit(streams as u64, disks, bandwidth);
+        if !admit(self.streams.len()) && !admit(self.active_streams()) {
             return Err(ServerError::AdmissionRejected);
         }
         let id = StreamId(self.next_stream);
@@ -450,15 +451,21 @@ impl CmServer {
 
     /// Mutable access to a stream for VCR operations.
     pub fn stream_mut(&mut self, id: StreamId) -> Result<&mut Stream, ServerError> {
-        self.streams
-            .iter_mut()
-            .find(|s| s.id == id)
-            .ok_or(ServerError::UnknownStream(id))
+        match self.stream_index(id) {
+            Some(i) => Ok(&mut self.streams[i]),
+            None => Err(ServerError::UnknownStream(id)),
+        }
     }
 
     /// Read access to a stream.
     pub fn stream(&self, id: StreamId) -> Option<&Stream> {
-        self.streams.iter().find(|s| s.id == id)
+        self.stream_index(id).map(|i| &self.streams[i])
+    }
+
+    /// Where stream `id` sits in `streams`. Ids ascend along the vector:
+    /// streams are pushed in id order and removed only by `retain`.
+    fn stream_index(&self, id: StreamId) -> Option<usize> {
+        self.streams.binary_search_by_key(&id, |s| s.id).ok()
     }
 
     /// A copy of all live streams (they are small `Copy` structs); used
@@ -1094,6 +1101,59 @@ mod tests {
         let obj = s.add_object(100).unwrap();
         s.open_stream(obj).unwrap();
         assert_eq!(s.open_stream(obj), Err(ServerError::AdmissionRejected));
+    }
+
+    #[test]
+    fn open_stream_admits_up_to_the_capacity_and_counts_done_streams_free() {
+        // 8 disks x 32 blocks per round at 80%: 204 streams fit.
+        let mut s = server(8);
+        let obj = s.add_object(1_000).unwrap();
+        let ids: Vec<StreamId> = (0..204).map(|_| s.open_stream(obj).unwrap()).collect();
+        assert_eq!(s.open_stream(obj), Err(ServerError::AdmissionRejected));
+        // Sought past the end, a stream is `Done` before any tick
+        // reaps it, and its slot is free at once.
+        s.stream_mut(ids[7]).unwrap().seek(1_000);
+        assert_eq!(s.stream(ids[7]).unwrap().state, PlayState::Done);
+        assert_eq!(s.active_streams(), 203);
+        s.open_stream(obj).unwrap();
+        assert_eq!(s.open_stream(obj), Err(ServerError::AdmissionRejected));
+    }
+
+    #[test]
+    fn every_stream_is_found_after_removals_and_reaping() {
+        let mut s = server(4);
+        let a = s.add_object(500).unwrap();
+        let b = s.add_object(500).unwrap();
+        let ids: Vec<(StreamId, ObjectId)> = (0..30)
+            .map(|i| {
+                let obj = if i % 3 == 0 { a } else { b };
+                (s.open_stream(obj).unwrap(), obj)
+            })
+            .collect();
+        s.remove_object(a).unwrap();
+        for &(id, obj) in &ids {
+            assert_eq!(s.stream(id).is_some(), obj == b, "{id:?}");
+            assert_eq!(s.stream_mut(id).is_ok(), obj == b, "{id:?}");
+        }
+        // Finish every fourth survivor; the tick's `retain` reaps them.
+        let survivors: Vec<StreamId> = ids
+            .iter()
+            .filter(|&&(_, obj)| obj == b)
+            .map(|&(id, _)| id)
+            .collect();
+        for id in survivors.iter().step_by(4) {
+            s.stream_mut(*id).unwrap().seek(500);
+        }
+        s.tick();
+        for (i, &id) in survivors.iter().enumerate() {
+            let found = s.stream(id).map(|st| st.id);
+            assert_eq!(found, (i % 4 != 0).then_some(id), "{id:?}");
+            assert_eq!(s.stream_mut(id).is_ok(), i % 4 != 0, "{id:?}");
+        }
+        assert_eq!(
+            s.stream_mut(StreamId(999)),
+            Err(ServerError::UnknownStream(StreamId(999)))
+        );
     }
 
     #[test]

@@ -899,7 +899,18 @@ impl Reactor {
         let mut reactor = Reactor {
             workers: Vec::with_capacity(n),
         };
-        for (i, (poller, injector)) in queues.into_iter().enumerate() {
+        // Worker 0's seam registers the `net_phase_ns` family; the
+        // others share its histograms.
+        let state = |i: usize| shared.profiler.register(&format!("scaddard-worker-{i}"));
+        let first = Seam::new(
+            state(0),
+            &shared.registry,
+            Arc::clone(shared.tracer.clock()),
+            shared.config.instrument,
+        );
+        let mut seams: Vec<Seam> = (1..n).map(|i| first.sibling(state(i))).collect();
+        seams.insert(0, first);
+        for (i, ((poller, injector), seam)) in queues.into_iter().zip(seams).enumerate() {
             let mut worker = Worker {
                 shared: Arc::clone(&shared),
                 poller: Arc::clone(&poller),
@@ -913,12 +924,7 @@ impl Reactor {
                 chunk: vec![0u8; READ_CHUNK],
                 events: Vec::with_capacity(256),
                 high_water: shared.config.max_frame_len as usize * 4,
-                seam: Seam::new(
-                    shared.profiler.register(&format!("scaddard-worker-{i}")),
-                    &shared.registry,
-                    Arc::clone(shared.tracer.clock()),
-                    shared.config.instrument,
-                ),
+                seam,
             };
             let pin = shared.config.pin_workers;
             let spawned = std::thread::Builder::new()

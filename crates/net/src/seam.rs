@@ -167,6 +167,22 @@ impl Seam {
         }
     }
 
+    /// Another worker's seam: publishes to `state` and shares this
+    /// seam's histograms and decision counter, so a reactor registers
+    /// the `net_phase_ns` family once. Its sampling cadence starts
+    /// afresh.
+    pub fn sibling(&self, state: StateHandle) -> Seam {
+        Seam {
+            state,
+            clock: Arc::clone(&self.clock),
+            instrument: self.instrument,
+            ahead: 0,
+            decisions: self.decisions.clone(),
+            histograms: self.histograms.clone(),
+            ledger: Vec::new(),
+        }
+    }
+
     /// An edge no request crosses: publishes `phase`'s state word only.
     pub fn enter(&self, phase: Phase) {
         self.state.set(phase.state());
@@ -271,9 +287,20 @@ mod tests {
         let taken = Some(MetricValue::Counter(SAMPLE_EVERY as u64 + 1));
         assert_eq!(decisions(), taken);
         // A bare seam shares the histograms but decides nothing.
-        let mut bare = Seam::new(state, &registry, clock, false);
+        let mut bare = Seam::new(state.clone(), &registry, clock.clone(), false);
         assert_eq!(bare.readable(|n| n), None);
         assert_eq!(bare.decoded(None).requests, 0);
+        assert_eq!(decisions(), taken);
+        // A sibling times into the same histograms and counter.
+        let mut sibling = seam.sibling(StateHandle::detached());
+        let mut sample = sibling.decoded(sibling.readable(|_| 1));
+        assert_eq!(sample.requests, 1);
+        clock.advance(5);
+        sibling.edge(Phase::LockWait, &mut sample, None);
+        sibling.record();
+        assert_eq!(count("net_phase_ns{phase=\"decode\"}"), Some(3));
+        assert_eq!(count("net_phase_ns{phase=\"coalesce-wait\"}"), Some(1));
+        let taken = Some(MetricValue::Counter(SAMPLE_EVERY as u64 + 2));
         assert_eq!(decisions(), taken);
     }
 }

@@ -365,9 +365,6 @@ pub struct Scaddard {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     core: Core,
-    /// Stops the `obs-sampler` thread on shutdown.
-    sampler_shutdown: Arc<AtomicBool>,
-    sampler: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Mode-specific serving machinery behind a bound [`Scaddard`].
@@ -482,17 +479,14 @@ impl Scaddard {
                 Arc::clone(&shared),
             )?),
         };
-        // ~1 kHz wall-clock sampler; tests and the harness that need
-        // determinism drive `Profiler::sample_once` directly instead.
-        let sampler_shutdown = Arc::new(AtomicBool::new(false));
-        let sampler =
-            profiler.spawn_sampler(Duration::from_millis(1), Arc::clone(&sampler_shutdown));
+        // The process's ~1 kHz sampler samples this profiler until the
+        // daemon drops it; tests and the harness that need determinism
+        // drive `Profiler::sample_once` directly instead.
+        profiler.sample_in_background();
         Ok(Scaddard {
             local_addr,
             shared,
             core,
-            sampler_shutdown,
-            sampler: Some(sampler),
         })
     }
 
@@ -544,10 +538,6 @@ impl Scaddard {
                 }
             }
             Core::EventLoop(reactor) => reactor.shutdown(),
-        }
-        self.sampler_shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.sampler.take() {
-            let _ = handle.join();
         }
     }
 

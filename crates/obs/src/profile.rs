@@ -7,10 +7,18 @@
 //! cooperative route instead: every participating thread owns a
 //! [`StateHandle`] — one atomic byte — and publishes *what it is
 //! doing right now* ([`ThreadState`]) with a single relaxed store at
-//! each phase boundary. A sampler (a thread on a real server, or the
-//! harness calling [`Profiler::sample_once`] directly under a
-//! `VirtualClock`) reads every state word per round and bumps one
-//! residency counter per thread.
+//! each phase boundary. A sampler reads every state word per round and
+//! bumps one residency counter per thread. On a real server that is
+//! the process's one `obs-sampler` thread, which every profiler
+//! attached with [`Profiler::sample_in_background`] shares; the harness
+//! instead calls [`Profiler::sample_once`] directly under a
+//! `VirtualClock`.
+//!
+//! The `obs-sampler` thread is spawned the first time a profiler is
+//! attached and then lives as long as the process. It holds each
+//! attached profiler only weakly, so dropping the last owner frees the
+//! profiler and detaches it; with none attached the thread parks. No
+//! daemon boot spawns it after the first, and no shutdown joins it.
 //!
 //! ## Determinism contract
 //!
@@ -31,18 +39,21 @@
 //! ## Overhead budget
 //!
 //! The instrumented thread pays one relaxed `AtomicU8` store per
-//! state change (sub-nanosecond on x86); the sampler pays one mutex
-//! acquisition plus `n_threads` relaxed loads per round. At 1 kHz
-//! with a dozen threads that is ~10 µs/s of sampler CPU — invisible
-//! next to the 1.10× locate-path overhead gate, which the
-//! `obs_profile_overhead` bench group pins down.
+//! state change (sub-nanosecond on x86); the sampler pays, per
+//! attached profiler, one mutex acquisition plus `n_threads` relaxed
+//! loads per round. At 1 kHz with a dozen threads that is ~10 µs/s of
+//! sampler CPU — invisible next to the 1.10× locate-path overhead
+//! gate, which the `obs_profile_overhead` bench group pins down.
 
 use crate::clock::Clock;
 use crate::registry::Registry;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, Once, Weak};
 use std::time::Duration;
+
+/// Wall-clock period of the background sampler's rounds (~1 kHz).
+const SAMPLE_PERIOD: Duration = Duration::from_millis(1);
 
 /// What a cooperating thread is doing right now.
 ///
@@ -268,25 +279,69 @@ impl Profiler {
         }
     }
 
-    /// Spawns the real-time sampler thread (`obs-sampler`): one
-    /// [`sample_once`](Self::sample_once) round every `period`, until
-    /// `shutdown` goes true. Only for wall-clock deployments — tests
-    /// and the harness drive `sample_once` directly for determinism.
-    pub fn spawn_sampler(
-        self: &Arc<Self>,
-        period: Duration,
-        shutdown: Arc<AtomicBool>,
-    ) -> std::thread::JoinHandle<()> {
-        let profiler = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("obs-sampler".into())
-            .spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    profiler.sample_once();
-                    std::thread::sleep(period);
+    /// Attaches this profiler to the process's `obs-sampler` thread,
+    /// which runs one [`sample_once`](Self::sample_once) round on every
+    /// attached profiler each millisecond. The thread is spawned on
+    /// first use and holds only a [`Weak`], so the profiler detaches
+    /// when its last owner drops it. Only for wall-clock deployments —
+    /// tests and the harness drive `sample_once` directly for
+    /// determinism.
+    pub fn sample_in_background(self: &Arc<Self>) {
+        BACKGROUND
+            .attached
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(Arc::downgrade(self));
+        BACKGROUND.attach.notify_one();
+        static SPAWN: Once = Once::new();
+        SPAWN.call_once(|| {
+            std::thread::Builder::new()
+                .name("obs-sampler".into())
+                .spawn(|| BACKGROUND.run())
+                .expect("spawn obs-sampler");
+        });
+    }
+}
+
+/// The profilers the `obs-sampler` thread samples, and the condvar it
+/// parks on while none is attached.
+struct Background {
+    attached: Mutex<Vec<Weak<Profiler>>>,
+    attach: Condvar,
+}
+
+static BACKGROUND: Background = Background {
+    attached: Mutex::new(Vec::new()),
+    attach: Condvar::new(),
+};
+
+impl Background {
+    /// The `obs-sampler` loop: forget dropped profilers, park while
+    /// none is left, otherwise sample each live one and sleep a period.
+    fn run(&self) -> ! {
+        let mut live: Vec<Arc<Profiler>> = Vec::new();
+        loop {
+            {
+                let mut attached = self.attached.lock().unwrap_or_else(|e| e.into_inner());
+                loop {
+                    attached.retain(|p| p.strong_count() > 0);
+                    if !attached.is_empty() {
+                        break;
+                    }
+                    attached = self
+                        .attach
+                        .wait(attached)
+                        .unwrap_or_else(|e| e.into_inner());
                 }
-            })
-            .expect("spawn obs-sampler")
+                live.extend(attached.iter().filter_map(Weak::upgrade));
+            }
+            for profiler in &live {
+                profiler.sample_once();
+            }
+            // Hold no profiler through the sleep: its owner frees it.
+            live.clear();
+            std::thread::sleep(SAMPLE_PERIOD);
+        }
     }
 }
 
@@ -535,20 +590,39 @@ mod tests {
             .contains("profiler_state_samples{thread=\"scaddard-worker-0\",state=\"engine\"} 1"));
     }
 
-    #[test]
-    fn sampler_thread_accumulates_and_joins() {
-        let profiler = Profiler::new(Arc::new(crate::clock::MonotonicClock::new()));
-        let h = profiler.register("w");
-        h.set(ThreadState::Offload);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let join = profiler.spawn_sampler(Duration::from_micros(200), shutdown.clone());
-        while profiler.rounds() < 5 {
-            std::thread::yield_now();
+    /// Waits up to 5 s for `done`, polling.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !done() {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
-        shutdown.store(true, Ordering::SeqCst);
-        join.join().unwrap();
-        let snap = profiler.snapshot();
-        assert!(snap.threads[0].counts[ThreadState::Offload as usize] >= 5);
-        assert!(snap.threads[0].conserves());
+        true
+    }
+
+    #[test]
+    fn one_background_sampler_serves_every_profiler_and_frees_dropped_ones() {
+        let clock = || Arc::new(crate::clock::MonotonicClock::new());
+        let (a, b) = (Profiler::new(clock()), Profiler::new(clock()));
+        let (ha, hb) = (a.register("a"), b.register("b"));
+        ha.set(ThreadState::Offload);
+        hb.set(ThreadState::Engine);
+        a.sample_in_background();
+        b.sample_in_background();
+        assert!(eventually(|| a.rounds() >= 3 && b.rounds() >= 3));
+        for (profiler, state) in [(&a, ThreadState::Offload), (&b, ThreadState::Engine)] {
+            let snap = profiler.snapshot();
+            assert!(snap.threads[0].counts[state as usize] >= 3);
+            assert!(snap.threads[0].conserves());
+        }
+        // The sampler holds only a `Weak`: the owner's drop frees `a`,
+        // and `b` keeps being sampled.
+        let gone = Arc::downgrade(&a);
+        drop(a);
+        assert!(eventually(|| gone.upgrade().is_none()), "a is still alive");
+        let before = b.rounds();
+        assert!(eventually(|| b.rounds() > before));
     }
 }

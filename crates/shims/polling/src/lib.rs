@@ -16,12 +16,13 @@
 //! keeps reporting readable on every `wait`. Callers drain to
 //! `WouldBlock` or deregister.
 //!
-//! Cross-thread wakeup (`notify`) uses a self-connected nonblocking
-//! [`UdpSocket`] registered inside the poller — a std-only "self-pipe"
-//! that avoids `eventfd` FFI and works identically on both backends.
-//! A pending notification is drained by the next `wait` and never
-//! surfaces as a caller-visible event; `wait` may therefore return
-//! zero events spuriously.
+//! Cross-thread wakeup (`notify`) uses a nonblocking
+//! [`UnixDatagram::pair`]: `notify` sends one byte on one end and the
+//! other end is registered inside the poller — a std-only "self-pipe"
+//! that avoids `eventfd` FFI, opens no network socket and works
+//! identically on both backends. A pending notification is drained by
+//! the next `wait` and never surfaces as a caller-visible event; `wait`
+//! may therefore return zero events spuriously.
 //!
 //! Concurrency contract: `add`/`modify`/`delete`/`notify` may be called
 //! from any thread; `wait` is intended for the single owning thread.
@@ -35,8 +36,8 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::io;
-use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixDatagram;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -436,7 +437,10 @@ enum BackendImpl {
 /// A level-triggered readiness poller with a cross-thread waker.
 pub struct Poller {
     backend: BackendImpl,
-    waker: UdpSocket,
+    /// `notify` sends on this end of the waker pair.
+    wake_tx: UnixDatagram,
+    /// Registered under [`WAKER_KEY`]; `wait` drains it.
+    wake_rx: UnixDatagram,
 }
 
 impl Poller {
@@ -468,13 +472,17 @@ impl Poller {
             }
             Backend::Poll => BackendImpl::Poll(poll_backend::PollTable::new()),
         };
-        // Self-connected datagram socket: a 1-byte send from any thread
-        // makes the fd readable and wakes a blocked `wait`.
-        let waker = UdpSocket::bind("127.0.0.1:0")?;
-        waker.connect(waker.local_addr()?)?;
-        waker.set_nonblocking(true)?;
-        let poller = Poller { backend, waker };
-        poller.add(poller.waker.as_raw_fd(), Event::readable(WAKER_KEY))?;
+        // Datagram socket pair: a 1-byte send on `wake_tx` from any
+        // thread makes `wake_rx` readable and wakes a blocked `wait`.
+        let (wake_tx, wake_rx) = UnixDatagram::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let poller = Poller {
+            backend,
+            wake_tx,
+            wake_rx,
+        };
+        poller.add(poller.wake_rx.as_raw_fd(), Event::readable(WAKER_KEY))?;
         Ok(poller)
     }
 
@@ -491,7 +499,7 @@ impl Poller {
     /// ownership of the fd and must `delete` it before closing it
     /// (closing first is tolerated by epoll but an error on poll(2)).
     pub fn add(&self, fd: RawFd, ev: Event) -> io::Result<()> {
-        if ev.key == WAKER_KEY && fd != self.waker.as_raw_fd() {
+        if ev.key == WAKER_KEY && fd != self.wake_rx.as_raw_fd() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "event key usize::MAX is reserved",
@@ -538,7 +546,7 @@ impl Poller {
             // Drain every pending notification so the level-triggered
             // waker fd goes quiet until the next notify.
             let mut sink = [0u8; 16];
-            while self.waker.recv(&mut sink).is_ok() {}
+            while self.wake_rx.recv(&mut sink).is_ok() {}
         }
         Ok(events.len() - before)
     }
@@ -546,9 +554,9 @@ impl Poller {
     /// Wakes a thread blocked in [`wait`](Self::wait). Safe from any
     /// thread; coalesces (many notifies, one wakeup).
     pub fn notify(&self) -> io::Result<()> {
-        match self.waker.send(&[1]) {
+        match self.wake_tx.send(&[1]) {
             Ok(_) => Ok(()),
-            // A full socket buffer means a wakeup is already pending.
+            // A full datagram queue means a wakeup is already pending.
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
             Err(e) => Err(e),
         }
@@ -590,8 +598,74 @@ mod tests {
             let (n, elapsed) = waiter.join().unwrap();
             assert_eq!(n, 0, "waker must not surface as a caller event");
             assert!(
-                elapsed < Duration::from_secs(5),
+                elapsed < Duration::from_secs(1),
                 "{backend:?}: wait did not wake on notify ({elapsed:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn notifies_without_a_wait_coalesce_and_a_full_queue_still_succeeds() {
+        for backend in backends() {
+            let poller = Poller::with_backend(backend).unwrap();
+            for i in 0..1000 {
+                poller
+                    .notify()
+                    .unwrap_or_else(|e| panic!("{backend:?}: notify {i} failed: {e}"));
+            }
+            // Fill the datagram queue to the brim: the raw send reports
+            // `WouldBlock`, which `notify` reads as a pending wakeup.
+            let mut full = false;
+            for _ in 0..1_000_000 {
+                match poller.wake_tx.send(&[1]) {
+                    Ok(_) => continue,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        full = true;
+                        break;
+                    }
+                    Err(e) => panic!("{backend:?}: {e}"),
+                }
+            }
+            assert!(full, "{backend:?}: the waker queue never filled");
+            poller.notify().unwrap();
+            let mut events = Vec::new();
+            let start = Instant::now();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(
+                n, 0,
+                "{backend:?}: waker must not surface as a caller event"
+            );
+            assert!(start.elapsed() < Duration::from_secs(1), "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn a_wait_after_the_drain_times_out_with_no_events() {
+        for backend in backends() {
+            let poller = Poller::with_backend(backend).unwrap();
+            for _ in 0..3 {
+                poller.notify().unwrap();
+            }
+            let mut events = Vec::new();
+            assert_eq!(
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(5)))
+                    .unwrap(),
+                0
+            );
+            // Every pending notification was drained: the next wait
+            // blocks for its whole timeout.
+            let start = Instant::now();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_millis(50)))
+                .unwrap();
+            assert_eq!(n, 0, "{backend:?}");
+            assert!(
+                start.elapsed() >= Duration::from_millis(45),
+                "{backend:?}: waker still readable after the drain ({:?})",
+                start.elapsed()
             );
         }
     }
