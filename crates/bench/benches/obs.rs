@@ -8,10 +8,7 @@
 //! locate or armed-profiler overhead ratio exceeds 1.10.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scaddar_core::{
-    plan_last_op_parallel, plan_last_op_parallel_instrumented, EngineStats, Scaddar, ScaddarConfig,
-    ScalingOp,
-};
+use scaddar_core::{EngineStats, Scaddar, ScaddarConfig, ScalingOp};
 use scaddar_net::seam::{Phase, Seam};
 use scaddar_obs::{
     Counter, Histogram, MonotonicClock, Profiler, Registry, StateHandle, Tracer, VirtualClock,
@@ -19,11 +16,11 @@ use scaddar_obs::{
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// A churned engine: 8 disks, one 10k-block object, `ops` scale ops.
-fn churned_engine(ops: usize) -> Scaddar {
+/// A churned engine: 8 disks, one 10k-block object, 8 scale ops.
+fn churned_engine() -> Scaddar {
     let mut engine = Scaddar::new(ScaddarConfig::new(8).with_catalog_seed(42)).unwrap();
     engine.add_object(10_000);
-    for i in 0..ops {
+    for i in 0..8 {
         let op = if i % 2 == 0 {
             ScalingOp::remove_one(0)
         } else {
@@ -41,7 +38,7 @@ fn churned_engine(ops: usize) -> Scaddar {
 fn bench_locate_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_locate_overhead");
     for (label, instrument) in [("bare", false), ("instrumented", true)] {
-        let mut engine = churned_engine(8);
+        let mut engine = churned_engine();
         if instrument {
             let registry = Registry::new();
             engine.attach_stats(EngineStats::register_monotonic(&registry));
@@ -58,37 +55,6 @@ fn bench_locate_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Planning is a cold path, so it takes full timing (per-op and
-/// per-chunk histograms); the ratio should still be ~1.0 because the
-/// recording cost is amortized over thousands of blocks.
-fn bench_plan_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("obs_plan_overhead");
-    let engine = churned_engine(4);
-    let threads = 2;
-    let registry = Registry::new();
-    let stats = EngineStats::register_monotonic(&registry);
-    group.bench_function(BenchmarkId::from_parameter("bare"), |b| {
-        b.iter(|| {
-            black_box(plan_last_op_parallel(
-                engine.catalog(),
-                engine.log(),
-                threads,
-            ))
-        });
-    });
-    group.bench_function(BenchmarkId::from_parameter("instrumented"), |b| {
-        b.iter(|| {
-            black_box(plan_last_op_parallel_instrumented(
-                engine.catalog(),
-                engine.log(),
-                threads,
-                &stats,
-            ))
-        });
-    });
-    group.finish();
-}
-
 /// The armed-profiler tax on the serving hot path: both sides run the
 /// fully instrumented locate loop and bracket every call with the
 /// reactor's seam edges — one sampling decision, `engine` on entry,
@@ -101,7 +67,7 @@ fn bench_plan_overhead(c: &mut Criterion) {
 fn bench_profile_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_profile_overhead");
     let run = |b: &mut criterion::Bencher, handle: &StateHandle| {
-        let mut engine = churned_engine(8);
+        let mut engine = churned_engine();
         let registry = Registry::new();
         engine.attach_stats(EngineStats::register_monotonic(&registry));
         let clock = Arc::new(MonotonicClock::new());
@@ -168,7 +134,6 @@ fn bench_primitives(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_locate_overhead,
-    bench_plan_overhead,
     bench_profile_overhead,
     bench_primitives
 );

@@ -1,12 +1,13 @@
 //! E8 support — raw `REMAP_j` throughput, whole-operation `RF()`
 //! planning cost, and the bulk-engine comparisons: compiled
 //! [`RemapPipeline`] fold vs the record-by-record reference fold, and
-//! serial vs parallel planning over a million-block catalog.
+//! the reference planner vs the X-cache planner over a million-block
+//! catalog.
 //!
 //! `remap_add`/`remap_remove` are a handful of integer divisions; expect
 //! a few ns each. Planning a scaling operation over a 100k-block catalog
 //! is `O(B·j)`; expect single-digit milliseconds at `j = 8`. The gate
-//! table (`scaddar_bench::gate::GATES`) holds serial/parallel 1M-block
+//! table (`scaddar_bench::gate::GATES`) holds serial/cached 1M-block
 //! planning to at least 1.5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -14,7 +15,8 @@ use scaddar_bench::churn_log;
 use scaddar_core::address::x_at_current_epoch;
 use scaddar_core::remap::{remap_add, remap_remove};
 use scaddar_core::{
-    plan_last_op, plan_last_op_parallel, Catalog, RemapPipeline, RemovedSet, ScalingLog, ScalingOp,
+    plan_last_op, plan_last_op_with_x, Catalog, RemapPipeline, RemovedSet, ScalingLog, ScalingOp,
+    XCache,
 };
 use scaddar_prng::{Bits, RngKind};
 use std::hint::black_box;
@@ -120,24 +122,24 @@ fn catalog_1m() -> Catalog {
     c
 }
 
-/// Serial vs parallel `RF()` planning over a 1M-block catalog at `j = 9`
-/// (8 churn ops + the planned addition). The parallel path folds each
-/// chunk through a compiled prefix pipeline on scoped threads; on a
-/// multi-core runner it should scale near-linearly. The parallel id
-/// carries no thread count, so the gate table can name it.
-fn bench_plan_serial_vs_parallel(c: &mut Criterion) {
+/// The reference oracle vs the planner `Scaddar::scale` runs, over a
+/// 1M-block catalog at `j = 9` (8 churn ops + the planned addition).
+/// `serial` is [`plan_last_op`]'s `O(B·j)` record fold from `X_0`;
+/// `cached` is exactly the call `scale` makes — [`plan_last_op_with_x`]
+/// over an X-cache holding `X_{j-1}`, which is built once, off the clock.
+fn bench_plan_serial_vs_cached(c: &mut Criterion) {
     let mut group = c.benchmark_group("rf_plan_1m_blocks");
     group.throughput(Throughput::Elements(1_000_000));
     group.sample_size(10);
     let catalog = catalog_1m();
     let mut log = churn_log(8, 8);
+    let cache = XCache::rebuild(&catalog, &RemapPipeline::compile(&log));
     log.push(&ScalingOp::Add { count: 1 }).expect("valid add");
     group.bench_function("serial", |b| {
         b.iter(|| black_box(plan_last_op(&catalog, &log)));
     });
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    group.bench_function("parallel", |b| {
-        b.iter(|| black_box(plan_last_op_parallel(&catalog, &log, threads)));
+    group.bench_function("cached", |b| {
+        b.iter(|| black_box(plan_last_op_with_x(cache.blocks_with_x(&catalog), &log)));
     });
     group.finish();
 }
@@ -147,6 +149,6 @@ criterion_group!(
     bench_remap_primitives,
     bench_plan_operation,
     bench_pipeline_vs_fold,
-    bench_plan_serial_vs_parallel
+    bench_plan_serial_vs_cached
 );
 criterion_main!(benches);

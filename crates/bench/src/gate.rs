@@ -115,10 +115,10 @@ pub const GATES: &[Gate] = &[
         reason: "no reply from a torn epoch",
     },
     Gate {
-        metric: Metric::Ratio("rf_plan_1m_blocks/serial", "rf_plan_1m_blocks/parallel"),
+        metric: Metric::Ratio("rf_plan_1m_blocks/serial", "rf_plan_1m_blocks/cached"),
         cmp: Cmp::AtLeast,
         bound: 1.5,
-        reason: "chunked pipeline folds plan 1M blocks 1.5x faster than the record fold at any core count",
+        reason: "the X-cache planner scale() runs plans 1M blocks 1.5x faster than the record fold",
     },
     Gate {
         metric: Metric::Ratio("compact_locate/post_flip", "compact_locate/fresh"),

@@ -1,8 +1,9 @@
 //! The profiler console: `scaddar-console profile <addr>` pulls the
 //! daemon's always-on cooperative profiler over the wire
-//! ([`Frame::ProfileDump`]), diffs two dumps into a windowed interval
-//! profile, and renders either a human summary (per-thread residency
-//! percentages) or folded-stack text ready for `flamegraph.pl`.
+//! ([`Frame::ProfileDump`](scaddar_net::Frame::ProfileDump)), diffs
+//! two dumps into a windowed interval profile, and renders either a
+//! human summary (per-thread residency percentages) or folded-stack
+//! text ready for `flamegraph.pl`.
 //!
 //! ```text
 //! scaddar-console profile 127.0.0.1:7411                 # 2s window

@@ -157,12 +157,6 @@ impl FleetSnapshot {
             .collect()
     }
 
-    /// Worst health verdict across every shard's last answer
-    /// (0 ok / 1 warn / 2 crit).
-    pub fn worst_verdict(&self) -> u8 {
-        self.shards.iter().map(|s| s.verdict).max().unwrap_or(0)
-    }
-
     /// Folds every shard's last snapshot into one fleet registry:
     /// counters and gauges sum across shards, histograms merge
     /// bucket-wise. Per-shard `fleet_shard_*` gauges (up, epoch,
@@ -224,11 +218,6 @@ impl FleetSnapshot {
     /// The fleet view in Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         self.fleet_registry().render_prometheus()
-    }
-
-    /// The fleet view as a JSON document.
-    pub fn render_json(&self) -> String {
-        self.fleet_registry().snapshot_json()
     }
 
     /// One status line per shard — the dashboard's table body.
@@ -356,14 +345,6 @@ impl FleetAggregator {
             objective_ns,
             fed: BTreeMap::new(),
         });
-    }
-
-    /// Mirrors the SLO monitor's burn gauges into `registry` (no-op
-    /// until [`enable_slo`](Self::enable_slo) ran).
-    pub fn attach_slo_registry(&mut self, registry: &Registry) {
-        if let Some(slo) = self.slo.as_mut() {
-            slo.monitor.attach_registry(registry);
-        }
     }
 
     /// Worst current SLO severity, once SLO tracking is on.

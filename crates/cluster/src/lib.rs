@@ -123,7 +123,6 @@ struct Shard {
     server: Arc<SharedServer>,
     runtime: Arc<ShardRuntime>,
     addr: SocketAddr,
-    registry: Registry,
     tracer: Tracer,
     partitioned: bool,
     objects_gauge: Gauge,
@@ -262,7 +261,6 @@ impl Cluster {
             server,
             runtime,
             addr,
-            registry,
             tracer,
             partitioned: false,
             objects_gauge,
@@ -699,11 +697,6 @@ impl Cluster {
         self.events
             .emit("shard-heal", [("shard", shard.to_string())]);
         Ok(())
-    }
-
-    /// Per-shard registries (for net-level metrics inspection).
-    pub fn shard_registry(&self, shard: u32) -> Option<&Registry> {
-        self.shards.get(&shard).map(|s| &s.registry)
     }
 
     /// Per-shard span flight recorders — each shard daemon's

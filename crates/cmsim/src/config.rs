@@ -77,12 +77,6 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the per-round metrics retention window.
-    pub fn with_metrics_retention(mut self, rounds: usize) -> Self {
-        self.metrics_retention = rounds;
-        self
-    }
-
     /// Overrides the per-disk stream bandwidth (blocks per round).
     pub fn with_bandwidth(mut self, blocks_per_round: u32) -> Self {
         self.disk_bandwidth = blocks_per_round;

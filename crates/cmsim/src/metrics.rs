@@ -11,7 +11,7 @@
 //! simulated runs hold steady-state memory; the run-level totals and
 //! drain intervals are maintained as saturating accumulators at push
 //! time and therefore survive eviction. With a
-//! [`ServerStats`](crate::stats::ServerStats) attached, every push also
+//! [`crate::stats::ServerStats`] attached, every push also
 //! mirrors into the shared metric registry, making the registry a live
 //! view of the same totals.
 

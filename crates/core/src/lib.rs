@@ -75,10 +75,7 @@ pub use object::{BlockRef, Catalog, CmObject, ObjectId};
 pub use ops::{RemovedSet, ScalingOp};
 pub use persist::{PersistError, Snapshot};
 pub use pipeline::RemapPipeline;
-pub use plan::{
-    plan_last_op, plan_last_op_parallel, plan_last_op_parallel_instrumented, plan_last_op_with_x,
-    BlockMove, MovePlan, OpMovement,
-};
+pub use plan::{plan_last_op, plan_last_op_with_x, BlockMove, MovePlan, OpMovement};
 pub use stats::EngineStats;
 pub use xcache::XCache;
 

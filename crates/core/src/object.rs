@@ -195,54 +195,6 @@ impl Catalog {
             })
         })
     }
-
-    /// Iterates `(BlockRef, X_0)` over the contiguous span
-    /// `start..start + len` of the catalog's *flattened* block index
-    /// space (catalog order, objects concatenated). Produces exactly what
-    /// [`Catalog::iter_x0`] yields for those positions, but seeks into
-    /// each object's random stream with the generator's jump-ahead
-    /// instead of regenerating the prefix — what lets parallel bulk scans
-    /// hand each worker a mid-catalog span for the price of one O(log i)
-    /// seek per object touched.
-    pub fn iter_x0_range(
-        &self,
-        start: u64,
-        len: u64,
-    ) -> impl Iterator<Item = (BlockRef, u64)> + '_ {
-        let mut skip = start;
-        let mut remaining = len;
-        // Resolve the span into per-object (object, first block, count)
-        // segments up front; each segment then walks a seeked cursor.
-        let mut segments = Vec::new();
-        for obj in &self.objects {
-            if remaining == 0 {
-                break;
-            }
-            if skip >= obj.blocks {
-                skip -= obj.blocks;
-                continue;
-            }
-            let take = (obj.blocks - skip).min(remaining);
-            segments.push((obj, skip, take));
-            remaining -= take;
-            skip = 0;
-        }
-        segments.into_iter().flat_map(move |(obj, first, take)| {
-            self.randoms(obj)
-                .cursor_at(first)
-                .take(take as usize)
-                .enumerate()
-                .map(move |(i, x0)| {
-                    (
-                        BlockRef {
-                            object: obj.id,
-                            block: first + i as u64,
-                        },
-                        x0,
-                    )
-                })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -332,24 +284,6 @@ mod tests {
         let refs: std::collections::HashSet<_> = pairs.iter().map(|(r, _)| *r).collect();
         assert_eq!(refs.len(), 5);
         assert_eq!(c.total_blocks(), 5);
-    }
-
-    #[test]
-    fn iter_x0_range_matches_full_iteration() {
-        // Exercise the seeking path for every generator family, spans
-        // crossing object boundaries and clipping past the end.
-        for kind in RngKind::ALL {
-            let mut c = Catalog::new(kind, Bits::B32, 7);
-            c.add_object(100);
-            c.add_object(1);
-            c.add_object(250);
-            let full: Vec<_> = c.iter_x0().collect();
-            for (start, len) in [(0, 351), (0, 0), (99, 3), (100, 1), (340, 100), (351, 5)] {
-                let span: Vec<_> = c.iter_x0_range(start, len).collect();
-                let end = (start + len).min(351) as usize;
-                assert_eq!(span, full[start as usize..end], "{kind} [{start}, +{len})");
-            }
-        }
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl ScalingOp {
         ScalingOp::Remove { disks: vec![disk] }
     }
 
-    /// Whether this is an addition.
-    pub fn is_addition(&self) -> bool {
-        matches!(self, ScalingOp::Add { .. })
-    }
-
     /// The disk count after applying this operation to `disks_before`
     /// disks, validating the operation along the way.
     pub fn disks_after(&self, disks_before: u32) -> Result<u32, ScalingError> {

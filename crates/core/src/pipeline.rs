@@ -13,7 +13,7 @@
 //!   are fixed at compilation, so `x / N` and `x % N` are computed with
 //!   a precomputed 128-bit reciprocal (`⌊2¹²⁸/N⌋ + 1`) and two 64×64
 //!   multiplies — exact for all `x` and all `N ≥ 1` (Granlund &
-//!   Montgomery's invariant-divisor scheme; see [`MagicDivisor`]) —
+//!   Montgomery's invariant-divisor scheme; see `MagicDivisor`) —
 //!   instead of a `div` instruction per `mod`/`div` pair. `AF()`'s
 //!   final `X_j mod N_j` uses the same scheme, so no lookup path pays a
 //!   hardware division.
@@ -316,31 +316,6 @@ impl RemapPipeline {
         self.fold_batch(&mut xs);
         xs.into_iter().map(|x| self.disk_of(x)).collect()
     }
-
-    /// Bulk `AF()` across `threads` scoped worker threads, each batch-
-    /// folding a contiguous chunk. Output order matches input order;
-    /// results are identical to [`RemapPipeline::locate_batch`].
-    pub fn locate_batch_parallel(&self, x0s: &[u64], threads: usize) -> Vec<DiskIndex> {
-        let threads = threads.max(1);
-        if threads == 1 || x0s.len() < 2 * threads {
-            return self.locate_batch(x0s);
-        }
-        let mut out = vec![DiskIndex(0); x0s.len()];
-        let chunk = x0s.len().div_ceil(threads);
-        crossbeam::scope(|scope| {
-            for (xs, outs) in x0s.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move |_| {
-                    let mut buf = xs.to_vec();
-                    self.fold_batch(&mut buf);
-                    for (x, slot) in buf.iter().zip(outs.iter_mut()) {
-                        *slot = self.disk_of(*x);
-                    }
-                });
-            }
-        })
-        .expect("locate workers join cleanly");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -494,19 +469,6 @@ mod tests {
         let expected: Vec<u64> = xs.iter().map(|&x| pipe.fold(x)).collect();
         pipe.fold_batch(&mut xs);
         assert_eq!(xs, expected);
-    }
-
-    #[test]
-    fn locate_batch_parallel_matches_serial() {
-        let log = mixed_log();
-        let pipe = RemapPipeline::compile(&log);
-        let x0s: Vec<u64> = (0..10_000u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9))
-            .collect();
-        let serial = pipe.locate_batch(&x0s);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(pipe.locate_batch_parallel(&x0s, threads), serial);
-        }
     }
 
     #[test]

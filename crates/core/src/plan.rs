@@ -17,9 +17,7 @@
 use crate::address::DiskIndex;
 use crate::log::{RecordAction, ScalingLog, ScalingRecord};
 use crate::object::{BlockRef, Catalog};
-use crate::pipeline::RemapPipeline;
 use crate::remap::{remap_add, remap_remove};
-use crate::stats::EngineStats;
 
 /// One block that must change disks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,16 +73,6 @@ impl MovePlan {
         let mut counts = vec![0u64; disks_after as usize];
         for mv in &self.moves {
             counts[mv.to.0 as usize] += 1;
-        }
-        counts
-    }
-
-    /// Census of move sources, indexed by pre-op logical disk. Used by
-    /// experiment E2 to expose the naive scheme's biased sourcing.
-    pub fn source_census(&self, disks_before: u32) -> Vec<u64> {
-        let mut counts = vec![0u64; disks_before as usize];
-        for mv in &self.moves {
-            counts[mv.from.0 as usize] += 1;
         }
         counts
     }
@@ -167,192 +155,6 @@ pub fn plan_last_op(catalog: &Catalog, log: &ScalingLog) -> MovePlan {
         record,
         j,
     )
-}
-
-/// Parallel `RF()`: the same plan as [`plan_last_op`], computed by up
-/// to `threads` scoped worker threads.
-///
-/// The catalog's flattened block index space is split into one
-/// contiguous span per thread; each worker seeks into the random
-/// streams with [`Catalog::iter_x0_range`], folds `X_0 → X_{j-1}`
-/// through a compiled prefix [`RemapPipeline`] in cache-sized batches
-/// ([`RemapPipeline::fold_batch`], step-outer/block-inner), applies the
-/// final record, and emits a partial plan. Partial move lists are
-/// concatenated in span order — which *is* catalog order — so the
-/// result is equal to the serial plan, moves and censuses included.
-///
-/// Spans shorter than [`MIN_SPAN_PER_THREAD`] blocks are not worth a
-/// thread: the requested thread count is clamped so no span falls below
-/// it, and the single-thread case runs the same compiled batch-fold
-/// inline with no spawn/join at all — `threads == 1` is the *fast*
-/// serial path, beating [`plan_last_op`]'s record-by-record reference
-/// fold rather than delegating to it.
-///
-/// # Panics
-/// If the log has no operations.
-pub fn plan_last_op_parallel(catalog: &Catalog, log: &ScalingLog, threads: usize) -> MovePlan {
-    plan_parallel_inner(catalog, log, threads, None)
-}
-
-/// [`plan_last_op_parallel`] recording telemetry: overall planning
-/// latency and block count into `stats.plan_ns` / `stats.plan_blocks`,
-/// and each worker's span duration into `stats.plan_chunk_ns` — the
-/// chunk histogram's spread is the planner's load-imbalance signal.
-///
-/// # Panics
-/// If the log has no operations.
-pub fn plan_last_op_parallel_instrumented(
-    catalog: &Catalog,
-    log: &ScalingLog,
-    threads: usize,
-    stats: &EngineStats,
-) -> MovePlan {
-    plan_parallel_inner(catalog, log, threads, Some(stats))
-}
-
-/// Smallest span worth a planner thread. Below this the batch fold
-/// finishes in tens of microseconds and spawn/join overhead plus the
-/// partial-plan merge cost more than the parallelism buys; the clamp
-/// in [`plan_parallel_inner`] also sends small catalogs down the
-/// inline single-thread path.
-pub const MIN_SPAN_PER_THREAD: u64 = 8_192;
-
-/// Blocks batch-folded per [`RemapPipeline::fold_batch`] call on the
-/// planning path: 4096 × 8 B = 32 KiB of `X` values — comfortably L1
-/// resident alongside the step constants, big enough to amortize the
-/// step-outer loop.
-const PLAN_FOLD_CHUNK: usize = 4_096;
-
-/// Iterator adapter that folds `X_0 → X_{j-1}` through a compiled
-/// prefix pipeline in [`PLAN_FOLD_CHUNK`]-sized batches while yielding
-/// `(BlockRef, X_{j-1})` pairs one at a time — the glue that lets the
-/// streaming [`plan_from_x_prev`] consume the step-outer/block-inner
-/// bulk fold without materializing a whole span.
-struct BatchFolded<'a, I> {
-    inner: I,
-    prefix: &'a RemapPipeline,
-    buf: Vec<(BlockRef, u64)>,
-    xs: Vec<u64>,
-    pos: usize,
-}
-
-impl<'a, I: Iterator<Item = (BlockRef, u64)>> BatchFolded<'a, I> {
-    fn new(inner: I, prefix: &'a RemapPipeline) -> Self {
-        BatchFolded {
-            inner,
-            prefix,
-            buf: Vec::with_capacity(PLAN_FOLD_CHUNK),
-            xs: Vec::with_capacity(PLAN_FOLD_CHUNK),
-            pos: 0,
-        }
-    }
-}
-
-impl<I: Iterator<Item = (BlockRef, u64)>> Iterator for BatchFolded<'_, I> {
-    type Item = (BlockRef, u64);
-
-    fn next(&mut self) -> Option<(BlockRef, u64)> {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.xs.clear();
-            self.pos = 0;
-            while self.buf.len() < PLAN_FOLD_CHUNK {
-                match self.inner.next() {
-                    Some((blockref, x0)) => {
-                        self.buf.push((blockref, 0));
-                        self.xs.push(x0);
-                    }
-                    None => break,
-                }
-            }
-            if self.buf.is_empty() {
-                return None;
-            }
-            self.prefix.fold_batch(&mut self.xs);
-            for (slot, &x) in self.buf.iter_mut().zip(&self.xs) {
-                slot.1 = x;
-            }
-        }
-        let item = self.buf[self.pos];
-        self.pos += 1;
-        Some(item)
-    }
-}
-
-fn plan_parallel_inner(
-    catalog: &Catalog,
-    log: &ScalingLog,
-    threads: usize,
-    stats: Option<&EngineStats>,
-) -> MovePlan {
-    let j = log.epoch();
-    assert!(j > 0, "log has no scaling operation to plan");
-    let plan_start = stats.map(|s| s.clock.now_ns());
-    let total = catalog.total_blocks();
-    let threads = threads
-        .max(1)
-        .min(total.div_ceil(MIN_SPAN_PER_THREAD).max(1) as usize);
-    let prefix = RemapPipeline::compile_prefix(log, j - 1);
-    let record = &log.records()[j - 1];
-    let merged = if threads == 1 {
-        // Inline fast path: same compiled batch fold, no spawn/join.
-        let chunk_start = stats.map(|s| s.clock.now_ns());
-        let merged = plan_from_x_prev(BatchFolded::new(catalog.iter_x0(), &prefix), record, j);
-        if let (Some(s), Some(t0)) = (stats, chunk_start) {
-            s.plan_chunk_ns.record(s.clock.now_ns().saturating_sub(t0));
-        }
-        merged
-    } else {
-        let chunk = total.div_ceil(threads as u64);
-        let partials: Vec<MovePlan> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|t| {
-                    let start = t * chunk;
-                    // With few blocks, ceil-sized chunks can exhaust the
-                    // catalog before the last thread: its span is empty.
-                    let len = chunk.min(total.saturating_sub(start));
-                    let prefix = &prefix;
-                    scope.spawn(move |_| {
-                        let chunk_start = stats.map(|s| s.clock.now_ns());
-                        let partial = plan_from_x_prev(
-                            BatchFolded::new(catalog.iter_x0_range(start, len), prefix),
-                            record,
-                            j,
-                        );
-                        if let (Some(s), Some(t0)) = (stats, chunk_start) {
-                            s.plan_chunk_ns.record(s.clock.now_ns().saturating_sub(t0));
-                        }
-                        partial
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("planner worker panicked"))
-                .collect()
-        })
-        .expect("planner scope joins cleanly");
-        let mut merged = MovePlan {
-            target_epoch: j,
-            moves: Vec::with_capacity(partials.iter().map(|p| p.moves.len()).sum()),
-            total_blocks: 0,
-            optimal_fraction: record.optimal_move_fraction(),
-        };
-        for partial in partials {
-            merged.moves.extend(partial.moves);
-            merged.total_blocks += partial.total_blocks;
-        }
-        merged
-    };
-    if let (Some(s), Some(t0)) = (stats, plan_start) {
-        s.plan_ns.record(s.clock.now_ns().saturating_sub(t0));
-        s.plan_blocks.add(merged.total_blocks);
-        // Each worker folded its span X_0 → X_{j-1}, then applied the
-        // final record: j steps per block in total.
-        s.pipeline_folds
-            .add(merged.total_blocks.saturating_mul(j as u64));
-    }
-    merged
 }
 
 /// Plans the moves for the last operation given each block's *current*
@@ -460,96 +262,6 @@ mod tests {
             .collect();
         let incremental = plan_last_op_with_x(cached, &log);
         assert_eq!(full, incremental);
-    }
-
-    #[test]
-    fn parallel_plan_equals_serial_plan() {
-        // Total is comfortably past MIN_SPAN_PER_THREAD so the span
-        // split (not just the inline single-thread path) is exercised.
-        let mut catalog = Catalog::new(RngKind::SplitMix64, Bits::B32, 7);
-        catalog.add_object(15_000);
-        catalog.add_object(1);
-        catalog.add_object(9_000);
-        let mut log = ScalingLog::new(4).unwrap();
-        for op in [
-            ScalingOp::Add { count: 2 },
-            ScalingOp::remove_one(1),
-            ScalingOp::Add { count: 1 },
-        ] {
-            log.push(&op).unwrap();
-            let serial = plan_last_op(&catalog, &log);
-            for threads in [1, 2, 3, 7, 64] {
-                let parallel = plan_last_op_parallel(&catalog, &log, threads);
-                assert_eq!(parallel, serial, "threads={threads} epoch={}", log.epoch());
-            }
-        }
-    }
-
-    /// Regression: with `total < chunk * (threads - 1)` (e.g. 5 blocks
-    /// over 4 ceil-sized chunks of 2) the last thread's span start lands
-    /// past the catalog and its length must clamp to zero, not
-    /// underflow. Found by the simulation harness shrinking catalogs
-    /// down to a handful of blocks.
-    #[test]
-    fn parallel_plan_handles_tiny_catalogs() {
-        for blocks in 1..=9u64 {
-            let mut catalog = Catalog::new(RngKind::SplitMix64, Bits::B32, 7);
-            catalog.add_object(blocks);
-            let mut log = ScalingLog::new(4).unwrap();
-            log.push(&ScalingOp::Add { count: 1 }).unwrap();
-            let serial = plan_last_op(&catalog, &log);
-            for threads in 2..=6 {
-                assert_eq!(
-                    plan_last_op_parallel(&catalog, &log, threads),
-                    serial,
-                    "blocks={blocks} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn instrumented_parallel_plan_matches_and_records() {
-        use scaddar_obs::{Registry, VirtualClock};
-        use std::sync::Arc;
-        let (catalog, mut log) = setup(4_000);
-        log.push(&ScalingOp::Add { count: 1 }).unwrap();
-        let registry = Registry::new();
-        let stats = EngineStats::register(&registry, Arc::new(VirtualClock::new()));
-        let instrumented = plan_last_op_parallel_instrumented(&catalog, &log, 4, &stats);
-        assert_eq!(instrumented, plan_last_op_parallel(&catalog, &log, 4));
-        assert_eq!(stats.plan_blocks.get(), 4_000);
-        assert_eq!(stats.plan_ns.snapshot().count, 1);
-        // 4 000 blocks is below MIN_SPAN_PER_THREAD: the clamp sends
-        // the whole catalog down the inline path as one chunk.
-        assert_eq!(stats.plan_chunk_ns.snapshot().count, 1);
-        // j = 1: one fold per block.
-        assert_eq!(stats.pipeline_folds.get(), 4_000);
-    }
-
-    #[test]
-    fn instrumented_parallel_plan_splits_large_catalogs() {
-        use scaddar_obs::{Registry, VirtualClock};
-        use std::sync::Arc;
-        let (catalog, mut log) = setup(40_000);
-        log.push(&ScalingOp::Add { count: 1 }).unwrap();
-        let registry = Registry::new();
-        let stats = EngineStats::register(&registry, Arc::new(VirtualClock::new()));
-        let instrumented = plan_last_op_parallel_instrumented(&catalog, &log, 4, &stats);
-        assert_eq!(instrumented, plan_last_op(&catalog, &log));
-        // 40 000 / 8 192 rounds up to 5 ≥ 4: all four workers spin up,
-        // each recording its span.
-        assert_eq!(stats.plan_chunk_ns.snapshot().count, 4);
-        assert_eq!(stats.plan_blocks.get(), 40_000);
-    }
-
-    #[test]
-    fn parallel_plan_handles_empty_catalog() {
-        let catalog = Catalog::new(RngKind::SplitMix64, Bits::B32, 7);
-        let mut log = ScalingLog::new(2).unwrap();
-        log.push(&ScalingOp::Add { count: 1 }).unwrap();
-        let plan = plan_last_op_parallel(&catalog, &log, 8);
-        assert_eq!(plan, plan_last_op(&catalog, &log));
     }
 
     #[test]

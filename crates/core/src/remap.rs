@@ -94,32 +94,6 @@ pub fn remap_remove(x_prev: u64, n_prev: u64, removed: &RemovedSet) -> Remapped 
     }
 }
 
-/// The **naive** single-operation remap the paper rejects (Eq. 2,
-/// additions only): reuse `X_0`'s residue directly.
-///
-/// `X_j = X_0 mod`-style reuse satisfies RO1 and AO1 but, from the second
-/// operation on, the moved blocks are *not* uniformly sourced (Fig. 1:
-/// disks 0 and 2 contribute nothing to the new disk). Exposed here so the
-/// baseline crate and experiment E1/E2 can reproduce that failure
-/// exactly; production code paths never call it.
-#[inline]
-pub fn remap_add_naive(x0: u64, n_prev: u64, n_new: u64) -> Remapped {
-    debug_assert!(n_new > n_prev && n_prev > 0);
-    let d_new = x0 % n_new;
-    if d_new >= n_prev {
-        // Block lands on one of the added disks.
-        Remapped { x: x0, moved: true }
-    } else {
-        // Block keeps whatever disk the previous epoch gave it; the
-        // caller keeps X unchanged because the naive scheme always
-        // re-derives from X_0.
-        Remapped {
-            x: x0,
-            moved: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -59,8 +59,6 @@ pub struct EngineStats {
     pub scale_ns: Histogram,
     /// `RF()` planning latency per operation.
     pub plan_ns: Histogram,
-    /// Per-worker chunk latency inside the parallel planner.
-    pub plan_chunk_ns: Histogram,
     /// Blocks examined by planning passes.
     pub plan_blocks: Counter,
     /// Snapshot bytes encoded.
@@ -117,10 +115,6 @@ impl EngineStats {
             scale_ns: registry
                 .histogram("scaddar_core_scale_ns", "End-to-end scale() latency (ns)"),
             plan_ns: registry.histogram("scaddar_core_plan_ns", "RF() planning latency (ns)"),
-            plan_chunk_ns: registry.histogram(
-                "scaddar_core_plan_chunk_ns",
-                "Per-worker chunk latency inside the parallel planner (ns)",
-            ),
             plan_blocks: registry.counter(
                 "scaddar_core_plan_blocks_total",
                 "Blocks examined by RF() planning passes",

@@ -19,10 +19,7 @@ use cmsim::{
     availability_census, CmServer, ServerConfig, ServerStats, SharedServer, Simulation,
     WorkloadConfig,
 };
-use scaddar_core::{
-    plan_last_op, plan_last_op_parallel, BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig,
-    ScalingOp,
-};
+use scaddar_core::{BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig, ScalingOp};
 use scaddar_monitor::{HealthMonitor, MonitorConfig};
 use scaddar_obs::{Clock, Registry, SpanGuard, Tracer, VirtualClock};
 use std::fmt::Write as _;
@@ -568,8 +565,8 @@ impl<'a> Executor<'a> {
 
         // Plan-level invariants first (cheapest, sharpest).
         invariants::check_ro1_exact(&plan, &op, n_prev)?;
+        invariants::check_oracle_plan(&plan, &self.engine)?;
         invariants::check_ro1_fraction(&plan)?;
-        self.check_parallel_plan()?;
         for fault in faults {
             self.inject(i, fault, &op, n_prev, disks_after, &pre_clone)?;
         }
@@ -738,25 +735,6 @@ impl<'a> Executor<'a> {
                     "redistribution drain stuck after {MAX_TICKS} ticks"
                 )));
             }
-        }
-        Ok(())
-    }
-
-    /// Parallel planning must agree with serial planning exactly.
-    fn check_parallel_plan(&self) -> Result<(), Failure> {
-        let serial = plan_last_op(self.engine.catalog(), self.engine.log());
-        let parallel = plan_last_op_parallel(self.engine.catalog(), self.engine.log(), 4);
-        if serial.moves != parallel.moves || serial.total_blocks != parallel.total_blocks {
-            return Err(Failure {
-                invariant: "oracle-plan",
-                detail: format!(
-                    "parallel plan diverges: {} vs {} moves over {} vs {} blocks",
-                    parallel.moves.len(),
-                    serial.moves.len(),
-                    parallel.total_blocks,
-                    serial.total_blocks
-                ),
-            });
         }
         Ok(())
     }

@@ -8,7 +8,7 @@
 
 use crate::model::Model;
 use scaddar_analysis::uniformity::{chi_square_uniform, max_relative_deviation};
-use scaddar_core::{locate, MovePlan, ObjectId, Scaddar, ScalingOp};
+use scaddar_core::{locate, plan_last_op, MovePlan, ObjectId, Scaddar, ScalingOp};
 use scaddar_monitor::{HealthEvent, HealthMonitor, MonitorConfig};
 use scaddar_obs::{ProfileSnapshot, Registry, RegistrySnapshot, SpanRecord, VirtualClock};
 use std::sync::Arc;
@@ -73,6 +73,27 @@ pub fn check_ro1_exact(plan: &MovePlan, op: &ScalingOp, n_prev: u32) -> Check {
         }
     }
     Ok(())
+}
+
+/// **`oracle-plan`** — the plan `Scaddar::scale` returned (the X-cache
+/// planner, `O(B)`) equals the stateless reference `RF()`
+/// ([`plan_last_op`], `O(B·j)` from `X_0`) over the engine's post-op
+/// catalog and log: same moves in the same order, same census.
+pub fn check_oracle_plan(plan: &MovePlan, engine: &Scaddar) -> Check {
+    let oracle = plan_last_op(engine.catalog(), engine.log());
+    if *plan == oracle {
+        return Ok(());
+    }
+    Err(Failure::new(
+        "oracle-plan",
+        format!(
+            "scale() plan diverges from plan_last_op: {} vs {} moves over {} vs {} blocks",
+            plan.moves.len(),
+            oracle.moves.len(),
+            plan.total_blocks,
+            oracle.total_blocks
+        ),
+    ))
 }
 
 /// **`ro1-fraction`** — the moved fraction tracks the optimal `z_j`.
@@ -647,6 +668,7 @@ mod tests {
             let plan = e.scale(op.clone()).unwrap();
             model.apply(&op);
             check_ro1_exact(&plan, &op, n_prev).unwrap();
+            check_oracle_plan(&plan, &e).unwrap();
             check_ro1_fraction(&plan).unwrap();
             check_ro2(&e).unwrap();
             check_oracle(&e).unwrap();
@@ -691,6 +713,22 @@ mod tests {
             m.from = scaddar_core::DiskIndex(1);
         }
         assert!(check_ro1_exact(&plan, &op, n_prev).is_err());
+    }
+
+    #[test]
+    fn oracle_plan_flags_a_dropped_or_forged_move() {
+        let mut e = engine();
+        let mut plan = e.scale(ScalingOp::Add { count: 1 }).unwrap();
+        check_oracle_plan(&plan, &e).unwrap();
+        let dropped = plan
+            .moves
+            .pop()
+            .expect("an addition over 2300 blocks moves some");
+        let f = check_oracle_plan(&plan, &e).unwrap_err();
+        assert_eq!(f.invariant, "oracle-plan");
+        plan.moves.push(dropped);
+        plan.moves[0].to = scaddar_core::DiskIndex(0);
+        assert!(check_oracle_plan(&plan, &e).is_err());
     }
 
     #[test]

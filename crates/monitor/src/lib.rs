@@ -433,11 +433,6 @@ impl HealthMonitor {
         self.alerts_emitted
     }
 
-    /// The structured event log (JSONL sink).
-    pub fn event_log(&self) -> &EventLog {
-        &self.log
-    }
-
     /// The whole event stream rendered as JSON Lines.
     pub fn events_jsonl(&self) -> String {
         self.log.render_jsonl()

@@ -18,9 +18,9 @@
 //! peer (descriptor exhaustion, say) drops the listener's read
 //! interest for 10 ms, or until one of worker 0's connections closes,
 //! so a backlog it cannot take does not spin the worker. `workers: 0`
-//! means one worker per core, read once per process. Workers are
-//! optionally pinned to CPUs
-//! ([`pin_workers`](crate::NetServerConfig::pin_workers)).
+//! means one worker per core, read once per process. Worker `i` is
+//! pinned to CPU `i` (Linux only, best effort: a worker past the last
+//! CPU runs unpinned) so its connection states stay cache-local.
 //!
 //! ## A wakeup, start to finish
 //!
@@ -28,11 +28,15 @@
 //! 2. Sockets dealt to this worker are registered; on worker 0, a ready
 //!    listener is accepted from, and its own new sockets are read in
 //!    this same wakeup.
-//! 3. Every readable socket is drained to `WouldBlock` into its
-//!    connection's read buffer, and complete frames are decoded in
-//!    place by the re-entrant [`crate::wire`] decoder (partial frames
-//!    stay buffered and re-arm the read deadline — slow-loris clients
-//!    get the PR 5 `read_timeout`, not a thread).
+//! 3. Every readable socket is read into its connection's read buffer
+//!    in 64 KiB chunks until a short read (fewer bytes than the chunk),
+//!    `WouldBlock` or EOF; the poller is level-triggered, so bytes a
+//!    short read left behind re-fire the next `wait` and a closed-loop
+//!    request costs one `read`, not a second one that returns EAGAIN.
+//!    Complete frames are decoded in place by the re-entrant
+//!    [`crate::wire`] decoder (partial frames stay buffered and re-arm
+//!    the read deadline — slow-loris clients get the PR 5
+//!    `read_timeout`, not a thread).
 //! 4. **Cross-connection coalescing**: consecutive `Locate` /
 //!    `LocateBatch` frames — across *all* connections woken this round
 //!    — are answered by one [`cmsim::SharedServer::locate_coalesced`]
@@ -384,8 +388,11 @@ impl Worker {
         Some(slot)
     }
 
-    /// Reads a ready connection to `WouldBlock` and decodes every
-    /// complete frame into `pending` (in arrival order).
+    /// Reads a ready connection in `READ_CHUNK` pieces until a short
+    /// read, `WouldBlock` or EOF, and decodes every complete frame into
+    /// `pending` (in arrival order). A short read ends the drain without
+    /// the extra `read` that would return `WouldBlock`: the poller is
+    /// level-triggered, so anything still unread re-fires the next wait.
     fn handle_event(&mut self, ev: &Event, pending: &mut Vec<PendingReq>) {
         let slot = ev.key;
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
@@ -926,13 +933,10 @@ impl Reactor {
                 high_water: shared.config.max_frame_len as usize * 4,
                 seam,
             };
-            let pin = shared.config.pin_workers;
             let spawned = std::thread::Builder::new()
                 .name(format!("scaddard-worker-{i}"))
                 .spawn(move || {
-                    if pin {
-                        let _ = polling::pin_current_thread_to_cpu(i);
-                    }
+                    let _ = polling::pin_current_thread_to_cpu(i);
                     worker.run();
                 });
             match spawned {

@@ -74,10 +74,6 @@ pub struct NetServerConfig {
     /// Event-loop worker threads; `0` means one per available core.
     /// Ignored in [`ServerMode::Threaded`].
     pub workers: usize,
-    /// Pin event-loop worker `i` to CPU `i mod cores` (Linux only,
-    /// best effort) so a worker's connection states stay cache-local.
-    /// Ignored in [`ServerMode::Threaded`].
-    pub pin_workers: bool,
     /// Connection ceiling (handler threads in [`ServerMode::Threaded`],
     /// registered sockets in [`ServerMode::EventLoop`]); connections
     /// beyond it are rejected with `Error{Busy}`.
@@ -100,7 +96,6 @@ impl Default for NetServerConfig {
         NetServerConfig {
             mode: ServerMode::default(),
             workers: 0,
-            pin_workers: true,
             max_connections: 128,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),

@@ -206,11 +206,6 @@ impl Profiler {
         StateHandle { word }
     }
 
-    /// Number of registered threads.
-    pub fn thread_count(&self) -> usize {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
     /// Runs one sampling round: reads every registered thread's state
     /// word once and bumps the matching residency count. Returns the
     /// total number of rounds run so far.

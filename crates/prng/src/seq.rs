@@ -111,16 +111,6 @@ impl BlockRandoms {
         BlockRandomCursor::new(*self)
     }
 
-    /// A sequential cursor starting at `X_0^{(index)}` — seek via each
-    /// generator's jump-ahead (O(1) for counter-based kinds, O(log i)
-    /// for the others), then iterate. This is what lets parallel bulk
-    /// scans hand each worker a mid-object starting point cheaply.
-    pub fn cursor_at(&self, index: u64) -> BlockRandomCursor {
-        let mut cursor = BlockRandomCursor::new(*self);
-        cursor.advance(index);
-        cursor
-    }
-
     /// The first `n` values, materialized.
     pub fn take_values(&self, n: u64) -> Vec<u64> {
         let mut values = Vec::with_capacity(n as usize);
@@ -281,18 +271,6 @@ mod tests {
         assert_eq!(RngKind::Pcg64.to_string(), "pcg64");
         assert_eq!(RngKind::XorShift64Star.to_string(), "xorshift64star");
         assert_eq!(RngKind::Philox4x32.to_string(), "philox4x32");
-    }
-
-    #[test]
-    fn cursor_at_matches_skipped_cursor_for_all_kinds() {
-        for kind in RngKind::ALL {
-            let seq = BlockRandoms::new(kind, 0xABCD, Bits::B32);
-            for start in [0u64, 1, 17, 1500] {
-                let seeked: Vec<u64> = seq.cursor_at(start).take(8).collect();
-                let walked: Vec<u64> = seq.cursor().skip(start as usize).take(8).collect();
-                assert_eq!(seeked, walked, "kind {kind} start {start}");
-            }
-        }
     }
 
     proptest! {

@@ -96,7 +96,7 @@ impl SeededRng for XorShift64Star {
     }
 
     /// O(log n) for large `n` via GF(2) matrix powers; plain stepping
-    /// below [`MATRIX_JUMP_THRESHOLD`], where it is cheaper.
+    /// below `MATRIX_JUMP_THRESHOLD` (1024 steps), where it is cheaper.
     fn advance(&mut self, n: u64) {
         if n < MATRIX_JUMP_THRESHOLD {
             for _ in 0..n {

@@ -63,9 +63,9 @@ pub use scaddar_prng as prng;
 /// One-stop imports for the common API surface.
 pub mod prelude {
     pub use crate::core::{
-        locate, plan_last_op, plan_last_op_parallel, rule_of_thumb_max_ops, BlockRef, Catalog,
-        DiskIndex, FairnessTracker, MovePlan, ObjectId, RemapPipeline, Scaddar, ScaddarConfig,
-        ScaddarError, ScalingLog, ScalingOp, XCache,
+        locate, plan_last_op, rule_of_thumb_max_ops, BlockRef, Catalog, DiskIndex, FairnessTracker,
+        MovePlan, ObjectId, RemapPipeline, Scaddar, ScaddarConfig, ScaddarError, ScalingLog,
+        ScalingOp, XCache,
     };
     pub use crate::prng::{Bits, BlockRandoms, RngKind};
     pub use cmsim::{CmServer, ServerConfig, Simulation, WorkloadConfig};

@@ -1,7 +1,8 @@
 //! Property-based equivalence tests for the bulk location engine: the
 //! compiled [`RemapPipeline`], the epoch-tagged X-cache behind
-//! [`Scaddar::locate`], and the parallel planner must all agree with the
-//! stateless reference fold, for arbitrary valid scaling histories.
+//! [`Scaddar::locate`], and the planner inside [`Scaddar::scale`] must
+//! all agree with the stateless reference fold, for arbitrary valid
+//! scaling histories.
 
 use proptest::prelude::*;
 use scaddar::core::address::x_at_current_epoch;
@@ -42,14 +43,6 @@ fn schedules(max_ops: usize) -> impl Strategy<Value = (u32, Vec<ScalingOp>)> {
         })
 }
 
-fn log_of(initial: u32, ops: &[ScalingOp]) -> ScalingLog {
-    let mut log = ScalingLog::new(initial).unwrap();
-    for op in ops {
-        log.push(op).unwrap();
-    }
-    log
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -81,22 +74,33 @@ proptest! {
         prop_assert_eq!(RemapPipeline::compile(&log), pipeline);
     }
 
-    /// The parallel planner produces the *identical* `MovePlan` as the
-    /// serial planner — moves in the same order, same censuses — for any
-    /// history, any thread count.
+    /// Every plan `Scaddar::scale` returns — the X-cache planner,
+    /// `plan_last_op_with_x` over `X_{j-1}` — is *identical* to the
+    /// stateless reference `RF()` over the post-op catalog and log:
+    /// moves in the same order, same censuses, for any history, with
+    /// objects admitted and deleted between operations.
     #[test]
-    fn parallel_plan_equals_serial_plan(
-        (initial, ops) in schedules(6),
-        threads in 1usize..9,
+    fn scale_plan_equals_reference_plan(
+        (initial, ops) in schedules(8),
+        churn in proptest::collection::vec((any::<bool>(), 1u64..900), 8),
     ) {
-        prop_assume!(!ops.is_empty());
-        let mut catalog = Catalog::new(RngKind::SplitMix64, Bits::B32, 11);
-        catalog.add_object(1_500);
-        catalog.add_object(700);
-        let log = log_of(initial, &ops);
-        let serial = plan_last_op(&catalog, &log);
-        let parallel = plan_last_op_parallel(&catalog, &log, threads);
-        prop_assert_eq!(parallel, serial);
+        let mut engine = Scaddar::new(
+            ScaddarConfig::new(initial).with_catalog_seed(11),
+        ).unwrap();
+        engine.add_object(1_500);
+        engine.add_object(700);
+        for (op, &(delete, blocks)) in ops.iter().zip(&churn) {
+            let plan = engine.scale(op.clone()).unwrap();
+            prop_assert_eq!(&plan, &plan_last_op(engine.catalog(), engine.log()));
+            // Churn after the op: the next plan runs over a cache that
+            // admitted or evicted an object mid-history.
+            let oldest = engine.catalog().objects()[0].id;
+            if delete && engine.catalog().objects().len() > 1 {
+                engine.remove_object(oldest).unwrap();
+            } else {
+                engine.add_object(blocks);
+            }
+        }
     }
 
     /// The engine's cached-X lookups agree with the stateless O(j)
