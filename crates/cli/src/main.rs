@@ -10,7 +10,6 @@ use scaddar_cli::fleet;
 use scaddar_cli::profile;
 use scaddar_cli::remote;
 use scaddar_cli::Session;
-use scaddar_monitor::Severity;
 use std::io::{self, BufRead, Write};
 
 const USAGE: &str = "\
@@ -77,11 +76,9 @@ fn interactive() -> i32 {
         match session.execute(line) {
             Ok(out) => {
                 if is_health {
-                    health_code = session.health_verdict().map_or(0, |verdict| match verdict {
-                        Severity::Ok => 0,
-                        Severity::Warn => 1,
-                        Severity::Crit => 2,
-                    });
+                    health_code = session
+                        .health_verdict()
+                        .map_or(0, remote::verdict_exit_code);
                 }
                 if !out.is_empty() {
                     println!("{out}");

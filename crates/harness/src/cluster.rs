@@ -18,29 +18,35 @@
 //!   fraction + 6σ.
 //!
 //! Same seed → byte-identical trace (the cluster runs under a
-//! [`VirtualClock`] and the trace records only logical events). On
-//! failure the scenario shrinks delta-debug style ([`minimize`]) to a
-//! minimal cluster reproducer, reusing the `proptest` shim's shrinking
-//! vocabulary like the single-node harness does.
+//! [`VirtualClock`] and the trace records only logical events). The
+//! mode plugs into the harness's shared pipeline as the [`Mode`] of
+//! [`ClusterMutation`]: on failure the scenario shrinks through the
+//! same delta-debugging loop ([`minimize`]) as the single-node harness,
+//! over cluster candidates built from the `proptest` shim's shrinking
+//! vocabulary.
 
 use crate::invariants::{
     check_cluster_epoch_single, check_cluster_migration_delta, check_cluster_routing_agree,
     check_federation_agreement, check_profile_conserves, check_trace_complete, Failure,
 };
-use proptest::shrink::{halvings, removal_spans};
+use crate::Mode;
+use proptest::shrink::halvings;
 use proptest::test_runner::TestRng;
 use scaddar_cluster::{Cluster, ClusterConfig, FleetAggregator, MigrationRecord, ProbeResult};
 use scaddar_net::{ClusterClient, NetClient};
 use scaddar_obs::{Tracer, VirtualClock};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+pub use crate::run_seed as run_cluster_seed;
+pub use crate::shrink::minimize;
+
 /// Which routing arithmetic the *model* runs — the plantable bug the
 /// cluster acceptance tests require the harness to catch and shrink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ClusterMutation {
     /// Faithful jump hash: the clean run.
+    #[default]
     None,
     /// The model routes over `n - 1` buckets whenever the cluster has
     /// more than one shard — as if the newest shard never existed. The
@@ -490,59 +496,54 @@ impl Exec {
 /// cluster invariant catalog after every step.
 pub fn execute(scenario: &ClusterScenario, mutation: ClusterMutation) -> ClusterOutcome {
     let clock = Arc::new(VirtualClock::new());
-    let cluster = match Cluster::boot_with_clock(
-        ClusterConfig {
-            shards: scenario.initial_shards,
-            blocks_per_object: BLOCKS_PER_OBJECT,
-            catalog_seed: scenario.seed,
-            migration_batch: 4,
-            ..ClusterConfig::default()
-        },
-        clock.clone(),
-    ) {
-        Ok(c) => c,
-        Err(e) => {
+    let mut exec = match Exec::boot(scenario, mutation, &clock) {
+        Ok(exec) => exec,
+        Err(detail) => {
             return ClusterOutcome {
                 trace: String::new(),
                 failure: Some(Failure {
                     invariant: "cluster-boot",
-                    detail: e,
+                    detail,
                 }),
                 failed_step: None,
             }
         }
     };
-    let mut exec = {
-        let mut cluster = cluster;
-        if let Err(e) = cluster.populate(scenario.initial_objects) {
-            return ClusterOutcome {
-                trace: String::new(),
-                failure: Some(Failure {
-                    invariant: "cluster-boot",
-                    detail: e,
-                }),
-                failed_step: None,
-            };
-        }
-        let mut client = match ClusterClient::connect(&cluster.seeds()) {
-            Ok(c) => c,
-            Err(e) => {
-                return ClusterOutcome {
-                    trace: String::new(),
-                    failure: Some(Failure {
-                        invariant: "cluster-boot",
-                        detail: e.to_string(),
-                    }),
-                    failed_step: None,
-                }
-            }
-        };
+    let failure = exec.run(scenario, &clock).err();
+    exec.cluster.shutdown();
+    ClusterOutcome {
+        trace: exec.trace,
+        failed_step: failure.as_ref().map(|(step, _)| *step),
+        failure: failure.map(|(_, f)| f),
+    }
+}
+
+impl Exec {
+    /// Boots the scenario's cluster, populates it, and connects a
+    /// tracing client to it.
+    fn boot(
+        scenario: &ClusterScenario,
+        mutation: ClusterMutation,
+        clock: &Arc<VirtualClock>,
+    ) -> Result<Exec, String> {
+        let mut cluster = Cluster::boot_with_clock(
+            ClusterConfig {
+                shards: scenario.initial_shards,
+                blocks_per_object: BLOCKS_PER_OBJECT,
+                catalog_seed: scenario.seed,
+                migration_batch: 4,
+                ..ClusterConfig::default()
+            },
+            clock.clone(),
+        )?;
+        cluster.populate(scenario.initial_objects)?;
+        let mut client = ClusterClient::connect(&cluster.seeds()).map_err(|e| e.to_string())?;
         // Root spans are seeded from (scenario seed, lookup sequence),
         // so the trace ids — and the whole logical trace — stay
         // byte-identical across runs. 4096 spans outlasts any
         // scenario's lookup budget.
         client.enable_tracing(Tracer::new(clock.clone(), 4096), scenario.seed);
-        Exec {
+        Ok(Exec {
             client,
             model: RoutingModel::new(scenario.initial_shards, mutation),
             down: Vec::new(),
@@ -556,111 +557,62 @@ pub fn execute(scenario: &ClusterScenario, mutation: ClusterMutation) -> Cluster
                 cluster.map().version
             ),
             cluster,
-        }
-    };
-
-    for (i, step) in scenario.steps.iter().enumerate() {
-        clock.advance(1_000_000);
-        let result = run_step(&mut exec, step);
-        match result {
-            Ok(note) => {
-                let _ = writeln!(exec.trace, "{i}: {} -> {note}", step.label());
-            }
-            Err(failure) => {
-                let _ = writeln!(
-                    exec.trace,
-                    "{i}: {} -> FAIL [{}] {}",
-                    step.label(),
-                    failure.invariant,
-                    failure.detail
-                );
-                exec.cluster.shutdown();
-                return ClusterOutcome {
-                    trace: exec.trace,
-                    failure: Some(failure),
-                    failed_step: Some(i),
-                };
-            }
-        }
-        // The epoch-single sweep runs after every step: kills,
-        // partitions, and half-finished topology states must never
-        // leave an object served twice.
-        if let Err(failure) = exec.epoch_single_sweep() {
-            let _ = writeln!(
-                exec.trace,
-                "{i}: sweep -> FAIL [{}] {}",
-                failure.invariant, failure.detail
-            );
-            exec.cluster.shutdown();
-            return ClusterOutcome {
-                trace: exec.trace,
-                failure: Some(failure),
-                failed_step: Some(i),
-            };
-        }
+        })
     }
-    if let Err(e) = exec.cluster.residency_consistent() {
-        let failure = Failure {
-            invariant: "cluster-epoch-single",
-            detail: format!("final residency audit: {e}"),
-        };
+
+    /// Runs every step, then the end-of-run audits; on the first
+    /// failure, returns it with the index of the step it surfaced at.
+    fn run(
+        &mut self,
+        scenario: &ClusterScenario,
+        clock: &VirtualClock,
+    ) -> Result<(), (usize, Failure)> {
+        for (i, step) in scenario.steps.iter().enumerate() {
+            clock.advance(1_000_000);
+            match run_step(self, step) {
+                Ok(note) => {
+                    let _ = writeln!(self.trace, "{i}: {} -> {note}", step.label());
+                }
+                Err(f) => return Err(self.fail(i, &format!("{i}: {} -> ", step.label()), f)),
+            }
+            // The epoch-single sweep runs after every step: kills,
+            // partitions, and half-finished topology states must never
+            // leave an object served twice.
+            self.epoch_single_sweep()
+                .map_err(|f| self.fail(i, &format!("{i}: sweep -> "), f))?;
+        }
+        let last = scenario.steps.len().saturating_sub(1);
+        self.cluster.residency_consistent().map_err(|e| {
+            let failure = Failure {
+                invariant: "cluster-epoch-single",
+                detail: format!("final residency audit: {e}"),
+            };
+            self.fail(last, "final: ", failure)
+        })?;
+        let shards = self
+            .federation_audit()
+            .map_err(|f| self.fail(last, "federation: ", f))?;
+        let _ = writeln!(self.trace, "federation: {shards} shards agree");
+        let shards = self
+            .profile_audit()
+            .map_err(|f| self.fail(last, "profiles: ", f))?;
+        // Only the shard count goes in the trace: the real-time
+        // sampler makes round counts wall-clock dependent, and the
+        // trace must stay byte-identical per seed.
+        let _ = writeln!(self.trace, "profiles: {shards} shards conserve");
+        let _ = writeln!(self.trace, "final map=v{}", self.cluster.map().version);
+        Ok(())
+    }
+
+    /// Records `failure` in the trace after `at` and tags it with
+    /// `step`.
+    fn fail(&mut self, step: usize, at: &str, failure: Failure) -> (usize, Failure) {
         let _ = writeln!(
-            exec.trace,
-            "final: FAIL [{}] {}",
+            self.trace,
+            "{at}FAIL [{}] {}",
             failure.invariant, failure.detail
         );
-        exec.cluster.shutdown();
-        return ClusterOutcome {
-            trace: exec.trace,
-            failure: Some(failure),
-            failed_step: Some(scenario.steps.len().saturating_sub(1)),
-        };
-    }
-    match exec.federation_audit() {
-        Ok(shards) => {
-            let _ = writeln!(exec.trace, "federation: {shards} shards agree");
-        }
-        Err(failure) => {
-            let _ = writeln!(
-                exec.trace,
-                "federation: FAIL [{}] {}",
-                failure.invariant, failure.detail
-            );
-            exec.cluster.shutdown();
-            return ClusterOutcome {
-                trace: exec.trace,
-                failure: Some(failure),
-                failed_step: Some(scenario.steps.len().saturating_sub(1)),
-            };
-        }
-    }
-    match exec.profile_audit() {
-        Ok(shards) => {
-            // Only the shard count goes in the trace: the real-time
-            // sampler makes round counts wall-clock dependent, and the
-            // trace must stay byte-identical per seed.
-            let _ = writeln!(exec.trace, "profiles: {shards} shards conserve");
-        }
-        Err(failure) => {
-            let _ = writeln!(
-                exec.trace,
-                "profiles: FAIL [{}] {}",
-                failure.invariant, failure.detail
-            );
-            exec.cluster.shutdown();
-            return ClusterOutcome {
-                trace: exec.trace,
-                failure: Some(failure),
-                failed_step: Some(scenario.steps.len().saturating_sub(1)),
-            };
-        }
-    }
-    let _ = writeln!(exec.trace, "final map=v{}", exec.cluster.map().version);
-    exec.cluster.shutdown();
-    ClusterOutcome {
-        trace: exec.trace,
-        failure: None,
-        failed_step: None,
+        (step, failure)
     }
 }
 
@@ -790,211 +742,97 @@ fn run_step(exec: &mut Exec, step: &ClusterStep) -> Result<String, Failure> {
     }
 }
 
-/// The result of minimizing a failing cluster scenario.
-#[derive(Debug, Clone)]
-pub struct ShrunkCluster {
-    /// The minimal scenario found (fails the same invariant).
-    pub scenario: ClusterScenario,
-    /// Its outcome.
-    pub outcome: ClusterOutcome,
-    /// Candidate executions spent.
-    pub executions: usize,
-    /// Adopted shrink steps.
-    pub adopted: usize,
-}
+/// The cluster mode: a real loopback cluster per scenario, checked
+/// against [`RoutingModel`].
+impl Mode for ClusterMutation {
+    type Scenario = ClusterScenario;
+    type Step = ClusterStep;
+    type Outcome = ClusterOutcome;
 
-/// Execution budget for one cluster shrink run. Each candidate boots a
-/// real loopback cluster, so the budget is tighter than the
-/// single-node shrinker's.
-const SHRINK_BUDGET: usize = 80;
+    const FLAG: Option<&'static str> = Some("--cluster");
+    const BUGS: &'static [(&'static str, ClusterMutation)] =
+        &[("route", ClusterMutation::RouteIgnoreNewestShard)];
+    const LABEL: &'static str = "cluster seed";
+    /// Each candidate boots a real loopback cluster, so the budget is
+    /// tighter than the single-node shrinker's.
+    const SHRINK_BUDGET: usize = 80;
 
-/// Minimizes `scenario`, which must fail under `mutation` with the
-/// invariant named `invariant` — delta-debugging over the step list,
-/// then the initial shape, reusing the `proptest` shim's candidate
-/// generators.
-pub fn minimize(
-    scenario: &ClusterScenario,
-    mutation: ClusterMutation,
-    invariant: &str,
-) -> ShrunkCluster {
-    let mut current = scenario.clone();
-    let mut outcome = execute(&current, mutation);
-    let mut executions = 1usize;
-    let mut adopted = 0usize;
-    debug_assert!(
-        matches(&outcome, invariant),
-        "caller must pass a failing scenario"
-    );
-
-    // Everything after the failing step is dead weight.
-    if let Some(fs) = outcome.failed_step {
-        if fs + 1 < current.steps.len() {
-            current.steps.truncate(fs + 1);
-            outcome = execute(&current, mutation);
-            executions += 1;
-            adopted += 1;
-        }
+    fn generate(seed: u64) -> ClusterScenario {
+        ClusterScenario::generate(seed)
     }
 
-    loop {
-        let mut improved = false;
-        for candidate in candidates(&current) {
-            if executions >= SHRINK_BUDGET {
-                return ShrunkCluster {
-                    scenario: current,
-                    outcome,
-                    executions,
-                    adopted,
-                };
-            }
-            let o = execute(&candidate, mutation);
-            executions += 1;
-            if matches(&o, invariant) {
-                current = candidate;
-                outcome = o;
-                adopted += 1;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            return ShrunkCluster {
-                scenario: current,
-                outcome,
-                executions,
-                adopted,
-            };
-        }
+    fn execute(scenario: &ClusterScenario, mutation: ClusterMutation) -> ClusterOutcome {
+        execute(scenario, mutation)
     }
-}
 
-fn matches(outcome: &ClusterOutcome, invariant: &str) -> bool {
-    outcome
-        .failure
-        .as_ref()
-        .is_some_and(|f| f.invariant == invariant)
-}
-
-/// All one-edit-smaller candidates, most aggressive first.
-fn candidates(s: &ClusterScenario) -> Vec<ClusterScenario> {
-    let mut out = Vec::new();
-    for (start, end) in removal_spans(s.steps.len(), 0, 16) {
-        let mut c = s.clone();
-        c.steps.drain(start..end);
-        out.push(c);
+    fn steps(scenario: &mut ClusterScenario) -> &mut Vec<ClusterStep> {
+        &mut scenario.steps
     }
-    for (i, step) in s.steps.iter().enumerate() {
-        match step {
-            ClusterStep::Load { requests } => {
-                for r in halvings(0, *requests) {
-                    let mut c = s.clone();
-                    c.steps[i] = ClusterStep::Load { requests: r };
-                    out.push(c);
+
+    /// Smaller loads and ingests, then a smaller initial shape.
+    fn candidates(s: &ClusterScenario) -> Vec<ClusterScenario> {
+        let mut out = Vec::new();
+        for (i, step) in s.steps.iter().enumerate() {
+            match step {
+                ClusterStep::Load { requests } => {
+                    for r in halvings(0, *requests) {
+                        let mut c = s.clone();
+                        c.steps[i] = ClusterStep::Load { requests: r };
+                        out.push(c);
+                    }
                 }
-            }
-            ClusterStep::Ingest { count } => {
-                for n in halvings(0, *count) {
-                    let mut c = s.clone();
-                    c.steps[i] = ClusterStep::Ingest { count: n };
-                    out.push(c);
+                ClusterStep::Ingest { count } => {
+                    for n in halvings(0, *count) {
+                        let mut c = s.clone();
+                        c.steps[i] = ClusterStep::Ingest { count: n };
+                        out.push(c);
+                    }
                 }
+                _ => {}
             }
-            _ => {}
         }
-    }
-    for o in halvings(1, s.initial_objects) {
-        let mut c = s.clone();
-        c.initial_objects = o;
-        out.push(c);
-    }
-    for n in halvings(1, u64::from(s.initial_shards)) {
-        let mut c = s.clone();
-        c.initial_shards = n as u32;
-        out.push(c);
-    }
-    out
-}
-
-/// Everything one cluster seed produced.
-#[derive(Debug)]
-pub struct ClusterRunReport {
-    /// The driving seed.
-    pub seed: u64,
-    /// The generated scenario.
-    pub scenario: ClusterScenario,
-    /// Execution outcome.
-    pub outcome: ClusterOutcome,
-    /// Minimized reproducer, present iff the run failed.
-    pub shrunk: Option<ShrunkCluster>,
-}
-
-impl ClusterRunReport {
-    /// Whether the seed passed the cluster invariant catalog.
-    pub fn passed(&self) -> bool {
-        self.outcome.passed()
-    }
-
-    /// Human-readable report. Deterministic for a given seed.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if let Some(f) = &self.outcome.failure {
-            let _ = writeln!(
-                out,
-                "cluster seed {}: FAIL [{}] {}",
-                self.seed, f.invariant, f.detail
-            );
-            let _ = writeln!(out, "full scenario:\n{}", self.scenario.describe());
-            if let Some(shrunk) = &self.shrunk {
-                let _ = writeln!(
-                    out,
-                    "minimal reproducer ({} executions, {} shrink steps, \
-                     {} topology ops):\n{}",
-                    shrunk.executions,
-                    shrunk.adopted,
-                    shrunk.scenario.topology_ops(),
-                    shrunk.scenario.describe()
-                );
-                let _ = writeln!(out, "minimal trace:\n{}", shrunk.outcome.trace);
-            }
-            let _ = writeln!(out, "trace:\n{}", self.outcome.trace);
-            let _ = writeln!(
-                out,
-                "replay: HARNESS_SEED={} cargo run --release -p scaddar-harness -- --cluster",
-                self.seed
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "cluster seed {}: PASS ({} steps, {} topology ops)",
-                self.seed,
-                self.scenario.steps.len(),
-                self.scenario.topology_ops(),
-            );
+        for o in halvings(1, s.initial_objects) {
+            let mut c = s.clone();
+            c.initial_objects = o;
+            out.push(c);
+        }
+        for n in halvings(1, u64::from(s.initial_shards)) {
+            let mut c = s.clone();
+            c.initial_shards = n as u32;
+            out.push(c);
         }
         out
     }
-}
 
-/// Runs one cluster seed end to end: generate, execute, and (on
-/// failure) minimize.
-pub fn run_cluster_seed(seed: u64, mutation: ClusterMutation) -> ClusterRunReport {
-    let scenario = ClusterScenario::generate(seed);
-    let outcome = execute(&scenario, mutation);
-    let shrunk = outcome
-        .failure
-        .as_ref()
-        .map(|f| minimize(&scenario, mutation, f.invariant));
-    ClusterRunReport {
-        seed,
-        scenario,
-        outcome,
-        shrunk,
+    fn describe(scenario: &ClusterScenario) -> String {
+        scenario.describe()
+    }
+
+    fn ops(scenario: &ClusterScenario) -> String {
+        format!("{} topology ops", scenario.topology_ops())
+    }
+
+    fn failure(outcome: &ClusterOutcome) -> Option<&Failure> {
+        outcome.failure.as_ref()
+    }
+
+    fn failed_step(outcome: &ClusterOutcome) -> Option<usize> {
+        outcome.failed_step
+    }
+
+    fn pass_summary(scenario: &ClusterScenario, _: &ClusterOutcome) -> String {
+        format!("{} steps, {}", scenario.steps.len(), Self::ops(scenario))
+    }
+
+    fn evidence(outcome: &ClusterOutcome, minimal: bool, out: &mut String) {
+        let prefix = if minimal { "minimal " } else { "" };
+        let _ = writeln!(out, "{prefix}trace:\n{}", outcome.trace);
+    }
+
+    fn events(_: &ClusterOutcome) -> &str {
+        ""
     }
 }
-
-/// Keeps [`BTreeMap`] in the public graph for downstream callers that
-/// group migration records per shard.
-pub type MigrationsByShard = BTreeMap<u32, Vec<MigrationRecord>>;
 
 #[cfg(test)]
 mod tests {

@@ -901,9 +901,9 @@ fn stale_epoch_reads(
         }
         Ok(())
     };
-    let result = crossbeam::thread::scope(|s| {
-        let r1 = s.spawn(|_| reader(1));
-        let r2 = s.spawn(|_| reader(7));
+    let result = std::thread::scope(|s| {
+        let r1 = s.spawn(|| reader(1));
+        let r2 = s.spawn(|| reader(7));
         shared
             .scale(op)
             .map_err(|e| format!("shared.scale: {e:?}"))?;
@@ -917,8 +917,7 @@ fn stale_epoch_reads(
         }
         r1.join().expect("reader 1 panicked")?;
         r2.join().expect("reader 2 panicked")
-    })
-    .expect("scope");
+    });
     result.map_err(|detail| Failure {
         invariant: "epoch-consistency",
         detail,

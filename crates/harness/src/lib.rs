@@ -9,14 +9,18 @@
 //! concurrent server.
 //!
 //! On failure the scenario is shrunk to a minimal reproducer and the
-//! report prints a one-line replay command:
+//! report prints a one-line replay command carrying the flags that
+//! reproduce the run:
 //!
 //! ```text
-//! HARNESS_SEED=1234 cargo run --release -p scaddar-harness
+//! HARNESS_SEED=1234 cargo run --release -p scaddar-harness -- --plant-bug ro1
 //! ```
 //!
-//! Same seed, same binary → byte-identical trace. See `TESTING.md` at
-//! the repository root for the invariant catalog and workflow.
+//! Same seed, same binary → byte-identical trace. Both modes — the
+//! single-node scenarios here and the multi-shard [`cluster`] ones —
+//! implement [`Mode`] and share one [`run_seed`], one shrinker
+//! ([`shrink::minimize`]) and one [`RunReport`]. See `TESTING.md` at the
+//! repository root for the invariant catalog and workflow.
 
 pub mod cluster;
 pub mod exec;
@@ -26,85 +30,224 @@ pub mod scenario;
 pub mod shrink;
 
 use exec::Outcome;
-use scenario::{Mutation, Scenario};
+use invariants::Failure;
+use scenario::{Mutation, Scenario, Step};
 use shrink::Shrunk;
+use std::fmt::Debug;
 use std::fmt::Write as _;
+
+/// One harness mode, named by its mutation type: the model variants it
+/// can plant, [`Default`] being the clean run. The mode supplies its
+/// scenario family, executor, shrink vocabulary and report wording;
+/// [`run_seed`], [`shrink::minimize`] and [`RunReport::render`] are
+/// written once against it.
+pub trait Mode: Copy + Default + PartialEq + Debug + 'static {
+    /// A fully seeded scenario.
+    type Scenario: Clone + Debug;
+    /// One step of a scenario.
+    type Step: Clone;
+    /// What one execution of a scenario produced.
+    type Outcome: Clone + Debug;
+
+    /// The command-line flag that selects the mode, if any.
+    const FLAG: Option<&'static str>;
+    /// `--plant-bug` names of the mode's planted bugs.
+    const BUGS: &'static [(&'static str, Self)];
+    /// How a seed's verdict line names the seed.
+    const LABEL: &'static str;
+    /// Execution budget of one shrink run.
+    const SHRINK_BUDGET: usize;
+
+    /// Deterministically generates the scenario for `seed`.
+    fn generate(seed: u64) -> Self::Scenario;
+    /// Executes `scenario` with this mutation planted.
+    fn execute(scenario: &Self::Scenario, mutation: Self) -> Self::Outcome;
+    /// The scenario's step list.
+    fn steps(scenario: &mut Self::Scenario) -> &mut Vec<Self::Step>;
+    /// The mode's one-edit-smaller scenarios other than dropped steps,
+    /// most aggressive first.
+    fn candidates(scenario: &Self::Scenario) -> Vec<Self::Scenario>;
+    /// A stable multi-line description (for reproducer printouts).
+    fn describe(scenario: &Self::Scenario) -> String;
+    /// The size measure printed with a reproducer, e.g. `3 scale ops`.
+    fn ops(scenario: &Self::Scenario) -> String;
+    /// The first invariant violation, if any.
+    fn failure(outcome: &Self::Outcome) -> Option<&Failure>;
+    /// Index of the step the failure surfaced at.
+    fn failed_step(outcome: &Self::Outcome) -> Option<usize>;
+    /// The parenthesised body of a passing seed's verdict line.
+    fn pass_summary(scenario: &Self::Scenario, outcome: &Self::Outcome) -> String;
+    /// Appends the outcome's trace sections to a failure report, as
+    /// the shrunk reproducer's (`minimal`) or the original run's.
+    fn evidence(outcome: &Self::Outcome, minimal: bool, out: &mut String);
+    /// The run's health-monitor JSONL event log (empty if the mode
+    /// keeps none).
+    fn events(outcome: &Self::Outcome) -> &str;
+
+    /// The mutation `--plant-bug name` selects in this mode.
+    fn plant(name: &str) -> Option<Self> {
+        Self::BUGS.iter().find(|(n, _)| *n == name).map(|(_, m)| *m)
+    }
+
+    /// The harness flags that select this mode and mutation.
+    fn replay_flags(self) -> Vec<&'static str> {
+        let mut flags: Vec<&'static str> = Self::FLAG.into_iter().collect();
+        if let Some((name, _)) = Self::BUGS.iter().find(|(_, m)| *m == self) {
+            flags.extend(["--plant-bug", name]);
+        }
+        flags
+    }
+}
+
+/// The single-node mode: one engine, server and model per scenario.
+impl Mode for Mutation {
+    type Scenario = Scenario;
+    type Step = Step;
+    type Outcome = Outcome;
+
+    const FLAG: Option<&'static str> = None;
+    const BUGS: &'static [(&'static str, Mutation)] = &[
+        ("ro1", Mutation::Ro1AddOffByOne),
+        ("misplace", Mutation::MisplaceBlock),
+    ];
+    const LABEL: &'static str = "seed";
+    /// Shrunk scenarios are small and execute in milliseconds, so this
+    /// stays well under the 60 s the planted-bug acceptance criterion
+    /// allows.
+    const SHRINK_BUDGET: usize = 600;
+
+    fn generate(seed: u64) -> Scenario {
+        Scenario::generate(seed)
+    }
+
+    fn execute(scenario: &Scenario, mutation: Mutation) -> Outcome {
+        exec::execute(scenario, mutation)
+    }
+
+    fn steps(scenario: &mut Scenario) -> &mut Vec<Step> {
+        &mut scenario.steps
+    }
+
+    fn candidates(scenario: &Scenario) -> Vec<Scenario> {
+        shrink::candidates(scenario)
+    }
+
+    fn describe(scenario: &Scenario) -> String {
+        scenario.describe()
+    }
+
+    fn ops(scenario: &Scenario) -> String {
+        format!("{} scale ops", scenario.scale_ops())
+    }
+
+    fn failure(outcome: &Outcome) -> Option<&Failure> {
+        outcome.failure.as_ref()
+    }
+
+    fn failed_step(outcome: &Outcome) -> Option<usize> {
+        outcome.failed_step
+    }
+
+    fn pass_summary(scenario: &Scenario, outcome: &Outcome) -> String {
+        format!(
+            "{} steps, {}, {} health events, {} alerts",
+            scenario.steps.len(),
+            Self::ops(scenario),
+            outcome.health_events.lines().count(),
+            outcome.health_alerts,
+        )
+    }
+
+    fn evidence(outcome: &Outcome, minimal: bool, out: &mut String) {
+        if minimal {
+            let _ = writeln!(out, "minimal trace:\n{}", outcome.trace);
+            let _ = writeln!(out, "minimal span timeline:\n{}", outcome.spans);
+        } else {
+            let _ = writeln!(out, "span timeline:\n{}", outcome.spans);
+        }
+    }
+
+    fn events(outcome: &Outcome) -> &str {
+        &outcome.health_events
+    }
+}
 
 /// Everything one seed produced: the scenario, its outcome, and (on
 /// failure) the minimized reproducer.
 #[derive(Debug)]
-pub struct RunReport {
+pub struct RunReport<M: Mode> {
     /// The driving seed.
     pub seed: u64,
+    /// The planted mutation.
+    pub mutation: M,
     /// The generated scenario.
-    pub scenario: Scenario,
+    pub scenario: M::Scenario,
     /// Execution outcome (trace + first failure).
-    pub outcome: Outcome,
+    pub outcome: M::Outcome,
     /// Minimized reproducer, present iff the run failed.
-    pub shrunk: Option<Shrunk>,
+    pub shrunk: Option<Shrunk<M>>,
 }
 
-impl RunReport {
+impl<M: Mode> RunReport<M> {
     /// Whether the seed passed every invariant.
     pub fn passed(&self) -> bool {
-        self.outcome.passed()
+        M::failure(&self.outcome).is_none()
     }
 
     /// Human-readable report. Deterministic for a given seed.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if let Some(f) = &self.outcome.failure {
+        let Some(f) = M::failure(&self.outcome) else {
             let _ = writeln!(
                 out,
-                "seed {}: FAIL [{}] {}",
-                self.seed, f.invariant, f.detail
-            );
-            let _ = writeln!(out, "full scenario:\n{}", self.scenario.describe());
-            if let Some(shrunk) = &self.shrunk {
-                let _ = writeln!(
-                    out,
-                    "minimal reproducer ({} executions, {} shrink steps, \
-                     {} scale ops):\n{}",
-                    shrunk.executions,
-                    shrunk.adopted,
-                    shrunk.scenario.scale_ops(),
-                    shrunk.scenario.describe()
-                );
-                let _ = writeln!(out, "minimal trace:\n{}", shrunk.outcome.trace);
-                let _ = writeln!(out, "minimal span timeline:\n{}", shrunk.outcome.spans);
-            }
-            let _ = writeln!(out, "span timeline:\n{}", self.outcome.spans);
-            let _ = writeln!(
-                out,
-                "replay: HARNESS_SEED={} cargo run --release -p scaddar-harness",
-                self.seed
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "seed {}: PASS ({} steps, {} scale ops, {} health events, {} alerts)",
+                "{} {}: PASS ({})",
+                M::LABEL,
                 self.seed,
-                self.scenario.steps.len(),
-                self.scenario.scale_ops(),
-                self.outcome.health_events.lines().count(),
-                self.outcome.health_alerts,
+                M::pass_summary(&self.scenario, &self.outcome)
             );
+            return out;
+        };
+        let _ = writeln!(
+            out,
+            "{} {}: FAIL [{}] {}",
+            M::LABEL,
+            self.seed,
+            f.invariant,
+            f.detail
+        );
+        let _ = writeln!(out, "full scenario:\n{}", M::describe(&self.scenario));
+        if let Some(shrunk) = &self.shrunk {
+            let _ = writeln!(
+                out,
+                "minimal reproducer ({} executions, {} shrink steps, {}):\n{}",
+                shrunk.executions,
+                shrunk.adopted,
+                M::ops(&shrunk.scenario),
+                M::describe(&shrunk.scenario)
+            );
+            M::evidence(&shrunk.outcome, true, &mut out);
         }
+        M::evidence(&self.outcome, false, &mut out);
+        let flags = self.mutation.replay_flags().join(" ");
+        let _ = writeln!(
+            out,
+            "replay: HARNESS_SEED={} cargo run --release -p scaddar-harness{}{flags}",
+            self.seed,
+            if flags.is_empty() { "" } else { " -- " }
+        );
         out
     }
 }
 
-/// Runs one seed end to end: generate, execute, and (on failure)
-/// minimize.
-pub fn run_seed(seed: u64, mutation: Mutation) -> RunReport {
-    let scenario = Scenario::generate(seed);
-    let outcome = exec::execute(&scenario, mutation);
-    let shrunk = outcome
-        .failure
-        .as_ref()
-        .map(|f| shrink::minimize(&scenario, mutation, f.invariant));
+/// Runs one seed end to end in `mutation`'s mode: generate, execute,
+/// and (on failure) minimize.
+pub fn run_seed<M: Mode>(seed: u64, mutation: M) -> RunReport<M> {
+    let scenario = M::generate(seed);
+    let outcome = M::execute(&scenario, mutation);
+    let shrunk = M::failure(&outcome).map(|f| shrink::minimize(&scenario, mutation, f.invariant));
     RunReport {
         seed,
+        mutation,
         scenario,
         outcome,
         shrunk,
@@ -136,6 +279,7 @@ mod tests {
             }
             let rendered = report.render();
             assert!(rendered.contains(&format!("HARNESS_SEED={seed}")));
+            assert!(rendered.contains("-- --plant-bug ro1\n"), "{rendered}");
             assert!(rendered.contains("minimal reproducer"));
             assert!(rendered.contains("ro1-model"));
             return;

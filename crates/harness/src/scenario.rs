@@ -13,9 +13,10 @@ use scaddar_core::ScalingOp;
 
 /// Which variant of the remap arithmetic the *model* runs — the planted
 /// bug the acceptance tests require the harness to catch and shrink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Mutation {
     /// Faithful copy of `REMAP` (Eqs. 3 and 5): the clean run.
+    #[default]
     None,
     /// Off-by-one in the copy of `REMAP_add`: `t <= N_{j-1}` instead of
     /// `t < N_{j-1}`, so the boundary draw `t == N_{j-1}` is wrongly

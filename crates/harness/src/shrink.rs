@@ -1,30 +1,28 @@
 //! Greedy scenario minimization: given a failing scenario, find a
 //! smaller one that fails the *same* invariant.
 //!
-//! Delta-debugging over the scenario structure — drop step spans, drop
-//! faults, simplify scaling operations, shrink sizes — using the
-//! numeric/sequence candidate generators from the `proptest` shim
-//! ([`proptest::shrink`]), so the harness and the property tests share
-//! one shrinking vocabulary. Each candidate is re-executed; the first
-//! one that still fails with the same invariant is adopted and the pass
-//! restarts, until a fixpoint or the execution budget is reached.
+//! Delta-debugging over the scenario structure, written once for every
+//! [`Mode`]: everything after the failing step is dropped, then each
+//! one-edit-smaller candidate is re-executed; the first one that still
+//! fails with the same invariant is adopted and the pass restarts,
+//! until a fixpoint or the mode's execution budget is reached.
+//! Candidates drop spans of steps first, then apply the mode's own
+//! edits (the single-node ones below: drop faults, simplify scaling
+//! operations, shrink sizes). All of them come from the `proptest`
+//! shim's numeric/sequence generators ([`proptest::shrink`]), so the
+//! harness and the property tests share one shrinking vocabulary.
 
-use crate::exec::{self, Outcome};
-use crate::scenario::{Mutation, Scenario, Step};
+use crate::scenario::{Scenario, Step};
+use crate::Mode;
 use proptest::shrink::{halvings, removal_spans};
-
-/// Execution budget for one shrink run. Shrunk scenarios are small and
-/// execute in milliseconds, so this stays well under the 60 s the
-/// planted-bug acceptance criterion allows.
-const BUDGET: usize = 600;
 
 /// The result of minimizing a failing scenario.
 #[derive(Debug, Clone)]
-pub struct Shrunk {
+pub struct Shrunk<M: Mode> {
     /// The minimal scenario found (fails the same invariant).
-    pub scenario: Scenario,
+    pub scenario: M::Scenario,
     /// Its outcome (kept so callers can print the failing trace).
-    pub outcome: Outcome,
+    pub outcome: M::Outcome,
     /// Number of candidate executions spent.
     pub executions: usize,
     /// Number of adopted shrink steps.
@@ -33,77 +31,70 @@ pub struct Shrunk {
 
 /// Minimizes `scenario`, which must fail under `mutation` with the
 /// invariant named `invariant`.
-pub fn minimize(scenario: &Scenario, mutation: Mutation, invariant: &str) -> Shrunk {
+pub fn minimize<M: Mode>(scenario: &M::Scenario, mutation: M, invariant: &str) -> Shrunk<M> {
+    let fails_the_same =
+        |outcome: &M::Outcome| M::failure(outcome).is_some_and(|f| f.invariant == invariant);
     let mut current = scenario.clone();
-    let mut outcome = exec::execute(&current, mutation);
+    let mut outcome = M::execute(&current, mutation);
     let mut executions = 1usize;
     let mut adopted = 0usize;
     debug_assert!(
-        matches(&outcome, invariant),
+        fails_the_same(&outcome),
         "caller must pass a failing scenario"
     );
 
     // Everything after the failing step is dead weight.
-    if let Some(fs) = outcome.failed_step {
-        if fs + 1 < current.steps.len() {
-            current.steps.truncate(fs + 1);
-            outcome = exec::execute(&current, mutation);
+    if let Some(fs) = M::failed_step(&outcome) {
+        let steps = M::steps(&mut current);
+        if fs + 1 < steps.len() {
+            steps.truncate(fs + 1);
+            outcome = M::execute(&current, mutation);
             executions += 1;
             adopted += 1;
         }
     }
 
-    loop {
-        let mut improved = false;
-        for candidate in candidates(&current) {
-            if executions >= BUDGET {
-                return Shrunk {
-                    scenario: current,
-                    outcome,
-                    executions,
-                    adopted,
-                };
+    'pass: loop {
+        // Drop spans of steps (halves first, then single steps), then
+        // try the mode's own edits.
+        let spans = removal_spans(M::steps(&mut current).len(), 0, 16);
+        let mut candidates: Vec<M::Scenario> = spans
+            .into_iter()
+            .map(|(start, end)| {
+                let mut c = current.clone();
+                M::steps(&mut c).drain(start..end);
+                c
+            })
+            .collect();
+        candidates.extend(M::candidates(&current));
+        for candidate in candidates {
+            if executions >= M::SHRINK_BUDGET {
+                break 'pass;
             }
-            let o = exec::execute(&candidate, mutation);
+            let o = M::execute(&candidate, mutation);
             executions += 1;
-            if matches(&o, invariant) {
+            if fails_the_same(&o) {
                 current = candidate;
                 outcome = o;
                 adopted += 1;
-                improved = true;
-                break; // restart the pass from the smaller scenario
+                continue 'pass; // restart the pass from the smaller scenario
             }
         }
-        if !improved {
-            return Shrunk {
-                scenario: current,
-                outcome,
-                executions,
-                adopted,
-            };
-        }
+        break;
+    }
+    Shrunk {
+        scenario: current,
+        outcome,
+        executions,
+        adopted,
     }
 }
 
-fn matches(outcome: &Outcome, invariant: &str) -> bool {
-    outcome
-        .failure
-        .as_ref()
-        .is_some_and(|f| f.invariant == invariant)
-}
-
-/// All one-edit-smaller candidates, most aggressive first.
-fn candidates(s: &Scenario) -> Vec<Scenario> {
+/// The single-node edits, most aggressive first.
+pub(crate) fn candidates(s: &Scenario) -> Vec<Scenario> {
     let mut out = Vec::new();
 
-    // 1. Drop spans of steps (halves first, then single steps).
-    for (start, end) in removal_spans(s.steps.len(), 0, 16) {
-        let mut c = s.clone();
-        c.steps.drain(start..end);
-        out.push(c);
-    }
-
-    // 2. Simplify individual steps.
+    // 1. Simplify individual steps.
     for (i, step) in s.steps.iter().enumerate() {
         match step {
             Step::Scale { op, faults } => {
@@ -165,7 +156,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         }
     }
 
-    // 3. Drop initial objects (keep one) and shrink their sizes.
+    // 2. Drop initial objects (keep one) and shrink their sizes.
     if s.objects.len() > 1 {
         for k in 0..s.objects.len() {
             let mut c = s.clone();
@@ -181,7 +172,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         }
     }
 
-    // 4. Shrink the initial array (never below the executor's floor).
+    // 3. Shrink the initial array (never below the executor's floor).
     for d in halvings(2, u64::from(s.initial_disks)) {
         let mut c = s.clone();
         c.initial_disks = d as u32;
@@ -194,6 +185,8 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec;
+    use crate::scenario::Mutation;
 
     /// The acceptance criterion: a planted RO1 off-by-one is caught and
     /// shrunk to at most 3 scaling operations, well inside the budget.

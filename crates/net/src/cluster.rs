@@ -481,22 +481,8 @@ pub struct ClusterAnswer {
     pub map_version: u64,
 }
 
-/// A batch analogue of [`ClusterAnswer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterBatchAnswer {
-    /// Shard-local scaling epoch the whole batch was served at.
-    pub epoch: u64,
-    /// Disk count on the answering shard at that epoch.
-    pub disks: u32,
-    /// Physical disk per requested block, in request order.
-    pub locations: Vec<u64>,
-    /// The shard that answered.
-    pub shard: u32,
-}
-
-/// Shard-aware client: routes per object by the cluster map, fans
-/// batches out per shard, and chases `WrongShard`/`StaleMap` answers by
-/// refreshing the map and retrying.
+/// Shard-aware client: routes per object by the cluster map and chases
+/// `WrongShard`/`StaleMap` answers by refreshing the map and retrying.
 #[derive(Debug)]
 pub struct ClusterClient {
     config: ClientConfig,
@@ -564,8 +550,7 @@ impl ClusterClient {
     }
 
     /// Turns on distributed tracing: every subsequent
-    /// [`locate`](Self::locate)/[`locate_batch`](Self::locate_batch)
-    /// opens a root span in `tracer`, and every hop it sends carries
+    /// [`locate`](Self::locate) opens a root span in `tracer`, and every hop it sends carries
     /// the trace context in the request trailer, so the shards'
     /// continuation spans stitch into one tree with this client's root.
     /// Root ids are deterministic draws from `seed`.
@@ -769,90 +754,6 @@ impl ClusterClient {
         if let Some(span) = span.as_mut() {
             span.event("routing-error", self.max_hops);
         }
-        Err(last_err.unwrap_or(ClientError::DeadlineExceeded))
-    }
-
-    /// Locates a batch of blocks of one object (single-shard, single
-    /// epoch), with the same redirect chasing as [`locate`](Self::locate).
-    pub fn locate_batch(
-        &self,
-        object: u64,
-        blocks: &[u64],
-    ) -> Result<ClusterBatchAnswer, ClientError> {
-        let traced = self.open_root("cluster.locate-batch");
-        let ctx = traced.as_ref().map(|(ctx, _)| *ctx);
-        let mut span = traced.map(|(_, span)| span);
-        if let Some(span) = span.as_mut() {
-            span.event("object", object);
-            span.event("blocks", blocks.len());
-        }
-        let mut target: Option<u32> = None;
-        let mut last_err: Option<ClientError> = None;
-        for _hop in 0..self.max_hops {
-            let (shard, version) = {
-                let state = self.lock_state();
-                let Some(owner) = target.take().or_else(|| state.map.route(object)) else {
-                    return Err(ClientError::UnexpectedResponse { got: "stale-map" });
-                };
-                (owner, state.map.version)
-            };
-            let outcome = self.with_shard(shard, |c| {
-                c.request_traced(
-                    &Frame::LocateBatch {
-                        object,
-                        blocks: blocks.to_vec(),
-                    },
-                    ctx.as_ref(),
-                )
-            });
-            match outcome {
-                Ok(Frame::BatchLocated {
-                    epoch,
-                    disks,
-                    locations,
-                }) => {
-                    if let Some(span) = span.as_mut() {
-                        span.event("served-by", shard);
-                    }
-                    return Ok(ClusterBatchAnswer {
-                        epoch,
-                        disks,
-                        locations,
-                        shard,
-                    });
-                }
-                Ok(Frame::WrongShard { map_version, owner }) => {
-                    self.stats
-                        .wrong_shard_bounces
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(span) = span.as_mut() {
-                        span.event("wrong-shard", format!("{shard}->{owner}"));
-                    }
-                    if map_version > version {
-                        let _ = self.refresh();
-                    }
-                    target = Some(owner);
-                }
-                Ok(Frame::StaleMap { .. }) => {
-                    self.stats.stale_map_hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(span) = span.as_mut() {
-                        span.event("stale-map", shard);
-                    }
-                    self.refresh()?;
-                }
-                Ok(other) => {
-                    return Err(ClientError::UnexpectedResponse {
-                        got: other.endpoint(),
-                    })
-                }
-                Err(e @ ClientError::Remote { .. }) => return Err(e),
-                Err(e) => {
-                    last_err = Some(e);
-                    let _ = self.refresh();
-                }
-            }
-        }
-        self.stats.routing_errors.fetch_add(1, Ordering::Relaxed);
         Err(last_err.unwrap_or(ClientError::DeadlineExceeded))
     }
 

@@ -65,8 +65,8 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClientError, CompactionStatus, NetClient};
 pub use cluster::{
-    fetch_map, jump_hash, ClusterAnswer, ClusterBatchAnswer, ClusterClient, ClusterClientStats,
-    ClusterMap, RouteDecision, ShardRuntime,
+    fetch_map, jump_hash, ClusterAnswer, ClusterClient, ClusterClientStats, ClusterMap,
+    RouteDecision, ShardRuntime,
 };
 pub use load::{run_load, LatencySummary, LoadConfig, LoadReport, LoopMode};
 pub use seam::ENGINE_DEPTH_BUCKETS;
