@@ -16,16 +16,22 @@
 use crate::strategy::{BlockKey, PlacementStrategy};
 use scaddar_core::{RemovedSet, ScalingError, ScalingOp};
 
-/// Lamping & Veach's algorithm, verbatim (the constant is theirs).
+/// Lamping & Veach's algorithm, verbatim (the constant and the
+/// `(b + 1) * (2^31 / ((key >> 33) + 1))` step are theirs): maps `key`
+/// to a bucket in `0..buckets`, and growing from `n` to `n+1` buckets
+/// re-routes only an expected `1/(n+1)` of keys, all into the new
+/// bucket. O(ln n) expected time, zero state. The cluster layer routes
+/// objects to shards with this same function (`scaddar_net::jump_hash`).
+///
+/// Panics on `buckets == 0` (an empty bucket set routes nothing).
 pub fn jump_consistent_hash(mut key: u64, buckets: u32) -> u32 {
-    assert!(buckets > 0);
+    assert!(buckets > 0, "jump hash over zero buckets");
     let mut b: i64 = -1;
     let mut j: i64 = 0;
     while j < i64::from(buckets) {
         b = j;
         key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        let r = ((key >> 33).wrapping_add(1)) as f64;
-        j = (((b.wrapping_add(1)) as f64) * ((1u64 << 31) as f64) / r) as i64;
+        j = ((b + 1) as f64 * ((1i64 << 31) as f64 / ((key >> 33) + 1) as f64)) as i64;
     }
     b as u32
 }

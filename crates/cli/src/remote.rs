@@ -21,7 +21,6 @@ use scaddar_core::ScalingOp;
 use scaddar_monitor::Severity;
 use scaddar_net::{
     fetch_map, ClusterMap, NetClient, NetServerConfig, Scaddard, ServerMode, ShardRuntime,
-    StatsFormat,
 };
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::fmt::Write as _;
@@ -512,12 +511,23 @@ impl RemoteSession {
                 ))
             }
             "stats" => {
-                let format = match args {
-                    [] => StatsFormat::Prometheus,
-                    ["--json"] => StatsFormat::Json,
+                let json = match args {
+                    [] => false,
+                    ["--json"] => true,
                     _ => return Err(usage("stats [--json]")),
                 };
-                let text = self.client.stats(format).map_err(|e| e.to_string())?;
+                // Pull the structured snapshot and render it here, the
+                // way the fleet aggregator renders its merged registry:
+                // absorbing into an empty registry reproduces every
+                // family, help text and value.
+                let (_, _, snapshot) = self.client.scrape_stats().map_err(|e| e.to_string())?;
+                let registry = Registry::new();
+                registry.absorb(&snapshot);
+                let text = if json {
+                    registry.snapshot_json()
+                } else {
+                    registry.render_prometheus()
+                };
                 Ok((text.trim_end().to_string(), 0))
             }
             "ping" => {

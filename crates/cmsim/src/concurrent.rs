@@ -5,7 +5,7 @@
 //! during maintenance (§1). In a real server, block-location queries come
 //! from many session threads while an operator thread applies scaling
 //! operations. [`SharedServer`] wraps a [`CmServer`] in a
-//! `parking_lot::RwLock` with an epoch counter so tests can assert the
+//! `std::sync::RwLock` with an epoch counter so tests can assert the
 //! crucial property: every concurrent lookup observes a *consistent*
 //! epoch — either entirely pre-op or entirely post-op placement, never a
 //! torn mixture — and no lookup ever blocks for the duration of a whole
@@ -13,9 +13,9 @@
 //! itself).
 
 use crate::server::{CmServer, ServerError};
-use parking_lot::RwLock;
 use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{DiskIndex, ObjectId, ScalingOp};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A snapshot of one lookup with the epoch it was served at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,12 +115,23 @@ impl SharedServer {
         }
     }
 
+    // Poisoning is ignored: after a panic under the lock, lookups keep
+    // answering from whatever state the panicking writer left, so one
+    // failed request never takes the whole server down with it.
+    fn read(&self) -> RwLockReadGuard<'_, CmServer> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, CmServer> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Consistent lookup: epoch, disk count and location read under one
     /// shared lock acquisition. Generation-aware: during a compaction,
     /// migrated blocks answer from the staging generation
     /// ([`CmServer::locate_current`]).
     pub fn locate(&self, object: ObjectId, block: u64) -> Result<EpochRead, ServerError> {
-        let guard = self.inner.read();
+        let guard = self.read();
         let disk = guard.locate_current(object, block)?;
         Ok(EpochRead {
             epoch: guard.engine().epoch(),
@@ -139,7 +150,7 @@ impl SharedServer {
         object: ObjectId,
         blocks: &[u64],
     ) -> Result<(usize, Vec<PhysicalDiskId>), ServerError> {
-        let guard = self.inner.read();
+        let guard = self.read();
         let disks = guard.locate_batch(object, blocks)?;
         Ok((guard.engine().epoch(), disks))
     }
@@ -153,7 +164,7 @@ impl SharedServer {
         object: ObjectId,
         blocks: &[u64],
     ) -> Result<BatchRead, ServerError> {
-        let guard = self.inner.read();
+        let guard = self.read();
         let locations = guard.locate_batch(object, blocks)?;
         Ok(BatchRead {
             epoch: guard.engine().epoch(),
@@ -187,7 +198,7 @@ impl SharedServer {
         queries: &[LocateQuery<'_>],
         on_locked: impl FnOnce(),
     ) -> CoalescedRead {
-        let guard = self.inner.read();
+        let guard = self.read();
         on_locked();
         let answers = queries
             .iter()
@@ -209,7 +220,7 @@ impl SharedServer {
 
     /// Applies a scaling operation under the exclusive lock.
     pub fn scale(&self, op: ScalingOp) -> Result<u64, ServerError> {
-        self.inner.write().scale(op)
+        self.write().scale(op)
     }
 
     /// Applies a scaling operation and reads the post-commit
@@ -217,14 +228,14 @@ impl SharedServer {
     /// a serving layer can answer "scaled to epoch j with N disks,
     /// queued M moves" without racing a concurrent operator.
     pub fn scale_read(&self, op: ScalingOp) -> Result<(usize, u32, u64), ServerError> {
-        let mut guard = self.inner.write();
+        let mut guard = self.write();
         let queued = guard.scale(op)?;
         Ok((guard.engine().epoch(), guard.disks().disks(), queued))
     }
 
     /// Advances one service round under the exclusive lock.
     pub fn tick(&self) {
-        self.inner.write().tick();
+        self.write().tick();
     }
 
     /// Ingests an object under the exclusive lock — the migration
@@ -232,49 +243,49 @@ impl SharedServer {
     /// object on its new shard (the shard's own `AF()` places every
     /// block, so the copy re-enters the paper's placement discipline).
     pub fn add_object(&self, blocks: u64) -> Result<ObjectId, ServerError> {
-        self.inner.write().add_object(blocks)
+        self.write().add_object(blocks)
     }
 
     /// Deletes an object under the exclusive lock — the migration
     /// evict path on the handoff source (pending redistribution moves
     /// for the object are cancelled with it).
     pub fn remove_object(&self, id: ObjectId) -> Result<(), ServerError> {
-        self.inner.write().remove_object(id)
+        self.write().remove_object(id)
     }
 
     /// Pending redistribution moves.
     pub fn backlog(&self) -> u64 {
-        self.inner.read().backlog()
+        self.read().backlog()
     }
 
     /// Begins an online rehash compaction under the exclusive lock
     /// (see [`CmServer::begin_compaction`]).
     pub fn begin_compaction(&self) -> Result<u64, ServerError> {
-        self.inner.write().begin_compaction()
+        self.write().begin_compaction()
     }
 
     /// Progress of the in-flight compaction, if any, read under the
     /// shared lock.
     pub fn compaction_progress(&self) -> Option<crate::compaction::CompactionProgress> {
-        self.inner.read().compaction_progress()
+        self.read().compaction_progress()
     }
 
     /// The current `(epoch, disks)` pair read under one shared lock
     /// acquisition — the reference point concurrent-read checkers
     /// compare their [`EpochRead`]s against.
     pub fn epoch_view(&self) -> (usize, u32) {
-        let guard = self.inner.read();
+        let guard = self.read();
         (guard.engine().epoch(), guard.disks().disks())
     }
 
     /// Runs `f` with shared access to the server.
     pub fn with_read<R>(&self, f: impl FnOnce(&CmServer) -> R) -> R {
-        f(&self.inner.read())
+        f(&self.read())
     }
 
     /// Runs `f` with exclusive access to the server.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut CmServer) -> R) -> R {
-        f(&mut self.inner.write())
+        f(&mut self.write())
     }
 }
 
@@ -292,14 +303,14 @@ mod tests {
         let stop = AtomicBool::new(false);
         let total_reads = AtomicU64::new(0);
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             // Reader threads hammer lookups and assert internal
             // consistency of every observation.
             for t in 0..4 {
                 let shared = &shared;
                 let stop = &stop;
                 let total_reads = &total_reads;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut block = t * 131;
                     while !stop.load(Ordering::Relaxed) {
                         block = (block + 1) % 5_000;
@@ -334,8 +345,7 @@ mod tests {
                 }
             }
             stop.store(true, Ordering::Relaxed);
-        })
-        .expect("threads join cleanly");
+        });
         assert!(total_reads.load(Ordering::Relaxed) >= 200);
 
         assert_eq!(shared.with_read(|s| s.disks().disks()), 8);
@@ -351,13 +361,13 @@ mod tests {
         let total_batches = AtomicU64::new(0);
         let window: Vec<u64> = (0..64).collect();
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..2 {
                 let shared = &shared;
                 let stop = &stop;
                 let total_batches = &total_batches;
                 let window = &window;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         let (epoch, disks) =
                             shared.locate_batch(object, window).expect("batch lookup");
@@ -383,8 +393,7 @@ mod tests {
                 }
             }
             stop.store(true, Ordering::Relaxed);
-        })
-        .expect("threads join cleanly");
+        });
         assert_eq!(shared.with_read(|s| s.disks().disks()), 7);
     }
 
@@ -437,13 +446,13 @@ mod tests {
         let total = AtomicU64::new(0);
         let window: Vec<u64> = (0..32).collect();
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..3u64 {
                 let shared = &shared;
                 let stop = &stop;
                 let total = &total;
                 let window = &window;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut block = t * 977;
                     while !stop.load(Ordering::Relaxed) {
                         block = (block + 13) % 3_000;
@@ -484,8 +493,7 @@ mod tests {
                 }
             }
             stop.store(true, Ordering::Relaxed);
-        })
-        .expect("threads join cleanly");
+        });
         assert_eq!(shared.with_read(|s| s.disks().disks()), 7);
     }
 
@@ -504,6 +512,25 @@ mod tests {
         let plain = shared.locate_coalesced(&queries);
         assert_eq!((read.epoch, read.disks), (plain.epoch, plain.disks));
         assert_eq!(read.answers, plain.answers);
+    }
+
+    #[test]
+    fn a_panicking_writer_leaves_lookups_answering() {
+        let mut server = CmServer::new(ServerConfig::new(4).with_catalog_seed(2)).unwrap();
+        let object = server.add_object(500).unwrap();
+        let shared = SharedServer::new(server);
+        let before = shared.locate(object, 42).unwrap();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| shared.with_write(|_| panic!("writer panics under the lock")))
+                .join()
+                .is_err()
+        });
+        assert!(panicked);
+        assert_eq!(shared.locate(object, 42).unwrap(), before);
+        shared
+            .scale(ScalingOp::Add { count: 1 })
+            .expect("the lock still admits writers");
     }
 
     #[test]

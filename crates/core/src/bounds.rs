@@ -151,15 +151,6 @@ impl FairnessTracker {
             },
         }
     }
-
-    /// Resets after a full redistribution: the server re-seeds placement
-    /// (fresh `X_0`), so the range is whole again and `sigma = N_0` for
-    /// the new epoch-zero disk count.
-    pub fn reset(&mut self, disks_now: u32) {
-        assert!(disks_now > 0);
-        self.sigma = u128::from(disks_now);
-        self.operations = 0;
-    }
 }
 
 /// The paper's rule of thumb (§4.3): the largest number of operations `k`
@@ -283,18 +274,5 @@ mod tests {
         assert!(!t.precondition_holds(0.99));
         assert_eq!(t.report().guaranteed_range, 0);
         assert_eq!(t.report().unfairness_bound, f64::INFINITY);
-    }
-
-    #[test]
-    fn reset_restores_safety() {
-        let mut t = FairnessTracker::new(Bits::B32, 8);
-        for _ in 0..20 {
-            t.record_op(8);
-        }
-        assert!(!t.precondition_holds(0.05));
-        t.reset(16);
-        assert!(t.precondition_holds(0.05));
-        assert_eq!(t.report().operations, 0);
-        assert_eq!(t.sigma(), 16);
     }
 }

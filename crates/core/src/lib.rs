@@ -488,38 +488,12 @@ impl Scaddar {
     /// Movement accounting for every scaling operation applied through
     /// *this* engine value, oldest first — the RO1 audit trail a health
     /// monitor replays ([`OpMovement::moved_fraction`] vs the recorded
-    /// optimal `z_j`). Cleared by [`Scaddar::full_redistribution`] (the
-    /// log restarts) and empty on snapshot restore (the log records
-    /// operations, not move counts).
+    /// optimal `z_j`). Empty again after
+    /// [`Scaddar::rehash_to_next_generation`] (the next generation's log
+    /// restarts) and on snapshot restore (the log records operations,
+    /// not move counts).
     pub fn op_movements(&self) -> &[OpMovement] {
         &self.movements
-    }
-
-    /// Performs the paper's recommended escape hatch once the §4.3
-    /// precondition fails: a **full redistribution**. The scaling log
-    /// restarts at the current disk count (placement becomes plain
-    /// `X_0 mod N`) and the fairness tracker resets. Returns how many
-    /// blocks change disks — essentially a `z`-independent, near-complete
-    /// reshuffle, which is why the paper avoids doing this often.
-    pub fn full_redistribution(&mut self) -> u64 {
-        let disks = u64::from(self.disks());
-        // Old disk from the cached X_j, fresh disk from X_0; the two
-        // iterators walk the same catalog order.
-        let moved = self
-            .cache
-            .blocks_with_x(&self.catalog)
-            .zip(self.catalog.iter_x0())
-            .filter(|((_, x_j), (_, x0))| x_j % disks != x0 % disks)
-            .count() as u64;
-        self.log = ScalingLog::new(disks as u32).expect("disks > 0 by invariant");
-        self.fairness.reset(disks as u32);
-        self.movements.clear();
-        self.pipeline = RemapPipeline::compile(&self.log);
-        self.cache = XCache::rebuild(&self.catalog, &self.pipeline);
-        if let Some(stats) = &self.stats {
-            stats.xcache_rebuilds.inc();
-        }
-        moved
     }
 
     /// Opens the **next placement generation**: a staging engine with
@@ -556,12 +530,13 @@ impl Scaddar {
         }
     }
 
-    /// **Offline** rehash compaction: replaces this engine with its next
-    /// generation in place and returns how many blocks change disks.
-    /// Unlike [`Scaddar::full_redistribution`] — which keeps the old
-    /// `X_0`s and merely restarts the log — this re-derives every
-    /// placement from a fresh seed, so the expected moved fraction is
-    /// `1 - 1/N` regardless of history. The online, rate-limited path
+    /// **Offline** rehash compaction — the paper's §4.3 full
+    /// redistribution, the escape hatch once the fairness precondition
+    /// fails: replaces this engine with its next generation in place and
+    /// returns how many blocks change disks. Every placement is
+    /// re-derived from a fresh seed, so the expected moved fraction is
+    /// `1 - 1/N` regardless of history, and the log, the movement trail
+    /// and the fairness budget restart. The online, rate-limited path
     /// lives in cmsim's compaction machinery on top of
     /// [`Scaddar::open_next_generation`].
     pub fn rehash_to_next_generation(&mut self) -> u64 {
@@ -821,21 +796,21 @@ mod tests {
         assert!((trail[0].moved_fraction() - p1.moved_fraction()).abs() < 1e-15);
         assert_eq!((trail[1].disks_before, trail[1].disks_after), (6, 5));
         assert_eq!(trail[1].moved, p2.moves.len() as u64);
-        // A full redistribution restarts the log and the trail with it.
-        s.full_redistribution();
+        // A rehash restarts the log and the trail with it.
+        s.rehash_to_next_generation();
         assert!(s.op_movements().is_empty());
     }
 
     #[test]
-    fn full_redistribution_resets_fairness() {
+    fn rehash_to_next_generation_resets_fairness() {
         let (mut s, _) = engine(8, 10_000);
         for _ in 0..12 {
             s.scale(ScalingOp::remove_one(0)).unwrap();
             s.scale(ScalingOp::Add { count: 1 }).unwrap();
         }
         assert!(!s.next_op_is_safe(8));
-        let moved = s.full_redistribution();
-        assert!(moved > 0, "a late full redistribution moves many blocks");
+        let moved = s.rehash_to_next_generation();
+        assert!(moved > 0, "a late rehash moves many blocks");
         assert_eq!(s.epoch(), 0);
         assert!(s.next_op_is_safe(8));
         let loads = s.load_distribution();
@@ -990,7 +965,7 @@ mod tests {
         s.verify_derived_state().unwrap();
         let restored = Scaddar::from_snapshot(&s.snapshot(), 0.05).unwrap();
         restored.verify_derived_state().unwrap();
-        s.full_redistribution();
+        s.rehash_to_next_generation();
         s.verify_derived_state().unwrap();
     }
 
@@ -1051,7 +1026,7 @@ mod tests {
         assert!(Scaddar::from_snapshot_with_stats(&bytes[..4], 0.05, Some(stats.clone())).is_err());
         assert_eq!(stats.persist_validation_failures.get(), 1);
 
-        s.full_redistribution();
+        s.rehash_to_next_generation();
         assert_eq!(stats.xcache_rebuilds.get(), 2);
     }
 

@@ -10,7 +10,7 @@
 //! this via `scaddard-load --mode both`.
 
 use cmsim::{CmServer, ServerConfig, SharedServer};
-use scaddar_net::{LoadConfig, NetServerConfig, Scaddard, ServerMode};
+use scaddar_net::{LoadConfig, NetClient, NetServerConfig, Scaddard, ServerMode};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::sync::Arc;
 
@@ -55,8 +55,14 @@ fn smoke(mode: ServerMode) {
     assert!(report.locate.count > 0 && report.locate_batch.count > 0);
     assert!(report.locate.p999 >= report.locate.p50);
 
-    // The server-side ledger agrees with the client-side run.
-    let text = registry.render_prometheus();
+    // The server-side ledger, scraped over the wire and rendered here
+    // (as the console's `stats` does), agrees with the client-side run.
+    let (_, _, snapshot) = NetClient::connect(daemon.local_addr())
+        .scrape_stats()
+        .unwrap();
+    let scraped = Registry::new();
+    scraped.absorb(&snapshot);
+    let text = scraped.render_prometheus();
     assert!(text.contains("net_server_requests_total{endpoint=\"locate\"}"));
     assert!(text.contains("net_server_requests_total{endpoint=\"scale\"} 2"));
     assert!(text.contains("# TYPE net_server_request_ns histogram"));

@@ -186,7 +186,10 @@ pub struct HealthMonitor {
     tracker: FairnessTracker,
     epsilon: f64,
     disks: u32,
+    /// RO1 cursor: how much of `movements_generation`'s trail the probe
+    /// has consumed.
     movements_seen: usize,
+    movements_generation: u64,
     ro1: Slot,
     ro2_chi: Slot,
     ro2_misplace: Slot,
@@ -214,6 +217,7 @@ impl HealthMonitor {
             epsilon,
             disks: initial_disks,
             movements_seen: 0,
+            movements_generation: 0,
             ro1: Slot::new("ro1", "ro1-deviation", config.ro1),
             ro2_chi: Slot::new("ro2", "ro2-chi-square", config.ro2_chi),
             ro2_misplace: Slot::new("ro2", "ro2-misplacement", config.ro2_misplacement),
@@ -240,6 +244,7 @@ impl HealthMonitor {
         );
         monitor.sync_engine_state(engine);
         monitor.movements_seen = engine.op_movements().len();
+        monitor.movements_generation = engine.generation();
         monitor
     }
 
@@ -267,13 +272,19 @@ impl HealthMonitor {
     /// Consumes everything new the engine can report: fresh
     /// [`OpMovement`]s run through the RO1 probe, and the budget probe
     /// re-evaluates against a fresh replay of the scaling log (so a
-    /// full redistribution resets the budget here too).
+    /// rehash to the next generation resets the budget here too). The
+    /// trail restarts with each generation, so the cursor does too: an
+    /// op applied after a generation flip reaches the RO1 probe even
+    /// when this monitor last saw a longer trail of the old generation.
     pub fn observe_engine(&mut self, engine: &Scaddar) {
         self.sync_engine_state(engine);
         let movements = engine.op_movements();
-        if movements.len() < self.movements_seen {
-            // The log restarted (full redistribution): the trail reset.
+        // A new generation starts a fresh trail; a snapshot restore
+        // keeps the generation but empties the trail.
+        if engine.generation() != self.movements_generation || movements.len() < self.movements_seen
+        {
             self.movements_seen = 0;
+            self.movements_generation = engine.generation();
         }
         let seen = self.movements_seen;
         for m in &movements[seen..] {
@@ -686,11 +697,31 @@ mod tests {
             "events: {}",
             monitor.events_jsonl(),
         );
-        // A full redistribution resets the budget (fresh log replay).
-        engine.full_redistribution();
+        // A rehash to the next generation resets the budget (fresh log).
+        engine.rehash_to_next_generation();
         monitor.observe_engine(&engine);
         assert!(monitor.budget_remaining() > 0);
         assert_eq!(monitor.report().verdict(), Severity::Ok);
+    }
+
+    #[test]
+    fn ro1_sees_the_first_op_after_a_generation_flip() {
+        let mut engine = engine_with_blocks(4, 10_000);
+        let (mut monitor, _clock) = monitor_for(&engine);
+        let ro1_detail = |m: &HealthMonitor| m.report().statuses[0].detail.clone();
+        engine.scale(ScalingOp::Add { count: 1 }).unwrap();
+        monitor.observe_engine(&engine);
+        assert!(ro1_detail(&monitor).contains("(4 -> 5 disks)"));
+        // The flip restarts the trail; the next op is again the trail's
+        // first entry, as long as the trail the monitor last saw.
+        engine.rehash_to_next_generation();
+        engine.scale(ScalingOp::Add { count: 1 }).unwrap();
+        monitor.observe_engine(&engine);
+        let detail = ro1_detail(&monitor);
+        assert!(
+            detail.contains("(5 -> 6 disks)"),
+            "RO1 skipped the op: {detail}"
+        );
     }
 
     #[test]

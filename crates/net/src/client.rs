@@ -13,7 +13,7 @@
 //! already closed. Retry policy:
 //!
 //! * **Read-only requests** (`Locate`, `LocateBatch`, `Health`,
-//!   `Stats`, `Ping`) are idempotent and retry on any I/O failure on a
+//!   `ScrapeStats`, `Ping`) are idempotent and retry on any I/O failure on a
 //!   *fresh* connection, as long as the request deadline has not
 //!   passed — the classic stale-pooled-connection recovery.
 //! * **Mutating requests** (`Scale`, `Tick`) retry only when the
@@ -26,7 +26,7 @@
 //! buffer and then reads the responses back in order — the throughput
 //! path the load generator uses. Pipelines are never retried.
 
-use crate::wire::{decode_frame_limited, Frame, FrameError, StatsFormat, HARD_MAX_FRAME_LEN};
+use crate::wire::{decode_frame_limited, Frame, FrameError, HARD_MAX_FRAME_LEN};
 use scaddar_core::ScalingOp;
 use scaddar_obs::{ProfileSnapshot, RegistrySnapshot, TraceContext};
 use std::io::{ErrorKind, Read, Write};
@@ -413,14 +413,6 @@ impl NetClient {
         }
     }
 
-    /// Fetches the server's telemetry rendering.
-    pub fn stats(&self, format: StatsFormat) -> Result<String, ClientError> {
-        match self.request(&Frame::Stats { format })? {
-            Frame::StatsText { text, .. } => Ok(text),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
     /// Liveness probe: returns the server's current epoch.
     pub fn ping(&self) -> Result<u64, ClientError> {
         match self.request(&Frame::Ping)? {
@@ -553,8 +545,10 @@ mod tests {
         assert_eq!(client.tick(10_000).unwrap(), 0);
         let (verdict, _alerts, report) = client.health().unwrap();
         assert_eq!(verdict, 0, "{report}");
-        let stats = client.stats(StatsFormat::Prometheus).unwrap();
-        assert!(stats.contains("net_server_requests_total"));
+        let (_, _, snapshot) = client.scrape_stats().unwrap();
+        assert!(snapshot
+            .counter_value("net_server_requests_total{endpoint=\"health\"}")
+            .is_some_and(|n| n >= 1));
         daemon.shutdown();
     }
 
@@ -745,11 +739,11 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(client.ping().unwrap(), 0);
         }
-        let stats = client.stats(StatsFormat::Json).unwrap();
-        // One client connection (+ this stats request may reuse it too).
+        let (_, _, snapshot) = client.scrape_stats().unwrap();
+        // One client connection (+ this scrape may reuse it too).
         assert!(
-            !stats.is_empty(),
-            "stats endpoint must answer on a probed connection"
+            !snapshot.counters.is_empty(),
+            "scrape-stats endpoint must answer on a probed connection"
         );
         daemon.shutdown();
     }

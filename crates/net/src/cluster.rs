@@ -51,24 +51,10 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Jump consistent hash (Lamping & Veach, 2014): maps `key` to a bucket
-/// in `0..buckets` with the property that growing from `n` to `n+1`
-/// buckets re-routes only an expected `1/(n+1)` of keys — and those
-/// keys all land in the *new* bucket.
-///
-/// O(ln n) expected time, zero state. Panics on `buckets == 0` (an
-/// empty cluster routes nothing).
-pub fn jump_hash(mut key: u64, buckets: u32) -> u32 {
-    assert!(buckets > 0, "jump_hash over zero buckets");
-    let mut b: i64 = -1;
-    let mut j: i64 = 0;
-    while j < i64::from(buckets) {
-        b = j;
-        key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        j = ((b.wrapping_add(1) as f64) * ((1i64 << 31) as f64 / ((key >> 33) + 1) as f64)) as i64;
-    }
-    b as u32
-}
+/// Jump consistent hash (Lamping & Veach, 2014), the shard router: the
+/// sorted shard index an object id lands on. One implementation serves
+/// both this and the E11 placement comparator.
+pub use scaddar_baselines::jump_consistent_hash as jump_hash;
 
 /// The versioned shard topology: who serves, where, and since when.
 ///

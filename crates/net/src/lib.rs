@@ -72,6 +72,5 @@ pub use load::{run_load, LatencySummary, LoadConfig, LoadReport, LoopMode};
 pub use seam::ENGINE_DEPTH_BUCKETS;
 pub use server::{NetServerConfig, Scaddard, ServerMode};
 pub use wire::{
-    decode_frame, decode_frame_limited, ErrorCode, Frame, FrameError, StatsFormat,
-    MAX_PROFILE_STATES,
+    decode_frame, decode_frame_limited, ErrorCode, Frame, FrameError, MAX_PROFILE_STATES,
 };

@@ -34,9 +34,7 @@
 //!   never panics, so neither does the server.
 
 use crate::cluster::{RouteDecision, ShardRuntime};
-use crate::wire::{
-    decode_frame_traced, ErrorCode, Frame, FrameError, StatsFormat, FRAME_HEADER_LEN,
-};
+use crate::wire::{decode_frame_traced, ErrorCode, Frame, FrameError, FRAME_HEADER_LEN};
 use cmsim::SharedServer;
 use scaddar_compact::CompactionController;
 use scaddar_monitor::{HealthMonitor, MonitorConfig, Severity};
@@ -142,13 +140,12 @@ pub struct NetStats {
 }
 
 /// The endpoints with dedicated request counters/histograms.
-pub const ENDPOINTS: [&str; 11] = [
+pub const ENDPOINTS: [&str; 10] = [
     "locate",
     "locate-batch",
     "scale",
     "tick",
     "health",
-    "stats",
     "ping",
     "fetch-map",
     "scrape-stats",
@@ -907,13 +904,6 @@ fn dispatch(frame: Frame, shared: &Shared) -> Frame {
                 report: report.render(),
             }
         }
-        Frame::Stats { format } => Frame::StatsText {
-            format,
-            text: match format {
-                StatsFormat::Prometheus => shared.registry.render_prometheus(),
-                StatsFormat::Json => shared.registry.snapshot_json(),
-            },
-        },
         Frame::Ping => Frame::Pong {
             epoch: shared.server.epoch_view().0 as u64,
         },
@@ -1069,15 +1059,14 @@ mod tests {
         assert_eq!(locations.len(), 64);
         assert!(locations.iter().all(|d| *d < disks as u64));
 
-        let stats = roundtrip(
-            addr,
-            &Frame::Stats {
-                format: StatsFormat::Prometheus,
-            },
-        );
-        let Frame::StatsText { text, .. } = stats else {
-            panic!("expected StatsText, got {stats:?}");
+        // Telemetry is pulled structured and rendered client-side.
+        let stats = roundtrip(addr, &Frame::ScrapeStats);
+        let Frame::StatsReply { snapshot, .. } = stats else {
+            panic!("expected StatsReply, got {stats:?}");
         };
+        let rendered = Registry::new();
+        rendered.absorb(&snapshot);
+        let text = rendered.render_prometheus();
         assert!(text.contains("net_server_requests_total{endpoint=\"locate-batch\"} 1"));
         assert!(text.contains("# TYPE net_server_connections gauge"));
         daemon.shutdown();

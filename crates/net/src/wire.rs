@@ -201,16 +201,6 @@ impl ErrorCode {
     }
 }
 
-/// Output format selector for [`Frame::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum StatsFormat {
-    /// Prometheus text exposition.
-    Prometheus = 0,
-    /// The registry's JSON snapshot.
-    Json = 1,
-}
-
 /// One protocol frame — requests (client → server) and responses
 /// (server → client) share the enum because both directions share the
 /// codec (and the corruption sweep covers both in one pass).
@@ -243,11 +233,6 @@ pub enum Frame {
     },
     /// One-shot health report request.
     Health,
-    /// Telemetry snapshot request.
-    Stats {
-        /// Rendering to return.
-        format: StatsFormat,
-    },
     /// Liveness probe (also the pool's stale-connection check).
     Ping,
     /// Cluster-map fetch. `have_version` is the client's current map
@@ -284,7 +269,9 @@ pub enum Frame {
         epoch: u64,
         /// Disk count at that epoch.
         disks: u32,
-        /// The block's physical disk.
+        /// The block's *logical* disk index in `0..disks` (the engine's
+        /// `LocateQuery::One` answer); only [`Frame::BatchLocated`]
+        /// carries physical disk ids.
         disk: u64,
     },
     /// Answer to [`Frame::LocateBatch`] — the whole batch served at one
@@ -321,13 +308,6 @@ pub enum Frame {
         alerts: u64,
         /// The rendered operator report.
         report: String,
-    },
-    /// Answer to [`Frame::Stats`].
-    StatsText {
-        /// The format that was rendered.
-        format: StatsFormat,
-        /// Rendered registry contents.
-        text: String,
     },
     /// Answer to [`Frame::Ping`]; echoes the server's current epoch so
     /// even liveness checks are epoch-tagged.
@@ -410,13 +390,14 @@ pub enum Frame {
 
 // Tag bytes. Requests are 0x01.., responses 0x81.. — the high bit marks
 // direction, which makes stream desyncs fail fast (a client reading a
-// request tag knows immediately something is wrong).
+// request tag knows immediately something is wrong). 0x06/0x86 (a
+// server-rendered text stats pull, replaced by `ScrapeStats`) are
+// retired: they decode as `UnknownTag` and are never reused.
 const TAG_LOCATE: u8 = 0x01;
 const TAG_LOCATE_BATCH: u8 = 0x02;
 const TAG_SCALE: u8 = 0x03;
 const TAG_TICK: u8 = 0x04;
 const TAG_HEALTH: u8 = 0x05;
-const TAG_STATS: u8 = 0x06;
 const TAG_PING: u8 = 0x07;
 const TAG_FETCH_MAP: u8 = 0x08;
 const TAG_SCRAPE_STATS: u8 = 0x09;
@@ -427,7 +408,6 @@ const TAG_BATCH_LOCATED: u8 = 0x82;
 const TAG_SCALED: u8 = 0x83;
 const TAG_TICKED: u8 = 0x84;
 const TAG_HEALTH_STATUS: u8 = 0x85;
-const TAG_STATS_TEXT: u8 = 0x86;
 const TAG_PONG: u8 = 0x87;
 const TAG_MAP_UPDATE: u8 = 0x88;
 const TAG_WRONG_SHARD: u8 = 0x89;
@@ -446,7 +426,6 @@ impl Frame {
             Frame::Scale { .. } => TAG_SCALE,
             Frame::Tick { .. } => TAG_TICK,
             Frame::Health => TAG_HEALTH,
-            Frame::Stats { .. } => TAG_STATS,
             Frame::Ping => TAG_PING,
             Frame::FetchMap { .. } => TAG_FETCH_MAP,
             Frame::ScrapeStats => TAG_SCRAPE_STATS,
@@ -457,7 +436,6 @@ impl Frame {
             Frame::Scaled { .. } => TAG_SCALED,
             Frame::Ticked { .. } => TAG_TICKED,
             Frame::HealthStatus { .. } => TAG_HEALTH_STATUS,
-            Frame::StatsText { .. } => TAG_STATS_TEXT,
             Frame::Pong { .. } => TAG_PONG,
             Frame::MapUpdate { .. } => TAG_MAP_UPDATE,
             Frame::WrongShard { .. } => TAG_WRONG_SHARD,
@@ -477,7 +455,6 @@ impl Frame {
             Frame::Scale { .. } | Frame::Scaled { .. } => "scale",
             Frame::Tick { .. } | Frame::Ticked { .. } => "tick",
             Frame::Health | Frame::HealthStatus { .. } => "health",
-            Frame::Stats { .. } | Frame::StatsText { .. } => "stats",
             Frame::Ping | Frame::Pong { .. } => "ping",
             Frame::FetchMap { .. } | Frame::MapUpdate { .. } => "fetch-map",
             Frame::ScrapeStats | Frame::StatsReply { .. } => "scrape-stats",
@@ -533,7 +510,6 @@ impl Frame {
             | Frame::ProfileDump
             | Frame::Compact => {}
             Frame::FetchMap { have_version } => put_u64(buf, *have_version),
-            Frame::Stats { format } => buf.push(*format as u8),
             Frame::Located { epoch, disks, disk } => {
                 put_u64(buf, *epoch);
                 put_u32(buf, *disks);
@@ -572,10 +548,6 @@ impl Frame {
                 buf.push(*verdict);
                 put_u64(buf, *alerts);
                 put_str(buf, report);
-            }
-            Frame::StatsText { format, text } => {
-                buf.push(*format as u8);
-                put_str(buf, text);
             }
             Frame::Pong { epoch } => put_u64(buf, *epoch),
             Frame::MapUpdate { version, shards } => {
@@ -869,7 +841,6 @@ fn tag_name(tag: u8) -> Result<&'static str, FrameError> {
         TAG_SCALE => "Scale",
         TAG_TICK => "Tick",
         TAG_HEALTH => "Health",
-        TAG_STATS => "Stats",
         TAG_PING => "Ping",
         TAG_FETCH_MAP => "FetchMap",
         TAG_SCRAPE_STATS => "ScrapeStats",
@@ -880,7 +851,6 @@ fn tag_name(tag: u8) -> Result<&'static str, FrameError> {
         TAG_SCALED => "Scaled",
         TAG_TICKED => "Ticked",
         TAG_HEALTH_STATUS => "HealthStatus",
-        TAG_STATS_TEXT => "StatsText",
         TAG_PONG => "Pong",
         TAG_MAP_UPDATE => "MapUpdate",
         TAG_WRONG_SHARD => "WrongShard",
@@ -994,20 +964,6 @@ fn decode_payload(
             rounds: p.u32("rounds")?,
         },
         TAG_HEALTH => Frame::Health,
-        TAG_STATS => {
-            let b = p.u8("format")?;
-            let format = match b {
-                0 => StatsFormat::Prometheus,
-                1 => StatsFormat::Json,
-                other => {
-                    return Err(FrameError::Malformed {
-                        frame: name,
-                        detail: format!("unknown stats format {other}"),
-                    })
-                }
-            };
-            Frame::Stats { format }
-        }
         TAG_PING => Frame::Ping,
         TAG_FETCH_MAP => Frame::FetchMap {
             have_version: p.u64("have_version")?,
@@ -1055,23 +1011,6 @@ fn decode_payload(
                 verdict,
                 alerts: p.u64("alerts")?,
                 report: p.string("report")?,
-            }
-        }
-        TAG_STATS_TEXT => {
-            let b = p.u8("format")?;
-            let format = match b {
-                0 => StatsFormat::Prometheus,
-                1 => StatsFormat::Json,
-                other => {
-                    return Err(FrameError::Malformed {
-                        frame: name,
-                        detail: format!("unknown stats format {other}"),
-                    })
-                }
-            };
-            Frame::StatsText {
-                format,
-                text: p.string("text")?,
             }
         }
         TAG_PONG => Frame::Pong {
@@ -1335,12 +1274,6 @@ mod tests {
             },
             Frame::Tick { rounds: 4 },
             Frame::Health,
-            Frame::Stats {
-                format: StatsFormat::Prometheus,
-            },
-            Frame::Stats {
-                format: StatsFormat::Json,
-            },
             Frame::Ping,
             Frame::FetchMap { have_version: 3 },
             Frame::ScrapeStats,
@@ -1382,10 +1315,6 @@ mod tests {
                 verdict: 1,
                 alerts: 2,
                 report: "health: WARN (2 alerts emitted)\n".to_string(),
-            },
-            Frame::StatsText {
-                format: StatsFormat::Json,
-                text: "{\"counters\": []}".to_string(),
             },
             Frame::Pong { epoch: 11 },
             Frame::StatsReply {
@@ -1510,12 +1439,12 @@ mod tests {
             decode_frame(&bytes),
             Err(FrameError::VersionMismatch { got: 9 })
         );
-        let mut bytes = Frame::Ping.to_bytes();
-        bytes[5] = 0x60;
-        assert_eq!(
-            decode_frame(&bytes),
-            Err(FrameError::UnknownTag { tag: 0x60 })
-        );
+        // 0x06/0x86 are the retired text-stats request/response tags.
+        for tag in [0x60, 0x06, 0x86] {
+            let mut bytes = Frame::Ping.to_bytes();
+            bytes[5] = tag;
+            assert_eq!(decode_frame(&bytes), Err(FrameError::UnknownTag { tag }));
+        }
     }
 
     #[test]

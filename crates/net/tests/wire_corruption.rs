@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use scaddar_core::ScalingOp;
 use scaddar_net::wire::{
     decode_frame, decode_frame_limited, decode_frame_traced, ErrorCode, Frame, FrameError,
-    StatsFormat, FRAME_HEADER_LEN, HARD_MAX_FRAME_LEN, PROTOCOL_VERSION, TRACE_TRAILER_V1_LEN,
+    FRAME_HEADER_LEN, HARD_MAX_FRAME_LEN, PROTOCOL_VERSION, TRACE_TRAILER_V1_LEN,
     TRACE_TRAILER_VERSION,
 };
 use scaddar_obs::{ProfileSnapshot, Registry, RegistrySnapshot, ThreadProfile, TraceContext};
@@ -58,12 +58,6 @@ fn exemplars() -> Vec<Frame> {
         },
         Frame::Tick { rounds: 16 },
         Frame::Health,
-        Frame::Stats {
-            format: StatsFormat::Prometheus,
-        },
-        Frame::Stats {
-            format: StatsFormat::Json,
-        },
         Frame::Ping,
         Frame::Located {
             epoch: 4,
@@ -88,10 +82,6 @@ fn exemplars() -> Vec<Frame> {
             verdict: 1,
             alerts: 2,
             report: "health: WARN — ro2 drift".into(),
-        },
-        Frame::StatsText {
-            format: StatsFormat::Json,
-            text: "{\"counters\": []}".into(),
         },
         Frame::Pong { epoch: 5 },
         Frame::Error {
@@ -261,11 +251,9 @@ fn length_prefix_overflow_classes() {
 
 #[test]
 fn every_unknown_tag_and_version_byte_is_typed() {
-    let known_requests = [
-        0x01u8, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B,
-    ];
+    let known_requests = [0x01u8, 0x02, 0x03, 0x04, 0x05, 0x07, 0x08, 0x09, 0x0A, 0x0B];
     let known_responses = [
-        0x81u8, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8D, 0xFF,
+        0x81u8, 0x82, 0x83, 0x84, 0x85, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8D, 0xFF,
     ];
     for tag in 0u8..=255 {
         let buf = [2u8, 0, 0, 0, PROTOCOL_VERSION, tag];

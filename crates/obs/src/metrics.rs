@@ -604,25 +604,24 @@ mod tests {
 
     #[test]
     fn concurrent_recording_sums_exactly() {
-        // Satellite: hammered from the crossbeam-shim scoped threads,
+        // Hammered from scoped threads,
         // every sample must land — relaxed atomics lose nothing.
         let h = Histogram::new();
         let c = Counter::new();
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 10_000;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..THREADS {
                 let h = h.clone();
                 let c = c.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..PER_THREAD {
                         h.record(t * PER_THREAD + i);
                         c.inc();
                     }
                 });
             }
-        })
-        .expect("no panics");
+        });
         let snap = h.snapshot();
         assert_eq!(snap.count, THREADS * PER_THREAD);
         assert_eq!(c.get(), THREADS * PER_THREAD);

@@ -125,8 +125,9 @@ fn simulation_under_continuous_churn_stays_clean() {
 
 #[test]
 fn full_redistribution_endgame() {
-    // Burn through the fairness budget, then reset exactly as the paper
-    // prescribes, and keep operating.
+    // Burn through the fairness budget, then fully redistribute as the
+    // paper prescribes (§4.3; here a rehash to the next generation), and
+    // keep operating.
     let mut engine = Scaddar::new(
         ScaddarConfig::new(8)
             .with_catalog_seed(31)
@@ -142,7 +143,7 @@ fn full_redistribution_endgame() {
         assert!(ops < 100);
     }
     let census_before = engine.load_distribution();
-    let moved = engine.full_redistribution();
+    let moved = engine.rehash_to_next_generation();
     assert!(moved > 30_000, "full redistribution is near-total: {moved}");
     assert_eq!(engine.epoch(), 0);
     let census_after = engine.load_distribution();
