@@ -48,11 +48,30 @@ impl PhysicalMap {
         self.logical_to_physical[logical as usize]
     }
 
+    /// The largest physical id a map mints. Ids are never reused, so a
+    /// long history of additions and removals can reach it before the
+    /// live count does; residency stores ids in 4 bytes.
+    pub const MAX_ID: u64 = u32::MAX as u64;
+
+    /// Validates `op` against the live count and the id ceiling without
+    /// applying it: the error [`PhysicalMap::apply`] would return.
+    pub fn check(&self, op: &ScalingOp) -> Result<(), ScalingError> {
+        op.disks_after(self.disks())?;
+        if let ScalingOp::Add { count } = op {
+            if self.next_physical + u64::from(*count) > Self::MAX_ID + 1 {
+                return Err(ScalingError::PhysicalIdsExhausted);
+            }
+        }
+        Ok(())
+    }
+
     /// Applies a scaling operation: additions mint fresh physical ids,
-    /// removals drop the victims and compact (rank renumbering).
+    /// removals drop the victims and compact (rank renumbering). An
+    /// addition past [`PhysicalMap::MAX_ID`] is refused before anything
+    /// is allocated.
     pub fn apply(&mut self, op: &ScalingOp) -> Result<(), ScalingError> {
         let n_prev = self.disks();
-        op.disks_after(n_prev)?;
+        self.check(op)?;
         match op {
             ScalingOp::Add { count } => {
                 for _ in 0..*count {
@@ -226,6 +245,28 @@ mod tests {
         assert_eq!(m.disks(), 5);
         let physes: Vec<u64> = (0..5).map(|l| m.physical(l).0).collect();
         assert_eq!(physes, vec![0, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn additions_stop_at_the_id_ceiling() {
+        // A map whose history already minted ids up to MAX_ID - 1.
+        let mut m = PhysicalMap {
+            logical_to_physical: vec![PhysicalDiskId(PhysicalMap::MAX_ID - 1)],
+            next_physical: PhysicalMap::MAX_ID,
+        };
+        let two = ScalingOp::Add { count: 2 };
+        assert_eq!(m.check(&two), Err(ScalingError::PhysicalIdsExhausted));
+        assert_eq!(m.apply(&two), Err(ScalingError::PhysicalIdsExhausted));
+        assert_eq!(m.disks(), 1, "a refused addition mints nothing");
+        m.apply(&ScalingOp::add_one()).unwrap();
+        assert_eq!(m.physical(1), PhysicalDiskId(PhysicalMap::MAX_ID));
+        assert_eq!(
+            m.apply(&ScalingOp::add_one()),
+            Err(ScalingError::PhysicalIdsExhausted)
+        );
+        // Removals never mint, so they still apply at the ceiling.
+        m.apply(&ScalingOp::remove_one(0)).unwrap();
+        assert_eq!(m.disks(), 1);
     }
 
     #[test]

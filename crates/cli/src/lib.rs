@@ -687,7 +687,8 @@ impl Session {
             .first()
             .ok_or_else(|| CliError::Usage("save <path>".into()))?;
         let bytes = self.engine_ref()?.snapshot();
-        std::fs::write(path, &bytes).map_err(|e| CliError::Io(e.to_string()))?;
+        write_atomically(std::path::Path::new(path), &bytes)
+            .map_err(|e| CliError::Io(e.to_string()))?;
         Ok(format!("saved {} bytes to {path}", bytes.len()))
     }
 
@@ -709,6 +710,40 @@ impl Session {
         self.engine = Some(engine);
         Ok(summary)
     }
+}
+
+/// Replaces the file at `path` with `bytes` so that a crash leaves the
+/// old contents or the new, never a torn mix: the bytes go to a temp
+/// file in the target's directory, which is fsynced and renamed over
+/// the target, and then the directory is fsynced so the rename itself
+/// is durable. On an error before the rename the temp file is removed
+/// and the target is untouched.
+fn write_atomically(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path names no file")
+    })?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = dir.join(tmp_name);
+    let written = (|| {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -831,6 +866,70 @@ mod tests {
         assert!(restored.contains("6 disks"));
         assert_eq!(run(&mut fresh, "locate 0 4321"), before);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A fresh, empty directory for one test.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("scaddar-cli-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn entries(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn save_replaces_an_existing_snapshot_whole() {
+        let dir = scratch_dir("save-over");
+        let path = dir.join("state.snap");
+        let path_s = path.to_str().unwrap();
+        std::fs::write(&path, vec![0xAB; 10_000]).unwrap();
+        let mut s = Session::new();
+        run(&mut s, "init 4 seed=9");
+        run(&mut s, "add-object 3000");
+        run(&mut s, "scale add 2");
+        let before = run(&mut s, "locate 0 1234");
+        assert!(run(&mut s, &format!("save {path_s}")).contains("saved"));
+        let expected = s.engine_ref().unwrap().snapshot();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            expected,
+            "exactly the new bytes"
+        );
+        assert_eq!(entries(&dir), ["state.snap"], "no temp file left");
+        let mut fresh = Session::new();
+        assert!(run(&mut fresh, &format!("load {path_s}")).contains("6 disks"));
+        assert_eq!(run(&mut fresh, "locate 0 1234"), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_save_leaves_no_temp_file() {
+        let mut s = Session::new();
+        run(&mut s, "init 4");
+        run(&mut s, "add-object 100");
+        // Into a directory that does not exist.
+        let dir = scratch_dir("save-missing");
+        let missing = dir.join("absent").join("state.snap");
+        let err = s.execute(&format!("save {}", missing.to_str().unwrap()));
+        assert!(matches!(err, Err(CliError::Io(_))), "{err:?}");
+        assert!(!dir.join("absent").exists());
+        // Over a target the rename cannot replace (a non-empty
+        // directory): the temp file was written, and must be removed.
+        let target = dir.join("state.snap");
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        let err = s.execute(&format!("save {}", target.to_str().unwrap()));
+        assert!(matches!(err, Err(CliError::Io(_))), "{err:?}");
+        assert_eq!(entries(&dir), ["state.snap"], "no stray temp file");
+        assert!(target.join("occupied").is_dir(), "target untouched");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! [`CmServer::begin_compaction`]: crate::server::CmServer::begin_compaction
 //! [`Scaddar::open_next_generation`]: scaddar_core::Scaddar::open_next_generation
 
-use crate::disk::DiskArray;
 use crate::redistribute::PendingMove;
 use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{BlockRef, ObjectId, Scaddar};
@@ -42,20 +41,22 @@ pub(crate) struct CompactionState {
 }
 
 impl CompactionState {
-    /// Plans the migration of one object whose blocks are `resident`:
-    /// blocks already at their staging placement join the migrated set,
-    /// every other block gets a move toward it.
+    /// Plans the migration of one object whose blocks are `resident`
+    /// (4-byte physical ids): blocks already at their staging placement
+    /// join the migrated set, every other block gets a move toward it.
+    /// `ids` is the live physical id of each logical disk.
     pub(crate) fn plan_object(
         &mut self,
-        disks: &DiskArray,
+        ids: &[u32],
         object: ObjectId,
-        resident: &[PhysicalDiskId],
+        resident: &[u32],
         moves: &mut Vec<PendingMove>,
     ) {
         let targets = self.staging.placements(object).expect("staged object");
+        debug_assert_eq!(targets.len(), resident.len());
         let mut bits = vec![0u64; resident.len().div_ceil(64)];
-        for (b, (&from, logical)) in resident.iter().zip(targets).enumerate() {
-            let to = disks.physical(logical);
+        targets.enumerate().for_each(|(b, logical)| {
+            let (from, to) = (resident[b], ids[logical.0 as usize]);
             if from == to {
                 bits[b / 64] |= 1 << (b % 64);
             } else {
@@ -64,11 +65,11 @@ impl CompactionState {
                         object,
                         block: b as u64,
                     },
-                    from,
-                    to,
+                    from: PhysicalDiskId(from.into()),
+                    to: PhysicalDiskId(to.into()),
                 });
             }
-        }
+        });
         self.migrated.insert_object(object, bits);
     }
 }

@@ -98,6 +98,20 @@ impl DiskArray {
         (0..self.disks()).map(|l| self.map.physical(l)).collect()
     }
 
+    /// [`DiskArray::physical_ids`] as residency stores them, 4 bytes each.
+    pub(crate) fn physical_words(&self) -> Vec<u32> {
+        (0..self.disks())
+            .map(|l| crate::store::id_word(self.map.physical(l)))
+            .collect()
+    }
+
+    /// The error [`DiskArray::apply`] would return for `op`, without
+    /// applying it: an invalid op, or an addition past the physical id
+    /// ceiling ([`PhysicalMap::MAX_ID`]).
+    pub(crate) fn check(&self, op: &ScalingOp) -> Result<(), ScalingError> {
+        self.map.check(op)
+    }
+
     /// The ids whose state satisfies `pred`, ascending.
     pub(crate) fn ids_where(
         &self,
@@ -111,7 +125,8 @@ impl DiskArray {
     /// Applies a scaling operation. New disks take the default spec
     /// (homogeneous array; heterogeneity is modelled one level up, in
     /// [`crate::hetero`]). A removed disk drains, or is pulled if it had
-    /// failed, until it is retired once empty.
+    /// failed, until it is retired once empty. An addition past the
+    /// physical id ceiling is refused before anything is allocated.
     pub fn apply(&mut self, op: &ScalingOp) -> Result<(), ScalingError> {
         let before = self.physical_ids();
         self.map.apply(op)?;
@@ -218,7 +233,7 @@ mod tests {
         assert_eq!(a.slots.len(), 5);
         // Only removed disks retire, and only when empty.
         let mut store = BlockStore::new();
-        let resident = vec![dead, PhysicalDiskId(0)];
+        let resident = vec![dead.0 as u32, 0];
         store.ingest_object(ObjectId(0), resident.clone(), tally(&resident));
         assert_eq!(a.retire_empty(&store), vec![healthy]);
         store.evict_object(ObjectId(0)).unwrap();
@@ -239,7 +254,7 @@ mod tests {
         })
         .unwrap();
         let mut store = BlockStore::new();
-        let resident = vec![PhysicalDiskId(1), PhysicalDiskId(2)];
+        let resident = vec![1, 2];
         store.ingest_object(ObjectId(0), resident.clone(), tally(&resident));
         a.retire_empty(&store);
         // A round serves on live and draining disks only.
@@ -251,6 +266,23 @@ mod tests {
         assert_eq!(attached, vec![true, false, true, false, true]);
         let failed = a.table(|_, state| state.failed());
         assert_eq!(failed, vec![true, true, false, false, false]);
+    }
+
+    #[test]
+    fn additions_past_the_id_ceiling_are_refused_before_allocating() {
+        // Three ids minted, two removed: one live disk. Adding
+        // u32::MAX - 1 keeps the live count within u32, but the ids
+        // would run to u32::MAX + 1. The check counts; it never pushes.
+        let mut a = DiskArray::new(3, SPEC);
+        a.apply(&ScalingOp::Remove { disks: vec![0, 1] }).unwrap();
+        let op = ScalingOp::Add {
+            count: u32::MAX - 1,
+        };
+        assert_eq!(a.check(&op), Err(ScalingError::PhysicalIdsExhausted));
+        assert_eq!(a.apply(&op), Err(ScalingError::PhysicalIdsExhausted));
+        assert_eq!(a.disks(), 1);
+        assert_eq!(a.slots.len(), 3, "nothing minted");
+        assert_eq!(a.check(&ScalingOp::Add { count: 2 }), Ok(()));
     }
 
     #[test]

@@ -116,14 +116,15 @@ impl CmServer {
                 .with_catalog_seed(config.catalog_seed)
                 .with_epsilon(config.epsilon),
         )?;
-        Ok(CmServer::from_engine(config, engine))
+        CmServer::from_engine(config, engine)
     }
 
     /// A quiet server around `engine`. The disk array replays the
     /// engine's scaling log, so physical identities line up with a
     /// server that lived through the history, and the block store is
-    /// derived from `AF()`.
-    fn from_engine(config: ServerConfig, engine: Scaddar) -> Self {
+    /// derived from `AF()`. Fails if the log mints a physical id past
+    /// the ceiling.
+    fn from_engine(config: ServerConfig, engine: Scaddar) -> Result<Self, ServerError> {
         let spec = DiskSpec {
             bandwidth: config.disk_bandwidth,
             capacity: config.disk_capacity,
@@ -136,17 +137,17 @@ impl CmServer {
                     disks: set.indices().to_vec(),
                 },
             };
-            disks.apply(&op).expect("the engine validated its log");
+            disks.apply(&op).map_err(ScaddarError::from)?;
         }
-        let ids = disks.physical_ids();
+        let ids = disks.physical_words();
         let mut store = BlockStore::new();
         for obj in engine.catalog().objects() {
             let (resident, tally) = place(&engine, &ids, obj.id);
-            store.ingest_object(obj.id, resident, ids.iter().copied().zip(tally));
+            store.ingest_object(obj.id, resident, physical(&ids).zip(tally));
         }
         // The replay left every removed disk draining; none holds a block.
         disks.retire_empty(&store);
-        CmServer {
+        Ok(CmServer {
             engine,
             disks,
             store,
@@ -158,7 +159,7 @@ impl CmServer {
             compaction: None,
             stats: None,
             config,
-        }
+        })
     }
 
     /// Attaches server metric handles: subsequent rounds, scaling
@@ -238,7 +239,7 @@ impl CmServer {
     pub fn restore(config: ServerConfig, bytes: &[u8]) -> Result<Self, ServerError> {
         let engine = Scaddar::from_snapshot(bytes, config.epsilon)
             .map_err(|e| ServerError::Snapshot(e.to_string()))?;
-        Ok(CmServer::from_engine(config, engine))
+        CmServer::from_engine(config, engine).map_err(|e| ServerError::Snapshot(e.to_string()))
     }
 
     /// Simulates an **unexpected failure** of the disk at logical index
@@ -330,12 +331,11 @@ impl CmServer {
             let staged = c.staging.add_object(blocks);
             debug_assert_eq!(staged, id, "generations allocate ids in lockstep");
         }
-        let ids = self.disks.physical_ids();
+        let ids = self.disks.physical_words();
         let (resident, tally) = place(&self.engine, &ids, id);
-        if ids
-            .iter()
+        if physical(&ids)
             .zip(&tally)
-            .any(|(&disk, &n)| n > self.room(disk))
+            .any(|(disk, &n)| n > self.room(disk))
         {
             let full = self.first_full(&resident);
             self.engine.remove_object(id).expect("object just added");
@@ -345,13 +345,13 @@ impl CmServer {
             return Err(ServerError::DiskFull(full));
         }
         self.store
-            .ingest_object(id, resident, ids.iter().copied().zip(tally));
+            .ingest_object(id, resident, physical(&ids).zip(tally));
         // Schedule the blocks toward their new-generation placement.
         if let Some(c) = &mut self.compaction {
             c.total += blocks;
             let mut moves = Vec::new();
             let resident = self.store.object(id).expect("object just ingested");
-            c.plan_object(&self.disks, id, resident, &mut moves);
+            c.plan_object(&ids, id, resident, &mut moves);
             // A failed disk has no move bandwidth, so a move into or out
             // of one would wedge the flip. Treat them as `fail_disk`
             // treats stranded moves: a move into the dead disk completes
@@ -385,13 +385,12 @@ impl CmServer {
     }
 
     /// Cold path of a refused admission: the disk of the lowest-indexed
-    /// block of `resident` that does not fit — where a block-by-block
-    /// ingest would have stopped.
-    fn first_full(&self, resident: &[PhysicalDiskId]) -> PhysicalDiskId {
+    /// block of `resident` (physical ids) that does not fit — where a
+    /// block-by-block ingest would have stopped.
+    fn first_full(&self, resident: &[u32]) -> PhysicalDiskId {
         let mut taken = self.disks.table(|_, _| 0u64);
-        *resident
-            .iter()
-            .find(|&&disk| {
+        physical(resident)
+            .find(|&disk| {
                 let n = &mut taken[disk.0 as usize];
                 *n += 1;
                 *n > self.room(disk)
@@ -496,6 +495,9 @@ impl CmServer {
             // compaction is itself the response to too much scaling).
             return Err(ServerError::CompactionActive);
         }
+        // Refuse what the disk array would refuse (the physical id
+        // ceiling) before the engine commits the op.
+        self.disks.check(&op).map_err(ScaddarError::from)?;
         let scale_start = self.stats.as_ref().map(|s| s.clock.now_ns());
         let plan = self.engine.scale(op.clone())?;
         // Snapshot the pre-op logical -> physical mapping: reconstruction
@@ -637,9 +639,10 @@ impl CmServer {
             total: self.engine.catalog().total_blocks(),
         };
         let mut moves = Vec::new();
+        let ids = self.disks.physical_words();
         for obj in self.engine.catalog().objects() {
             let resident = self.store.object(obj.id).expect("catalog object stored");
-            c.plan_object(&self.disks, obj.id, resident, &mut moves);
+            c.plan_object(&ids, obj.id, resident, &mut moves);
         }
         let queued = moves.len() as u64;
         self.executor.enqueue(moves);
@@ -762,7 +765,7 @@ impl CmServer {
             let new = c.staging.locate_all(obj.id).expect("staged object");
             let (migrated, queued) = (c.migrated.bits(obj.id), pending.bits(obj.id));
             resident.len() == old.len()
-                && resident.iter().enumerate().all(|(b, &stored)| {
+                && physical(resident).enumerate().all(|(b, stored)| {
                     if has_block(migrated, b as u64) {
                         stored == self.disks.physical(new[b])
                     } else {
@@ -967,14 +970,14 @@ impl CmServer {
         if !self.executor.is_idle() {
             return false;
         }
+        let ids = self.disks.physical_words();
         self.engine.catalog().objects().iter().all(|obj| {
-            let mut placements = self.engine.placements(obj.id).expect("catalog object");
+            let placements = self.engine.placements(obj.id).expect("catalog object");
             self.store.object(obj.id).is_some_and(|resident| {
                 resident.len() == placements.len()
-                    && resident
-                        .iter()
-                        .zip(&mut placements)
-                        .all(|(&stored, logical)| stored == self.disks.physical(logical))
+                    && placements.enumerate().fold(true, |ok, (b, logical)| {
+                        ok & (resident[b] == ids[logical.0 as usize])
+                    })
             })
         })
     }
@@ -983,24 +986,24 @@ impl CmServer {
 /// The one admission pass, shared by [`CmServer::add_object`] and every
 /// rebuild of residency from `AF()` (`new`, `restore`): each of the
 /// object's cached `X_j`, reduced to its logical disk by the engine's
-/// reciprocal, mapped through the live `ids` table (logical order) into
-/// an exactly sized residency vector, and tallied per logical disk.
-fn place(
-    engine: &Scaddar,
-    ids: &[PhysicalDiskId],
-    object: ObjectId,
-) -> (Vec<PhysicalDiskId>, Vec<u64>) {
+/// reciprocal at the cache's word width, mapped through the live `ids`
+/// table (logical order, 4-byte physical ids) into an exactly sized
+/// residency vector, and tallied per logical disk.
+fn place(engine: &Scaddar, ids: &[u32], object: ObjectId) -> (Vec<u32>, Vec<u64>) {
     let mut tally = vec![0u64; ids.len()];
     let resident = engine
-        .placements(object)
-        .expect("catalog object")
-        .map(|logical| {
+        .map_placements(object, |logical| {
             let l = logical.0 as usize;
             tally[l] += 1;
             ids[l]
         })
-        .collect();
+        .expect("catalog object");
     (resident, tally)
+}
+
+/// Stored 4-byte physical ids as [`PhysicalDiskId`]s.
+fn physical(ids: &[u32]) -> impl Iterator<Item = PhysicalDiskId> + '_ {
+    ids.iter().map(|&id| PhysicalDiskId(id.into()))
 }
 
 #[cfg(test)]
@@ -1483,7 +1486,8 @@ mod tests {
         let before = observable(s);
         match (s.add_object(blocks), expected) {
             (Ok(id), Ok((resident, census))) => {
-                assert_eq!(s.store.object(id), Some(&resident[..]), "{blocks} blocks");
+                let stored: Vec<PhysicalDiskId> = physical(s.store.object(id).unwrap()).collect();
+                assert_eq!(stored, resident, "{blocks} blocks");
                 assert_eq!(minted_census(s), census, "{blocks} blocks");
             }
             (Err(ServerError::DiskFull(disk)), Err(oracle)) => {
@@ -1882,8 +1886,8 @@ mod compaction_tests {
         assert!(s.residency_consistent());
         // The new object's share of the dead disk is resident there,
         // mirror-served like the rest of its blocks.
-        let on_dead = s.store().object(obj).unwrap().iter();
-        assert!(on_dead.filter(|&&d| d == dead).count() > 0);
+        let on_dead = physical(s.store().object(obj).unwrap());
+        assert!(on_dead.filter(|&d| d == dead).count() > 0);
         assert_eq!(s.store().len(), 6_000);
     }
 }

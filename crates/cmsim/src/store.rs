@@ -10,8 +10,11 @@
 //!
 //! `AF()` is a pure function of an object's seed and a *dense* block
 //! index (Def. 4.1), so residency is dense too: one map entry per
-//! object, holding a `Vec<PhysicalDiskId>` indexed by block (8 B per
-//! block). The per-disk census is dense as well: physical ids are
+//! object, holding a `Vec<u32>` of physical ids indexed by block (4 B
+//! per block). Ids fit 4 bytes because `PhysicalMap` refuses an
+//! addition that would mint one past `u32::MAX`
+//! ([`ScalingError::PhysicalIdsExhausted`](scaddar_core::ScalingError)).
+//! The per-disk census is dense as well: physical ids are
 //! minted in sequence (`PhysicalMap`), so it is a `Vec<u64>` indexed by
 //! `PhysicalDiskId.0`, and a retired disk's slot simply reads 0. Objects
 //! enter and leave whole: [`BlockStore::ingest_object`] costs one map
@@ -26,10 +29,19 @@ use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{BlockRef, ObjectId};
 use std::collections::HashMap;
 
+/// A physical id as residency stores it.
+///
+/// # Panics
+/// If the id is past `u32::MAX`, which `PhysicalMap` never mints.
+pub(crate) fn id_word(id: PhysicalDiskId) -> u32 {
+    u32::try_from(id.0).expect("physical ids are minted below the u32 ceiling")
+}
+
 /// Residency of all blocks: per object, the physical disk of each block.
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
-    objects: HashMap<ObjectId, Vec<PhysicalDiskId>>,
+    /// Per object, the physical id (`PhysicalDiskId.0`) of each block.
+    objects: HashMap<ObjectId, Vec<u32>>,
     blocks: usize,
     /// Blocks per physical disk, indexed by `PhysicalDiskId.0`; ids past
     /// the end hold no blocks.
@@ -52,7 +64,7 @@ impl BlockStore {
         self.blocks == 0
     }
 
-    /// Ingests a whole object: block `b` lands on `disks[b]` (initial
+    /// Ingests a whole object: block `b` lands on physical id `disks[b]` (initial
     /// load, object addition, or rebuilding residency from `AF()`).
     /// `tally` is how many of the blocks land on each disk, counted by
     /// the caller's placement pass; the census takes one add per disk.
@@ -62,7 +74,7 @@ impl BlockStore {
     pub fn ingest_object(
         &mut self,
         object: ObjectId,
-        disks: Vec<PhysicalDiskId>,
+        disks: Vec<u32>,
         tally: impl IntoIterator<Item = (PhysicalDiskId, u64)>,
     ) {
         assert!(
@@ -81,40 +93,47 @@ impl BlockStore {
         self.objects.insert(object, disks);
     }
 
-    /// Drops a whole object (object deletion), returning where its
-    /// blocks were; `None` if the object is not stored.
-    pub fn evict_object(&mut self, object: ObjectId) -> Option<Vec<PhysicalDiskId>> {
+    /// Drops a whole object (object deletion), returning the physical
+    /// ids its blocks were on; `None` if the object is not stored.
+    pub fn evict_object(&mut self, object: ObjectId) -> Option<Vec<u32>> {
         let disks = self.objects.remove(&object)?;
         for &disk in &disks {
-            self.debit(disk);
+            self.debit(PhysicalDiskId(disk.into()));
         }
         self.blocks -= disks.len();
         Some(disks)
     }
 
-    /// Where each block of `object` currently lives, in block order.
-    pub fn object(&self, object: ObjectId) -> Option<&[PhysicalDiskId]> {
+    /// The physical id (`PhysicalDiskId.0`) each block of `object`
+    /// currently lives on, in block order.
+    pub fn object(&self, object: ObjectId) -> Option<&[u32]> {
         self.objects.get(&object).map(Vec::as_slice)
     }
 
     /// Where a block's data currently lives.
     pub fn locate(&self, block: BlockRef) -> Option<PhysicalDiskId> {
-        self.object(block.object)?
-            .get(usize::try_from(block.block).ok()?)
-            .copied()
+        let id = *self
+            .object(block.object)?
+            .get(usize::try_from(block.block).ok()?)?;
+        Some(PhysicalDiskId(id.into()))
     }
 
     /// Moves one block between disks.
     ///
     /// # Panics
     /// If the block is unknown or not on `from` — both indicate the move
-    /// plan and the store have diverged, which must never happen.
+    /// plan and the store have diverged, which must never happen — or
+    /// if `to` is past the `u32` id ceiling, which no array mints.
     pub fn relocate(&mut self, block: BlockRef, from: PhysicalDiskId, to: PhysicalDiskId) {
         let slot = self
             .slot_mut(block)
             .unwrap_or_else(|| panic!("relocating unknown block {block:?}"));
-        assert_eq!(*slot, from, "move plan disagrees with store for {block:?}");
-        *slot = to;
+        assert_eq!(
+            u64::from(*slot),
+            from.0,
+            "move plan disagrees with store for {block:?}"
+        );
+        *slot = id_word(to);
         self.debit(from);
         *self.count_mut(to) += 1;
     }
@@ -126,7 +145,7 @@ impl BlockStore {
     /// replica. Returns the prior location.
     ///
     /// # Panics
-    /// If the block is unknown.
+    /// If the block is unknown, or `to` is past the `u32` id ceiling.
     pub fn relocate_reconstructed(
         &mut self,
         block: BlockRef,
@@ -135,7 +154,7 @@ impl BlockStore {
         let slot = self
             .slot_mut(block)
             .unwrap_or_else(|| panic!("reconstructing unknown block {block:?}"));
-        let from = std::mem::replace(slot, to);
+        let from = PhysicalDiskId(std::mem::replace(slot, id_word(to)).into());
         self.debit(from);
         *self.count_mut(to) += 1;
         from
@@ -151,7 +170,7 @@ impl BlockStore {
         disks.iter().map(|&d| self.blocks_on(d)).collect()
     }
 
-    fn slot_mut(&mut self, block: BlockRef) -> Option<&mut PhysicalDiskId> {
+    fn slot_mut(&mut self, block: BlockRef) -> Option<&mut u32> {
         self.objects
             .get_mut(&block.object)?
             .get_mut(usize::try_from(block.block).ok()?)
@@ -180,9 +199,9 @@ impl BlockStore {
 /// `disks` counted per disk: the tally [`BlockStore::ingest_object`]
 /// takes, for tests that build residency by hand.
 #[cfg(test)]
-pub(crate) fn tally(disks: &[PhysicalDiskId]) -> Vec<(PhysicalDiskId, u64)> {
+pub(crate) fn tally(disks: &[u32]) -> Vec<(PhysicalDiskId, u64)> {
     let mut counts: Vec<(PhysicalDiskId, u64)> = Vec::new();
-    for &disk in disks {
+    for disk in disks.iter().map(|&d| PhysicalDiskId(d.into())) {
         match counts.iter_mut().find(|(d, _)| *d == disk) {
             Some((_, n)) => *n += 1,
             None => counts.push((disk, 1)),
@@ -197,8 +216,9 @@ mod tests {
 
     /// Ingests `disks` with its tally.
     fn ingest(s: &mut BlockStore, object: u64, disks: Vec<PhysicalDiskId>) {
-        let counts = tally(&disks);
-        s.ingest_object(ObjectId(object), disks, counts);
+        let words: Vec<u32> = disks.into_iter().map(id_word).collect();
+        let counts = tally(&words);
+        s.ingest_object(ObjectId(object), words, counts);
     }
 
     fn blk(o: u64, b: u64) -> BlockRef {
@@ -217,7 +237,7 @@ mod tests {
         assert_eq!(s.locate(blk(0, 0)), Some(PhysicalDiskId(2)));
         assert_eq!(s.locate(blk(0, 1)), None);
         assert_eq!(s.blocks_on(PhysicalDiskId(2)), 2);
-        assert_eq!(s.evict_object(ObjectId(0)), Some(vec![PhysicalDiskId(2)]));
+        assert_eq!(s.evict_object(ObjectId(0)), Some(vec![2]));
         assert_eq!(s.blocks_on(PhysicalDiskId(2)), 1);
         assert_eq!(s.len(), 1);
         assert_eq!(s.evict_object(ObjectId(9)), None);

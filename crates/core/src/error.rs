@@ -27,6 +27,9 @@ pub enum ScalingError {
     WouldRemoveAllDisks,
     /// Disk-count arithmetic would overflow `u32`.
     TooManyDisks,
+    /// An addition would mint a physical disk id past `u32::MAX`: ids
+    /// are never reused, and residency stores them in 4 bytes.
+    PhysicalIdsExhausted,
 }
 
 impl fmt::Display for ScalingError {
@@ -48,6 +51,9 @@ impl fmt::Display for ScalingError {
                 write!(f, "removal would leave the server with zero disks")
             }
             ScalingError::TooManyDisks => write!(f, "disk count overflows u32"),
+            ScalingError::PhysicalIdsExhausted => {
+                write!(f, "addition would mint a physical disk id past u32::MAX")
+            }
         }
     }
 }

@@ -74,10 +74,10 @@ pub use log::{RecordAction, ScalingLog, ScalingRecord};
 pub use object::{BlockRef, Catalog, CmObject, ObjectId};
 pub use ops::{RemovedSet, ScalingOp};
 pub use persist::{PersistError, Snapshot};
-pub use pipeline::RemapPipeline;
+pub use pipeline::{RemapPipeline, Word};
 pub use plan::{plan_last_op, plan_last_op_with_x, BlockMove, MovePlan, OpMovement};
 pub use stats::EngineStats;
-pub use xcache::XCache;
+pub use xcache::{Placements, XCache, Xs, XsIter};
 
 use scaddar_prng::{Bits, RngKind};
 use std::sync::Arc;
@@ -233,7 +233,7 @@ impl Scaddar {
         Ok(Scaddar {
             catalog: Catalog::new(config.rng, config.bits, config.catalog_seed),
             pipeline: RemapPipeline::compile(&log),
-            cache: XCache::new(),
+            cache: XCache::new(config.bits),
             fairness: FairnessTracker::new(config.bits, config.initial_disks),
             log,
             epsilon: config.epsilon,
@@ -353,35 +353,53 @@ impl Scaddar {
                 blocks: obj.blocks,
             });
         }
-        let x = self
+        Ok(self
             .cache
-            .x(object, block)
-            .expect("cache holds every catalog block");
-        Ok(self.pipeline.disk_of(x))
+            .xs(object)
+            .and_then(|xs| xs.disk(block as usize, self.pipeline.disk_divisor()))
+            .expect("cache holds every catalog block"))
     }
 
     /// Bulk `AF()` as an iterator: the disk of every block of `object`,
     /// in block order. O(B): each cached `X_j` is reduced mod `N_j` by
-    /// one reciprocal multiply, with no division and no allocation.
-    pub fn placements(
-        &self,
-        object: ObjectId,
-    ) -> Result<impl ExactSizeIterator<Item = DiskIndex> + '_, ScaddarError> {
-        let xs = self
-            .cache
-            .xs(object)
-            .ok_or(ScaddarError::UnknownObject(object))?;
+    /// one reciprocal multiply at its word width, with no division and
+    /// no allocation; `for_each`/`fold` dispatch on the width once.
+    pub fn placements(&self, object: ObjectId) -> Result<Placements<'_>, ScaddarError> {
+        let xs = self.cached_xs(object)?;
         if let Some(stats) = &self.stats {
             stats.locate_bulk_blocks.add(xs.len() as u64);
         }
-        let disks = self.pipeline.disk_divisor();
-        Ok(xs.iter().map(move |&x| DiskIndex(disks.rem(x) as u32)))
+        Ok(xs.placements(self.pipeline.disk_divisor()))
+    }
+
+    /// Bulk `AF()` mapped: `f` of the disk of every block of `object`,
+    /// collected in block order. The width dispatch happens once per
+    /// call, then a counted map over the cached slice — the admission
+    /// path's single pass.
+    pub fn map_placements<T>(
+        &self,
+        object: ObjectId,
+        f: impl FnMut(DiskIndex) -> T,
+    ) -> Result<Vec<T>, ScaddarError> {
+        let xs = self.cached_xs(object)?;
+        if let Some(stats) = &self.stats {
+            stats.locate_bulk_blocks.add(xs.len() as u64);
+        }
+        Ok(xs.map_placements(self.pipeline.disk_divisor(), f))
     }
 
     /// Bulk `AF()`: the disks of *every* block of `object`, in block
-    /// order — [`Scaddar::placements`], collected.
+    /// order — [`Scaddar::map_placements`] of the identity.
     pub fn locate_all(&self, object: ObjectId) -> Result<Vec<DiskIndex>, ScaddarError> {
-        Ok(self.placements(object)?.collect())
+        self.map_placements(object, |disk| disk)
+    }
+
+    /// The X-cache's current `X_j` of every block of `object`, at the
+    /// word width the catalog's `Bits` selects (`u32` at `b <= 32`).
+    pub fn cached_xs(&self, object: ObjectId) -> Result<Xs<'_>, ScaddarError> {
+        self.cache
+            .xs(object)
+            .ok_or(ScaddarError::UnknownObject(object))
     }
 
     /// Bulk `AF()` for an arbitrary list of blocks of one object, in
@@ -392,27 +410,17 @@ impl Scaddar {
         object: ObjectId,
         blocks: &[u64],
     ) -> Result<Vec<DiskIndex>, ScaddarError> {
-        let xs = self
-            .cache
-            .xs(object)
-            .ok_or(ScaddarError::UnknownObject(object))?;
+        let xs = self.cached_xs(object)?;
         let disks = self.pipeline.disk_divisor();
         if let Some(stats) = &self.stats {
             stats.locate_bulk_blocks.add(blocks.len() as u64);
         }
-        blocks
-            .iter()
-            .map(|&block| {
-                let x = xs
-                    .get(block as usize)
-                    .ok_or(ScaddarError::BlockOutOfRange {
-                        object,
-                        block,
-                        blocks: xs.len() as u64,
-                    })?;
-                Ok(DiskIndex(disks.rem(*x) as u32))
+        xs.disks_of(blocks, disks)
+            .map_err(|block| ScaddarError::BlockOutOfRange {
+                object,
+                block,
+                blocks: xs.len() as u64,
             })
-            .collect()
     }
 
     /// The full remap history of one block (worked examples, debugging).
@@ -688,9 +696,9 @@ impl Scaddar {
     pub fn load_distribution(&self) -> Vec<u64> {
         let disks = u64::from(self.disks());
         let mut counts = vec![0u64; disks as usize];
-        for (_, x) in self.cache.blocks_with_x(&self.catalog) {
-            counts[(x % disks) as usize] += 1;
-        }
+        self.cache
+            .blocks_with_x(&self.catalog)
+            .for_each(|(_, x)| counts[(x % disks) as usize] += 1);
         counts
     }
 }
@@ -974,7 +982,7 @@ mod tests {
         let (mut s, _) = engine(4, 500);
         s.scale(ScalingOp::Add { count: 1 }).unwrap();
         // Sabotage: regress the cache to epoch 0 as a stale-state stand-in.
-        s.cache = XCache::new();
+        s.cache = XCache::new(s.catalog.bits());
         s.cache = XCache::rebuild(
             &s.catalog,
             &RemapPipeline::compile(&ScalingLog::new(4).unwrap()),

@@ -16,7 +16,8 @@
 //!   Montgomery's invariant-divisor scheme; see `MagicDivisor`) —
 //!   instead of a `div` instruction per `mod`/`div` pair. `AF()`'s
 //!   final `X_j mod N_j` uses the same scheme, so no lookup path pays a
-//!   hardware division.
+//!   hardware division. Values stored as `u32` words (`b ≤ 32`, see
+//!   [`Word`]) take a 64-bit reciprocal and one multiply instead.
 //!
 //! The pipeline is append-only, mirroring the log: after a scaling
 //! operation, [`RemapPipeline::extend_from`] compiles just the new
@@ -32,29 +33,93 @@ use crate::ops::RemovedSet;
 /// need no renumber table; it doubles as the op-kind tag).
 const ADDITION: usize = usize::MAX;
 
-/// Exact division and remainder by a fixed divisor via a precomputed
-/// 128-bit reciprocal, replacing the hardware `div` in the fold loop.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u32 {}
+    impl Sealed for u64 {}
+}
+
+/// A stored placement word (DESIGN §8): `u32` when the catalog's
+/// [`Bits`](scaddar_prng::Bits) is at most 32, `u64` otherwise.
 ///
-/// For `2 <= d < 2^64` the magic constant is `M = ⌊2¹²⁸/d⌋ + 1`, and
-/// `⌊x/d⌋ = ⌊M·x / 2¹²⁸⌋` for every `x < 2^64` — the invariant-divisor
-/// bound holds because `2¹²⁸ < M·d ≤ 2¹²⁸ + d - 1 < 2¹²⁸ + 2⁶⁴`.
+/// No `REMAP` step increases `X` (an addition yields `q - t + r <= x`, a
+/// removal `q` or `q·N_j + m` with `m <= r`), so every `X_j` fits the
+/// `b` bits of its `X_0`. Folds widen a word into a `u64` register and
+/// narrow the result back; for `u32` every reduction takes the
+/// one-multiply 32-bit reciprocal. The width is a type parameter, so a
+/// fold dispatches on it once per call, never per block.
+pub trait Word: Copy + Eq + std::fmt::Debug + Send + Sync + 'static + sealed::Sealed {
+    /// True for `u32`: values and divisors fit 32 bits.
+    const NARROW: bool;
+    /// The largest value the word holds.
+    const MAX: u64;
+    /// The value in a `u64` register.
+    fn widen(self) -> u64;
+    /// Stores `x`, truncating; callers check `x <= Self::MAX`.
+    fn narrow(x: u64) -> Self;
+}
+
+impl Word for u32 {
+    const NARROW: bool = true;
+    const MAX: u64 = u32::MAX as u64;
+    #[inline(always)]
+    fn widen(self) -> u64 {
+        u64::from(self)
+    }
+    #[inline(always)]
+    fn narrow(x: u64) -> Self {
+        x as u32
+    }
+}
+
+impl Word for u64 {
+    const NARROW: bool = false;
+    const MAX: u64 = u64::MAX;
+    #[inline(always)]
+    fn widen(self) -> u64 {
+        self
+    }
+    #[inline(always)]
+    fn narrow(x: u64) -> Self {
+        x
+    }
+}
+
+/// Exact division and remainder by a fixed divisor via a precomputed
+/// reciprocal, replacing the hardware `div` in the fold loop.
+///
+/// * **Wide** (any `x < 2^64`, `2 <= d < 2^64`): `M = ⌊2¹²⁸/d⌋ + 1` and
+///   `⌊x/d⌋ = ⌊M·x / 2¹²⁸⌋` — the invariant-divisor bound holds because
+///   `2¹²⁸ < M·d ≤ 2¹²⁸ + d - 1 < 2¹²⁸ + 2⁶⁴`. Two 64×64 multiplies.
+/// * **Narrow** (`x, d < 2^32`): `M₃₂ = ⌊2⁶⁴/d⌋ + 1`, so
+///   `M₃₂·d = 2⁶⁴ + e` with `0 < e <= d`. Then
+///   `M₃₂·x / 2⁶⁴ = x/d + e·x/(d·2⁶⁴)`, and `e·x < 2⁶⁴` keeps the error
+///   below `1/d`, so `⌊x/d⌋ = ⌊M₃₂·x / 2⁶⁴⌋`: one 64×64 multiply. The
+///   remainder is computed directly, `x mod d = ⌊(M₃₂·x mod 2⁶⁴)·d / 2⁶⁴⌋`
+///   (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
+///   exact under the same `e·x < 2⁶⁴` condition).
+///
 /// `d = 1` is kept as a trivial branch (its magic would overflow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MagicDivisor {
     d: u64,
     magic: u128,
+    magic32: u64,
 }
 
 impl MagicDivisor {
     fn new(d: u64) -> Self {
         debug_assert!(d >= 1);
-        // For d = 1 the magic is unused; 0 keeps Eq/Hash canonical.
-        let magic = if d == 1 {
-            0
+        // For d = 1 the magics are unused; 0 keeps Eq/Hash canonical.
+        let (magic, magic32) = if d == 1 {
+            (0, 0)
         } else {
-            u128::MAX / u128::from(d) + 1
+            (
+                u128::MAX / u128::from(d) + 1,
+                ((1u128 << 64) / u128::from(d) + 1) as u64,
+            )
         };
-        MagicDivisor { d, magic }
+        MagicDivisor { d, magic, magic32 }
     }
 
     /// `(x / d, x % d)` with two multiplies and no division.
@@ -74,6 +139,56 @@ impl MagicDivisor {
             return 0;
         }
         x - self.mul_hi(x) * self.d
+    }
+
+    /// `(x / d, x % d)` for `x, d < 2^32`: one wide multiply for the
+    /// quotient.
+    #[inline(always)]
+    fn divmod32(self, x: u64) -> (u64, u64) {
+        debug_assert!(x <= u64::from(u32::MAX) && self.d <= u64::from(u32::MAX));
+        if self.d == 1 {
+            return (x, 0);
+        }
+        let q = ((u128::from(self.magic32) * u128::from(x)) >> 64) as u64;
+        (q, x - q * self.d)
+    }
+
+    /// `x % d` for `x, d < 2^32`, by direct computation from the
+    /// fractional bits of `M₃₂·x`.
+    #[inline(always)]
+    fn rem32(self, x: u64) -> u64 {
+        debug_assert!(x <= u64::from(u32::MAX) && self.d <= u64::from(u32::MAX));
+        if self.d == 1 {
+            return 0;
+        }
+        let frac = self.magic32.wrapping_mul(x);
+        ((u128::from(frac) * u128::from(self.d)) >> 64) as u64
+    }
+
+    /// [`Self::divmod`] at word width `W`.
+    #[inline(always)]
+    fn divmod_w<W: Word>(self, x: u64) -> (u64, u64) {
+        if W::NARROW {
+            self.divmod32(x)
+        } else {
+            self.divmod(x)
+        }
+    }
+
+    /// [`Self::rem`] at word width `W`.
+    #[inline(always)]
+    fn rem_w<W: Word>(self, x: u64) -> u64 {
+        if W::NARROW {
+            self.rem32(x)
+        } else {
+            self.rem(x)
+        }
+    }
+
+    /// The logical disk of a stored `X_j` when `d = N_j`.
+    #[inline(always)]
+    pub(crate) fn disk<W: Word>(self, x: W) -> DiskIndex {
+        DiskIndex(self.rem_w::<W>(x.widen()) as u32)
     }
 
     /// `⌊magic · x / 2¹²⁸⌋`: the 128×64→192-bit high product, from two
@@ -266,7 +381,8 @@ impl RemapPipeline {
         x
     }
 
-    /// Folds a whole batch of `X_0` values to `X_j` in place.
+    /// Folds a whole batch of `X_0` values to `X_j` in place, at either
+    /// word width.
     ///
     /// Unlike mapping [`RemapPipeline::fold`] over the slice (one block
     /// at a time through all steps, each step waiting on the last), this
@@ -275,16 +391,32 @@ impl RemapPipeline {
     /// overlap in the CPU pipeline and the step's constants (divisor,
     /// reciprocal, renumber table) stay in registers/L1 for the whole
     /// inner loop. This is the engine's bulk path — the throughput win
-    /// the scalar fold cannot reach latency-bound.
-    pub fn fold_batch(&self, xs: &mut [u64]) {
-        for step in &self.steps {
+    /// the scalar fold cannot reach latency-bound. `u32` words reduce by
+    /// the one-multiply 32-bit reciprocal.
+    pub fn fold_batch<W: Word>(&self, xs: &mut [W]) {
+        self.fold_words(0, xs, W::MAX);
+    }
+
+    /// Folds `xs` (values at epoch `from`) through steps `from..epoch()`
+    /// in place, step-outer. Every result is checked against `max`
+    /// (`2^b - 1`, or the word's own maximum) once per step: one OR per
+    /// block, one compare per step.
+    ///
+    /// # Panics
+    /// If a step produced a value above `max` — impossible for inputs at
+    /// most `max`, because no `REMAP` step increases `X`.
+    pub(crate) fn fold_words<W: Word>(&self, from: usize, xs: &mut [W], max: u64) {
+        for step in &self.steps[from..] {
             let np = step.n_prev;
+            let mut seen = 0u64;
             if step.table_off == ADDITION {
                 let nn = step.n_new;
                 for x in xs.iter_mut() {
-                    let (q, r) = np.divmod(*x);
-                    let t = nn.rem(q);
-                    *x = if t < np.d { q - t + r } else { q };
+                    let (q, r) = np.divmod_w::<W>(x.widen());
+                    let t = nn.rem_w::<W>(q);
+                    let v = if t < np.d { q - t + r } else { q };
+                    seen |= v;
+                    *x = W::narrow(v);
                 }
             } else {
                 let nn = step.n_new.d;
@@ -292,15 +424,20 @@ impl RemapPipeline {
                 // N_{j-1} long and the inner bounds check never fires.
                 let table = &self.tables[step.table_off..step.table_off + np.d as usize];
                 for x in xs.iter_mut() {
-                    let (q, r) = np.divmod(*x);
+                    let (q, r) = np.divmod_w::<W>(x.widen());
                     let m = table[r as usize];
-                    *x = if m == RemovedSet::REMOVED {
+                    let v = if m == RemovedSet::REMOVED {
                         q
                     } else {
                         q * nn + u64::from(m)
                     };
+                    seen |= v;
+                    *x = W::narrow(v);
                 }
             }
+            // `max` is all ones (2^b - 1), so the OR exceeds it exactly
+            // when some value does.
+            assert!(seen <= max, "a REMAP step increased X past {max:#x}");
         }
     }
 
@@ -323,6 +460,7 @@ mod tests {
     use super::*;
     use crate::address::{locate, x_at_current_epoch};
     use crate::ops::ScalingOp;
+    use proptest::prelude::*;
 
     #[test]
     fn magic_division_is_exact() {
@@ -357,6 +495,91 @@ mod tests {
                 assert_eq!(m.rem(x), x % d, "x={x} d={d}");
             }
         }
+    }
+
+    /// Divisors of every shape the engine meets: small, powers of two,
+    /// and uniform up to `u32::MAX`.
+    fn divisors() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            1u64..64,
+            (0u32..32).prop_map(|k| 1u64 << k),
+            1u64..(1 << 32),
+        ]
+    }
+
+    proptest! {
+        /// The 32-bit reciprocal is exact for every `x, d < 2^32`: at a
+        /// random `x` and at the boundaries `0`, `d - 1`, `d`, `k·d - 1`
+        /// (for the multiple nearest `x` and the largest below `2^32`),
+        /// and `2^32 - 1`.
+        #[test]
+        fn prop_narrow_reciprocal_matches_hardware(d in divisors(), x in 0u64..(1 << 32)) {
+            let m = MagicDivisor::new(d);
+            let top = u64::from(u32::MAX);
+            let near = (x / d).max(1) * d;
+            let last = top / d * d;
+            for x in [x, 0, d - 1, d, near - 1, near, last - 1, last, top] {
+                prop_assert_eq!(m.divmod32(x), (x / d, x % d), "x={} d={}", x, d);
+                prop_assert_eq!(m.rem32(x), x % d, "x={} d={}", x, d);
+                prop_assert_eq!(m.divmod(x), (x / d, x % d), "x={} d={}", x, d);
+            }
+        }
+
+        /// No `REMAP` step increases `x`, over random logs and
+        /// full-range `u64` inputs (and small ones, where `q` is 0 and a
+        /// step has no slack): what lets a `b`-bit `X_0` keep every
+        /// later `X_j` in `b` bits. The batch fold at both word widths
+        /// agrees with the scalar fold.
+        #[test]
+        fn prop_a_step_never_increases_x(
+            initial in 1u32..24,
+            raw in proptest::collection::vec((any::<bool>(), any::<u64>()), 1..12),
+            xs in proptest::collection::vec(prop_oneof![any::<u64>(), 0u64..4096], 1..24),
+        ) {
+            let mut log = ScalingLog::new(initial).unwrap();
+            for (add, pick) in raw {
+                let n = log.current_disks();
+                let op = if add || n == 1 {
+                    ScalingOp::Add { count: 1 + (pick % 4) as u32 }
+                } else {
+                    let victims = (pick % u64::from(n)) as u32;
+                    let mut disks: Vec<u32> = (0..n)
+                        .filter(|d| (pick >> (d % 64)) & 1 == 1)
+                        .take(victims.max(1) as usize)
+                        .collect();
+                    if disks.is_empty() || disks.len() as u32 == n {
+                        disks = vec![victims];
+                    }
+                    ScalingOp::Remove { disks }
+                };
+                log.push(&op).unwrap();
+            }
+            let pipe = RemapPipeline::compile(&log);
+            for &x0 in &xs {
+                let mut x = x0;
+                for i in 0..pipe.epoch() {
+                    let next = pipe.step(i, x).0;
+                    prop_assert!(next <= x, "step {} raised {} to {}", i, x, next);
+                    x = next;
+                }
+            }
+            let mut wide = xs.clone();
+            pipe.fold_batch(&mut wide);
+            let scalar: Vec<u64> = xs.iter().map(|&x| pipe.fold(x)).collect();
+            prop_assert_eq!(&wide, &scalar);
+            let mut narrow: Vec<u32> = xs.iter().map(|&x| x as u32).collect();
+            pipe.fold_batch(&mut narrow);
+            let scalar: Vec<u32> = xs.iter().map(|&x| pipe.fold(u64::from(x as u32)) as u32).collect();
+            prop_assert_eq!(narrow, scalar);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "increased X")]
+    fn narrowing_check_refuses_values_past_the_bound() {
+        // An input above the bound can only come out above it.
+        let pipe = RemapPipeline::compile(&log_with(3, &[ScalingOp::add_one()]));
+        pipe.fold_words(0, &mut [u32::MAX], u64::from(u16::MAX));
     }
 
     fn log_with(initial: u32, ops: &[ScalingOp]) -> ScalingLog {

@@ -176,7 +176,9 @@ where
     let n_new = u64::from(record.disks_after());
     let mut moves = Vec::new();
     let mut total = 0u64;
-    for (blockref, x_prev) in blocks {
+    // `for_each`, not `for`: an X-cache iterator then dispatches on its
+    // word width once per object rather than once per block.
+    blocks.into_iter().for_each(|(blockref, x_prev)| {
         total += 1;
         let from = DiskIndex((x_prev % n_prev) as u32);
         let out = match record.action() {
@@ -190,7 +192,7 @@ where
                 to: DiskIndex((out.x % n_new) as u32),
             });
         }
-    }
+    });
     MovePlan {
         target_epoch,
         moves,

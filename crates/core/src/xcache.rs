@@ -20,22 +20,232 @@
 //! The cache is an engine-layer acceleration, not placement state: it is
 //! always reconstructible from catalog + log ([`XCache::rebuild`]), and
 //! equivalence with the stateless `X_0`-fold oracle is property-tested.
+//!
+//! ## Word width
+//!
+//! No `REMAP` step increases `X` (DESIGN §8), so every cached `X_j` fits
+//! the `b` bits of its `X_0`. At `b <= 32` an object's values are kept
+//! as `Vec<u32>` (4 B per block) and reduced by the one-multiply 32-bit
+//! reciprocal; `b` in 33..=64 keeps `Vec<u64>`. The width is chosen once
+//! from the catalog's [`Bits`], and every bulk path dispatches on it
+//! once per object.
 
+use crate::address::DiskIndex;
 use crate::object::{BlockRef, Catalog, CmObject, ObjectId};
-use crate::pipeline::RemapPipeline;
+use crate::pipeline::{MagicDivisor, RemapPipeline, Word};
+use scaddar_prng::Bits;
 use std::collections::HashMap;
 
+/// One object's cached values, at its catalog's word width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Words {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl Words {
+    fn view(&self) -> Xs<'_> {
+        match self {
+            Words::Narrow(xs) => Xs::Narrow(xs),
+            Words::Wide(xs) => Xs::Wide(xs),
+        }
+    }
+}
+
+/// One object's cached `X_j` values in block order, borrowed at the
+/// width they are stored in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Xs<'a> {
+    /// `b <= 32`: 4 B per block.
+    Narrow(&'a [u32]),
+    /// `b > 32`: 8 B per block.
+    Wide(&'a [u64]),
+}
+
+impl<'a> Xs<'a> {
+    /// Number of blocks.
+    pub fn len(self) -> usize {
+        match self {
+            Xs::Narrow(xs) => xs.len(),
+            Xs::Wide(xs) => xs.len(),
+        }
+    }
+
+    /// True for an object of no blocks.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Block `i`'s value, widened.
+    pub fn get(self, i: usize) -> Option<u64> {
+        match self {
+            Xs::Narrow(xs) => xs.get(i).map(|&x| u64::from(x)),
+            Xs::Wide(xs) => xs.get(i).copied(),
+        }
+    }
+
+    /// Every value, widened one at a time (no copy of the slice).
+    pub fn iter(self) -> XsIter<'a> {
+        XsIter(match self {
+            Xs::Narrow(xs) => Slice::Narrow(xs.iter()),
+            Xs::Wide(xs) => Slice::Wide(xs.iter()),
+        })
+    }
+
+    /// The disks of every block: each value reduced mod `N_j` by `disks`.
+    pub(crate) fn placements(self, disks: MagicDivisor) -> Placements<'a> {
+        Placements {
+            xs: self.iter(),
+            disks,
+        }
+    }
+
+    /// The disk of block `i`.
+    #[inline]
+    pub(crate) fn disk(self, i: usize, disks: MagicDivisor) -> Option<DiskIndex> {
+        match self {
+            Xs::Narrow(xs) => xs.get(i).map(|&x| disks.disk(x)),
+            Xs::Wide(xs) => xs.get(i).map(|&x| disks.disk(x)),
+        }
+    }
+
+    /// The disks of the listed blocks, in input order; `Err` names the
+    /// first block past the end. One width dispatch per call.
+    pub(crate) fn disks_of(
+        self,
+        blocks: &[u64],
+        disks: MagicDivisor,
+    ) -> Result<Vec<DiskIndex>, u64> {
+        fn each<W: Word>(
+            xs: &[W],
+            blocks: &[u64],
+            disks: MagicDivisor,
+        ) -> Result<Vec<DiskIndex>, u64> {
+            blocks
+                .iter()
+                .map(|&block| {
+                    let x = usize::try_from(block)
+                        .ok()
+                        .and_then(|b| xs.get(b))
+                        .ok_or(block)?;
+                    Ok(disks.disk(*x))
+                })
+                .collect()
+        }
+        match self {
+            Xs::Narrow(xs) => each(xs, blocks, disks),
+            Xs::Wide(xs) => each(xs, blocks, disks),
+        }
+    }
+
+    /// `f` of every block's disk, collected in block order: one width
+    /// dispatch, then a counted map over the slice.
+    #[inline]
+    pub(crate) fn map_placements<T>(
+        self,
+        disks: MagicDivisor,
+        mut f: impl FnMut(DiskIndex) -> T,
+    ) -> Vec<T> {
+        match self {
+            Xs::Narrow(xs) => xs.iter().map(|&x| f(disks.disk(x))).collect(),
+            Xs::Wide(xs) => xs.iter().map(|&x| f(disks.disk(x))).collect(),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Slice<'a> {
+    Narrow(std::slice::Iter<'a, u32>),
+    Wide(std::slice::Iter<'a, u64>),
+}
+
+/// Iterator over one object's cached values, widened to `u64`.
+/// `fold` (and so `for_each`) dispatches on the width once.
+#[derive(Debug, Clone)]
+pub struct XsIter<'a>(Slice<'a>);
+
+impl Iterator for XsIter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        match &mut self.0 {
+            Slice::Narrow(it) => it.next().map(|&x| u64::from(x)),
+            Slice::Wide(it) => it.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            Slice::Narrow(it) => it.size_hint(),
+            Slice::Wide(it) => it.size_hint(),
+        }
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, u64) -> B>(self, init: B, mut f: F) -> B {
+        match self.0 {
+            Slice::Narrow(it) => it.fold(init, |acc, &x| f(acc, u64::from(x))),
+            Slice::Wide(it) => it.fold(init, |acc, &x| f(acc, x)),
+        }
+    }
+}
+
+impl ExactSizeIterator for XsIter<'_> {}
+
+/// The disk of every block of one object, in block order: each cached
+/// `X_j` reduced mod `N_j` by the reciprocal of its word width. `fold`
+/// (and so `for_each`) dispatches on the width once.
+#[derive(Debug, Clone)]
+pub struct Placements<'a> {
+    xs: XsIter<'a>,
+    disks: MagicDivisor,
+}
+
+impl Iterator for Placements<'_> {
+    type Item = DiskIndex;
+
+    #[inline]
+    fn next(&mut self) -> Option<DiskIndex> {
+        let disks = self.disks;
+        match &mut self.xs.0 {
+            Slice::Narrow(it) => it.next().map(|&x| disks.disk(x)),
+            Slice::Wide(it) => it.next().map(|&x| disks.disk(x)),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.xs.size_hint()
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, DiskIndex) -> B>(self, init: B, mut f: F) -> B {
+        let disks = self.disks;
+        match self.xs.0 {
+            Slice::Narrow(it) => it.fold(init, |acc, &x| f(acc, disks.disk(x))),
+            Slice::Wide(it) => it.fold(init, |acc, &x| f(acc, disks.disk(x))),
+        }
+    }
+}
+
+impl ExactSizeIterator for Placements<'_> {}
+
 /// Per-block current random numbers `X_e`, tagged with their epoch `e`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct XCache {
     epoch: usize,
-    xs: HashMap<ObjectId, Vec<u64>>,
+    bits: Bits,
+    xs: HashMap<ObjectId, Words>,
 }
 
 impl XCache {
-    /// An empty cache at epoch 0.
-    pub fn new() -> Self {
-        XCache::default()
+    /// An empty cache at epoch 0 for a catalog of width `bits`.
+    pub fn new(bits: Bits) -> Self {
+        XCache {
+            epoch: 0,
+            bits,
+            xs: HashMap::new(),
+        }
     }
 
     /// Rebuilds the cache from scratch: every block's `X_0` folded to the
@@ -44,6 +254,7 @@ impl XCache {
     pub fn rebuild(catalog: &Catalog, pipeline: &RemapPipeline) -> Self {
         let mut cache = XCache {
             epoch: pipeline.epoch(),
+            bits: catalog.bits(),
             xs: HashMap::with_capacity(catalog.objects().len()),
         };
         for obj in catalog.objects() {
@@ -54,14 +265,29 @@ impl XCache {
         cache
     }
 
+    /// True when the catalog's width stores `u32` words.
+    fn narrow(bits: Bits) -> bool {
+        bits.get() <= 32
+    }
+
     /// One object's `X_0` stream folded to the pipeline's epoch: an
-    /// exactly-sized bulk fill, then one step-outer batch fold.
-    fn fold_object(catalog: &Catalog, obj: &CmObject, pipeline: &RemapPipeline) -> Vec<u64> {
+    /// exactly-sized bulk fill at the catalog's word width, then one
+    /// step-outer batch fold.
+    fn fold_object(catalog: &Catalog, obj: &CmObject, pipeline: &RemapPipeline) -> Words {
         let blocks = obj.blocks as usize;
-        let mut xs = Vec::with_capacity(blocks);
-        catalog.randoms(obj).fill_values(blocks, &mut xs);
-        pipeline.fold_batch(&mut xs);
-        xs
+        let seq = catalog.randoms(obj);
+        let max = catalog.bits().max_value();
+        if Self::narrow(catalog.bits()) {
+            let mut xs = Vec::with_capacity(blocks);
+            seq.fill_values_u32(blocks, &mut xs);
+            pipeline.fold_words(0, &mut xs, max);
+            Words::Narrow(xs)
+        } else {
+            let mut xs = Vec::with_capacity(blocks);
+            seq.fill_values(blocks, &mut xs);
+            pipeline.fold_words(0, &mut xs, max);
+            Words::Wide(xs)
+        }
     }
 
     /// The epoch the cached values are valid at.
@@ -75,22 +301,24 @@ impl XCache {
     }
 
     /// The cached `X_e` values of one object, in block order.
-    pub fn xs(&self, id: ObjectId) -> Option<&[u64]> {
-        self.xs.get(&id).map(Vec::as_slice)
+    pub fn xs(&self, id: ObjectId) -> Option<Xs<'_>> {
+        self.xs.get(&id).map(Words::view)
     }
 
     /// The cached `X_e` of one block.
     pub fn x(&self, id: ObjectId, block: u64) -> Option<u64> {
-        self.xs.get(&id)?.get(block as usize).copied()
+        self.xs(id)?.get(usize::try_from(block).ok()?)
     }
 
     /// Admits a newly registered object: its `X_0` stream folded to the
     /// cache's epoch.
     ///
     /// # Panics
-    /// If the pipeline's epoch differs from the cache's.
+    /// If the pipeline's epoch differs from the cache's, or the catalog's
+    /// width from the cache's.
     pub fn insert_object(&mut self, catalog: &Catalog, obj: &CmObject, pipeline: &RemapPipeline) {
         assert_eq!(self.epoch, pipeline.epoch(), "cache and pipeline diverged");
+        assert_eq!(self.bits, catalog.bits(), "cache and catalog widths differ");
         self.xs
             .insert(obj.id, Self::fold_object(catalog, obj, pipeline));
     }
@@ -103,7 +331,8 @@ impl XCache {
     /// Advances every cached value to the pipeline's epoch — the
     /// incremental invalidation rule: one [`RemapPipeline::step`] per
     /// block per epoch bump (normally exactly one bump, right after a
-    /// scaling operation extended the pipeline).
+    /// scaling operation extended the pipeline), folded step-outer per
+    /// object at the object's word width.
     ///
     /// # Panics
     /// If the pipeline is *behind* the cache (stale pipeline).
@@ -117,9 +346,11 @@ impl XCache {
         if self.epoch == pipeline.epoch() {
             return;
         }
-        for xs in self.xs.values_mut() {
-            for x in xs.iter_mut() {
-                *x = pipeline.fold_from(self.epoch, *x);
+        let max = self.bits.max_value();
+        for words in self.xs.values_mut() {
+            match words {
+                Words::Narrow(xs) => pipeline.fold_words(self.epoch, xs, max),
+                Words::Wide(xs) => pipeline.fold_words(self.epoch, xs, max),
             }
         }
         self.epoch = pipeline.epoch();
@@ -136,9 +367,9 @@ impl XCache {
         catalog
             .objects()
             .iter()
-            .filter_map(|obj| Some((obj, self.xs.get(&obj.id)?)))
+            .filter_map(|obj| Some((obj, self.xs(obj.id)?)))
             .flat_map(|(obj, xs)| {
-                xs.iter().enumerate().map(move |(block, &x)| {
+                xs.iter().enumerate().map(move |(block, x)| {
                     (
                         BlockRef {
                             object: obj.id,
@@ -201,7 +432,7 @@ mod tests {
     #[test]
     fn admission_at_nonzero_epoch_matches_oracle_for_every_kind() {
         for kind in RngKind::ALL {
-            for bits in [Bits::B32, Bits::B64] {
+            for bits in [17, 32, 33, 64].map(|b| Bits::new(b).unwrap()) {
                 let mut catalog = Catalog::new(kind, bits, 11);
                 let mut log = ScalingLog::new(5).unwrap();
                 let mut pipeline = RemapPipeline::compile(&log);
@@ -227,9 +458,12 @@ mod tests {
                         let oracle: Vec<u64> = (0..obj.blocks)
                             .map(|b| x_at_current_epoch(seq.value_at(b), &log))
                             .collect();
+                        let xs = cache.xs(obj.id).unwrap();
+                        assert_eq!(matches!(xs, Xs::Narrow(_)), bits.get() <= 32, "{bits}");
+                        let cached: Vec<u64> = xs.iter().collect();
                         assert_eq!(
-                            cache.xs(obj.id),
-                            Some(&oracle[..]),
+                            cached,
+                            oracle,
                             "{kind} {bits} {} epoch {}",
                             obj.id,
                             log.epoch()

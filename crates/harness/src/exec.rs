@@ -100,12 +100,17 @@ impl<'a> Executor<'a> {
         let seed = scenario.seed;
         let engine = Scaddar::new(
             ScaddarConfig::new(disks)
+                .with_bits(scenario.bits)
                 .with_catalog_seed(seed)
                 .with_epsilon(EPSILON),
         )
         .expect("initial_disks >= 4 by generation");
-        let mut server = CmServer::new(ServerConfig::new(disks).with_catalog_seed(seed))
-            .expect("initial_disks >= 4 by generation");
+        let mut server = CmServer::new(
+            ServerConfig::new(disks)
+                .with_bits(scenario.bits)
+                .with_catalog_seed(seed),
+        )
+        .expect("initial_disks >= 4 by generation");
         let last_snapshot = engine.snapshot();
         // A virtual clock only the executor advances: span timelines
         // count *work units* (blocks, rounds, moves), not wall time, so

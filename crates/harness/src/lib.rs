@@ -150,7 +150,8 @@ impl Mode for Mutation {
 
     fn pass_summary(scenario: &Scenario, outcome: &Outcome) -> String {
         format!(
-            "{} steps, {}, {} health events, {} alerts",
+            "{}, {} steps, {}, {} health events, {} alerts",
+            scenario.bits,
             scenario.steps.len(),
             Self::ops(scenario),
             outcome.health_events.lines().count(),

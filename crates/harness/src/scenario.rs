@@ -10,6 +10,7 @@
 
 use proptest::test_runner::TestRng;
 use scaddar_core::ScalingOp;
+use scaddar_prng::Bits;
 
 /// Which variant of the remap arithmetic the *model* runs — the planted
 /// bug the acceptance tests require the harness to catch and shrink.
@@ -122,6 +123,10 @@ pub enum Step {
 pub struct Scenario {
     /// The driving seed (also used as catalog seed).
     pub seed: u64,
+    /// Placement width `b` of the engine and the server: 64-bit for odd
+    /// seeds, 32-bit for even ones, so both X-cache word widths run the
+    /// whole invariant catalog ([`Scenario::bits_for`]).
+    pub bits: Bits,
     /// Initial disk count `N_0`.
     pub initial_disks: u32,
     /// Initial object sizes (blocks).
@@ -141,9 +146,21 @@ impl Scenario {
         let steps = (0..6 + rng.below(9)).map(|_| gen_step(&mut rng)).collect();
         Scenario {
             seed,
+            bits: Scenario::bits_for(seed),
             initial_disks,
             objects,
             steps,
+        }
+    }
+
+    /// The placement width of `seed`'s scenario. Read from the seed's
+    /// low bit, not drawn from the scenario RNG, so every other draw of
+    /// an existing seed is unchanged.
+    pub fn bits_for(seed: u64) -> Bits {
+        if seed & 1 == 1 {
+            Bits::B64
+        } else {
+            Bits::B32
         }
     }
 
@@ -159,8 +176,11 @@ impl Scenario {
     /// A stable multi-line description (for reproducer printouts).
     pub fn describe(&self) -> String {
         let mut out = format!(
-            "seed={} disks={} objects={:?}\n",
-            self.seed, self.initial_disks, self.objects
+            "seed={} bits={} disks={} objects={:?}\n",
+            self.seed,
+            self.bits.get(),
+            self.initial_disks,
+            self.objects
         );
         for (i, step) in self.steps.iter().enumerate() {
             match step {

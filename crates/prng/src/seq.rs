@@ -124,22 +124,45 @@ impl BlockRandoms {
     /// extends from a counted range, so `out` reserves exactly `n` slots
     /// and never regrows mid-fill.
     pub fn fill_values(&self, n: usize, out: &mut Vec<u64>) {
+        self.fill_with(n, out, |v| v);
+    }
+
+    /// [`BlockRandoms::fill_values`] into 32-bit words, for widths
+    /// `b <= 32`: half the bytes per value, the same values.
+    ///
+    /// # Panics
+    /// If `b > 32`.
+    pub fn fill_values_u32(&self, n: usize, out: &mut Vec<u32>) {
+        assert!(self.bits.get() <= 32, "{} values do not fit u32", self.bits);
+        self.fill_with(n, out, |v| v as u32);
+    }
+
+    /// The family dispatch shared by both fills: once per call.
+    fn fill_with<T>(&self, n: usize, out: &mut Vec<T>, word: impl Fn(u64) -> T) {
+        let (seed, bits) = (self.seed, self.bits);
         match self.kind {
-            RngKind::SplitMix64 => extend_from::<SplitMix64>(self.seed, self.bits, n, out),
-            RngKind::Lcg64 => extend_from::<Lcg64>(self.seed, self.bits, n, out),
-            RngKind::Pcg64 => extend_from::<Pcg64>(self.seed, self.bits, n, out),
-            RngKind::XorShift64Star => extend_from::<XorShift64Star>(self.seed, self.bits, n, out),
-            RngKind::Philox4x32 => extend_from::<Philox4x32>(self.seed, self.bits, n, out),
+            RngKind::SplitMix64 => extend_from::<SplitMix64, T>(seed, bits, n, out, word),
+            RngKind::Lcg64 => extend_from::<Lcg64, T>(seed, bits, n, out, word),
+            RngKind::Pcg64 => extend_from::<Pcg64, T>(seed, bits, n, out, word),
+            RngKind::XorShift64Star => extend_from::<XorShift64Star, T>(seed, bits, n, out, word),
+            RngKind::Philox4x32 => extend_from::<Philox4x32, T>(seed, bits, n, out, word),
         }
     }
 }
 
 /// The first `n` `bits`-wide values of generator `G` seeded with `seed`,
-/// appended to `out`. `(0..n).map(..)` reports an exact length, so the
-/// extend reserves once and writes without per-element capacity checks.
-fn extend_from<G: SeededRng>(seed: u64, bits: Bits, n: usize, out: &mut Vec<u64>) {
+/// stored as `word(value)` and appended to `out`. `(0..n).map(..)`
+/// reports an exact length, so the extend reserves once and writes
+/// without per-element capacity checks.
+fn extend_from<G: SeededRng, T>(
+    seed: u64,
+    bits: Bits,
+    n: usize,
+    out: &mut Vec<T>,
+    word: impl Fn(u64) -> T,
+) {
     let mut g = G::from_seed(seed);
-    out.extend((0..n).map(|_| bits.truncate(g.next_u64())));
+    out.extend((0..n).map(|_| word(bits.truncate(g.next_u64()))));
 }
 
 /// Dispatch-free sequential state for one stream.
@@ -248,6 +271,27 @@ mod tests {
         seq.fill_values(5, &mut out);
         assert_eq!(out[..2], [7, 8]);
         assert_eq!(out[2..], seq.take_values(5)[..]);
+    }
+
+    #[test]
+    fn u32_fill_holds_the_same_values() {
+        for kind in RngKind::ALL {
+            for b in [1u8, 17, 32] {
+                let seq = BlockRandoms::new(kind, 0xC0FFEE, Bits::new(b).unwrap());
+                let mut narrow = vec![9u32];
+                seq.fill_values_u32(300, &mut narrow);
+                assert_eq!(narrow[0], 9);
+                let widened: Vec<u64> = narrow[1..].iter().map(|&v| u64::from(v)).collect();
+                assert_eq!(widened, seq.take_values(300), "{kind} {b}-bit");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit u32")]
+    fn u32_fill_refuses_wide_values() {
+        BlockRandoms::new(RngKind::SplitMix64, 1, Bits::new(33).unwrap())
+            .fill_values_u32(1, &mut Vec::new());
     }
 
     #[test]
