@@ -7,93 +7,15 @@
 //! 1. **Movement is physical, not logical.** Removals renumber logical
 //!    disk indices (the paper's `new()`), so comparing raw `place()`
 //!    outputs would count renumbered-but-unmoved blocks as moves.
-//!    [`PhysicalMap`] tracks the stable physical identity of every
-//!    logical index across the schedule; a block "moved" iff its
-//!    *physical* disk changed.
+//!    cmsim's [`PhysicalMap`], the one the simulated server keeps,
+//!    tracks the stable physical identity of every logical index across
+//!    the schedule; a block "moved" iff its *physical* disk changed.
 //! 2. **Movement is observed, not self-reported.** The harness snapshots
 //!    placements before and after each operation and diffs.
 
 use crate::strategy::{BlockKey, PlacementStrategy, PlacementStrategyExt};
-use scaddar_core::{RemovedSet, ScalingError, ScalingOp};
-
-/// Stable physical disk identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PhysicalDiskId(pub u64);
-
-/// Maps dense logical indices (the strategies' world) to stable physical
-/// disk ids across a schedule of scaling operations, using the same rank
-/// renumbering every strategy implements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhysicalMap {
-    logical_to_physical: Vec<PhysicalDiskId>,
-    next_physical: u64,
-}
-
-impl PhysicalMap {
-    /// Starts with `initial_disks` physical disks `0..initial_disks`.
-    pub fn new(initial_disks: u32) -> Self {
-        PhysicalMap {
-            logical_to_physical: (0..u64::from(initial_disks)).map(PhysicalDiskId).collect(),
-            next_physical: u64::from(initial_disks),
-        }
-    }
-
-    /// Number of live disks.
-    pub fn disks(&self) -> u32 {
-        self.logical_to_physical.len() as u32
-    }
-
-    /// The physical disk behind a logical index.
-    pub fn physical(&self, logical: u32) -> PhysicalDiskId {
-        self.logical_to_physical[logical as usize]
-    }
-
-    /// The largest physical id a map mints. Ids are never reused, so a
-    /// long history of additions and removals can reach it before the
-    /// live count does; residency stores ids in 4 bytes.
-    pub const MAX_ID: u64 = u32::MAX as u64;
-
-    /// Validates `op` against the live count and the id ceiling without
-    /// applying it: the error [`PhysicalMap::apply`] would return.
-    pub fn check(&self, op: &ScalingOp) -> Result<(), ScalingError> {
-        op.disks_after(self.disks())?;
-        if let ScalingOp::Add { count } = op {
-            if self.next_physical + u64::from(*count) > Self::MAX_ID + 1 {
-                return Err(ScalingError::PhysicalIdsExhausted);
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies a scaling operation: additions mint fresh physical ids,
-    /// removals drop the victims and compact (rank renumbering). An
-    /// addition past [`PhysicalMap::MAX_ID`] is refused before anything
-    /// is allocated.
-    pub fn apply(&mut self, op: &ScalingOp) -> Result<(), ScalingError> {
-        let n_prev = self.disks();
-        self.check(op)?;
-        match op {
-            ScalingOp::Add { count } => {
-                for _ in 0..*count {
-                    self.logical_to_physical
-                        .push(PhysicalDiskId(self.next_physical));
-                    self.next_physical += 1;
-                }
-            }
-            ScalingOp::Remove { disks } => {
-                let removed = RemovedSet::new(disks, n_prev)?;
-                let mut kept = Vec::with_capacity(self.logical_to_physical.len());
-                for (logical, &phys) in self.logical_to_physical.iter().enumerate() {
-                    if !removed.contains(logical as u32) {
-                        kept.push(phys);
-                    }
-                }
-                self.logical_to_physical = kept;
-            }
-        }
-        Ok(())
-    }
-}
+use cmsim::{PhysicalDiskId, PhysicalMap};
+use scaddar_core::{ScalingError, ScalingOp};
 
 /// Balance and movement statistics for one strategy after one operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,38 +158,6 @@ mod tests {
     use crate::full::FullRedistStrategy;
     use crate::jump_hash::JumpHashStrategy;
     use crate::scaddar::ScaddarStrategy;
-
-    #[test]
-    fn physical_map_tracks_identity_through_removal() {
-        let mut m = PhysicalMap::new(4);
-        m.apply(&ScalingOp::Add { count: 2 }).unwrap(); // physical 4, 5
-        m.apply(&ScalingOp::remove_one(1)).unwrap(); // drop physical 1
-        assert_eq!(m.disks(), 5);
-        let physes: Vec<u64> = (0..5).map(|l| m.physical(l).0).collect();
-        assert_eq!(physes, vec![0, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn additions_stop_at_the_id_ceiling() {
-        // A map whose history already minted ids up to MAX_ID - 1.
-        let mut m = PhysicalMap {
-            logical_to_physical: vec![PhysicalDiskId(PhysicalMap::MAX_ID - 1)],
-            next_physical: PhysicalMap::MAX_ID,
-        };
-        let two = ScalingOp::Add { count: 2 };
-        assert_eq!(m.check(&two), Err(ScalingError::PhysicalIdsExhausted));
-        assert_eq!(m.apply(&two), Err(ScalingError::PhysicalIdsExhausted));
-        assert_eq!(m.disks(), 1, "a refused addition mints nothing");
-        m.apply(&ScalingOp::add_one()).unwrap();
-        assert_eq!(m.physical(1), PhysicalDiskId(PhysicalMap::MAX_ID));
-        assert_eq!(
-            m.apply(&ScalingOp::add_one()),
-            Err(ScalingError::PhysicalIdsExhausted)
-        );
-        // Removals never mint, so they still apply at the ceiling.
-        m.apply(&ScalingOp::remove_one(0)).unwrap();
-        assert_eq!(m.disks(), 1);
-    }
 
     #[test]
     fn renumbering_is_not_counted_as_movement() {

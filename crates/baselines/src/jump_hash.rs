@@ -2,7 +2,8 @@
 //! successor to the problem SCADDAR attacks, included as a modern
 //! comparator (experiment E11).
 //!
-//! `jump(key, n)` maps a 64-bit key to a bucket in `0..n` such that
+//! [`jump_consistent_hash`] (shared with the cluster router, so it
+//! lives in `scaddar-prng`) maps a 64-bit key to a bucket in `0..n` such that
 //! growing `n -> n+1` moves exactly a `1/(n+1)` expected fraction of keys
 //! (optimal), with *zero* state beyond the bucket count. Its structural
 //! limitation mirrors SCADDAR's structural strength: jump hash can only
@@ -15,26 +16,7 @@
 
 use crate::strategy::{BlockKey, PlacementStrategy};
 use scaddar_core::{RemovedSet, ScalingError, ScalingOp};
-
-/// Lamping & Veach's algorithm, verbatim (the constant and the
-/// `(b + 1) * (2^31 / ((key >> 33) + 1))` step are theirs): maps `key`
-/// to a bucket in `0..buckets`, and growing from `n` to `n+1` buckets
-/// re-routes only an expected `1/(n+1)` of keys, all into the new
-/// bucket. O(ln n) expected time, zero state. The cluster layer routes
-/// objects to shards with this same function (`scaddar_net::jump_hash`).
-///
-/// Panics on `buckets == 0` (an empty bucket set routes nothing).
-pub fn jump_consistent_hash(mut key: u64, buckets: u32) -> u32 {
-    assert!(buckets > 0, "jump hash over zero buckets");
-    let mut b: i64 = -1;
-    let mut j: i64 = 0;
-    while j < i64::from(buckets) {
-        b = j;
-        key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        j = ((b + 1) as f64 * ((1i64 << 31) as f64 / ((key >> 33) + 1) as f64)) as i64;
-    }
-    b as u32
-}
+use scaddar_prng::jump_consistent_hash;
 
 /// Jump-consistent-hash strategy with swap-with-tail removal.
 #[derive(Debug, Clone)]
@@ -117,24 +99,6 @@ mod tests {
                 id: i.wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left(31),
             })
             .collect()
-    }
-
-    #[test]
-    fn reference_properties_of_jump() {
-        // Stability: same key, same bucket count -> same bucket.
-        assert_eq!(
-            jump_consistent_hash(12345, 10),
-            jump_consistent_hash(12345, 10)
-        );
-        // Monotone containment: growing buckets never moves a key
-        // backwards between old buckets.
-        for key in 0..2000u64 {
-            let at5 = jump_consistent_hash(key, 5);
-            let at6 = jump_consistent_hash(key, 6);
-            assert!(at6 == at5 || at6 == 5, "key {key}: {at5} -> {at6}");
-        }
-        // Single bucket.
-        assert_eq!(jump_consistent_hash(987, 1), 0);
     }
 
     #[test]

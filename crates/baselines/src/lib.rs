@@ -36,10 +36,8 @@ pub mod strategy;
 pub use consistent_hash::ConsistentHashStrategy;
 pub use directory::DirectoryStrategy;
 pub use full::FullRedistStrategy;
-pub use harness::{
-    cov, optimal_fraction, run_schedule, synthetic_population, OpStats, PhysicalDiskId, PhysicalMap,
-};
-pub use jump_hash::{jump_consistent_hash, JumpHashStrategy};
+pub use harness::{cov, optimal_fraction, run_schedule, synthetic_population, OpStats};
+pub use jump_hash::JumpHashStrategy;
 pub use naive::NaiveStrategy;
 pub use power_hash::{power_consistent_hash, PowerHashStrategy};
 pub use round_robin::RoundRobinStrategy;

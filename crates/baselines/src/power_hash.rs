@@ -29,9 +29,9 @@
 //! the tail — arbitrary removal is realized by swap-with-tail, the
 //! same workaround [`crate::jump_hash::JumpHashStrategy`] uses.
 
-use crate::jump_hash::jump_consistent_hash;
 use crate::strategy::{BlockKey, PlacementStrategy};
 use scaddar_core::{RemovedSet, ScalingError, ScalingOp};
+use scaddar_prng::jump_consistent_hash;
 
 /// Salt for the base power-of-two hash.
 const SALT_BASE: u64 = 0x9E6C_63D0_876A_3EF1;

@@ -49,39 +49,37 @@ const LOCATE_POLL_INTERVAL: u64 = 65_536;
 const TICK_POLL_INTERVAL: u64 = 1_024;
 
 /// The headline comparison: the same cached lookup loop with and
-/// without a health monitor polling it. The attached loop pays, every
-/// [`LOCATE_POLL_INTERVAL`] lookups, one full observation round: the
-/// engine's RO1 movement sweep, an O(blocks) census derivation, the
-/// streaming chi-square, and the budget simulation.
+/// without a health monitor polling it, measured in alternating
+/// windows. The attached loop pays, every [`LOCATE_POLL_INTERVAL`]
+/// lookups, one full observation round: the engine's RO1 movement
+/// sweep, an O(blocks) census derivation, the streaming chi-square, and
+/// the budget simulation.
 fn bench_locate_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor_locate_overhead");
-    {
+    let detached = {
         let engine = churned_engine(8);
         let id = engine.catalog().objects()[0].id;
-        group.bench_with_input(BenchmarkId::from_parameter("detached"), &(), |b, _| {
-            let mut n = 0u64;
-            b.iter(|| {
-                n += 1;
-                black_box(engine.locate(id, black_box(n % 10_000)).expect("valid"))
-            });
-        });
-    }
-    {
+        let mut n = 0u64;
+        move || {
+            n += 1;
+            black_box(engine.locate(id, black_box(n % 10_000)).expect("valid"))
+        }
+    };
+    let attached = {
         let engine = churned_engine(8);
         let id = engine.catalog().objects()[0].id;
         let mut monitor = monitor_for(&engine);
-        group.bench_with_input(BenchmarkId::from_parameter("attached"), &(), |b, _| {
-            let mut n = 0u64;
-            b.iter(|| {
-                n += 1;
-                if n.is_multiple_of(LOCATE_POLL_INTERVAL) {
-                    monitor.observe_engine(&engine);
-                    monitor.observe_census(&engine.load_distribution());
-                }
-                black_box(engine.locate(id, black_box(n % 10_000)).expect("valid"))
-            });
-        });
-    }
+        let mut n = 0u64;
+        move || {
+            n += 1;
+            if n.is_multiple_of(LOCATE_POLL_INTERVAL) {
+                monitor.observe_engine(&engine);
+                monitor.observe_census(&engine.load_distribution());
+            }
+            black_box(engine.locate(id, black_box(n % 10_000)).expect("valid"))
+        }
+    };
+    group.bench_pair("attached", attached, "detached", detached);
     group.finish();
 }
 

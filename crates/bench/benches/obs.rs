@@ -32,26 +32,31 @@ fn churned_engine() -> Scaddar {
 }
 
 /// The headline comparison: the same cached lookup with and without
-/// metric handles attached. `bare` pays one predicted-not-taken branch;
-/// `instrumented` adds a weak counter increment (and, every 1024th
-/// call, two clock reads plus a histogram record).
+/// metric handles attached, measured in alternating windows. `bare`
+/// pays one predicted-not-taken branch; `instrumented` adds a weak
+/// counter increment (and, every 1024th call, two clock reads plus a
+/// histogram record).
 fn bench_locate_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_locate_overhead");
-    for (label, instrument) in [("bare", false), ("instrumented", true)] {
+    let cached_locate = |instrument: bool| {
         let mut engine = churned_engine();
         if instrument {
             let registry = Registry::new();
             engine.attach_stats(EngineStats::register_monotonic(&registry));
         }
         let id = engine.catalog().objects()[0].id;
-        group.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
-            let mut i = 0u64;
-            b.iter(|| {
-                i = (i + 1) % 10_000;
-                black_box(engine.locate(id, black_box(i)).expect("valid block"))
-            });
-        });
-    }
+        let mut i = 0u64;
+        move || {
+            i = (i + 1) % 10_000;
+            black_box(engine.locate(id, black_box(i)).expect("valid block"))
+        }
+    };
+    group.bench_pair(
+        "instrumented",
+        cached_locate(true),
+        "bare",
+        cached_locate(false),
+    );
     group.finish();
 }
 
@@ -61,20 +66,20 @@ fn bench_locate_overhead(c: &mut Criterion) {
 /// `decode` on exit, and phase timing on 1 in 64 calls. `bare`
 /// publishes to a detached state word with no sampler; `instrumented`
 /// registers with a live [`Profiler`] attached to the 1 kHz
-/// `obs-sampler` thread for the whole measurement — so the ratio is
-/// exactly what arming the profiler costs a worker. The gate table
-/// holds this ratio to 1.10.
+/// `obs-sampler` thread, which runs through both sides' alternating
+/// windows — so the ratio is exactly what arming the profiler costs a
+/// worker. The gate table holds this ratio to 1.10.
 fn bench_profile_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_profile_overhead");
-    let run = |b: &mut criterion::Bencher, handle: &StateHandle| {
+    let seamed_locate = |handle: StateHandle| {
         let mut engine = churned_engine();
         let registry = Registry::new();
         engine.attach_stats(EngineStats::register_monotonic(&registry));
         let clock = Arc::new(MonotonicClock::new());
-        let mut seam = Seam::new(handle.clone(), &registry, clock, true);
+        let mut seam = Seam::new(handle, &registry, clock, true);
         let id = engine.catalog().objects()[0].id;
         let mut i = 0u64;
-        b.iter(|| {
+        move || {
             i = (i + 1) % 10_000;
             let mut sample = seam.decoded(seam.readable(|_| 1));
             seam.edge(Phase::Engine, &mut sample, None);
@@ -82,18 +87,17 @@ fn bench_profile_overhead(c: &mut Criterion) {
             seam.edge(Phase::Decode, &mut sample, None);
             seam.record();
             black_box(located)
-        });
+        }
     };
-    let detached = StateHandle::detached();
-    group.bench_with_input(BenchmarkId::from_parameter("bare"), &(), |b, ()| {
-        run(b, &detached)
-    });
     let profiler = Profiler::new(Arc::new(MonotonicClock::new()));
     let registered = profiler.register("bench-worker");
     profiler.sample_in_background();
-    group.bench_with_input(BenchmarkId::from_parameter("instrumented"), &(), |b, ()| {
-        run(b, &registered)
-    });
+    group.bench_pair(
+        "instrumented",
+        seamed_locate(registered),
+        "bare",
+        seamed_locate(StateHandle::detached()),
+    );
     assert!(profiler.rounds() > 0, "sampler never ran during the bench");
     group.finish();
 }

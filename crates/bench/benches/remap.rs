@@ -135,12 +135,12 @@ fn bench_plan_serial_vs_cached(c: &mut Criterion) {
     let mut log = churn_log(8, 8);
     let cache = XCache::rebuild(&catalog, &RemapPipeline::compile(&log));
     log.push(&ScalingOp::Add { count: 1 }).expect("valid add");
-    group.bench_function("serial", |b| {
-        b.iter(|| black_box(plan_last_op(&catalog, &log)));
-    });
-    group.bench_function("cached", |b| {
-        b.iter(|| black_box(plan_last_op_with_x(cache.blocks_with_x(&catalog), &log)));
-    });
+    group.bench_pair(
+        "serial",
+        || black_box(plan_last_op(&catalog, &log)),
+        "cached",
+        || black_box(plan_last_op_with_x(cache.blocks_with_x(&catalog), &log)),
+    );
     group.finish();
 }
 

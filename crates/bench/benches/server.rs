@@ -11,7 +11,7 @@
 
 use cmsim::{CmServer, ServerConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use scaddar_core::{ObjectId, ScalingOp};
+use scaddar_core::{DiskIndex, ObjectId, ScalingOp};
 use scaddar_prng::{Pcg64, SeededRng};
 use std::hint::black_box;
 
@@ -134,6 +134,19 @@ fn compaction_catalog() -> CmServer {
     s
 }
 
+/// Cycles through `lookups` against `server`, one locate per call.
+fn lookup_loop<'a>(
+    server: &'a CmServer,
+    lookups: &'a [(ObjectId, u64)],
+) -> impl FnMut() -> DiskIndex + 'a {
+    let mut i = 0;
+    move || {
+        let (object, block) = lookups[i % lookups.len()];
+        i += 1;
+        black_box(server.locate_current(object, block).expect("catalog block"))
+    }
+}
+
 fn bench_compact_locate(c: &mut Criterion) {
     // Burn the budget with remove/add round-trips, then compact through
     // the server's own API until the generation flips.
@@ -161,16 +174,12 @@ fn bench_compact_locate(c: &mut Criterion) {
         .map(|_| (ObjectId(rng.next_u64() % 24), rng.next_u64() % 2_000))
         .collect();
     let mut group = c.benchmark_group("compact_locate");
-    for (label, server) in [("post_flip", &compacted), ("fresh", &fresh)] {
-        group.bench_function(label, |b| {
-            let mut i = 0;
-            b.iter(|| {
-                let (object, block) = lookups[i % lookups.len()];
-                i += 1;
-                black_box(server.locate_current(object, block).expect("catalog block"))
-            });
-        });
-    }
+    group.bench_pair(
+        "post_flip",
+        lookup_loop(&compacted, &lookups),
+        "fresh",
+        lookup_loop(&fresh, &lookups),
+    );
     group.finish();
 }
 

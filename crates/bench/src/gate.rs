@@ -2,8 +2,12 @@
 //! criterion-shim JSON, one row each.
 //!
 //! A row names one criterion id (`group/bench`) or a ratio of two, a
-//! comparator and a bound. Overhead ratios put the instrumented side
-//! over the bare side; speedups put the baseline over the candidate.
+//! comparator and a bound. The shim measures the two sides of a
+//! [`Metric::Paired`] ratio in alternating windows and the row reads
+//! the median per-pair ratio (`scaddard-load` writes one for its
+//! overhead pass too); a [`Metric::Ratio`] divides two separately
+//! measured ids. Overhead ratios put the instrumented side over the
+//! bare side; speedups put the baseline over the candidate.
 //! A row whose input is missing, non-finite or divides by zero fails:
 //! nothing is skipped. `cargo run -p scaddar-bench --bin bench_gate`
 //! checks the table against the JSON the benches wrote.
@@ -15,8 +19,13 @@ use std::collections::BTreeMap;
 pub enum Metric {
     /// One criterion id's `ns_per_iter`.
     Value(&'static str),
-    /// `numerator / denominator`, both criterion ids.
+    /// `numerator / denominator`, both criterion ids, each measured in
+    /// its own window.
     Ratio(&'static str, &'static str),
+    /// The median of per-pair `numerator / denominator` ratios, the two
+    /// criterion ids measured in alternating windows by the shim's
+    /// `bench_pair`, which writes the median under the row's id.
+    Paired(&'static str, &'static str),
 }
 
 /// How a row's value must relate to its bound.
@@ -46,7 +55,7 @@ pub struct Gate {
 /// Every gate CI enforces. Latency values are nanoseconds.
 pub const GATES: &[Gate] = &[
     Gate {
-        metric: Metric::Ratio(
+        metric: Metric::Paired(
             "obs_locate_overhead/instrumented",
             "obs_locate_overhead/bare",
         ),
@@ -55,7 +64,7 @@ pub const GATES: &[Gate] = &[
         reason: "metric handles on the cached locate cost at most 10%",
     },
     Gate {
-        metric: Metric::Ratio(
+        metric: Metric::Paired(
             "obs_profile_overhead/instrumented",
             "obs_profile_overhead/bare",
         ),
@@ -64,7 +73,7 @@ pub const GATES: &[Gate] = &[
         reason: "an armed cooperative profiler costs the locate path at most 10%",
     },
     Gate {
-        metric: Metric::Ratio(
+        metric: Metric::Paired(
             "monitor_locate_overhead/attached",
             "monitor_locate_overhead/detached",
         ),
@@ -73,7 +82,7 @@ pub const GATES: &[Gate] = &[
         reason: "the polled health monitor amortizes to at most 10% of a locate",
     },
     Gate {
-        metric: Metric::Ratio(
+        metric: Metric::Paired(
             "net_locate_overhead/instrumented",
             "net_locate_overhead/bare",
         ),
@@ -115,13 +124,13 @@ pub const GATES: &[Gate] = &[
         reason: "no reply from a torn epoch",
     },
     Gate {
-        metric: Metric::Ratio("rf_plan_1m_blocks/serial", "rf_plan_1m_blocks/cached"),
+        metric: Metric::Paired("rf_plan_1m_blocks/serial", "rf_plan_1m_blocks/cached"),
         cmp: Cmp::AtLeast,
         bound: 1.5,
         reason: "the X-cache planner scale() runs plans 1M blocks 1.5x faster than the record fold",
     },
     Gate {
-        metric: Metric::Ratio("compact_locate/post_flip", "compact_locate/fresh"),
+        metric: Metric::Paired("compact_locate/post_flip", "compact_locate/fresh"),
         cmp: Cmp::AtMost,
         bound: 1.2,
         reason: "a compacted generation locates within 1.2x of a fresh chain-length-0 engine",
@@ -133,7 +142,7 @@ impl Gate {
     pub fn id(&self) -> String {
         match self.metric {
             Metric::Value(id) => id.to_string(),
-            Metric::Ratio(num, den) => format!("{num} / {den}"),
+            Metric::Ratio(num, den) | Metric::Paired(num, den) => format!("{num} / {den}"),
         }
     }
 
@@ -157,6 +166,7 @@ impl Gate {
                 }
                 Ok(n / d)
             }
+            Metric::Paired(..) => get(&self.id()),
         }
     }
 
@@ -192,14 +202,16 @@ impl Cmp {
 }
 
 /// Scans a criterion-shim JSON report for `(group/bench, ns_per_iter)`
-/// pairs. The shim writes one flat object per result, with no nesting
-/// and no escapes in the ids this workspace generates, so a
-/// field-by-field scan suffices.
+/// pairs, and for `(pair, ratio_median)` from the shim's paired runs,
+/// keyed by the [`Metric::Paired`] row's id. The shim writes one flat
+/// object per result, with no nesting and no escapes in the ids this
+/// workspace generates, so a field-by-field scan suffices.
 pub fn parse_results(json: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for chunk in json.split('{').skip(1) {
         let obj = chunk.split('}').next().unwrap_or("");
         let (mut group, mut bench, mut ns) = (None, None, None);
+        let (mut pair, mut median) = (None, None);
         for field in obj.split(',') {
             let Some((key, value)) = field.split_once(':') else {
                 continue;
@@ -209,11 +221,16 @@ pub fn parse_results(json: &str) -> Vec<(String, f64)> {
                 "group" => group = Some(value.trim_matches('"')),
                 "bench" => bench = Some(value.trim_matches('"')),
                 "ns_per_iter" => ns = value.parse::<f64>().ok(),
+                "pair" => pair = Some(value.trim_matches('"')),
+                "ratio_median" => median = value.parse::<f64>().ok(),
                 _ => {}
             }
         }
         if let (Some(g), Some(b), Some(n)) = (group, bench, ns) {
             out.push((format!("{g}/{b}"), n));
+        }
+        if let (Some(p), Some(m)) = (pair, median) {
+            out.push((p.to_string(), m));
         }
     }
     out
@@ -237,11 +254,30 @@ mod tests {
         assert_eq!(rows[1].0, "x_fold/pipeline/8");
     }
 
+    #[test]
+    fn parses_paired_median_under_the_row_id() {
+        let rows = parse_results(
+            r#"{"bench": "obs", "results": [
+              {"group": "obs_locate_overhead", "bench": "instrumented", "ns_per_iter": 33.0, "iterations": 10},
+              {"pair": "obs_locate_overhead/instrumented / obs_locate_overhead/bare", "ratio_median": 1.0312, "ratio_iqr": 0.0200, "pairs": 32}
+            ]}"#,
+        );
+        let gate = GATES
+            .iter()
+            .find(|g| g.id().starts_with("obs_locate_overhead/"))
+            .unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].0, gate.id());
+        let results: BTreeMap<String, f64> = rows.into_iter().collect();
+        assert_eq!(gate.check(&results), Ok(1.0312));
+    }
+
     /// Inputs that put the row's value at exactly `value`.
     fn inputs(gate: &Gate, value: f64) -> BTreeMap<String, f64> {
         match gate.metric {
             Metric::Value(id) => [(id.to_string(), value)].into(),
             Metric::Ratio(num, den) => [(num.to_string(), value), (den.to_string(), 1.0)].into(),
+            Metric::Paired(..) => [(gate.id(), value)].into(),
         }
     }
 
@@ -298,11 +334,11 @@ mod tests {
         for gate in GATES {
             let (inside, _) = inside_and_outside(gate);
             let bad_input = match gate.metric {
-                Metric::Value(id) => id,
-                Metric::Ratio(_, den) => den,
+                Metric::Value(id) | Metric::Ratio(_, id) => id.to_string(),
+                Metric::Paired(..) => gate.id(),
             };
             let mut nan = inputs(gate, inside);
-            nan.insert(bad_input.to_string(), f64::NAN);
+            nan.insert(bad_input, f64::NAN);
             assert!(gate.check(&nan).is_err(), "{}: NaN passed", gate.id());
             if let Metric::Ratio(_, den) = gate.metric {
                 let mut zero = inputs(gate, inside);

@@ -20,8 +20,8 @@
 //! [`CmServer::begin_compaction`]: crate::server::CmServer::begin_compaction
 //! [`Scaddar::open_next_generation`]: scaddar_core::Scaddar::open_next_generation
 
+use crate::disk::PhysicalDiskId;
 use crate::redistribute::PendingMove;
-use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{BlockRef, ObjectId, Scaddar};
 use std::collections::HashMap;
 

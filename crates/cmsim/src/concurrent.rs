@@ -12,8 +12,8 @@
 //! redistribution (only for the O(B) plan computation of the commit
 //! itself).
 
+use crate::disk::PhysicalDiskId;
 use crate::server::{CmServer, ServerError};
-use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{DiskIndex, ObjectId, ScalingOp};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

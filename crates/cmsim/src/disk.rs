@@ -3,13 +3,93 @@
 //!
 //! SCADDAR's arithmetic lives in a world of logical indices `0..N_j` that
 //! renumber on removal; an operator lives in a world of physical spindles
-//! with serial numbers. [`DiskArray`] keeps the two aligned, reusing the
+//! with serial numbers. [`PhysicalMap`] keeps the two aligned, reusing the
 //! same rank-renumbering convention as the core (`new()` in the paper),
-//! and tracks every physical disk's lifecycle in one dense table.
+//! and [`DiskArray`] tracks every physical disk's lifecycle in one dense
+//! table beside it. The map is the server's, not the algorithm's: the
+//! baselines' comparison harness borrows it to count physical movement.
 
 use crate::store::BlockStore;
-use scaddar_baselines::{PhysicalDiskId, PhysicalMap};
-use scaddar_core::{DiskIndex, ScalingError, ScalingOp};
+use scaddar_core::{DiskIndex, RemovedSet, ScalingError, ScalingOp};
+
+/// Stable physical disk identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PhysicalDiskId(pub u64);
+
+/// Maps dense logical indices (SCADDAR's world) to stable physical disk
+/// ids across a schedule of scaling operations, using the same rank
+/// renumbering the core implements.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhysicalMap {
+    logical_to_physical: Vec<PhysicalDiskId>,
+    next_physical: u64,
+}
+
+impl PhysicalMap {
+    /// Starts with `initial_disks` physical disks `0..initial_disks`.
+    pub fn new(initial_disks: u32) -> Self {
+        PhysicalMap {
+            logical_to_physical: (0..u64::from(initial_disks)).map(PhysicalDiskId).collect(),
+            next_physical: u64::from(initial_disks),
+        }
+    }
+
+    /// Number of live disks.
+    pub fn disks(&self) -> u32 {
+        self.logical_to_physical.len() as u32
+    }
+
+    /// The physical disk behind a logical index.
+    pub fn physical(&self, logical: u32) -> PhysicalDiskId {
+        self.logical_to_physical[logical as usize]
+    }
+
+    /// The largest physical id a map mints. Ids are never reused, so a
+    /// long history of additions and removals can reach it before the
+    /// live count does; residency stores ids in 4 bytes.
+    pub const MAX_ID: u64 = u32::MAX as u64;
+
+    /// Validates `op` against the live count and the id ceiling without
+    /// applying it: the error [`PhysicalMap::apply`] would return.
+    pub fn check(&self, op: &ScalingOp) -> Result<(), ScalingError> {
+        op.disks_after(self.disks())?;
+        if let ScalingOp::Add { count } = op {
+            if self.next_physical + u64::from(*count) > Self::MAX_ID + 1 {
+                return Err(ScalingError::PhysicalIdsExhausted);
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies a scaling operation: additions mint fresh physical ids,
+    /// removals drop the victims and compact (rank renumbering). An
+    /// addition past [`PhysicalMap::MAX_ID`] is refused before anything
+    /// is allocated.
+    pub fn apply(&mut self, op: &ScalingOp) -> Result<(), ScalingError> {
+        let n_prev = self.disks();
+        self.check(op)?;
+        match op {
+            ScalingOp::Add { count } => {
+                for _ in 0..*count {
+                    self.logical_to_physical
+                        .push(PhysicalDiskId(self.next_physical));
+                    self.next_physical += 1;
+                }
+            }
+            ScalingOp::Remove { disks } => {
+                let removed = RemovedSet::new(disks, n_prev)?;
+                let mut kept = Vec::with_capacity(self.logical_to_physical.len());
+                for (logical, &phys) in self.logical_to_physical.iter().enumerate() {
+                    if !removed.contains(logical as u32) {
+                        kept.push(phys);
+                    }
+                }
+                self.logical_to_physical = kept;
+            }
+        }
+        Ok(())
+    }
+}
 
 /// A physical disk's static properties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,25 +208,25 @@ impl DiskArray {
     /// failed, until it is retired once empty. An addition past the
     /// physical id ceiling is refused before anything is allocated.
     pub fn apply(&mut self, op: &ScalingOp) -> Result<(), ScalingError> {
-        let before = self.physical_ids();
-        self.map.apply(op)?;
-        if let ScalingOp::Add { count } = op {
-            // `PhysicalMap` mints the next `count` ids in sequence.
-            let fresh = (self.default_spec, DiskState::Live);
-            self.slots.resize(self.slots.len() + *count as usize, fresh);
+        self.map.check(op)?;
+        match op {
+            ScalingOp::Add { count } => {
+                // `PhysicalMap` mints the next `count` ids in sequence.
+                let fresh = (self.default_spec, DiskState::Live);
+                self.slots.resize(self.slots.len() + *count as usize, fresh);
+            }
+            // The checked op names distinct, in-range logical victims.
+            ScalingOp::Remove { disks } => {
+                for &logical in disks {
+                    let state = &mut self.slots[self.map.physical(logical).0 as usize].1;
+                    *state = match *state {
+                        DiskState::Failed => DiskState::Pulled,
+                        _ => DiskState::Draining,
+                    };
+                }
+            }
         }
-        let after = self.physical_ids();
-        for id in before
-            .into_iter()
-            .filter(|id| after.binary_search(id).is_err())
-        {
-            let state = &mut self.slots[id.0 as usize].1;
-            *state = match *state {
-                DiskState::Failed => DiskState::Pulled,
-                _ => DiskState::Draining,
-            };
-        }
-        Ok(())
+        self.map.apply(op)
     }
 
     /// Fails the disk at `logical`; returns its physical id.
@@ -283,6 +363,130 @@ mod tests {
         assert_eq!(a.disks(), 1);
         assert_eq!(a.slots.len(), 3, "nothing minted");
         assert_eq!(a.check(&ScalingOp::Add { count: 2 }), Ok(()));
+    }
+
+    #[test]
+    fn physical_map_tracks_identity_through_removal() {
+        let mut m = PhysicalMap::new(4);
+        m.apply(&ScalingOp::Add { count: 2 }).unwrap(); // physical 4, 5
+        m.apply(&ScalingOp::remove_one(1)).unwrap(); // drop physical 1
+        assert_eq!(m.disks(), 5);
+        let physes: Vec<u64> = (0..5).map(|l| m.physical(l).0).collect();
+        assert_eq!(physes, vec![0, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn additions_stop_at_the_id_ceiling() {
+        // A map whose history already minted ids up to MAX_ID - 1.
+        let mut m = PhysicalMap {
+            logical_to_physical: vec![PhysicalDiskId(PhysicalMap::MAX_ID - 1)],
+            next_physical: PhysicalMap::MAX_ID,
+        };
+        let two = ScalingOp::Add { count: 2 };
+        assert_eq!(m.check(&two), Err(ScalingError::PhysicalIdsExhausted));
+        assert_eq!(m.apply(&two), Err(ScalingError::PhysicalIdsExhausted));
+        assert_eq!(m.disks(), 1, "a refused addition mints nothing");
+        m.apply(&ScalingOp::add_one()).unwrap();
+        assert_eq!(m.physical(1), PhysicalDiskId(PhysicalMap::MAX_ID));
+        assert_eq!(
+            m.apply(&ScalingOp::add_one()),
+            Err(ScalingError::PhysicalIdsExhausted)
+        );
+        // Removals never mint, so they still apply at the ceiling.
+        m.apply(&ScalingOp::remove_one(0)).unwrap();
+        assert_eq!(m.disks(), 1);
+    }
+
+    /// [`DiskArray::apply`] as it was before it marked victims from the
+    /// op: list the live ids, apply, list them again, and mark every id
+    /// that left.
+    fn apply_by_diff(a: &mut DiskArray, op: &ScalingOp) -> Result<(), ScalingError> {
+        let before = a.physical_ids();
+        a.map.apply(op)?;
+        if let ScalingOp::Add { count } = op {
+            let fresh = (a.default_spec, DiskState::Live);
+            a.slots.resize(a.slots.len() + *count as usize, fresh);
+        }
+        let after = a.physical_ids();
+        for id in before
+            .into_iter()
+            .filter(|id| after.binary_search(id).is_err())
+        {
+            let state = &mut a.slots[id.0 as usize].1;
+            *state = match *state {
+                DiskState::Failed => DiskState::Pulled,
+                _ => DiskState::Draining,
+            };
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Over random add, remove, fail and retire schedules, marking
+        /// the victims straight from the op leaves the same map and
+        /// table as the before/after diff, refuses the same ops (an
+        /// addition past the id ceiling among them) without touching
+        /// either, and never mints an id twice.
+        #[test]
+        fn victim_marking_matches_the_diff(
+            initial in 2u32..8,
+            schedule in proptest::collection::vec((0u32..6, 0u32..64, 0u32..64), 1..24),
+        ) {
+            let mut fast = DiskArray::new(initial, SPEC);
+            let mut oracle = fast.clone();
+            let mut minted: std::collections::BTreeSet<PhysicalDiskId> =
+                fast.physical_ids().into_iter().collect();
+            for (kind, a, b) in schedule {
+                let n = fast.disks();
+                let op = match kind {
+                    0 => ScalingOp::Add { count: 1 + a % 3 },
+                    1 => ScalingOp::remove_one(a % n),
+                    // Two victims; the same one twice, or all of the
+                    // array, is refused.
+                    2 => ScalingOp::Remove { disks: vec![a % n, b % n] },
+                    3 => {
+                        fast.fail(DiskIndex(a % n));
+                        oracle.fail(DiskIndex(a % n));
+                        continue;
+                    }
+                    4 => {
+                        let empty = BlockStore::new();
+                        proptest::prop_assert_eq!(
+                            fast.retire_empty(&empty),
+                            oracle.retire_empty(&empty)
+                        );
+                        continue;
+                    }
+                    // The live count stays within u32, but with two ids
+                    // spent the ids would not: refused before allocating.
+                    // With fewer spent it would mint ~2^32 slots, so skip.
+                    _ if fast.slots.len() - n as usize >= 2 => {
+                        ScalingOp::Add { count: u32::MAX - n }
+                    }
+                    _ => continue,
+                };
+                let (slots, live) = (fast.slots.clone(), fast.physical_ids());
+                let result = fast.apply(&op);
+                proptest::prop_assert_eq!(&result, &apply_by_diff(&mut oracle, &op));
+                proptest::prop_assert_eq!(&fast.map, &oracle.map);
+                proptest::prop_assert_eq!(&fast.slots, &oracle.slots);
+                if result.is_err() {
+                    proptest::prop_assert_eq!(&fast.slots, &slots);
+                    proptest::prop_assert_eq!(&fast.physical_ids(), &live);
+                }
+                if kind == 5 {
+                    proptest::prop_assert_eq!(result, Err(ScalingError::PhysicalIdsExhausted));
+                }
+                for id in fast.physical_ids() {
+                    proptest::prop_assert!(
+                        live.contains(&id) || minted.insert(id),
+                        "{id:?} minted twice"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

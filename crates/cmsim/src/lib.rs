@@ -5,7 +5,9 @@
 //! setting so the placement algorithm can be evaluated *in situ*:
 //!
 //! * [`disk`] — physical disks with bandwidth/capacity behind SCADDAR's
-//!   logical indices;
+//!   logical indices: the stable [`PhysicalDiskId`]s, the
+//!   [`PhysicalMap`] that renumbers logical indices on removal, and the
+//!   [`DiskArray`] lifecycle table;
 //! * [`store`] — actual block residency (which lags placement during
 //!   online redistribution);
 //! * [`stream`], [`workload`], [`admission`] — client sessions with VCR
@@ -73,7 +75,7 @@ pub use concurrent::{
 };
 pub use config::ServerConfig;
 pub use decluster::{DeclusteredParity, RepairStats};
-pub use disk::{DiskArray, DiskSpec};
+pub use disk::{DiskArray, DiskSpec, PhysicalDiskId, PhysicalMap};
 pub use diskmodel::{provisioning_table, DiskModel};
 pub use faults::{availability_census, locate_with_failures, mirror_of, mirror_offset};
 pub use hetero::{HeteroDiskId, HeteroMap};

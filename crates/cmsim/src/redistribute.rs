@@ -18,7 +18,7 @@
 //! reused); the server builds it from its disk table, and an id past
 //! the end of the slice has no budget.
 
-use scaddar_baselines::PhysicalDiskId;
+use crate::disk::PhysicalDiskId;
 use scaddar_core::BlockRef;
 use std::collections::VecDeque;
 

@@ -15,13 +15,12 @@
 use crate::admission::AdmissionController;
 use crate::compaction::{has_block, BlockSet, CompactionProgress, CompactionState};
 use crate::config::ServerConfig;
-use crate::disk::{DiskArray, DiskSpec, DiskState};
+use crate::disk::{DiskArray, DiskSpec, DiskState, PhysicalDiskId};
 use crate::metrics::{Metrics, RoundRecord};
 use crate::redistribute::{PendingMove, RedistributionExecutor};
 use crate::stats::ServerStats;
 use crate::store::BlockStore;
 use crate::stream::{PlayState, Stream, StreamId};
-use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{
     BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig, ScaddarError, ScalingOp,
 };

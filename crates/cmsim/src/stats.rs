@@ -15,7 +15,7 @@
 //!
 //! [`CmServer`]: crate::server::CmServer
 
-use scaddar_baselines::PhysicalDiskId;
+use crate::disk::PhysicalDiskId;
 use scaddar_obs::{Clock, Counter, Gauge, Histogram, MonotonicClock, Registry};
 use std::sync::Arc;
 

@@ -25,7 +25,7 @@
 //! Single-block [`BlockStore::locate`] and [`BlockStore::relocate`]
 //! serve the redistribution executor, scrubbing and fault handling.
 
-use scaddar_baselines::PhysicalDiskId;
+use crate::disk::PhysicalDiskId;
 use scaddar_core::{BlockRef, ObjectId};
 use std::collections::HashMap;
 

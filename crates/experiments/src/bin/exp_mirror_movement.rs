@@ -60,8 +60,8 @@ fn main() {
     // Track previous physical placements. Removals renumber logical
     // indices; for movement accounting we track physical identity the
     // same way the harness does, via a running logical->physical map.
-    let mut physical = scaddar_baselines::PhysicalMap::new(PaperSetup::INITIAL_DISKS);
-    let place_all = |log: &ScalingLog, physical: &scaddar_baselines::PhysicalMap, x0s: &[u64]| {
+    let mut physical = cmsim::PhysicalMap::new(PaperSetup::INITIAL_DISKS);
+    let place_all = |log: &ScalingLog, physical: &cmsim::PhysicalMap, x0s: &[u64]| {
         let n = log.current_disks();
         let offset_half = (n / 2).max(1);
         x0s.iter()

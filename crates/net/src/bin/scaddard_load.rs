@@ -16,8 +16,8 @@
 //!    this pass supplies the throughput headline and the amortized
 //!    per-request p999.
 //! 3. **Overhead** (primary mode only) — a locate-only closed loop,
-//!    instrumented vs bare; the mean ns-per-request pair feeds the
-//!    instrumented/bare overhead ratio gated at ≤ 1.10 (same
+//!    instrumented vs bare, in alternating pairs of passes; the median
+//!    per-pair ratio of mean ns-per-request is gated at ≤ 1.10 (same
 //!    discipline as the obs and monitor overhead rows).
 //!
 //! ```text
@@ -27,6 +27,10 @@
 //! cargo run -p scaddar-bench --bin bench_gate
 //! ```
 //!
+//! The report goes to `--out`, or else to `net_load.json` in
+//! `CRITERION_JSON_DIR` (default `target/criterion-json`), where the
+//! criterion shim writes the benches' reports and `bench_gate` reads.
+//!
 //! The event-loop rows keep the historical `net_load/*` names (the
 //! headline); threaded rows land under `net_load_threaded/*` so the
 //! gate table can take the A/B throughput ratio.
@@ -34,13 +38,18 @@
 //! Exits nonzero on any protocol error or epoch-consistency violation
 //! in any pass, so CI can gate directly on the run.
 
+use scaddar_analysis::percentile;
 use scaddar_net::{LoadConfig, LoadReport, LoopMode, NetServerConfig, Scaddard, ServerMode};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Blocks in the served object for every pass.
 const OBJECT_BLOCKS: u64 = 50_000;
+
+/// Alternating bare/instrumented pass pairs in the overhead pass.
+const OVERHEAD_PAIRS: usize = 61;
 
 fn boot(mode: ServerMode, instrument: bool) -> Scaddard {
     let mut server = cmsim::CmServer::new(cmsim::ServerConfig::new(4).with_catalog_seed(0xBEEF))
@@ -166,6 +175,15 @@ fn measure_mode(
     ModeMeasurement { mixed, pipelined }
 }
 
+/// Where the report goes without `--out`: `net_load.json` in the
+/// criterion shim's `CRITERION_JSON_DIR` when it is set, else in the
+/// shim's default `target/criterion-json`, so `bench_gate` reads it
+/// beside the benches' reports. Its own stem (not `net.json`, which the
+/// codec bench owns): the shim writes one file per stem.
+fn default_out_path(json_dir: Option<String>) -> PathBuf {
+    PathBuf::from(json_dir.unwrap_or_else(|| "target/criterion-json".into())).join("net_load.json")
+}
+
 fn clean(report: &LoadReport) -> bool {
     report.protocol_errors == 0 && report.consistency_violations == 0
 }
@@ -177,9 +195,7 @@ fn main() {
     let mut scale_ops = 2u32;
     let mut window = 64usize;
     let mut modes: Vec<ServerMode> = vec![ServerMode::EventLoop, ServerMode::Threaded];
-    // Its own stem (not `net.json`, which the codec bench owns):
-    // the criterion shim writes one file per stem.
-    let mut out_path = "target/criterion-json/net_load.json".to_string();
+    let mut out_path = default_out_path(std::env::var("CRITERION_JSON_DIR").ok());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -200,7 +216,7 @@ fn main() {
                     other => panic!("--mode must be event-loop, threaded, or both (got {other})"),
                 }
             }
-            "--out" => out_path = value("--out"),
+            "--out" => out_path = value("--out").into(),
             other => {
                 eprintln!(
                     "unknown argument `{other}`\nusage: scaddard-load \
@@ -258,10 +274,11 @@ fn main() {
 
     // Overhead pass (primary mode): locate-only closed loop,
     // instrumented vs bare. Same seed, same shape, only `instrument`
-    // differs. Loopback round-trips are scheduler-noisy, so each
-    // configuration runs three alternating passes and keeps its
-    // *minimum* mean — the min is the least-disturbed run, and both
-    // sides get the same treatment.
+    // differs. Loopback round-trips are scheduler-noisy, so the two
+    // configurations alternate over `OVERHEAD_PAIRS` pairs of passes
+    // and the gate reads the median per-pair ratio, as it does for the
+    // criterion shim's paired rows. The `bare` and `instrumented` rows
+    // keep each side's *minimum* mean, its least-disturbed pass.
     let overhead_config = LoadConfig {
         seed,
         clients: clients.min(4),
@@ -273,7 +290,7 @@ fn main() {
     };
     let mut bare_runs = Vec::new();
     let mut inst_runs = Vec::new();
-    for _ in 0..3 {
+    for _ in 0..OVERHEAD_PAIRS {
         let daemon = boot(primary_mode, false);
         bare_runs.push(scaddar_net::run_load(daemon.local_addr(), &overhead_config));
         daemon.shutdown();
@@ -288,15 +305,24 @@ fn main() {
     };
     let (bare_ns, inst_ns) = (best(&bare_runs), best(&inst_runs));
     all_clean &= bare_runs.iter().chain(inst_runs.iter()).all(clean);
+    let ratios: Vec<f64> = inst_runs
+        .iter()
+        .zip(&bare_runs)
+        .map(|(inst, bare)| {
+            let bare = mean_locate_ns(bare);
+            if bare > 0.0 {
+                mean_locate_ns(inst) / bare
+            } else {
+                f64::INFINITY
+            }
+        })
+        .collect();
+    let median = percentile(&ratios, 0.5);
+    let iqr = percentile(&ratios, 0.75) - percentile(&ratios, 0.25);
     println!(
         "overhead ({}): bare {bare_ns:.0} ns/locate, instrumented {inst_ns:.0} ns/locate \
-         (ratio {:.4})",
+         (median per-pair ratio {median:.4}, IQR {iqr:.4})",
         mode_label(primary_mode),
-        if bare_ns > 0.0 {
-            inst_ns / bare_ns
-        } else {
-            0.0
-        },
     );
     push_result(
         &mut results,
@@ -312,16 +338,39 @@ fn main() {
         inst_ns,
         inst_runs[0].locate.count,
     );
+    write!(
+        results,
+        ",\n    {{\"pair\": \"net_locate_overhead/instrumented / net_locate_overhead/bare\", \
+         \"ratio_median\": {median:.4}, \"ratio_iqr\": {iqr:.4}, \"pairs\": {OVERHEAD_PAIRS}}}"
+    )
+    .expect("write to string");
 
     let json = format!("{{\"bench\": \"net_load\", \"results\": [\n{results}\n]}}\n");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+    if let Some(dir) = out_path.parent() {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
     std::fs::write(&out_path, &json).expect("write report");
-    println!("scaddard-load: wrote {out_path}");
+    println!("scaddard-load: wrote {}", out_path.display());
 
     if !all_clean {
         eprintln!("scaddard-load: FAILED (protocol errors or torn epochs observed)");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_lands_in_the_criterion_json_dir() {
+        assert_eq!(
+            default_out_path(Some("/tmp/gate".into())),
+            PathBuf::from("/tmp/gate/net_load.json")
+        );
+        assert_eq!(
+            default_out_path(None),
+            PathBuf::from("target/criterion-json/net_load.json")
+        );
     }
 }

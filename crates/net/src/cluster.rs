@@ -52,9 +52,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Jump consistent hash (Lamping & Veach, 2014), the shard router: the
-/// sorted shard index an object id lands on. One implementation serves
-/// both this and the E11 placement comparator.
-pub use scaddar_baselines::jump_consistent_hash as jump_hash;
+/// sorted shard index an object id lands on. `scaddar-prng` holds the
+/// one implementation, which the E11 placement comparator calls too.
+pub use scaddar_prng::jump_consistent_hash as jump_hash;
 
 /// The versioned shard topology: who serves, where, and since when.
 ///
@@ -764,38 +764,6 @@ pub fn fetch_map(client: &NetClient, have_version: u64) -> Result<ClusterMap, Cl
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jump_hash_matches_reference_properties() {
-        // Monotone bucket growth: a key's bucket under n+1 buckets is
-        // either unchanged or exactly n (the new bucket).
-        for key in 0..10_000u64 {
-            for n in 1..20u32 {
-                let before = jump_hash(key, n);
-                let after = jump_hash(key, n + 1);
-                assert!(
-                    after == before || after == n,
-                    "key {key}: {before} -> {after} under {n}->{} buckets",
-                    n + 1
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn jump_hash_is_roughly_uniform() {
-        const KEYS: u64 = 60_000;
-        const BUCKETS: u32 = 6;
-        let mut counts = [0u64; BUCKETS as usize];
-        for key in 0..KEYS {
-            counts[jump_hash(key, BUCKETS) as usize] += 1;
-        }
-        let expect = KEYS as f64 / BUCKETS as f64;
-        for (b, &c) in counts.iter().enumerate() {
-            let dev = (c as f64 - expect).abs() / expect;
-            assert!(dev < 0.05, "bucket {b}: {c} vs {expect} ({dev:.3})");
-        }
-    }
 
     #[test]
     fn map_routing_and_evolution() {

@@ -31,6 +31,10 @@
 //! answers "what is `X_0` for block `i`?" using the cheapest mechanism the
 //! generator supports.
 //!
+//! [`jump_consistent_hash`] (Lamping & Veach) lives here too: a
+//! key-seeded LCG walk that the cluster router and the E11 comparator
+//! share, so neither depends on the other.
+//!
 //! # Quick example
 //!
 //! ```
@@ -49,6 +53,7 @@
 #![warn(missing_docs)]
 
 mod bits;
+mod jump_hash;
 mod lcg;
 mod pcg;
 mod philox;
@@ -59,6 +64,7 @@ mod traits;
 mod xorshift;
 
 pub use bits::Bits;
+pub use jump_hash::jump_consistent_hash;
 pub use lcg::Lcg64;
 pub use pcg::Pcg64;
 pub use philox::Philox4x32;

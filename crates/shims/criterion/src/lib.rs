@@ -7,6 +7,12 @@
 //! (one file per bench executable) so tooling can post-process runs
 //! without scraping stdout.
 //!
+//! One addition has no criterion counterpart:
+//! [`BenchmarkGroup::bench_pair`] times two routines in alternating
+//! short windows and reports the median of the per-pair ratios, for
+//! gates on a ratio that separate windows would leave at the mercy of
+//! host noise.
+//!
 //! Tuning knobs (environment variables):
 //!
 //! * `CRITERION_WARMUP_MS` — warm-up per benchmark (default 60 ms);
@@ -28,6 +34,25 @@ pub use std::hint::black_box;
 
 /// Process-wide collected results, drained by [`finalize`].
 static RESULTS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
+
+/// Process-wide paired ratios from [`BenchmarkGroup::bench_pair`],
+/// drained by [`finalize`].
+static PAIRS: Mutex<Vec<PairRecord>> = Mutex::new(Vec::new());
+
+/// Windows per side in [`BenchmarkGroup::bench_pair`]: each side's
+/// measurement time splits into this many, so the median and quartiles
+/// of the per-pair ratios rest on this many pairs.
+const PAIR_WINDOWS: u32 = 32;
+
+/// The per-pair ratios of one [`BenchmarkGroup::bench_pair`] run.
+#[derive(Debug, Clone)]
+struct PairRecord {
+    /// `group/a / group/b`.
+    id: String,
+    median: f64,
+    iqr: f64,
+    pairs: usize,
+}
 
 /// One measured benchmark.
 #[derive(Debug, Clone)]
@@ -179,7 +204,7 @@ impl BenchmarkGroup<'_> {
             sample: None,
         };
         f(&mut bencher);
-        self.record(id, bencher);
+        self.record(id, bencher.sample);
         self
     }
 
@@ -200,15 +225,63 @@ impl BenchmarkGroup<'_> {
             sample: None,
         };
         f(&mut bencher, input);
-        self.record(id, bencher);
+        self.record(id, bencher.sample);
         self
     }
 
-    fn record(&self, id: BenchmarkId, bencher: Bencher) {
-        let Some((total, iters)) = bencher.sample else {
+    /// Measures `a` against `b` in alternating windows (A, B, A, B, …),
+    /// 32 of each, and records each under its id plus the
+    /// median and interquartile range of the per-pair ratios
+    /// `ns_per_iter(a) / ns_per_iter(b)`. A slow drift of the host's
+    /// speed moves both windows of a pair alike, so the paired median
+    /// holds still where two back-to-back measurements do not.
+    pub fn bench_pair<OA, OB, FA, FB>(
+        &mut self,
+        a: &str,
+        mut fa: FA,
+        b: &str,
+        mut fb: FB,
+    ) -> &mut Self
+    where
+        FA: FnMut() -> OA,
+        FB: FnMut() -> OB,
+    {
+        let (batch_a, batch_b) = (
+            calibrate(self.warmup, &mut fa),
+            calibrate(self.warmup, &mut fb),
+        );
+        let window = self.measure / PAIR_WINDOWS;
+        let (mut sum_a, mut sum_b) = ((Duration::ZERO, 0), (Duration::ZERO, 0));
+        let mut ratios = Vec::with_capacity(PAIR_WINDOWS as usize);
+        for _ in 0..PAIR_WINDOWS {
+            let (ta, na) = timed(window, batch_a, &mut fa);
+            let (tb, nb) = timed(window, batch_b, &mut fb);
+            ratios.push(per_iter_ns(ta, na) / per_iter_ns(tb, nb));
+            sum_a = (sum_a.0 + ta, sum_a.1 + na);
+            sum_b = (sum_b.0 + tb, sum_b.1 + nb);
+        }
+        self.record(a.into(), Some(sum_a));
+        self.record(b.into(), Some(sum_b));
+        let (q1, median, q3) = quartiles(&mut ratios);
+        let pair = PairRecord {
+            id: format!("{0}/{a} / {0}/{b}", self.name),
+            median,
+            iqr: q3 - q1,
+            pairs: ratios.len(),
+        };
+        eprintln!(
+            "pair {}: median ratio {:.4}, IQR {:.4} over {} pairs",
+            pair.id, pair.median, pair.iqr, pair.pairs
+        );
+        PAIRS.lock().unwrap_or_else(|e| e.into_inner()).push(pair);
+        self
+    }
+
+    fn record(&self, id: BenchmarkId, sample: Option<(Duration, u64)>) {
+        let Some((total, iters)) = sample else {
             return; // The closure never called iter(); nothing to report.
         };
-        let ns_per_iter = total.as_nanos() as f64 / iters.max(1) as f64;
+        let ns_per_iter = per_iter_ns(total, iters);
         let record = BenchRecord {
             group: self.name.clone(),
             bench: id.id,
@@ -245,31 +318,8 @@ pub struct Bencher {
 impl Bencher {
     /// Times repeated calls of `f` after a warm-up period.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Warm up and estimate the per-call cost.
-        let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
-        loop {
-            black_box(f());
-            warm_iters += 1;
-            if warm_start.elapsed() >= self.warmup {
-                break;
-            }
-        }
-        let est = warm_start.elapsed().as_nanos() as u64 / warm_iters.max(1);
-        // Batch calls so each timed slice is ≳200µs, amortizing the
-        // clock reads for nanosecond-scale routines.
-        let batch = (200_000 / est.max(1)).clamp(1, 1 << 20);
-        let mut total = Duration::ZERO;
-        let mut iters = 0u64;
-        while total < self.measure {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            total += start.elapsed();
-            iters += batch;
-        }
-        self.sample = Some((total, iters));
+        let batch = calibrate(self.warmup, &mut f);
+        self.sample = Some(timed(self.measure, batch, &mut f));
     }
 
     /// Times `routine` on fresh inputs from `setup`; only the routine is
@@ -292,6 +342,55 @@ impl Bencher {
         }
         self.sample = Some((total, iters));
     }
+}
+
+/// Warms `f` up for `warmup` and returns how many calls make one timed
+/// slice of ≳200µs, amortizing the clock reads for nanosecond-scale
+/// routines.
+fn calibrate<O>(warmup: Duration, f: &mut impl FnMut() -> O) -> u64 {
+    let warm_start = Instant::now();
+    let mut warm_iters = 0u64;
+    loop {
+        black_box(f());
+        warm_iters += 1;
+        if warm_start.elapsed() >= warmup {
+            break;
+        }
+    }
+    let est = warm_start.elapsed().as_nanos() as u64 / warm_iters.max(1);
+    (200_000 / est.max(1)).clamp(1, 1 << 20)
+}
+
+/// Runs slices of `batch` calls of `f` until `measure` is on the clock;
+/// returns the time on the clock and the calls made.
+fn timed<O>(measure: Duration, batch: u64, f: &mut impl FnMut() -> O) -> (Duration, u64) {
+    let mut total = Duration::ZERO;
+    let mut iters = 0u64;
+    while total < measure {
+        let start = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        total += start.elapsed();
+        iters += batch;
+    }
+    (total, iters)
+}
+
+fn per_iter_ns(total: Duration, iters: u64) -> f64 {
+    total.as_nanos() as f64 / iters.max(1) as f64
+}
+
+/// The first quartile, median and third quartile of `values`, linearly
+/// interpolated between order statistics. Sorts `values` in place.
+fn quartiles(values: &mut [f64]) -> (f64, f64, f64) {
+    values.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (values.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        values[lo] + (values[hi] - values[lo]) * (pos - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
 }
 
 fn human_time(ns: f64) -> String {
@@ -340,42 +439,51 @@ fn exe_stem() -> String {
 /// Called automatically by [`criterion_main!`].
 pub fn finalize() {
     let records = std::mem::take(&mut *RESULTS.lock().unwrap_or_else(|e| e.into_inner()));
+    let pairs = std::mem::take(&mut *PAIRS.lock().unwrap_or_else(|e| e.into_inner()));
     if records.is_empty() {
         return;
     }
     let stem = exe_stem();
-    let mut json = String::new();
-    let _ = writeln!(
-        json,
-        "{{\n  \"bench\": \"{}\",\n  \"results\": [",
-        json_escape(&stem)
+    let mut rows: Vec<String> = records
+        .iter()
+        .map(|r| {
+            let throughput = match r.throughput {
+                Some(Throughput::Elements(n)) => format!(
+                    ", \"elements\": {n}, \"elements_per_sec\": {:.1}",
+                    n as f64 / (r.ns_per_iter / 1e9)
+                ),
+                Some(Throughput::Bytes(n)) => format!(
+                    ", \"bytes\": {n}, \"bytes_per_sec\": {:.1}",
+                    n as f64 / (r.ns_per_iter / 1e9)
+                ),
+                None => String::new(),
+            };
+            format!(
+                "    {{\"group\": \"{}\", \"bench\": \"{}\", \"ns_per_iter\": {:.2}, \
+                 \"iterations\": {}{}}}",
+                json_escape(&r.group),
+                json_escape(&r.bench),
+                r.ns_per_iter,
+                r.iterations,
+                throughput,
+            )
+        })
+        .collect();
+    rows.extend(pairs.iter().map(|p| {
+        format!(
+            "    {{\"pair\": \"{}\", \"ratio_median\": {:.4}, \"ratio_iqr\": {:.4}, \
+             \"pairs\": {}}}",
+            json_escape(&p.id),
+            p.median,
+            p.iqr,
+            p.pairs,
+        )
+    }));
+    let json = format!(
+        "{{\n  \"bench\": \"{}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        json_escape(&stem),
+        rows.join(",\n")
     );
-    for (i, r) in records.iter().enumerate() {
-        let sep = if i + 1 < records.len() { "," } else { "" };
-        let throughput = match r.throughput {
-            Some(Throughput::Elements(n)) => format!(
-                ", \"elements\": {n}, \"elements_per_sec\": {:.1}",
-                n as f64 / (r.ns_per_iter / 1e9)
-            ),
-            Some(Throughput::Bytes(n)) => format!(
-                ", \"bytes\": {n}, \"bytes_per_sec\": {:.1}",
-                n as f64 / (r.ns_per_iter / 1e9)
-            ),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"group\": \"{}\", \"bench\": \"{}\", \"ns_per_iter\": {:.2}, \
-             \"iterations\": {}{}}}{}",
-            json_escape(&r.group),
-            json_escape(&r.bench),
-            r.ns_per_iter,
-            r.iterations,
-            throughput,
-            sep
-        );
-    }
-    let _ = writeln!(json, "  ]\n}}");
     let dir =
         std::env::var("CRITERION_JSON_DIR").unwrap_or_else(|_| "target/criterion-json".to_string());
     let path = std::path::Path::new(&dir).join(format!("{stem}.json"));
@@ -452,6 +560,40 @@ mod tests {
         group.finish();
         let results = RESULTS.lock().unwrap_or_else(|e| e.into_inner());
         assert!(results.iter().any(|r| r.group == "shim_self_test_batched"));
+    }
+
+    #[test]
+    fn bench_pair_records_both_sides_and_the_ratio() {
+        let mut c = fast_criterion();
+        let mut group = c.benchmark_group("shim_self_test_pair");
+        group.bench_pair(
+            "slow",
+            || (0..64u64).map(black_box).sum::<u64>(),
+            "fast",
+            || black_box(1u64),
+        );
+        group.finish();
+        let results = RESULTS.lock().unwrap_or_else(|e| e.into_inner());
+        for side in ["slow", "fast"] {
+            assert!(results
+                .iter()
+                .any(|r| r.group == "shim_self_test_pair" && r.bench == side));
+        }
+        let pairs = PAIRS.lock().unwrap_or_else(|e| e.into_inner());
+        let p = pairs
+            .iter()
+            .find(|p| p.id == "shim_self_test_pair/slow / shim_self_test_pair/fast")
+            .expect("pair recorded");
+        assert_eq!(p.pairs, PAIR_WINDOWS as usize);
+        assert!(p.median > 1.0, "median {}", p.median);
+        assert!(p.iqr >= 0.0);
+    }
+
+    #[test]
+    fn quartiles_interpolate() {
+        assert_eq!(quartiles(&mut [3.0, 1.0, 2.0, 5.0, 4.0]), (2.0, 3.0, 4.0));
+        assert_eq!(quartiles(&mut [2.0, 1.0]), (1.25, 1.5, 1.75));
+        assert_eq!(quartiles(&mut [7.0]), (7.0, 7.0, 7.0));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! must equal the stateless fold from its `X_0`, no cached `X` may
 //! exceed `2^b - 1`, and residency must agree with `AF()`.
 
-use scaddar::baselines::PhysicalMap;
-use scaddar::cmsim::ServerError;
+use scaddar::cmsim::{PhysicalMap, ServerError};
 use scaddar::core::address::x_at_current_epoch;
 use scaddar::core::{ScaddarError, ScalingError, Xs};
 use scaddar::prelude::*;

@@ -2,7 +2,8 @@
 //! the algorithm's invariants, spanning core + baselines + analysis.
 
 use proptest::prelude::*;
-use scaddar::baselines::{run_schedule, synthetic_population, PhysicalMap, ScaddarStrategy};
+use scaddar::baselines::{run_schedule, synthetic_population, ScaddarStrategy};
+use scaddar::cmsim::PhysicalMap;
 use scaddar::prelude::*;
 
 /// Generates a random valid schedule of up to `max_ops` operations,

@@ -7,8 +7,7 @@
 //! the server as it was.
 
 use proptest::prelude::*;
-use scaddar::baselines::PhysicalDiskId;
-use scaddar::cmsim::ServerError;
+use scaddar::cmsim::{PhysicalDiskId, ServerError};
 use scaddar::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
