@@ -127,7 +127,13 @@ pub const GATES: &[Gate] = &[
         metric: Metric::Paired("rf_plan_1m_blocks/serial", "rf_plan_1m_blocks/cached"),
         cmp: Cmp::AtLeast,
         bound: 1.5,
-        reason: "the X-cache planner scale() runs plans 1M blocks 1.5x faster than the record fold",
+        reason: "the one pass scale() runs (X-cache advance, which plans) covers 1M blocks 1.5x faster than the record fold",
+    },
+    Gate {
+        metric: Metric::Value("server_scale_100k_blocks/plan_and_queue_online"),
+        cmp: Cmp::AtMost,
+        bound: 2_000_000.0,
+        reason: "one REMAP pass and no per-block hash: 0.66-1.05 ms over 12 runs on 2 vCPUs, so 2 ms is ~1.9x the slowest and under the two-pass, hash-set commit's 1.96-3.06 ms",
     },
     Gate {
         metric: Metric::Paired("compact_locate/post_flip", "compact_locate/fresh"),

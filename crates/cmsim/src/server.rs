@@ -24,7 +24,6 @@ use crate::stream::{PlayState, Stream, StreamId};
 use scaddar_core::{
     BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig, ScaddarError, ScalingOp,
 };
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Errors from server operations.
@@ -506,17 +505,28 @@ impl CmServer {
         self.disks
             .apply(&op)
             .expect("engine accepted the op, the array must too");
-        // Drop superseded pending moves for re-planned blocks.
-        let replanned: HashSet<BlockRef> = plan.moves.iter().map(|m| m.block).collect();
-        self.executor.cancel_blocks(|b| replanned.contains(&b));
-        let moves: Vec<PendingMove> = plan
-            .moves
-            .iter()
-            .filter_map(|m| {
-                let stored = self
-                    .store
-                    .locate(m.block)
-                    .expect("planned block exists in store");
+        // The plan lists each object's moves as one run, in block order.
+        let runs = || plan.moves.chunk_by(|a, b| a.block.object == b.block.object);
+        if !self.executor.is_idle() {
+            // Drop superseded pending moves for re-planned blocks.
+            let mut replanned = BlockSet::default();
+            for run in runs() {
+                let mut bits = vec![0u64; (run[run.len() - 1].block.block / 64 + 1) as usize];
+                for m in run {
+                    bits[(m.block.block / 64) as usize] |= 1 << (m.block.block % 64);
+                }
+                replanned.insert_object(run[0].block.object, bits);
+            }
+            self.executor.cancel_blocks(|b| replanned.contains(b));
+        }
+        let mut moves = Vec::with_capacity(plan.moves.len());
+        for run in runs() {
+            let resident = self
+                .store
+                .object(run[0].block.object)
+                .expect("planned object exists in store");
+            for m in run {
+                let stored = PhysicalDiskId(resident[m.block.block as usize].into());
                 let to = self.disks.physical(m.to);
                 if self.disks.state(stored).failed() {
                     // Reconstruction: data is read from the pre-op
@@ -524,24 +534,22 @@ impl CmServer {
                     // the block must still be materialized there (the
                     // executor treats it as a one-disk local copy).
                     let mirror = crate::faults::mirror_of(m.from, n_prev);
-                    Some(PendingMove {
+                    moves.push(PendingMove {
                         block: m.block,
                         from: pre_physicals[mirror.0 as usize],
                         to,
-                    })
-                } else if stored == to {
-                    // Already in place (a replanned block whose earlier
-                    // pending move had completed to the same target).
-                    None
-                } else {
-                    Some(PendingMove {
+                    });
+                } else if stored != to {
+                    // `stored == to` is a replanned block whose earlier
+                    // pending move already completed to the same target.
+                    moves.push(PendingMove {
                         block: m.block,
                         from: stored,
                         to,
-                    })
+                    });
                 }
-            })
-            .collect();
+            }
+        }
         let queued = moves.len() as u64;
         self.executor.enqueue(moves);
         if let (Some(stats), Some(start)) = (&self.stats, scale_start) {
@@ -1575,6 +1583,128 @@ mod tests {
             }
             finish_compaction(&mut s);
             proptest::prop_assert!(s.residency_consistent());
+        }
+    }
+
+    /// The queueing half of [`CmServer::scale`] as it was before the
+    /// plan's runs were read from residency slices, kept as its oracle:
+    /// every replanned block hashed into a set (built even on an idle
+    /// executor), then one `store.locate` per move.
+    fn scale_with_hash_set(s: &mut CmServer, op: ScalingOp) -> Result<u64, ServerError> {
+        use std::collections::HashSet;
+        s.disks.check(&op).map_err(ScaddarError::from)?;
+        let plan = s.engine.scale(op.clone())?;
+        let pre_physicals: Vec<PhysicalDiskId> = s.disks.physical_ids();
+        let n_prev = s.disks.disks();
+        s.disks.apply(&op).unwrap();
+        let replanned: HashSet<BlockRef> = plan.moves.iter().map(|m| m.block).collect();
+        s.executor.cancel_blocks(|b| replanned.contains(&b));
+        let moves: Vec<PendingMove> = plan
+            .moves
+            .iter()
+            .filter_map(|m| {
+                let stored = s.store.locate(m.block).unwrap();
+                let to = s.disks.physical(m.to);
+                if s.disks.state(stored).failed() {
+                    let mirror = crate::faults::mirror_of(m.from, n_prev);
+                    Some(PendingMove {
+                        block: m.block,
+                        from: pre_physicals[mirror.0 as usize],
+                        to,
+                    })
+                } else if stored == to {
+                    None
+                } else {
+                    Some(PendingMove {
+                        block: m.block,
+                        from: stored,
+                        to,
+                    })
+                }
+            })
+            .collect();
+        let queued = moves.len() as u64;
+        s.executor.enqueue(moves);
+        Ok(queued)
+    }
+
+    fn queue(s: &CmServer) -> Vec<PendingMove> {
+        s.executor.pending().copied().collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Over random histories of additions, single and group
+        /// removals, disk failures (pulled at once or left in the
+        /// array), object churn and partial drains — so most scales
+        /// find moves still pending, some find the executor idle, and
+        /// some plan blocks stored on a dead disk — every scale returns
+        /// the oracle's count and leaves exactly the oracle's queue:
+        /// the same surviving moves and the same new ones, in order.
+        #[test]
+        fn scale_queues_what_the_hash_set_oracle_queues(
+            disks in 4u32..9,
+            b64 in proptest::prelude::any::<bool>(),
+            history in proptest::collection::vec((0u32..10, 0u32..64, 0u32..6), 1..16),
+        ) {
+            let mut cfg = ServerConfig::new(disks)
+                .with_bandwidth(16)
+                .with_redistribution_bandwidth(8)
+                .with_catalog_seed(u64::from(disks) * 7 + u64::from(b64));
+            if b64 {
+                cfg = cfg.with_bits(scaddar_prng::Bits::B64);
+            }
+            let mut s = CmServer::new(cfg).unwrap();
+            for blocks in [900, 1, 2_500] {
+                s.add_object(blocks).unwrap();
+            }
+            for (kind, pick, ticks) in history {
+                let n = s.disks().disks();
+                let healthy = s.failed_disks().is_empty();
+                let op = match kind {
+                    0..=2 => Some(ScalingOp::Add { count: 1 + pick % 2 }),
+                    3 | 4 if n > 3 => Some(ScalingOp::remove_one(pick % n)),
+                    5 if n > 5 => Some(ScalingOp::Remove {
+                        disks: vec![pick % n, (pick + 1 + pick / 7 % (n - 1)) % n],
+                    }),
+                    6 if n > 3 && healthy => {
+                        s.fail_disk(DiskIndex(pick % n));
+                        Some(ScalingOp::remove_one(pick % n))
+                    }
+                    7 if healthy => {
+                        s.fail_disk(DiskIndex(pick % n));
+                        None
+                    }
+                    8 => {
+                        match s.engine.catalog().objects().first() {
+                            Some(obj) if pick % 2 == 0 => s.remove_object(obj.id).unwrap(),
+                            _ => {
+                                s.add_object(u64::from(pick) * 37).unwrap();
+                            }
+                        }
+                        None
+                    }
+                    _ => {
+                        for _ in 0..200 {
+                            if s.backlog() == 0 {
+                                break;
+                            }
+                            s.tick();
+                        }
+                        None
+                    }
+                };
+                if let Some(op) = op {
+                    let mut oracle = s.clone();
+                    let expected = scale_with_hash_set(&mut oracle, op.clone());
+                    proptest::prop_assert_eq!(s.scale(op.clone()), expected, "{:?}", op);
+                    proptest::prop_assert_eq!(queue(&s), queue(&oracle), "{:?}", op);
+                }
+                for _ in 0..ticks {
+                    s.tick();
+                }
+            }
         }
     }
 }

@@ -75,7 +75,7 @@ pub use object::{BlockRef, Catalog, CmObject, ObjectId};
 pub use ops::{RemovedSet, ScalingOp};
 pub use persist::{PersistError, Snapshot};
 pub use pipeline::{RemapPipeline, Word};
-pub use plan::{plan_last_op, plan_last_op_with_x, BlockMove, MovePlan, OpMovement};
+pub use plan::{plan_last_op, BlockMove, MovePlan, OpMovement};
 pub use stats::EngineStats;
 pub use xcache::{Placements, XCache, Xs, XsIter};
 
@@ -439,10 +439,11 @@ impl Scaddar {
 
     /// Applies a scaling operation and returns the move plan (`RF()`).
     ///
-    /// O(B): the cache already holds every block's `X_{j-1}`, so the plan
-    /// applies only the new record, and advancing the cache afterwards is
-    /// the same single [`RemapPipeline::step`] per block. (The stateless
-    /// O(B·j) [`plan_last_op`] computes the identical plan.)
+    /// O(B), one pass: the log takes the record, the pipeline compiles
+    /// it, and [`XCache::advance`] applies it once to every block's
+    /// cached `X_{j-1}` — the same step yields `X_j` and says whether
+    /// the block moved, so advancing the cache is planning. (The
+    /// stateless O(B·j) [`plan_last_op`] computes the identical plan.)
     pub fn scale(&mut self, op: ScalingOp) -> Result<MovePlan, ScaddarError> {
         let scale_start = self.stats.as_ref().map(|s| s.clock.now_ns());
         let disks_before = self.log.current_disks();
@@ -451,25 +452,20 @@ impl Scaddar {
         self.fairness.record_op(disks_after);
         self.pipeline.extend_from(&self.log);
         let plan_start = self.stats.as_ref().map(|s| s.clock.now_ns());
-        let plan = plan_last_op_with_x(self.cache.blocks_with_x(&self.catalog), &self.log);
+        let plan = self.cache.advance(&self.catalog, &self.log, &self.pipeline);
         if let (Some(stats), Some(start)) = (&self.stats, plan_start) {
             stats
                 .plan_ns
                 .record(stats.clock.now_ns().saturating_sub(start));
             stats.plan_blocks.add(plan.total_blocks);
         }
-        self.cache.advance_to(&self.pipeline);
         self.movements
             .push(OpMovement::from_plan(&plan, disks_before, disks_after));
         if let (Some(stats), Some(start)) = (&self.stats, scale_start) {
             stats.scale_ops.inc();
             stats.scale_moved_blocks.add(plan.moves.len() as u64);
             stats.xcache_epoch_bumps.inc();
-            // Planning applied the new record once per block; advancing
-            // the cache applied it once more.
-            stats
-                .pipeline_folds
-                .add(plan.total_blocks.saturating_mul(2));
+            stats.pipeline_folds.add(plan.total_blocks);
             stats
                 .scale_ns
                 .record(stats.clock.now_ns().saturating_sub(start));
@@ -1009,10 +1005,14 @@ mod tests {
         // Mask 1023 samples calls 0 and 1024.
         assert_eq!(stats.locate_ns.snapshot().count, 2);
 
+        // Admission at epoch 0 folds nothing; one scale applies its
+        // record exactly once per block.
+        assert_eq!(stats.pipeline_folds.get(), 0);
         s.scale(ScalingOp::Add { count: 1 }).unwrap();
         assert_eq!(stats.scale_ops.get(), 1);
         assert_eq!(stats.xcache_epoch_bumps.get(), 1);
         assert_eq!(stats.plan_blocks.get(), 1_000);
+        assert_eq!(stats.pipeline_folds.get(), 1_000);
         assert_eq!(stats.scale_ns.snapshot().count, 1);
         assert_eq!(stats.plan_ns.snapshot().count, 1);
 

@@ -207,39 +207,12 @@ impl MagicDivisor {
 struct Step {
     /// `N_{j-1}` with its reciprocal.
     n_prev: MagicDivisor,
-    /// `N_j` with its reciprocal (the reciprocal is used by additions
-    /// only, but removals keep it for uniformity).
+    /// `N_j` with its reciprocal (additions draw `t` with it; removals
+    /// reduce a moved block's new value with it).
     n_new: MagicDivisor,
     /// Offset of this step's dense renumber table in
     /// [`RemapPipeline::tables`], or [`ADDITION`].
     table_off: usize,
-}
-
-impl Step {
-    /// Applies this step to `x`: `(X_j, moved)`, the same contract as
-    /// [`crate::remap::remap_add`]/[`crate::remap::remap_remove`].
-    #[inline(always)]
-    fn apply(&self, x: u64, tables: &[u32]) -> (u64, bool) {
-        let (q, r) = self.n_prev.divmod(x);
-        if self.table_off == ADDITION {
-            // Eq. 5: fresh draw t = q mod N_j; t < N_{j-1} keeps disk r,
-            // and (q/N_j)·N_j + r = q - t + r needs no extra division.
-            let t = self.n_new.rem(q);
-            if t < self.n_prev.d {
-                (q - t + r, false)
-            } else {
-                (q, true)
-            }
-        } else {
-            // Eq. 3: dense table gives new(r) or the removed sentinel.
-            let m = tables[self.table_off + r as usize];
-            if m == RemovedSet::REMOVED {
-                (q, true)
-            } else {
-                (q * self.n_new.d + u64::from(m), false)
-            }
-        }
-    }
 }
 
 /// A [`ScalingLog`] compiled to a flat, division-free step list.
@@ -355,30 +328,17 @@ impl RemapPipeline {
     /// the remapped value and whether the block changed disks — the same
     /// contract as [`crate::remap::remap_add`]/
     /// [`crate::remap::remap_remove`].
-    #[inline]
     pub fn step(&self, i: usize, x: u64) -> (u64, bool) {
-        self.steps[i].apply(x, &self.tables)
+        let (mut xs, mut moved) = ([x], false);
+        self.step_words(i, &mut xs, u64::MAX, |_, _, _| moved = true);
+        (xs[0], moved)
     }
 
     /// `X_j`: folds `x0` through every compiled step.
-    #[inline]
     pub fn fold(&self, x0: u64) -> u64 {
-        let mut x = x0;
-        for step in &self.steps {
-            x = step.apply(x, &self.tables).0;
-        }
-        x
-    }
-
-    /// Folds `x` (a value at epoch `from`) through steps `from..epoch()`.
-    /// The X-cache uses this with `from = epoch() - 1` to advance by
-    /// exactly one `REMAP` per scaling operation.
-    #[inline]
-    pub fn fold_from(&self, from: usize, mut x: u64) -> u64 {
-        for step in &self.steps[from..] {
-            x = step.apply(x, &self.tables).0;
-        }
-        x
+        let mut xs = [x0];
+        self.fold_words(0, &mut xs, u64::MAX);
+        xs[0]
     }
 
     /// Folds a whole batch of `X_0` values to `X_j` in place, at either
@@ -398,47 +358,69 @@ impl RemapPipeline {
     }
 
     /// Folds `xs` (values at epoch `from`) through steps `from..epoch()`
-    /// in place, step-outer. Every result is checked against `max`
-    /// (`2^b - 1`, or the word's own maximum) once per step: one OR per
-    /// block, one compare per step.
+    /// in place, step-outer.
+    pub(crate) fn fold_words<W: Word>(&self, from: usize, xs: &mut [W], max: u64) {
+        for i in from..self.epoch() {
+            self.step_words(i, xs, max, |_, _, _| {});
+        }
+    }
+
+    /// Applies compiled step `i` (`REMAP_{i+1}`) to every word of `xs` in
+    /// place, calling `moved(k, from, to)` in block order for each block
+    /// `k` that changed disks. Both disks fall out of the step's own
+    /// division: `from` is its remainder `r`, and a moved block's new
+    /// value is its quotient `q`, so `to = q mod N_{i+1}`.
     ///
     /// # Panics
-    /// If a step produced a value above `max` — impossible for inputs at
-    /// most `max`, because no `REMAP` step increases `X`.
-    pub(crate) fn fold_words<W: Word>(&self, from: usize, xs: &mut [W], max: u64) {
-        for step in &self.steps[from..] {
-            let np = step.n_prev;
-            let mut seen = 0u64;
-            if step.table_off == ADDITION {
-                let nn = step.n_new;
-                for x in xs.iter_mut() {
-                    let (q, r) = np.divmod_w::<W>(x.widen());
-                    let t = nn.rem_w::<W>(q);
-                    let v = if t < np.d { q - t + r } else { q };
-                    seen |= v;
-                    *x = W::narrow(v);
-                }
-            } else {
-                let nn = step.n_new.d;
-                // r < N_{j-1} always, so the table slice is exactly
-                // N_{j-1} long and the inner bounds check never fires.
-                let table = &self.tables[step.table_off..step.table_off + np.d as usize];
-                for x in xs.iter_mut() {
-                    let (q, r) = np.divmod_w::<W>(x.widen());
-                    let m = table[r as usize];
-                    let v = if m == RemovedSet::REMOVED {
-                        q
-                    } else {
-                        q * nn + u64::from(m)
-                    };
-                    seen |= v;
-                    *x = W::narrow(v);
-                }
+    /// If a result exceeds `max` (`2^b - 1`, or the word's own maximum) —
+    /// impossible for inputs at most `max`, as no step increases `X`.
+    #[inline(always)]
+    pub(crate) fn step_words<W: Word>(
+        &self,
+        i: usize,
+        xs: &mut [W],
+        max: u64,
+        mut moved: impl FnMut(usize, DiskIndex, DiskIndex),
+    ) {
+        let step = &self.steps[i];
+        let (np, nn) = (step.n_prev, step.n_new);
+        let mut seen = 0u64;
+        if step.table_off == ADDITION {
+            // Eq. 5: fresh draw t = q mod N_j; t < N_{j-1} keeps disk r,
+            // and (q/N_j)·N_j + r = q - t + r needs no extra division.
+            for (k, x) in xs.iter_mut().enumerate() {
+                let (q, r) = np.divmod_w::<W>(x.widen());
+                let t = nn.rem_w::<W>(q);
+                let v = if t < np.d {
+                    q - t + r
+                } else {
+                    moved(k, DiskIndex(r as u32), DiskIndex(t as u32));
+                    q
+                };
+                seen |= v;
+                *x = W::narrow(v);
             }
-            // `max` is all ones (2^b - 1), so the OR exceeds it exactly
-            // when some value does.
-            assert!(seen <= max, "a REMAP step increased X past {max:#x}");
+        } else {
+            // Eq. 3: the dense table gives new(r) or the removed
+            // sentinel. r < N_{j-1} always, so the table slice is exactly
+            // N_{j-1} long and the inner bounds check never fires.
+            let table = &self.tables[step.table_off..step.table_off + np.d as usize];
+            for (k, x) in xs.iter_mut().enumerate() {
+                let (q, r) = np.divmod_w::<W>(x.widen());
+                let m = table[r as usize];
+                let v = if m == RemovedSet::REMOVED {
+                    moved(k, DiskIndex(r as u32), nn.disk(W::narrow(q)));
+                    q
+                } else {
+                    q * nn.d + u64::from(m)
+                };
+                seen |= v;
+                *x = W::narrow(v);
+            }
         }
+        // `max` is all ones (2^b - 1), so the OR exceeds it exactly
+        // when some value does.
+        assert!(seen <= max, "a REMAP step increased X past {max:#x}");
     }
 
     /// `AF()` against the compiled log: `D_j = fold(x0) mod N_j`.
@@ -669,16 +651,6 @@ mod tests {
             assert_eq!(incremental.epoch(), e);
         }
         assert_eq!(incremental, full);
-    }
-
-    #[test]
-    fn fold_from_composes() {
-        let log = mixed_log();
-        let pipe = RemapPipeline::compile(&log);
-        for x0 in [0u64, 7, 999_999, u64::MAX / 7] {
-            let mid = RemapPipeline::compile_prefix(&log, 2).fold(x0);
-            assert_eq!(pipe.fold_from(2, mid), pipe.fold(x0));
-        }
     }
 
     #[test]

@@ -125,76 +125,49 @@ impl OpMovement {
     }
 }
 
-/// Plans the moves for the *last* operation in `log`, given the catalog.
+/// Plans the moves for the *last* operation in `log`, given the catalog:
+/// the stateless reference `RF()`.
 ///
 /// The log must already contain the operation (push first, then plan);
 /// this keeps a single source of truth for epochs. For each block the
-/// chain `X_0 … X_{j-1}` is recomputed and the final record applied —
-/// `O(B·j)` total. [`plan_last_op_with_x`] is the `O(B)` variant for
-/// callers that cache `X_{j-1}`.
+/// chain `X_0 … X_{j-1}` is recomputed with the record-by-record `REMAP`
+/// functions and the final record applied — `O(B·j)` total.
+/// [`Scaddar::scale`](crate::Scaddar::scale) computes the identical plan
+/// in `O(B)` by advancing its X-cache ([`crate::XCache::advance`]); this
+/// function is the oracle that path is property-tested against.
 ///
 /// # Panics
 /// If the log has no operations.
 pub fn plan_last_op(catalog: &Catalog, log: &ScalingLog) -> MovePlan {
     let j = log.epoch();
     assert!(j > 0, "log has no scaling operation to plan");
-    let prefix: Vec<&ScalingRecord> = log.records()[..j - 1].iter().collect();
+    let prefix = &log.records()[..j - 1];
     let record = &log.records()[j - 1];
-    let x_prev_of = |x0: u64| {
-        prefix.iter().fold(x0, |x, r| match r.action() {
-            RecordAction::Added { .. } => {
-                remap_add(x, u64::from(r.disks_before()), u64::from(r.disks_after())).x
-            }
-            RecordAction::Removed(set) => remap_remove(x, u64::from(r.disks_before()), set).x,
-        })
+    let apply = |r: &ScalingRecord, x: u64| {
+        let (n_prev, n_new) = (u64::from(r.disks_before()), u64::from(r.disks_after()));
+        match r.action() {
+            RecordAction::Added { .. } => remap_add(x, n_prev, n_new),
+            RecordAction::Removed(set) => remap_remove(x, n_prev, set),
+        }
     };
-    plan_from_x_prev(
-        catalog
-            .iter_x0()
-            .map(|(blockref, x0)| (blockref, x_prev_of(x0))),
-        record,
-        j,
-    )
-}
-
-/// Plans the moves for the last operation given each block's *current*
-/// random number `X_{j-1}` (e.g. from the simulator's residency store).
-pub fn plan_last_op_with_x<I>(blocks_with_x_prev: I, log: &ScalingLog) -> MovePlan
-where
-    I: IntoIterator<Item = (BlockRef, u64)>,
-{
-    let j = log.epoch();
-    assert!(j > 0, "log has no scaling operation to plan");
-    plan_from_x_prev(blocks_with_x_prev, &log.records()[j - 1], j)
-}
-
-fn plan_from_x_prev<I>(blocks: I, record: &ScalingRecord, target_epoch: usize) -> MovePlan
-where
-    I: IntoIterator<Item = (BlockRef, u64)>,
-{
     let n_prev = u64::from(record.disks_before());
     let n_new = u64::from(record.disks_after());
     let mut moves = Vec::new();
     let mut total = 0u64;
-    // `for_each`, not `for`: an X-cache iterator then dispatches on its
-    // word width once per object rather than once per block.
-    blocks.into_iter().for_each(|(blockref, x_prev)| {
+    for (blockref, x0) in catalog.iter_x0() {
         total += 1;
-        let from = DiskIndex((x_prev % n_prev) as u32);
-        let out = match record.action() {
-            RecordAction::Added { .. } => remap_add(x_prev, n_prev, n_new),
-            RecordAction::Removed(set) => remap_remove(x_prev, n_prev, set),
-        };
+        let x_prev = prefix.iter().fold(x0, |x, r| apply(r, x).x);
+        let out = apply(record, x_prev);
         if out.moved {
             moves.push(BlockMove {
                 block: blockref,
-                from,
+                from: DiskIndex((x_prev % n_prev) as u32),
                 to: DiskIndex((out.x % n_new) as u32),
             });
         }
-    });
+    }
     MovePlan {
-        target_epoch,
+        target_epoch: j,
         moves,
         total_blocks: total,
         optimal_fraction: record.optimal_move_fraction(),
@@ -253,17 +226,14 @@ mod tests {
     fn cached_x_variant_agrees_with_full_recompute() {
         let (catalog, mut log) = setup(10_000);
         log.push(&ScalingOp::Add { count: 2 }).unwrap();
+        // Plan op 2 both ways: from X_0, and by advancing a cache that
+        // holds X_1.
+        let mut cache = crate::XCache::rebuild(&catalog, &crate::RemapPipeline::compile(&log));
         log.push(&ScalingOp::remove_one(3)).unwrap();
-        // Plan op 2 both ways.
         let full = plan_last_op(&catalog, &log);
-        let mut one_op_log = ScalingLog::new(4).unwrap();
-        one_op_log.push(&ScalingOp::Add { count: 2 }).unwrap();
-        let cached: Vec<_> = catalog
-            .iter_x0()
-            .map(|(r, x0)| (r, crate::address::x_at_current_epoch(x0, &one_op_log)))
-            .collect();
-        let incremental = plan_last_op_with_x(cached, &log);
+        let incremental = cache.advance(&catalog, &log, &crate::RemapPipeline::compile(&log));
         assert_eq!(full, incremental);
+        assert!(!full.moves.is_empty());
     }
 
     #[test]

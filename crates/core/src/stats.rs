@@ -47,7 +47,7 @@ pub struct EngineStats {
     /// X-cache rebuilds from scratch (restore, log restart).
     pub xcache_rebuilds: Counter,
     /// `REMAP` pipeline step applications, bulk-counted at the call
-    /// sites that fold (cache advance/rebuild/admission, planning).
+    /// sites that fold (cache rebuild/admission, a scale's advance).
     pub pipeline_folds: Counter,
     /// Scaling operations applied.
     pub scale_ops: Counter,
@@ -55,9 +55,9 @@ pub struct EngineStats {
     /// together with `plan_blocks` this yields the live moved
     /// fraction).
     pub scale_moved_blocks: Counter,
-    /// End-to-end `scale()` latency (log push + plan + cache advance).
+    /// End-to-end `scale()` latency (log push + cache advance + plan).
     pub scale_ns: Histogram,
-    /// `RF()` planning latency per operation.
+    /// `RF()` planning latency per operation (the X-cache advance).
     pub plan_ns: Histogram,
     /// Blocks examined by planning passes.
     pub plan_blocks: Counter,

@@ -1,5 +1,5 @@
 //! Epoch-tagged cache of current random numbers `X_j` — the engine-side
-//! state that makes `locate()` O(1) amortized and `plan_last_op` O(B).
+//! state that makes `locate()` O(1) amortized and `RF()` planning O(B).
 //!
 //! SCADDAR's access function recomputes `X_0 → X_j` on every lookup —
 //! O(j) per block, O(B·j) per planning pass. But `X_j` evolves by
@@ -7,14 +7,16 @@
 //! each block's current `X_j` next to the catalog only ever pays:
 //!
 //! * **lookup** — one `mod` (the stored `X_j` is already current);
-//! * **scaling** — one [`RemapPipeline::step`] per block
-//!   ([`XCache::advance_to`]), i.e. O(B) per operation instead of the
-//!   O(B·j) replay, and the same values feed
-//!   [`crate::plan_last_op_with_x`] so planning is O(B) too.
+//! * **scaling** — one pipeline step per block ([`XCache::advance`]),
+//!   which both advances `X_{j-1}` to `X_j` and plans the operation:
+//!   the step that yields `X_j` also says whether the block moved
+//!   (§4's `RF()`), so one pass returns the [`MovePlan`]. That is O(B)
+//!   per operation instead of the O(B·j) replay of the stateless
+//!   oracle [`crate::plan_last_op`].
 //!
 //! The invalidation rule is the epoch tag: a cache at epoch `e` is valid
-//! against a pipeline at epoch `e` and is advanced by folding every
-//! entry through steps `e..pipeline.epoch()` — never rebuilt from
+//! against a pipeline at epoch `e` and advances only to `e + 1`, right
+//! after a scaling operation extended the pipeline — never rebuilt from
 //! scratch unless the log itself restarts (full redistribution).
 //!
 //! The cache is an engine-layer acceleration, not placement state: it is
@@ -31,8 +33,10 @@
 //! once per object.
 
 use crate::address::DiskIndex;
+use crate::log::ScalingLog;
 use crate::object::{BlockRef, Catalog, CmObject, ObjectId};
 use crate::pipeline::{MagicDivisor, RemapPipeline, Word};
+use crate::plan::{BlockMove, MovePlan};
 use scaddar_prng::Bits;
 use std::collections::HashMap;
 
@@ -328,32 +332,59 @@ impl XCache {
         self.xs.remove(&id);
     }
 
-    /// Advances every cached value to the pipeline's epoch — the
-    /// incremental invalidation rule: one [`RemapPipeline::step`] per
-    /// block per epoch bump (normally exactly one bump, right after a
-    /// scaling operation extended the pipeline), folded step-outer per
-    /// object at the object's word width.
+    /// Applies the pipeline's newest step — the operation `scale` just
+    /// appended — to every cached value, and returns that operation's
+    /// move plan (`RF()`) from the same pass: objects in catalog order,
+    /// blocks in block order, as [`crate::plan_last_op`] emits them.
     ///
     /// # Panics
-    /// If the pipeline is *behind* the cache (stale pipeline).
-    pub fn advance_to(&mut self, pipeline: &RemapPipeline) {
-        assert!(
-            self.epoch <= pipeline.epoch(),
-            "pipeline at epoch {} is behind the cache at epoch {}",
-            pipeline.epoch(),
+    /// If the pipeline is not exactly one record ahead of the cache, the
+    /// log is not at the pipeline's epoch, or the cache and the catalog
+    /// hold different objects.
+    pub fn advance(
+        &mut self,
+        catalog: &Catalog,
+        log: &ScalingLog,
+        pipeline: &RemapPipeline,
+    ) -> MovePlan {
+        let j = pipeline.epoch();
+        assert_eq!(
+            self.epoch + 1,
+            j,
+            "the pipeline must be one record ahead of the cache at epoch {}",
             self.epoch
         );
-        if self.epoch == pipeline.epoch() {
-            return;
-        }
+        assert_eq!(log.epoch(), j, "log and pipeline diverged");
+        assert_eq!(
+            self.xs.len(),
+            catalog.objects().len(),
+            "cache and catalog hold different objects"
+        );
         let max = self.bits.max_value();
-        for words in self.xs.values_mut() {
-            match words {
-                Words::Narrow(xs) => pipeline.fold_words(self.epoch, xs, max),
-                Words::Wide(xs) => pipeline.fold_words(self.epoch, xs, max),
+        let mut moves = Vec::new();
+        let mut total = 0u64;
+        for obj in catalog.objects() {
+            let object = obj.id;
+            let push = |block, from, to| {
+                let block = BlockRef {
+                    object,
+                    block: block as u64,
+                };
+                moves.push(BlockMove { block, from, to });
+            };
+            match self.xs.get_mut(&object).expect("catalog object is cached") {
+                Words::Narrow(xs) => pipeline.step_words(j - 1, xs, max, push),
+                Words::Wide(xs) => pipeline.step_words(j - 1, xs, max, push),
             }
+            total += obj.blocks;
         }
-        self.epoch = pipeline.epoch();
+        self.epoch = j;
+        MovePlan {
+            target_epoch: j,
+            moves,
+            total_blocks: total,
+            optimal_fraction: log.records()[j - 1].optimal_move_fraction(),
+        }
     }
 
     /// `(BlockRef, X_e)` for every catalog block, **in catalog order**
@@ -386,8 +417,8 @@ impl XCache {
 mod tests {
     use super::*;
     use crate::address::x_at_current_epoch;
-    use crate::log::ScalingLog;
     use crate::ops::ScalingOp;
+    use crate::plan::plan_last_op;
     use scaddar_prng::{Bits, RngKind};
 
     fn setup() -> (Catalog, ScalingLog) {
@@ -410,7 +441,8 @@ mod tests {
         ] {
             log.push(&op).unwrap();
             pipeline.extend_from(&log);
-            cache.advance_to(&pipeline);
+            let plan = cache.advance(&catalog, &log, &pipeline);
+            assert_eq!(plan, plan_last_op(&catalog, &log), "epoch {}", log.epoch());
             assert_eq!(cache.epoch(), log.epoch());
             let rebuilt = XCache::rebuild(&catalog, &pipeline);
             for obj in catalog.objects() {
@@ -448,7 +480,12 @@ mod tests {
                 {
                     log.push(&op).unwrap();
                     pipeline.extend_from(&log);
-                    cache.advance_to(&pipeline);
+                    let plan = cache.advance(&catalog, &log, &pipeline);
+                    assert_eq!(plan, plan_last_op(&catalog, &log), "{kind} {bits}");
+                    let rebuilt = XCache::rebuild(&catalog, &pipeline);
+                    for obj in catalog.objects() {
+                        assert_eq!(cache.xs(obj.id), rebuilt.xs(obj.id), "{kind} {bits}");
+                    }
                     let id = catalog.add_object(300 + i as u64);
                     cache.insert_object(&catalog, catalog.object(id).unwrap(), &pipeline);
                     // Every object, whether admitted now or advanced from
@@ -475,17 +512,13 @@ mod tests {
     }
 
     #[test]
-    fn advance_is_idempotent_at_same_epoch() {
+    #[should_panic(expected = "one record ahead")]
+    fn advance_refuses_a_pipeline_at_the_cache_epoch() {
         let (catalog, mut log) = setup();
         log.push(&ScalingOp::add_one()).unwrap();
         let pipeline = RemapPipeline::compile(&log);
         let mut cache = XCache::rebuild(&catalog, &pipeline);
-        let snapshot = cache.clone();
-        cache.advance_to(&pipeline);
-        assert_eq!(cache.epoch(), snapshot.epoch());
-        for obj in catalog.objects() {
-            assert_eq!(cache.xs(obj.id), snapshot.xs(obj.id));
-        }
+        cache.advance(&catalog, &log, &pipeline);
     }
 
     #[test]
@@ -504,12 +537,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "behind the cache")]
+    #[should_panic(expected = "one record ahead")]
     fn stale_pipeline_is_rejected() {
         let (catalog, mut log) = setup();
         let empty = RemapPipeline::compile(&log);
         log.push(&ScalingOp::add_one()).unwrap();
         let mut cache = XCache::rebuild(&catalog, &RemapPipeline::compile(&log));
-        cache.advance_to(&empty);
+        cache.advance(&catalog, &log, &empty);
     }
 }

@@ -74,24 +74,29 @@ proptest! {
         prop_assert_eq!(RemapPipeline::compile(&log), pipeline);
     }
 
-    /// Every plan `Scaddar::scale` returns — the X-cache planner,
-    /// `plan_last_op_with_x` over `X_{j-1}` — is *identical* to the
-    /// stateless reference `RF()` over the post-op catalog and log:
-    /// moves in the same order, same censuses, for any history, with
-    /// objects admitted and deleted between operations.
+    /// Every plan `Scaddar::scale` returns — the one pass that advances
+    /// the X-cache from `X_{j-1}` — is *identical* to the stateless
+    /// reference `RF()` over the post-op catalog and log: moves in the
+    /// same order, same censuses, at both word widths and either side of
+    /// each width's edge, for any history of additions and single or
+    /// group removals, with objects admitted and deleted between
+    /// operations.
     #[test]
     fn scale_plan_equals_reference_plan(
         (initial, ops) in schedules(8),
         churn in proptest::collection::vec((any::<bool>(), 1u64..900), 8),
+        bits in (0usize..4).prop_map(|i| [17u8, 32, 33, 64][i]),
     ) {
         let mut engine = Scaddar::new(
-            ScaddarConfig::new(initial).with_catalog_seed(11),
+            ScaddarConfig::new(initial)
+                .with_catalog_seed(11)
+                .with_bits(Bits::new(bits).unwrap()),
         ).unwrap();
         engine.add_object(1_500);
         engine.add_object(700);
         for (op, &(delete, blocks)) in ops.iter().zip(&churn) {
             let plan = engine.scale(op.clone()).unwrap();
-            prop_assert_eq!(&plan, &plan_last_op(engine.catalog(), engine.log()));
+            prop_assert_eq!(&plan, &plan_last_op(engine.catalog(), engine.log()), "b = {}", bits);
             // Churn after the op: the next plan runs over a cache that
             // admitted or evicted an object mid-history.
             let oldest = engine.catalog().objects()[0].id;
@@ -142,7 +147,8 @@ proptest! {
     }
 
     /// The X-cache advanced incrementally (one REMAP per epoch bump)
-    /// matches a from-scratch rebuild at every epoch.
+    /// matches a from-scratch rebuild at every epoch, and the plan each
+    /// advance returns is the reference plan.
     #[test]
     fn incremental_cache_equals_rebuild((initial, ops) in schedules(8)) {
         let mut catalog = Catalog::new(RngKind::SplitMix64, Bits::B32, 5);
@@ -153,7 +159,8 @@ proptest! {
         for op in &ops {
             log.push(op).unwrap();
             pipeline.extend_from(&log);
-            cache.advance_to(&pipeline);
+            let plan = cache.advance(&catalog, &log, &pipeline);
+            prop_assert_eq!(plan, plan_last_op(&catalog, &log));
             let rebuilt = XCache::rebuild(&catalog, &pipeline);
             prop_assert_eq!(cache.epoch(), rebuilt.epoch());
             prop_assert_eq!(cache.xs(id), rebuilt.xs(id));
