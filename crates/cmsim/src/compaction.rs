@@ -52,11 +52,13 @@ impl CompactionState {
         resident: &[u32],
         moves: &mut Vec<PendingMove>,
     ) {
-        let targets = self.staging.placements(object).expect("staged object");
+        let targets = self
+            .staging
+            .map_placements(object, |logical| ids[logical.0 as usize])
+            .expect("staged object");
         debug_assert_eq!(targets.len(), resident.len());
         let mut bits = vec![0u64; resident.len().div_ceil(64)];
-        targets.enumerate().for_each(|(b, logical)| {
-            let (from, to) = (resident[b], ids[logical.0 as usize]);
+        for (b, (&from, &to)) in resident.iter().zip(&targets).enumerate() {
             if from == to {
                 bits[b / 64] |= 1 << (b % 64);
             } else {
@@ -69,7 +71,7 @@ impl CompactionState {
                     to: PhysicalDiskId(to.into()),
                 });
             }
-        });
+        }
         self.migrated.insert_object(object, bits);
     }
 }

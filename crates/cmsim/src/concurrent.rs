@@ -144,21 +144,10 @@ impl SharedServer {
     /// shared lock acquisition, so the whole batch is served at a single
     /// epoch — a session thread prefetching a playback window can never
     /// observe a scaling operation ripping through the middle of its
-    /// batch. Returns the epoch alongside the physical disks.
-    pub fn locate_batch(
-        &self,
-        object: ObjectId,
-        blocks: &[u64],
-    ) -> Result<(usize, Vec<PhysicalDiskId>), ServerError> {
-        let guard = self.read();
-        let disks = guard.locate_batch(object, blocks)?;
-        Ok((guard.engine().epoch(), disks))
-    }
-
-    /// [`locate_batch`](Self::locate_batch) with the disk count read
-    /// under the *same* shared lock acquisition: the full epoch-tagged
-    /// triple a serving layer needs to answer a batch request without a
-    /// second (potentially torn) `epoch_view` round-trip.
+    /// batch. The epoch and disk count are read under the same
+    /// acquisition: the full epoch-tagged triple a serving layer needs
+    /// to answer a batch request without a second (potentially torn)
+    /// `epoch_view` round-trip.
     pub fn locate_batch_read(
         &self,
         object: ObjectId,
@@ -369,14 +358,20 @@ mod tests {
                 let window = &window;
                 scope.spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        let (epoch, disks) =
-                            shared.locate_batch(object, window).expect("batch lookup");
+                        let first = shared
+                            .locate_batch_read(object, window)
+                            .expect("batch lookup");
                         // Single-epoch guarantee: re-locating the same
                         // window at the same epoch must agree entirely.
-                        let (epoch2, disks2) =
-                            shared.locate_batch(object, window).expect("batch lookup");
-                        if epoch == epoch2 {
-                            assert_eq!(disks, disks2, "torn batch at epoch {epoch}");
+                        let second = shared
+                            .locate_batch_read(object, window)
+                            .expect("batch lookup");
+                        if first.epoch == second.epoch {
+                            assert_eq!(
+                                first.locations, second.locations,
+                                "torn batch at epoch {}",
+                                first.epoch
+                            );
                         }
                         total_batches.fetch_add(1, Ordering::Relaxed);
                     }

@@ -817,15 +817,9 @@ impl CmServer {
                 // Primary gone: read the mirror copy at
                 // (AF + N/2) mod N. The mirror is defined against the
                 // generation the block is currently served by.
-                let af = match self
-                    .compaction
-                    .as_ref()
-                    .filter(|c| c.migrated.contains(blockref))
-                {
-                    Some(c) => c.staging.locate(stream.object, block),
-                    None => self.engine.locate(stream.object, block),
-                }
-                .expect("stream block in catalog");
+                let af = serving_engine(self.compaction.as_ref(), &self.engine, blockref)
+                    .locate(stream.object, block)
+                    .expect("stream block in catalog");
                 let mirror = self.disks.physical(crate::faults::mirror_of(af, n));
                 if self.disks.state(mirror).failed() {
                     // Both copies gone: data loss, permanent stall.
@@ -939,12 +933,12 @@ impl CmServer {
     /// compaction is running). This is the lookup session threads use;
     /// it is what collapses back to a single O(1) hash at flip.
     pub fn locate_current(&self, object: ObjectId, block: u64) -> Result<DiskIndex, ServerError> {
-        if let Some(c) = &self.compaction {
-            if c.migrated.contains(BlockRef { object, block }) {
-                return Ok(c.staging.locate(object, block)?);
-            }
-        }
-        Ok(self.engine.locate(object, block)?)
+        let engine = serving_engine(
+            self.compaction.as_ref(),
+            &self.engine,
+            BlockRef { object, block },
+        );
+        Ok(engine.locate(object, block)?)
     }
 
     /// Load census (blocks per disk) in logical order — the §5 metric's
@@ -979,14 +973,27 @@ impl CmServer {
         }
         let ids = self.disks.physical_words();
         self.engine.catalog().objects().iter().all(|obj| {
-            let placements = self.engine.placements(obj.id).expect("catalog object");
-            self.store.object(obj.id).is_some_and(|resident| {
-                resident.len() == placements.len()
-                    && placements.enumerate().fold(true, |ok, (b, logical)| {
-                        ok & (resident[b] == ids[logical.0 as usize])
-                    })
-            })
+            let expected = self
+                .engine
+                .map_placements(obj.id, |logical| ids[logical.0 as usize])
+                .expect("catalog object");
+            self.store.object(obj.id) == Some(expected.as_slice())
         })
+    }
+}
+
+/// The engine whose `AF()` places `block`: the staging generation once
+/// an in-flight compaction has migrated it, the live engine otherwise.
+/// Takes the two fields rather than `&CmServer` so [`CmServer::tick`]
+/// can call it while it holds its streams mutably.
+fn serving_engine<'a>(
+    compaction: Option<&'a CompactionState>,
+    engine: &'a Scaddar,
+    block: BlockRef,
+) -> &'a Scaddar {
+    match compaction {
+        Some(c) if c.migrated.contains(block) => &c.staging,
+        _ => engine,
     }
 }
 

@@ -77,7 +77,7 @@ pub use persist::{PersistError, Snapshot};
 pub use pipeline::{RemapPipeline, Word};
 pub use plan::{plan_last_op, BlockMove, MovePlan, OpMovement};
 pub use stats::EngineStats;
-pub use xcache::{Placements, XCache, Xs, XsIter};
+pub use xcache::{XCache, Xs};
 
 use scaddar_prng::{Bits, RngKind};
 use std::sync::Arc;
@@ -318,8 +318,9 @@ impl Scaddar {
     }
 
     /// `AF()`: the disk of `block` of `object` at the current epoch.
-    /// O(log objects): a binary search of the catalog, one X-cache
-    /// lookup and one reciprocal `mod` — no per-epoch fold.
+    /// One X-cache lookup (the cached slice's length is the object's
+    /// block count, so it also bounds `block`) and one reciprocal `mod`
+    /// — no catalog search, no per-epoch fold.
     ///
     /// With stats attached the overhead is one relaxed atomic increment
     /// per call (the X-cache hit counter, which doubles as the sampling
@@ -342,40 +343,23 @@ impl Scaddar {
 
     #[inline]
     fn locate_inner(&self, object: ObjectId, block: u64) -> Result<DiskIndex, ScaddarError> {
-        let obj = self
-            .catalog
-            .object(object)
-            .ok_or(ScaddarError::UnknownObject(object))?;
-        if block >= obj.blocks {
-            return Err(ScaddarError::BlockOutOfRange {
+        let xs = self.cached_xs(object)?;
+        usize::try_from(block)
+            .ok()
+            .and_then(|i| xs.disk(i, self.pipeline.disk_divisor()))
+            .ok_or(ScaddarError::BlockOutOfRange {
                 object,
                 block,
-                blocks: obj.blocks,
-            });
-        }
-        Ok(self
-            .cache
-            .xs(object)
-            .and_then(|xs| xs.disk(block as usize, self.pipeline.disk_divisor()))
-            .expect("cache holds every catalog block"))
-    }
-
-    /// Bulk `AF()` as an iterator: the disk of every block of `object`,
-    /// in block order. O(B): each cached `X_j` is reduced mod `N_j` by
-    /// one reciprocal multiply at its word width, with no division and
-    /// no allocation; `for_each`/`fold` dispatch on the width once.
-    pub fn placements(&self, object: ObjectId) -> Result<Placements<'_>, ScaddarError> {
-        let xs = self.cached_xs(object)?;
-        if let Some(stats) = &self.stats {
-            stats.locate_bulk_blocks.add(xs.len() as u64);
-        }
-        Ok(xs.placements(self.pipeline.disk_divisor()))
+                blocks: xs.len() as u64,
+            })
     }
 
     /// Bulk `AF()` mapped: `f` of the disk of every block of `object`,
-    /// collected in block order. The width dispatch happens once per
-    /// call, then a counted map over the cached slice — the admission
-    /// path's single pass.
+    /// collected in block order. O(B): the width dispatch happens once
+    /// per call, then each cached `X_j` is reduced mod `N_j` by one
+    /// reciprocal multiply — the admission path's single pass, and the
+    /// whole-object read behind `locate_all` and cmsim's residency audit
+    /// and compaction plan.
     pub fn map_placements<T>(
         &self,
         object: ObjectId,
@@ -545,13 +529,15 @@ impl Scaddar {
     /// [`Scaddar::open_next_generation`].
     pub fn rehash_to_next_generation(&mut self) -> u64 {
         let next = self.open_next_generation();
-        let disks = u64::from(self.disks());
-        let moved = self
-            .cache
-            .blocks_with_x(&self.catalog)
-            .zip(next.cache.blocks_with_x(&next.catalog))
-            .filter(|((_, x_old), (_, x_new))| x_old % disks != x_new % disks)
-            .count() as u64;
+        let disks = self.pipeline.disk_divisor();
+        let mut moved = 0u64;
+        for obj in self.catalog.objects() {
+            let (Some(old), Some(new)) = (self.cache.xs(obj.id), next.cache.xs(obj.id)) else {
+                continue;
+            };
+            let mut old = old.map_placements(disks, |disk| disk).into_iter();
+            new.map_placements(disks, |disk| moved += u64::from(old.next() != Some(disk)));
+        }
         let stats = self.stats.take();
         *self = next;
         self.stats = stats;
@@ -690,11 +676,16 @@ impl Scaddar {
     /// Per-disk block counts across the whole catalog — the load census
     /// behind every balance experiment. O(B) over the cached `X_j`.
     pub fn load_distribution(&self) -> Vec<u64> {
-        let disks = u64::from(self.disks());
-        let mut counts = vec![0u64; disks as usize];
-        self.cache
-            .blocks_with_x(&self.catalog)
-            .for_each(|(_, x)| counts[(x % disks) as usize] += 1);
+        let disks = self.pipeline.disk_divisor();
+        let mut counts = vec![0u64; self.disks() as usize];
+        for xs in self
+            .catalog
+            .objects()
+            .iter()
+            .filter_map(|obj| self.cache.xs(obj.id))
+        {
+            xs.map_placements(disks, |disk| counts[disk.0 as usize] += 1);
+        }
         counts
     }
 }
@@ -722,9 +713,61 @@ mod tests {
             })
         );
         assert_eq!(
+            s.locate(id, u64::MAX),
+            Err(ScaddarError::BlockOutOfRange {
+                object: id,
+                block: u64::MAX,
+                blocks: 100
+            })
+        );
+        assert_eq!(
             s.locate(ObjectId(42), 0),
             Err(ScaddarError::UnknownObject(ObjectId(42)))
         );
+    }
+
+    #[test]
+    fn census_rehash_count_and_removal_match_the_stateless_fold() {
+        use crate::address::x_at_current_epoch;
+        // Every catalog block's disk from the stateless X_0 fold.
+        fn stateless_disks(s: &Scaddar) -> Vec<u64> {
+            let n = u64::from(s.disks());
+            s.catalog
+                .iter_x0()
+                .map(|(_, x0)| x_at_current_epoch(x0, &s.log) % n)
+                .collect()
+        }
+        for b in [17u8, 32, 33, 64] {
+            let config = ScaddarConfig::new(5)
+                .with_bits(Bits::new(b).unwrap())
+                .with_catalog_seed(u64::from(b));
+            let mut s = Scaddar::new(config).unwrap();
+            let ids = [700, 1_300, 450].map(|blocks| s.add_object(blocks));
+            s.scale(ScalingOp::Add { count: 3 }).unwrap();
+            s.scale(ScalingOp::Remove {
+                disks: vec![1, 4, 6],
+            })
+            .unwrap();
+            s.scale(ScalingOp::add_one()).unwrap();
+            s.remove_object(ids[1]).unwrap();
+            let unknown = Some(ScaddarError::UnknownObject(ids[1]));
+            assert_eq!(s.locate(ids[1], 0).err(), unknown, "b={b}");
+            assert_eq!(s.locate_batch(ids[1], &[0]).err(), unknown, "b={b}");
+            assert_eq!(s.locate_all(ids[1]).err(), unknown, "b={b}");
+
+            let before = stateless_disks(&s);
+            assert_eq!(before.len(), 1_150);
+            let mut census = vec![0u64; s.disks() as usize];
+            for &disk in &before {
+                census[disk as usize] += 1;
+            }
+            assert_eq!(s.load_distribution(), census, "b={b}");
+
+            let moved = s.rehash_to_next_generation();
+            let after = stateless_disks(&s);
+            let changed = before.iter().zip(&after).filter(|(x, y)| x != y).count();
+            assert_eq!(moved, changed as u64, "b={b}");
+        }
     }
 
     #[test]
@@ -1021,6 +1064,9 @@ mod tests {
         s.locate_all(id).unwrap();
         s.locate_batch(id, &[1, 2, 3]).unwrap();
         assert_eq!(stats.locate_bulk_blocks.get(), 1_003);
+        // The census and the rehash count read the cache uncounted.
+        s.load_distribution();
+        assert_eq!(stats.locate_bulk_blocks.get(), 1_003);
 
         let bytes = s.snapshot();
         assert_eq!(stats.persist_bytes_written.get(), bytes.len() as u64);
@@ -1036,6 +1082,8 @@ mod tests {
 
         s.rehash_to_next_generation();
         assert_eq!(stats.xcache_rebuilds.get(), 2);
+        assert_eq!(stats.locate_bulk_blocks.get(), 1_003);
+        assert_eq!(stats.xcache_hits.get(), 1_025);
     }
 
     #[test]

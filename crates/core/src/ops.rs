@@ -218,8 +218,9 @@ impl RemovedSet {
     }
 
     /// Inverse of [`RemovedSet::renumber`]: which old logical index does
-    /// post-removal index `new_d` correspond to? Used by the simulator to
-    /// keep physical-disk identity across renumbering.
+    /// post-removal index `new_d` correspond to? O(removed). (The
+    /// simulator keeps physical-disk identity without it: its id table
+    /// is in logical order, so a removal just drops the victims' ids.)
     pub fn old_index(&self, new_d: u32) -> u32 {
         // Walk the removed list: every removed index <= candidate shifts
         // the candidate up by one.

@@ -31,6 +31,17 @@
 //! reciprocal; `b` in 33..=64 keeps `Vec<u64>`. The width is chosen once
 //! from the catalog's [`Bits`], and every bulk path dispatches on it
 //! once per object.
+//!
+//! ## Reads
+//!
+//! A slice's length is its object's block count, so `Scaddar::locate`
+//! validates and answers from one read of the map from object id to
+//! slice and one reciprocal `mod`. Every whole-object read of the
+//! values (bulk `AF()`, the load census, the rehash count, and cmsim's
+//! residency audit and compaction plan on top of
+//! `Scaddar::map_placements`) goes through one method,
+//! `Xs::map_placements`: one width dispatch, then one reciprocal per
+//! block.
 
 use crate::address::DiskIndex;
 use crate::log::ScalingLog;
@@ -66,7 +77,7 @@ pub enum Xs<'a> {
     Wide(&'a [u64]),
 }
 
-impl<'a> Xs<'a> {
+impl Xs<'_> {
     /// Number of blocks.
     pub fn len(self) -> usize {
         match self {
@@ -85,22 +96,6 @@ impl<'a> Xs<'a> {
         match self {
             Xs::Narrow(xs) => xs.get(i).map(|&x| u64::from(x)),
             Xs::Wide(xs) => xs.get(i).copied(),
-        }
-    }
-
-    /// Every value, widened one at a time (no copy of the slice).
-    pub fn iter(self) -> XsIter<'a> {
-        XsIter(match self {
-            Xs::Narrow(xs) => Slice::Narrow(xs.iter()),
-            Xs::Wide(xs) => Slice::Wide(xs.iter()),
-        })
-    }
-
-    /// The disks of every block: each value reduced mod `N_j` by `disks`.
-    pub(crate) fn placements(self, disks: MagicDivisor) -> Placements<'a> {
-        Placements {
-            xs: self.iter(),
-            disks,
         }
     }
 
@@ -143,7 +138,8 @@ impl<'a> Xs<'a> {
     }
 
     /// `f` of every block's disk, collected in block order: one width
-    /// dispatch, then a counted map over the slice.
+    /// dispatch, then a counted map over the slice. The one bulk read of
+    /// cached values; a `T = ()` fold allocates nothing.
     #[inline]
     pub(crate) fn map_placements<T>(
         self,
@@ -156,83 +152,6 @@ impl<'a> Xs<'a> {
         }
     }
 }
-
-#[derive(Debug, Clone)]
-enum Slice<'a> {
-    Narrow(std::slice::Iter<'a, u32>),
-    Wide(std::slice::Iter<'a, u64>),
-}
-
-/// Iterator over one object's cached values, widened to `u64`.
-/// `fold` (and so `for_each`) dispatches on the width once.
-#[derive(Debug, Clone)]
-pub struct XsIter<'a>(Slice<'a>);
-
-impl Iterator for XsIter<'_> {
-    type Item = u64;
-
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        match &mut self.0 {
-            Slice::Narrow(it) => it.next().map(|&x| u64::from(x)),
-            Slice::Wide(it) => it.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            Slice::Narrow(it) => it.size_hint(),
-            Slice::Wide(it) => it.size_hint(),
-        }
-    }
-
-    #[inline]
-    fn fold<B, F: FnMut(B, u64) -> B>(self, init: B, mut f: F) -> B {
-        match self.0 {
-            Slice::Narrow(it) => it.fold(init, |acc, &x| f(acc, u64::from(x))),
-            Slice::Wide(it) => it.fold(init, |acc, &x| f(acc, x)),
-        }
-    }
-}
-
-impl ExactSizeIterator for XsIter<'_> {}
-
-/// The disk of every block of one object, in block order: each cached
-/// `X_j` reduced mod `N_j` by the reciprocal of its word width. `fold`
-/// (and so `for_each`) dispatches on the width once.
-#[derive(Debug, Clone)]
-pub struct Placements<'a> {
-    xs: XsIter<'a>,
-    disks: MagicDivisor,
-}
-
-impl Iterator for Placements<'_> {
-    type Item = DiskIndex;
-
-    #[inline]
-    fn next(&mut self) -> Option<DiskIndex> {
-        let disks = self.disks;
-        match &mut self.xs.0 {
-            Slice::Narrow(it) => it.next().map(|&x| disks.disk(x)),
-            Slice::Wide(it) => it.next().map(|&x| disks.disk(x)),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.xs.size_hint()
-    }
-
-    #[inline]
-    fn fold<B, F: FnMut(B, DiskIndex) -> B>(self, init: B, mut f: F) -> B {
-        let disks = self.disks;
-        match self.xs.0 {
-            Slice::Narrow(it) => it.fold(init, |acc, &x| f(acc, disks.disk(x))),
-            Slice::Wide(it) => it.fold(init, |acc, &x| f(acc, disks.disk(x))),
-        }
-    }
-}
-
-impl ExactSizeIterator for Placements<'_> {}
 
 /// Per-block current random numbers `X_e`, tagged with their epoch `e`.
 #[derive(Debug, Clone)]
@@ -309,11 +228,6 @@ impl XCache {
         self.xs.get(&id).map(Words::view)
     }
 
-    /// The cached `X_e` of one block.
-    pub fn x(&self, id: ObjectId, block: u64) -> Option<u64> {
-        self.xs(id)?.get(usize::try_from(block).ok()?)
-    }
-
     /// Admits a newly registered object: its `X_0` stream folded to the
     /// cache's epoch.
     ///
@@ -386,31 +300,6 @@ impl XCache {
             optimal_fraction: log.records()[j - 1].optimal_move_fraction(),
         }
     }
-
-    /// `(BlockRef, X_e)` for every catalog block, **in catalog order**
-    /// (the iteration order of [`Catalog::iter_x0`], which planners rely
-    /// on for deterministic plans). Objects present in the catalog but
-    /// not the cache are skipped — callers keep the two in lockstep.
-    pub fn blocks_with_x<'a>(
-        &'a self,
-        catalog: &'a Catalog,
-    ) -> impl Iterator<Item = (BlockRef, u64)> + 'a {
-        catalog
-            .objects()
-            .iter()
-            .filter_map(|obj| Some((obj, self.xs(obj.id)?)))
-            .flat_map(|(obj, xs)| {
-                xs.iter().enumerate().map(move |(block, x)| {
-                    (
-                        BlockRef {
-                            object: obj.id,
-                            block: block as u64,
-                        },
-                        x,
-                    )
-                })
-            })
-    }
 }
 
 #[cfg(test)]
@@ -420,6 +309,14 @@ mod tests {
     use crate::ops::ScalingOp;
     use crate::plan::plan_last_op;
     use scaddar_prng::{Bits, RngKind};
+
+    /// Every cached value of one object, widened.
+    fn widened(xs: Xs<'_>) -> Vec<u64> {
+        match xs {
+            Xs::Narrow(xs) => xs.iter().map(|&x| u64::from(x)).collect(),
+            Xs::Wide(xs) => xs.to_vec(),
+        }
+    }
 
     fn setup() -> (Catalog, ScalingLog) {
         let mut catalog = Catalog::new(RngKind::SplitMix64, Bits::B32, 3);
@@ -450,7 +347,7 @@ mod tests {
                 let seq = catalog.randoms(obj);
                 for block in (0..obj.blocks).step_by(37) {
                     assert_eq!(
-                        cache.x(obj.id, block),
+                        cache.xs(obj.id).unwrap().get(block as usize),
                         Some(x_at_current_epoch(seq.value_at(block), &log)),
                         "{} block {block} epoch {}",
                         obj.id,
@@ -497,9 +394,8 @@ mod tests {
                             .collect();
                         let xs = cache.xs(obj.id).unwrap();
                         assert_eq!(matches!(xs, Xs::Narrow(_)), bits.get() <= 32, "{bits}");
-                        let cached: Vec<u64> = xs.iter().collect();
                         assert_eq!(
-                            cached,
+                            widened(xs),
                             oracle,
                             "{kind} {bits} {} epoch {}",
                             obj.id,
@@ -522,18 +418,28 @@ mod tests {
     }
 
     #[test]
-    fn blocks_with_x_follows_catalog_order() {
+    fn epoch_zero_cache_holds_the_x0_stream() {
         let (mut catalog, log) = setup();
         let pipeline = RemapPipeline::compile(&log);
         let mut cache = XCache::rebuild(&catalog, &pipeline);
         let id = catalog.add_object(50);
         cache.insert_object(&catalog, catalog.object(id).unwrap(), &pipeline);
-        let cached: Vec<_> = cache.blocks_with_x(&catalog).collect();
+        let cached: Vec<_> = catalog
+            .objects()
+            .iter()
+            .flat_map(|obj| {
+                let xs = widened(cache.xs(obj.id).unwrap());
+                (0..obj.blocks).zip(xs).map(move |(block, x)| {
+                    let object = obj.id;
+                    (BlockRef { object, block }, x)
+                })
+            })
+            .collect();
         let oracle: Vec<_> = catalog.iter_x0().collect();
         assert_eq!(cached, oracle, "epoch 0 cache is the X_0 stream, in order");
         cache.remove_object(id);
-        assert_eq!(cache.blocks_with_x(&catalog).count(), 700);
-        assert_eq!(cache.x(id, 0), None);
+        assert_eq!(cache.objects(), 2);
+        assert_eq!(cache.xs(id), None);
     }
 
     #[test]
