@@ -182,12 +182,9 @@ fn peers_usage(entry: &str) -> String {
 /// registers the pre-loaded object as global id 0 so single-shard
 /// quick-starts serve it immediately.
 pub fn boot_daemon(args: &ServeArgs) -> Result<(Scaddard, Option<Arc<ShardRuntime>>), String> {
-    let mut engine_config = ServerConfig::new(args.disks).with_catalog_seed(args.seed);
-    if let Some(threshold) = args.auto_compact {
-        engine_config = engine_config
-            .with_auto_compact(true)
-            .with_auto_compact_threshold(threshold);
-    }
+    let engine_config = ServerConfig::new(args.disks)
+        .with_catalog_seed(args.seed)
+        .with_auto_compact(args.auto_compact);
     let mut server = CmServer::new(engine_config).map_err(|e| format!("engine: {e}"))?;
     server
         .add_object(args.blocks)

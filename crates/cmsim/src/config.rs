@@ -32,18 +32,13 @@ pub struct ServerConfig {
     /// remainder serves streams first; redistribution may also consume
     /// leftover stream bandwidth.
     pub redistribution_bandwidth: u32,
-    /// How many per-round metric records the server retains in memory
-    /// (run totals are accumulators and outlive the window).
-    pub metrics_retention: usize,
-    /// When true, the serving layer's compaction controller may begin a
-    /// rehash compaction on its own once the §4.3 budget runs low (see
-    /// `auto_compact_threshold`); when false, compaction only happens on
-    /// an operator's explicit `compact` command.
-    pub auto_compact: bool,
-    /// Remaining-safe-operations level at or below which auto-compaction
-    /// fires (0 = only once no further op fits the fairness tolerance,
-    /// i.e. at the monitor's `rehash-advised` CRIT).
-    pub auto_compact_threshold: u32,
+    /// Automatic rehash compaction: with `Some(threshold)` the serving
+    /// layer's compaction controller begins a compaction on its own once
+    /// the §4.3 remaining-safe-operations number sinks to `threshold`
+    /// (0 = only once no further op fits the fairness tolerance, i.e. at
+    /// the monitor's `rehash-advised` CRIT); with `None`, compaction only
+    /// happens on an operator's explicit `compact` command.
+    pub auto_compact: Option<u32>,
 }
 
 impl ServerConfig {
@@ -58,22 +53,14 @@ impl ServerConfig {
             catalog_seed: 0,
             epsilon: 0.05,
             redistribution_bandwidth: 4,
-            metrics_retention: crate::metrics::DEFAULT_RETENTION,
-            auto_compact: false,
-            auto_compact_threshold: 0,
+            auto_compact: None,
         }
     }
 
-    /// Enables (or disables) automatic rehash compaction.
-    pub fn with_auto_compact(mut self, enabled: bool) -> Self {
-        self.auto_compact = enabled;
-        self
-    }
-
-    /// Overrides the remaining-safe-ops level that triggers
-    /// auto-compaction (implies nothing about `auto_compact` itself).
-    pub fn with_auto_compact_threshold(mut self, remaining_ops: u32) -> Self {
-        self.auto_compact_threshold = remaining_ops;
+    /// Enables automatic rehash compaction at `remaining_ops` safe
+    /// operations left (`None` disables it).
+    pub fn with_auto_compact(mut self, remaining_ops: Option<u32>) -> Self {
+        self.auto_compact = remaining_ops;
         self
     }
 
@@ -145,22 +132,19 @@ mod tests {
             .with_catalog_seed(9)
             .with_bits(Bits::B64)
             .with_rng(RngKind::Pcg64)
-            .with_auto_compact(true)
-            .with_auto_compact_threshold(2);
+            .with_auto_compact(Some(2));
         assert_eq!(c.initial_disks, 8);
         assert_eq!(c.disk_bandwidth, 16);
         assert_eq!(c.redistribution_bandwidth, 2);
         assert_eq!(c.catalog_seed, 9);
         assert_eq!(c.bits, Bits::B64);
         assert_eq!(c.rng, RngKind::Pcg64);
-        assert!(c.auto_compact);
-        assert_eq!(c.auto_compact_threshold, 2);
+        assert_eq!(c.auto_compact, Some(2));
     }
 
     #[test]
     fn auto_compaction_defaults_off() {
         let c = ServerConfig::new(4);
-        assert!(!c.auto_compact);
-        assert_eq!(c.auto_compact_threshold, 0);
+        assert_eq!(c.auto_compact, None);
     }
 }

@@ -7,10 +7,11 @@
 //! could not be delivered this round), and redistribution traffic.
 //!
 //! Per-round records are kept in a bounded retention window (a ring
-//! buffer of the last [`Metrics::retention`] rounds) so week-long
-//! simulated runs hold steady-state memory; the run-level totals and
-//! drain intervals are maintained as saturating accumulators at push
-//! time and therefore survive eviction. With a
+//! buffer of the last [`DEFAULT_RETENTION`] rounds, the window every
+//! server uses) so week-long simulated runs hold steady-state memory;
+//! the run-level totals and drain intervals are maintained as
+//! saturating accumulators at push time and therefore survive
+//! eviction. With a
 //! [`crate::stats::ServerStats`] attached, every push also
 //! mirrors into the shared metric registry, making the registry a live
 //! view of the same totals.
@@ -82,11 +83,6 @@ impl Metrics {
         self.stats = Some(stats);
     }
 
-    /// The retention window (maximum rounds kept in memory).
-    pub fn retention(&self) -> usize {
-        self.retention
-    }
-
     /// Records one round.
     pub fn push(&mut self, record: RoundRecord) {
         // Accumulate first: totals must not depend on the window.
@@ -131,9 +127,10 @@ impl Metrics {
         }
     }
 
-    /// The retained round records, oldest first (at most
-    /// [`Metrics::retention`] of them; earlier rounds have been evicted
-    /// but remain in the totals).
+    /// The retained round records, oldest first (at most the retention
+    /// window, [`DEFAULT_RETENTION`] unless set by
+    /// [`Metrics::with_retention`]; earlier rounds have been evicted but
+    /// remain in the totals).
     pub fn rounds(&self) -> &VecDeque<RoundRecord> {
         &self.rounds
     }

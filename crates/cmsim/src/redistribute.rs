@@ -105,21 +105,15 @@ impl RedistributionExecutor {
     /// Rewrites the *source* of pending moves (e.g. when a source disk
     /// fails and the data must instead be read from its mirror). The
     /// callback returns the new source for moves it wants to redirect.
-    /// Returns how many moves were redirected.
-    pub fn resource_moves<F>(&mut self, mut new_source: F) -> u64
-    where
-        F: FnMut(&PendingMove) -> Option<PhysicalDiskId>,
-    {
-        let mut changed = 0;
+    pub fn resource_moves(
+        &mut self,
+        mut new_source: impl FnMut(&PendingMove) -> Option<PhysicalDiskId>,
+    ) {
         for mv in &mut self.queue {
             if let Some(from) = new_source(mv) {
-                if from != mv.from {
-                    mv.from = from;
-                    changed += 1;
-                }
+                mv.from = from;
             }
         }
-        changed
     }
 
     /// Removes and returns the pending moves matching `pred`, in queue

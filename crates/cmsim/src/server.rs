@@ -18,12 +18,14 @@ use crate::config::ServerConfig;
 use crate::disk::{DiskArray, DiskSpec, DiskState, PhysicalDiskId};
 use crate::metrics::{Metrics, RoundRecord};
 use crate::redistribute::{PendingMove, RedistributionExecutor};
+use crate::scrub::ScrubReport;
 use crate::stats::ServerStats;
 use crate::store::BlockStore;
 use crate::stream::{PlayState, Stream, StreamId};
 use scaddar_core::{
     BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig, ScaddarError, ScalingOp,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Errors from server operations.
@@ -152,7 +154,7 @@ impl CmServer {
             streams: Vec::new(),
             next_stream: 0,
             executor: RedistributionExecutor::new(),
-            metrics: Metrics::with_retention(config.metrics_retention),
+            metrics: Metrics::new(),
             admission: AdmissionController::new(0.8),
             compaction: None,
             stats: None,
@@ -270,20 +272,13 @@ impl CmServer {
             }
         }
         // Pending moves sourced from the dead disk must now read from
-        // the mirror of the block's *current placement* (the data's
-        // replica location). During a compaction every pending move's
-        // block is still un-migrated, so the old-generation engine is
-        // the right mirror basis either way.
-        let engine = &self.engine;
-        let disks = &self.disks;
-        let n = disks.disks();
+        // the mirror of the block's placement under the generation
+        // serving it (the data's replica location).
+        let (compaction, engine, disks) = (self.compaction.as_ref(), &self.engine, &self.disks);
         self.executor.resource_moves(|mv| {
-            if mv.from == id {
-                let af = engine.locate(mv.block.object, mv.block.block).ok()?;
-                Some(disks.physical(crate::faults::mirror_of(af, n)))
-            } else {
-                None
-            }
+            (mv.from == id).then(|| {
+                Serving::of(compaction, engine, mv.block.object).mirror(disks, mv.block.block)
+            })
         });
         // Completing stranded moves may have emptied the queue.
         self.refresh_compaction_gauges();
@@ -354,9 +349,8 @@ impl CmServer {
             // of one would wedge the flip. Treat them as `fail_disk`
             // treats stranded moves: a move into the dead disk completes
             // as metadata (its data stays mirror-served), and a move out
-            // of it reads from the mirror of the block's old-generation
-            // placement.
-            let n = self.disks.disks();
+            // of it reads from the mirror of the block's placement under
+            // the generation serving it (the old one: it is unmigrated).
             moves.retain_mut(|mv| {
                 if self.disks.state(mv.to).failed() {
                     self.store.relocate(mv.block, mv.from, mv.to);
@@ -364,8 +358,8 @@ impl CmServer {
                     return false;
                 }
                 if self.disks.state(mv.from).failed() {
-                    let af = self.engine.locate(id, mv.block.block).expect("fresh block");
-                    mv.from = self.disks.physical(crate::faults::mirror_of(af, n));
+                    mv.from =
+                        Serving::of(Some(c), &self.engine, id).mirror(&self.disks, mv.block.block);
                 }
                 true
             });
@@ -754,32 +748,19 @@ impl CmServer {
     }
 
     /// Mid-compaction residency audit, the dual-generation analogue of
-    /// [`CmServer::residency_consistent`]: every catalog block must be
-    /// resident exactly where its generation says — migrated blocks at
-    /// their staging placement, everything else at its old placement or
-    /// in the pending-move queue. With no compaction in flight this is
-    /// plain residency consistency.
+    /// [`CmServer::residency_consistent`]: no catalog block may be
+    /// corrupt — each is resident where the generation serving it places
+    /// it (migrated blocks at their staging placement, everything else
+    /// at its old placement) or has a queued move. With no compaction in
+    /// flight this is plain residency consistency.
     pub fn compaction_consistent(&self) -> bool {
-        let Some(c) = &self.compaction else {
-            return self.residency_consistent();
-        };
-        let pending: BlockSet = self.executor.pending().map(|mv| mv.block).collect();
-        self.engine.catalog().objects().iter().all(|obj| {
-            let Some(resident) = self.store.object(obj.id) else {
-                return false;
-            };
-            let old = self.engine.locate_all(obj.id).expect("catalog object");
-            let new = c.staging.locate_all(obj.id).expect("staged object");
-            let (migrated, queued) = (c.migrated.bits(obj.id), pending.bits(obj.id));
-            resident.len() == old.len()
-                && physical(resident).enumerate().all(|(b, stored)| {
-                    if has_block(migrated, b as u64) {
-                        stored == self.disks.physical(new[b])
-                    } else {
-                        has_block(queued, b as u64) || stored == self.disks.physical(old[b])
-                    }
-                })
-        })
+        if self.compaction.is_none() && !self.executor.is_idle() {
+            return false;
+        }
+        let objects = self.engine.catalog().objects().iter();
+        self.audit(objects.map(|obj| (obj.id, 0..obj.blocks)))
+            .corrupt
+            .is_empty()
     }
 
     /// Advances one service round.
@@ -796,7 +777,6 @@ impl CmServer {
         let mut served = 0u64;
         let mut hiccups = 0u64;
         let mut recovered = 0u64;
-        let n = self.disks.disks();
         for stream in &mut self.streams {
             let Some(block) = stream.current_request() else {
                 continue;
@@ -817,10 +797,8 @@ impl CmServer {
                 // Primary gone: read the mirror copy at
                 // (AF + N/2) mod N. The mirror is defined against the
                 // generation the block is currently served by.
-                let af = serving_engine(self.compaction.as_ref(), &self.engine, blockref)
-                    .locate(stream.object, block)
-                    .expect("stream block in catalog");
-                let mirror = self.disks.physical(crate::faults::mirror_of(af, n));
+                let mirror = Serving::of(self.compaction.as_ref(), &self.engine, stream.object)
+                    .mirror(&self.disks, block);
                 if self.disks.state(mirror).failed() {
                     // Both copies gone: data loss, permanent stall.
                     hiccups += 1;
@@ -913,13 +891,13 @@ impl CmServer {
         // Dual-generation serving: blocks already migrated answer from
         // the staging generation (new-gen residency first, old-gen
         // fallback — residency is never ambiguous between the two).
-        if let Some(c) = &self.compaction {
-            let migrated = c.migrated.bits(object);
+        let serving = Serving::of(self.compaction.as_ref(), &self.engine, object);
+        if serving.staged.is_some() {
             for (slot, &b) in out.iter_mut().zip(blocks) {
-                if has_block(migrated, b) {
+                if let Some(staging) = serving.staging_for(b) {
                     *slot = self
                         .disks
-                        .physical(c.staging.locate(object, b).expect("staged block"));
+                        .physical(staging.locate(object, b).expect("staged block"));
                 }
             }
         }
@@ -933,12 +911,8 @@ impl CmServer {
     /// compaction is running). This is the lookup session threads use;
     /// it is what collapses back to a single O(1) hash at flip.
     pub fn locate_current(&self, object: ObjectId, block: u64) -> Result<DiskIndex, ServerError> {
-        let engine = serving_engine(
-            self.compaction.as_ref(),
-            &self.engine,
-            BlockRef { object, block },
-        );
-        Ok(engine.locate(object, block)?)
+        let serving = Serving::of(self.compaction.as_ref(), &self.engine, object);
+        Ok(serving.engine(block).locate(object, block)?)
     }
 
     /// Load census (blocks per disk) in logical order — the §5 metric's
@@ -965,35 +939,106 @@ impl CmServer {
 
     /// Verifies that residency matches `AF()` for every block (only true
     /// when no redistribution is pending). The simulator's end-to-end
-    /// invariant; exercised constantly by tests. Scans with the engine's
-    /// O(B) bulk path rather than per-block lookups.
+    /// invariant; exercised constantly by tests.
     pub fn residency_consistent(&self) -> bool {
-        if !self.executor.is_idle() {
-            return false;
-        }
+        self.executor.is_idle() && self.compaction_consistent()
+    }
+
+    /// The one residency audit, behind both consistency checks and the
+    /// [`Scrubber`](crate::scrub::Scrubber). A block of the given ranges
+    /// (one catalog object each) is clean if it is resident where the
+    /// generation serving it places it ([`Serving`]), in transit if it
+    /// is elsewhere with a queued move, and corrupt otherwise. Each
+    /// object's placements are read in bulk; a range wholly at home
+    /// costs one slice comparison.
+    pub(crate) fn audit(
+        &self,
+        ranges: impl IntoIterator<Item = (ObjectId, Range<u64>)>,
+    ) -> ScrubReport {
         let ids = self.disks.physical_words();
-        self.engine.catalog().objects().iter().all(|obj| {
-            let expected = self
-                .engine
-                .map_placements(obj.id, |logical| ids[logical.0 as usize])
-                .expect("catalog object");
-            self.store.object(obj.id) == Some(expected.as_slice())
-        })
+        let pending: BlockSet = self.executor.pending().map(|mv| mv.block).collect();
+        let mut report = ScrubReport::default();
+        for (object, blocks) in ranges {
+            let expected =
+                Serving::of(self.compaction.as_ref(), &self.engine, object).placements(&ids);
+            let resident = self.store.object(object).unwrap_or_default();
+            let span = blocks.start as usize..blocks.end as usize;
+            report.scanned += span.len() as u64;
+            if resident.get(span.clone()) == Some(&expected[span.clone()]) {
+                report.clean += span.len() as u64;
+                continue;
+            }
+            let queued = pending.bits(object);
+            for block in blocks {
+                match resident.get(block as usize) {
+                    Some(&stored) if stored == expected[block as usize] => report.clean += 1,
+                    Some(_) if has_block(queued, block) => report.in_transit += 1,
+                    _ => report.corrupt.push(BlockRef { object, block }),
+                }
+            }
+        }
+        report
     }
 }
 
-/// The engine whose `AF()` places `block`: the staging generation once
-/// an in-flight compaction has migrated it, the live engine otherwise.
-/// Takes the two fields rather than `&CmServer` so [`CmServer::tick`]
-/// can call it while it holds its streams mutably.
-fn serving_engine<'a>(
-    compaction: Option<&'a CompactionState>,
-    engine: &'a Scaddar,
-    block: BlockRef,
-) -> &'a Scaddar {
-    match compaction {
-        Some(c) if c.migrated.contains(block) => &c.staging,
-        _ => engine,
+/// Which generation serves each block of one object, decided here
+/// only: the staging engine for blocks an in-flight compaction has
+/// migrated, the live engine for every other block. Built from fields,
+/// not `&CmServer`, so [`CmServer::tick`] can use it while it holds its
+/// streams mutably.
+#[derive(Clone, Copy)]
+struct Serving<'a> {
+    object: ObjectId,
+    live: &'a Scaddar,
+    /// Mid-compaction: the staging engine and the object's migrated bitmap.
+    staged: Option<(&'a Scaddar, &'a [u64])>,
+}
+
+impl<'a> Serving<'a> {
+    fn of(compaction: Option<&'a CompactionState>, live: &'a Scaddar, object: ObjectId) -> Self {
+        let staged = compaction.map(|c| (&c.staging, c.migrated.bits(object)));
+        Serving {
+            object,
+            live,
+            staged,
+        }
+    }
+
+    /// The staging engine, if it serves `block`.
+    fn staging_for(self, block: u64) -> Option<&'a Scaddar> {
+        let (staging, migrated) = self.staged?;
+        has_block(migrated, block).then_some(staging)
+    }
+
+    /// The engine whose `AF()` places `block`.
+    fn engine(self, block: u64) -> &'a Scaddar {
+        self.staging_for(block).unwrap_or(self.live)
+    }
+
+    /// The physical disk of `block`'s §6 mirror: the mirror of its
+    /// placement under the generation serving it.
+    fn mirror(self, disks: &DiskArray, block: u64) -> PhysicalDiskId {
+        let af = self
+            .engine(block)
+            .locate(self.object, block)
+            .expect("catalog block");
+        disks.physical(crate::faults::mirror_of(af, disks.disks()))
+    }
+
+    /// The physical id (through `ids`) of every block under the
+    /// generation serving it: one bulk read per generation in play.
+    fn placements(self, ids: &[u32]) -> Vec<u32> {
+        let read = |engine: &Scaddar| engine.map_placements(self.object, |d| ids[d.0 as usize]);
+        let mut disks = read(self.live).expect("catalog object");
+        if let Some((staging, _)) = self.staged {
+            let new = read(staging).expect("staged object");
+            for (block, disk) in disks.iter_mut().enumerate() {
+                if self.staging_for(block as u64).is_some() {
+                    *disk = new[block];
+                }
+            }
+        }
+        disks
     }
 }
 

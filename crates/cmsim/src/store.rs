@@ -23,7 +23,8 @@
 //! map operation and one indexed subtract per block — never a hash or a
 //! search.
 //! Single-block [`BlockStore::locate`] and [`BlockStore::relocate`]
-//! serve the redistribution executor, scrubbing and fault handling.
+//! serve the redistribution executor and fault handling; the residency
+//! audit (consistency checks, scrubbing) reads [`BlockStore::object`].
 
 use crate::disk::PhysicalDiskId;
 use scaddar_core::{BlockRef, ObjectId};

@@ -17,10 +17,9 @@
 //!
 //! * **manual** — an operator's `compact` command calls
 //!   [`CompactionController::request`];
-//! * **auto** — with [`cmsim::ServerConfig::auto_compact`] enabled, the
-//!   controller watches the monitor's remaining-safe-ops number and
-//!   fires once it sinks to
-//!   [`auto_compact_threshold`](cmsim::ServerConfig::auto_compact_threshold).
+//! * **auto** — with [`cmsim::ServerConfig::auto_compact`] set to
+//!   `Some(threshold)`, the controller watches the monitor's
+//!   remaining-safe-ops number and fires once it sinks to `threshold`.
 //!
 //! Either way, [`CompactionController::step`] is the whole control
 //! loop: call it once per service round (right after
@@ -131,19 +130,19 @@ impl std::fmt::Display for ControllerEvent {
 /// an in-flight compaction it did not start).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionController {
-    auto: bool,
-    threshold: u32,
+    auto: Option<u32>,
     requested: bool,
     /// `(from, to)` generations of the compaction being watched.
     watching: Option<(u64, u64)>,
 }
 
 impl CompactionController {
-    /// A controller with an explicit trigger policy.
-    pub fn new(auto: bool, threshold: u32) -> Self {
+    /// A controller with an explicit trigger policy: `auto` is the
+    /// remaining-safe-ops level the auto policy fires at (`None`: manual
+    /// requests only).
+    pub fn new(auto: Option<u32>) -> Self {
         CompactionController {
             auto,
-            threshold,
             requested: false,
             watching: None,
         }
@@ -151,7 +150,7 @@ impl CompactionController {
 
     /// A controller with the policy a [`ServerConfig`] declares.
     pub fn from_config(config: &ServerConfig) -> Self {
-        Self::new(config.auto_compact, config.auto_compact_threshold)
+        Self::new(config.auto_compact)
     }
 
     /// Queues a manual compaction (the `compact` command). Honored on
@@ -260,7 +259,10 @@ impl CompactionController {
     }
 
     fn should_fire(&self, monitor: &HealthMonitor) -> bool {
-        self.requested || (self.auto && monitor.budget_remaining() <= self.threshold)
+        self.requested
+            || self
+                .auto
+                .is_some_and(|threshold| monitor.budget_remaining() <= threshold)
     }
 }
 
@@ -356,8 +358,7 @@ mod tests {
     fn auto_policy_fires_at_the_budget_floor_and_only_once() {
         let config = ServerConfig::new(8)
             .with_catalog_seed(5)
-            .with_auto_compact(true)
-            .with_auto_compact_threshold(0);
+            .with_auto_compact(Some(0));
         let (mut server, mut monitor, mut controller) = rig(config, 3_000);
         // Healthy budget: the policy must hold fire.
         assert!(controller.step(&mut server, &mut monitor).is_empty());

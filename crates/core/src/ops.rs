@@ -216,24 +216,6 @@ impl RemovedSet {
         };
         d - removed_below
     }
-
-    /// Inverse of [`RemovedSet::renumber`]: which old logical index does
-    /// post-removal index `new_d` correspond to? O(removed). (The
-    /// simulator keeps physical-disk identity without it: its id table
-    /// is in logical order, so a removal just drops the victims' ids.)
-    pub fn old_index(&self, new_d: u32) -> u32 {
-        // Walk the removed list: every removed index <= candidate shifts
-        // the candidate up by one.
-        let mut candidate = new_d;
-        for &r in &self.sorted {
-            if r <= candidate {
-                candidate += 1;
-            } else {
-                break;
-            }
-        }
-        candidate
-    }
 }
 
 #[cfg(test)]
@@ -335,7 +317,6 @@ mod tests {
         let survivors = [1u32, 3, 4, 6, 7];
         for (new_d, &old_d) in survivors.iter().enumerate() {
             assert_eq!(set.renumber(old_d), new_d as u32);
-            assert_eq!(set.old_index(new_d as u32), old_d);
         }
     }
 
@@ -359,7 +340,6 @@ mod tests {
             for d in 0..disks {
                 if !set.contains(d) {
                     prop_assert_eq!(set.renumber(d), expected_new);
-                    prop_assert_eq!(set.old_index(expected_new), d);
                     expected_new += 1;
                 }
             }

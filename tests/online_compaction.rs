@@ -45,8 +45,7 @@ fn unknown_blocks(server: &CmServer) -> u64 {
 fn auto_compaction_serves_through_the_cutover() {
     let config = ServerConfig::new(DISKS)
         .with_catalog_seed(SEED)
-        .with_auto_compact(true)
-        .with_auto_compact_threshold(0);
+        .with_auto_compact(Some(0));
     let mut server = CmServer::new(config).expect("server boot");
     for _ in 0..OBJECTS {
         server.add_object(BLOCKS).expect("add object");
