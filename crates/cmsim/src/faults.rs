@@ -10,8 +10,8 @@
 //! and mirror never coincide); a pair of disks exactly `f(N)` apart is
 //! the minimal fatal combination.
 
-use crate::server::CmServer;
-use scaddar_core::{DiskIndex, ObjectId, ScaddarError};
+use crate::server::{CmServer, ServerError};
+use scaddar_core::{DiskIndex, ObjectId};
 
 /// The paper's example offset function: `f(N) = N/2`, floored, but never
 /// zero for `N >= 2` (for `N = 1` mirroring is impossible and the offset
@@ -57,6 +57,10 @@ pub fn mirror_of(primary: DiskIndex, disks: u32) -> DiskIndex {
 /// Mirrored read-path resolution over a [`CmServer`]: where can block
 /// `(object, block)` be read from if the given logical disks have failed?
 ///
+/// The primary is the block's placement under the generation serving
+/// it ([`CmServer::locate_current`]): mid-compaction, a migrated block
+/// lives where the staging generation places it.
+///
 /// Returns the surviving logical disk holding a copy, or `None` if both
 /// primary and mirror are down (data loss for that block).
 pub fn locate_with_failures(
@@ -64,44 +68,50 @@ pub fn locate_with_failures(
     object: ObjectId,
     block: u64,
     failed: &[DiskIndex],
-) -> Result<Option<DiskIndex>, ScaddarError> {
-    let n = server.disks().disks();
-    let primary = server.engine().locate(object, block)?;
-    let mirror = mirror_of(primary, n);
+) -> Result<Option<DiskIndex>, ServerError> {
+    let primary = server.locate_current(object, block)?;
+    Ok(surviving_copy(primary, server.disks().disks(), failed))
+}
+
+/// The surviving copy of a block whose primary is `primary` among
+/// `disks` disks: the primary if it is up, else its mirror if that is
+/// up and distinct, else `None`.
+fn surviving_copy(primary: DiskIndex, disks: u32, failed: &[DiskIndex]) -> Option<DiskIndex> {
+    let mirror = mirror_of(primary, disks);
     let down = |d: DiskIndex| failed.contains(&d);
-    Ok(if !down(primary) {
+    if !down(primary) {
         Some(primary)
     } else if !down(mirror) && mirror != primary {
         Some(mirror)
     } else {
         None
-    })
+    }
 }
 
 /// Availability census under a failure set: `(readable, lost)` block
-/// counts across the whole catalog.
+/// counts across the whole catalog. Whether a block is lost depends
+/// only on its primary under the generation serving it, so the rule of
+/// [`locate_with_failures`] is decided once per disk and read off one
+/// bulk placement read per object.
 pub fn availability_census(
     server: &CmServer,
     failed: &[DiskIndex],
-) -> Result<(u64, u64), ScaddarError> {
-    let mut readable = 0u64;
-    let mut lost = 0u64;
-    let objects: Vec<(ObjectId, u64)> = server
-        .engine()
-        .catalog()
-        .objects()
-        .iter()
-        .map(|o| (o.id, o.blocks))
+) -> Result<(u64, u64), ServerError> {
+    let n = server.disks().disks();
+    let lost_on: Vec<bool> = (0..n)
+        .map(|d| surviving_copy(DiskIndex(d), n, failed).is_none())
         .collect();
-    for (id, blocks) in objects {
-        for b in 0..blocks {
-            match locate_with_failures(server, id, b, failed)? {
-                Some(_) => readable += 1,
-                None => lost += 1,
-            }
-        }
+    let mut total = 0u64;
+    let mut lost = 0u64;
+    for obj in server.engine().catalog().objects() {
+        total += obj.blocks;
+        lost += server
+            .placements_current(obj.id, 0..obj.blocks)
+            .into_iter()
+            .filter(|&d| lost_on[d as usize])
+            .count() as u64;
     }
-    Ok((readable, lost))
+    Ok((total - lost, lost))
 }
 
 /// The storage overhead of mirroring: a factor of exactly 2 (every block
@@ -192,6 +202,42 @@ mod tests {
         // Now 8 disks: offset must be 4.
         let p = s.engine().locate(id, 0).unwrap();
         assert_eq!(mirror_of(p, 8).0, (p.0 + 4) % 8);
+    }
+
+    /// Regression (mid-compaction): migrated blocks are judged by where
+    /// the staging generation placed them, not by their old-generation
+    /// disks. With the live engine alone the census reported 1349 lost
+    /// blocks here while 1359 sat on the failed pair.
+    #[test]
+    fn census_follows_the_serving_generation_through_a_compaction() {
+        let mut s = CmServer::new(ServerConfig::new(5).with_catalog_seed(6)).unwrap();
+        let id = s.add_object(4_000).unwrap();
+        s.scale(ScalingOp::Add { count: 1 }).unwrap();
+        while s.backlog() > 0 {
+            s.tick();
+        }
+        assert!(s.begin_compaction().unwrap() > 0);
+        for _ in 0..5 {
+            s.tick();
+        }
+        let progress = s.compaction_progress().expect("still migrating");
+        assert!(progress.migrated_blocks > 0, "some blocks migrated");
+        let n = s.disks().disks();
+        let failed = [DiskIndex(0), mirror_of(DiskIndex(0), n)];
+        let on_pair: Vec<u64> = (0..4_000)
+            .filter(|&b| failed.contains(&s.locate_current(id, b).unwrap()))
+            .collect();
+        let (readable, lost) = availability_census(&s, &failed).unwrap();
+        assert_eq!(lost, on_pair.len() as u64);
+        assert_eq!(readable + lost, 4_000);
+        for b in 0..4_000 {
+            let copy = locate_with_failures(&s, id, b, &failed).unwrap();
+            assert_eq!(
+                copy.is_none(),
+                on_pair.binary_search(&b).is_ok(),
+                "block {b}"
+            );
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! shares that rule, and the classification itself, with
 //! [`CmServer::residency_consistent`] and
 //! [`CmServer::compaction_consistent`]: all three are callers of the
-//! server's one residency audit. The audit reads the placements of each
-//! object an increment touches in bulk, so a budget of at least the
-//! typical object size reads nothing twice.
+//! server's one residency audit. The audit reads the placements of the
+//! block ranges an increment covers in bulk, and nothing else, so a full
+//! pass reads each block's placement once whatever the budget.
 
 use crate::server::CmServer;
 use scaddar_core::BlockRef;

@@ -915,6 +915,17 @@ impl CmServer {
         Ok(serving.engine(block).locate(object, block)?)
     }
 
+    /// Generation-aware bulk `AF()`: the logical disk of each of the
+    /// given blocks of a catalog object, in block order, under the
+    /// generation serving it — [`CmServer::locate_current`] for a range,
+    /// at one ranged bulk read per generation in play.
+    ///
+    /// # Panics
+    /// If the object is not in the catalog or `blocks` reaches past it.
+    pub(crate) fn placements_current(&self, object: ObjectId, blocks: Range<u64>) -> Vec<u32> {
+        Serving::of(self.compaction.as_ref(), &self.engine, object).placements(blocks, |d| d.0)
+    }
+
     /// Load census (blocks per disk) in logical order — the §5 metric's
     /// input. Uses actual residency.
     pub fn load_census(&self) -> Vec<u64> {
@@ -948,9 +959,9 @@ impl CmServer {
     /// [`Scrubber`](crate::scrub::Scrubber). A block of the given ranges
     /// (one catalog object each) is clean if it is resident where the
     /// generation serving it places it ([`Serving`]), in transit if it
-    /// is elsewhere with a queued move, and corrupt otherwise. Each
-    /// object's placements are read in bulk; a range wholly at home
-    /// costs one slice comparison.
+    /// is elsewhere with a queued move, and corrupt otherwise. Only the
+    /// given ranges' placements are read, in bulk; a range wholly at
+    /// home costs one slice comparison.
     pub(crate) fn audit(
         &self,
         ranges: impl IntoIterator<Item = (ObjectId, Range<u64>)>,
@@ -959,19 +970,19 @@ impl CmServer {
         let pending: BlockSet = self.executor.pending().map(|mv| mv.block).collect();
         let mut report = ScrubReport::default();
         for (object, blocks) in ranges {
-            let expected =
-                Serving::of(self.compaction.as_ref(), &self.engine, object).placements(&ids);
+            let serving = Serving::of(self.compaction.as_ref(), &self.engine, object);
+            let expected = serving.placements(blocks.clone(), |d| ids[d.0 as usize]);
             let resident = self.store.object(object).unwrap_or_default();
             let span = blocks.start as usize..blocks.end as usize;
             report.scanned += span.len() as u64;
-            if resident.get(span.clone()) == Some(&expected[span.clone()]) {
-                report.clean += span.len() as u64;
+            if resident.get(span) == Some(&expected[..]) {
+                report.clean += expected.len() as u64;
                 continue;
             }
             let queued = pending.bits(object);
-            for block in blocks {
+            for (block, &home) in blocks.zip(&expected) {
                 match resident.get(block as usize) {
-                    Some(&stored) if stored == expected[block as usize] => report.clean += 1,
+                    Some(&stored) if stored == home => report.clean += 1,
                     Some(_) if has_block(queued, block) => report.in_transit += 1,
                     _ => report.corrupt.push(BlockRef { object, block }),
                 }
@@ -1025,16 +1036,24 @@ impl<'a> Serving<'a> {
         disks.physical(crate::faults::mirror_of(af, disks.disks()))
     }
 
-    /// The physical id (through `ids`) of every block under the
-    /// generation serving it: one bulk read per generation in play.
-    fn placements(self, ids: &[u32]) -> Vec<u32> {
-        let read = |engine: &Scaddar| engine.map_placements(self.object, |d| ids[d.0 as usize]);
-        let mut disks = read(self.live).expect("catalog object");
+    /// `word` of the disk of each block in `blocks` under the
+    /// generation serving it, in block order: one ranged bulk read per
+    /// generation in play.
+    ///
+    /// # Panics
+    /// If the object is not in the catalog or `blocks` reaches past it.
+    fn placements(self, blocks: Range<u64>, word: impl Fn(DiskIndex) -> u32) -> Vec<u32> {
+        let read = |engine: &Scaddar| {
+            engine
+                .map_placements_range(self.object, blocks.clone(), &word)
+                .expect("catalog blocks")
+        };
+        let mut disks = read(self.live);
         if let Some((staging, _)) = self.staged {
-            let new = read(staging).expect("staged object");
-            for (block, disk) in disks.iter_mut().enumerate() {
-                if self.staging_for(block as u64).is_some() {
-                    *disk = new[block];
+            let new = read(staging);
+            for ((block, disk), new) in blocks.clone().zip(&mut disks).zip(new) {
+                if self.staging_for(block).is_some() {
+                    *disk = new;
                 }
             }
         }
@@ -1043,21 +1062,55 @@ impl<'a> Serving<'a> {
 }
 
 /// The one admission pass, shared by [`CmServer::add_object`] and every
-/// rebuild of residency from `AF()` (`new`, `restore`): each of the
-/// object's cached `X_j`, reduced to its logical disk by the engine's
-/// reciprocal at the cache's word width, mapped through the live `ids`
-/// table (logical order, 4-byte physical ids) into an exactly sized
-/// residency vector, and tallied per logical disk.
+/// rebuild of residency from `AF()` (`new`, `restore`): the object's
+/// logical disks come from the engine's bulk read a chunk at a time
+/// (its cached `X_j` reduced by the vectorised kernel), and while each
+/// chunk is in L1 it is tallied per logical disk and mapped through the
+/// live `ids` table (logical order, 4-byte physical ids) into the
+/// residency vector.
 fn place(engine: &Scaddar, ids: &[u32], object: ObjectId) -> (Vec<u32>, Vec<u64>) {
-    let mut tally = vec![0u64; ids.len()];
-    let resident = engine
-        .map_placements(object, |logical| {
-            let l = logical.0 as usize;
-            tally[l] += 1;
-            ids[l]
+    let blocks = engine
+        .catalog()
+        .object(object)
+        .expect("catalog object")
+        .blocks;
+    let mut resident = Vec::with_capacity(blocks as usize);
+    let mut tally = Tally::new(ids.len());
+    engine
+        .for_each_disk_chunk(object, 0..blocks, |logical| {
+            tally.add(logical);
+            resident.extend(logical.iter().map(|&l| ids[l as usize]));
         })
         .expect("catalog object");
-    (resident, tally)
+    (resident, tally.total())
+}
+
+/// Blocks per disk, counted in four sub-tallies that take consecutive
+/// blocks in turn and are summed at the end, so runs of blocks on one
+/// disk do not each wait for the last increment of the same counter.
+struct Tally(Vec<[u64; 4]>);
+
+impl Tally {
+    fn new(disks: usize) -> Self {
+        Tally(vec![[0; 4]; disks])
+    }
+
+    /// Counts each disk index in `logical` (all below `disks`).
+    fn add(&mut self, logical: &[u32]) {
+        let mut quads = logical.chunks_exact(4);
+        for quad in &mut quads {
+            for (lane, &disk) in quad.iter().enumerate() {
+                self.0[disk as usize][lane] += 1;
+            }
+        }
+        for &disk in quads.remainder() {
+            self.0[disk as usize][0] += 1;
+        }
+    }
+
+    fn total(&self) -> Vec<u64> {
+        self.0.iter().map(|lanes| lanes.iter().sum()).collect()
+    }
 }
 
 /// Stored 4-byte physical ids as [`PhysicalDiskId`]s.
@@ -1391,6 +1444,45 @@ mod tests {
             .contains("cmsim_server_rounds_total"));
         // Drain interval visible through the fixed drain accounting.
         assert_eq!(s.metrics().drain_times().len(), 1);
+    }
+
+    #[test]
+    fn a_scrub_pass_reads_each_placement_once() {
+        use crate::scrub::{ScrubReport, Scrubber};
+        let mut s = CmServer::new(ServerConfig::new(8).with_catalog_seed(21)).unwrap();
+        for _ in 0..64 {
+            s.add_object(4_096).unwrap();
+        }
+        let registry = scaddar_obs::Registry::new();
+        let stats = scaddar_core::EngineStats::register_monotonic(&registry);
+        s.engine.attach_stats(stats.clone());
+        let mut scrubber = Scrubber::new();
+        let mut pass = ScrubReport::default();
+        while !pass.completed_pass {
+            let r = scrubber.scrub(&s, 64);
+            assert!(r.scanned <= 64);
+            pass.scanned += r.scanned;
+            pass.clean += r.clean;
+            pass.in_transit += r.in_transit;
+            pass.corrupt.extend(r.corrupt);
+            pass.completed_pass = r.completed_pass;
+        }
+        assert_eq!(stats.locate_bulk_blocks.get(), 64 * 4_096);
+        let whole = s.audit(
+            s.engine
+                .catalog()
+                .objects()
+                .iter()
+                .map(|o| (o.id, 0..o.blocks)),
+        );
+        assert_eq!(
+            pass,
+            ScrubReport {
+                completed_pass: true,
+                ..whole
+            }
+        );
+        assert_eq!(pass.clean, 64 * 4_096);
     }
 
     #[test]

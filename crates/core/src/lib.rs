@@ -80,6 +80,7 @@ pub use stats::EngineStats;
 pub use xcache::{XCache, Xs};
 
 use scaddar_prng::{Bits, RngKind};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of a SCADDAR placement engine.
@@ -366,10 +367,74 @@ impl Scaddar {
         f: impl FnMut(DiskIndex) -> T,
     ) -> Result<Vec<T>, ScaddarError> {
         let xs = self.cached_xs(object)?;
+        Ok(self
+            .counted(xs)
+            .map_placements(self.pipeline.disk_divisor(), f))
+    }
+
+    /// [`Scaddar::map_placements`] over the blocks in `blocks` only:
+    /// `f` of the disk of each, in block order, at the same O(1) cost
+    /// per block — a caller that reads an object piecewise (cmsim's
+    /// scrubber) pays for what it reads. Fails with
+    /// [`ScaddarError::BlockOutOfRange`] naming the range's first block
+    /// past the object's end, or its start if the range is reversed.
+    pub fn map_placements_range<T>(
+        &self,
+        object: ObjectId,
+        blocks: Range<u64>,
+        f: impl FnMut(DiskIndex) -> T,
+    ) -> Result<Vec<T>, ScaddarError> {
+        let xs = self.cached_range(object, blocks)?;
+        Ok(self
+            .counted(xs)
+            .map_placements(self.pipeline.disk_divisor(), f))
+    }
+
+    /// The bulk read under both `map_placements` methods, for callers
+    /// that consume disks a slice at a time: the logical disk of each
+    /// block in `blocks`, in block order, handed to `f` as `u32` words
+    /// up to 1024 at a time. Narrow words are reduced mod `N_j` by the
+    /// vectorised kernel at the host's widest tier, and `f` sees each
+    /// chunk while it is in L1 (cmsim's admission tallies and maps each
+    /// chunk through the physical id table this way). Fails like
+    /// [`Scaddar::map_placements_range`], before calling `f`.
+    pub fn for_each_disk_chunk(
+        &self,
+        object: ObjectId,
+        blocks: Range<u64>,
+        f: impl FnMut(&[u32]),
+    ) -> Result<(), ScaddarError> {
+        let xs = self.cached_range(object, blocks)?;
+        self.counted(xs)
+            .for_each_disk_chunk(self.pipeline.disk_divisor(), f);
+        Ok(())
+    }
+
+    /// The cached values of the blocks in `blocks` of `object`.
+    fn cached_range(&self, object: ObjectId, blocks: Range<u64>) -> Result<Xs<'_>, ScaddarError> {
+        let xs = self.cached_xs(object)?;
+        let len = xs.len() as u64;
+        usize::try_from(blocks.start)
+            .ok()
+            .zip(usize::try_from(blocks.end).ok())
+            .and_then(|(start, end)| xs.range(start..end))
+            .ok_or(ScaddarError::BlockOutOfRange {
+                object,
+                block: if blocks.end > len {
+                    blocks.start.max(len)
+                } else {
+                    blocks.start
+                },
+                blocks: len,
+            })
+    }
+
+    /// `xs`, counted as a bulk read of its blocks.
+    fn counted<'a>(&self, xs: Xs<'a>) -> Xs<'a> {
         if let Some(stats) = &self.stats {
             stats.locate_bulk_blocks.add(xs.len() as u64);
         }
-        Ok(xs.map_placements(self.pipeline.disk_divisor(), f))
+        xs
     }
 
     /// Bulk `AF()`: the disks of *every* block of `object`, in block
@@ -1084,6 +1149,54 @@ mod tests {
         assert_eq!(stats.xcache_rebuilds.get(), 2);
         assert_eq!(stats.locate_bulk_blocks.get(), 1_003);
         assert_eq!(stats.xcache_hits.get(), 1_025);
+    }
+
+    #[test]
+    fn ranged_and_chunked_bulk_reads_match_the_whole_read() {
+        for bits in [Bits::B32, Bits::B64] {
+            let config = ScaddarConfig::new(5).with_bits(bits).with_catalog_seed(4);
+            let mut s = Scaddar::new(config).unwrap();
+            let id = s.add_object(3_000);
+            s.scale(ScalingOp::add_one()).unwrap();
+            let all = s.locate_all(id).unwrap();
+            let registry = scaddar_obs::Registry::new();
+            let stats = EngineStats::register_monotonic(&registry);
+            s.attach_stats(stats.clone());
+            let ranges = [0..0, 0..1, 5..1029, 1023..1025, 2999..3000, 0..3000];
+            for r in ranges.clone() {
+                let part = s.map_placements_range(id, r.clone(), |disk| disk).unwrap();
+                assert_eq!(part, all[r.start as usize..r.end as usize], "{bits} {r:?}");
+            }
+            let mut chunks = Vec::new();
+            s.for_each_disk_chunk(id, 0..3000, |chunk| {
+                assert!(chunk.len() <= 1024);
+                chunks.extend(chunk.iter().map(|&disk| DiskIndex(disk)));
+            })
+            .unwrap();
+            assert_eq!(chunks, all, "{bits} chunks concatenate to the whole read");
+            let read: u64 = 3000 + ranges.iter().map(|r| r.end - r.start).sum::<u64>();
+            assert_eq!(stats.locate_bulk_blocks.get(), read, "counts what it reads");
+            let reversed = Range { start: 7, end: 3 };
+            for (r, block) in [(2990..3001, 3000), (3001..3005, 3001), (reversed, 7)] {
+                assert_eq!(
+                    s.map_placements_range(id, r, |disk| disk),
+                    Err(ScaddarError::BlockOutOfRange {
+                        object: id,
+                        block,
+                        blocks: 3_000
+                    })
+                );
+            }
+            assert_eq!(
+                s.map_placements_range(ObjectId(99), 0..1, |disk| disk),
+                Err(ScaddarError::UnknownObject(ObjectId(99)))
+            );
+            assert_eq!(
+                stats.locate_bulk_blocks.get(),
+                read,
+                "refusals read nothing"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   instead of a `div` instruction per `mod`/`div` pair. `AF()`'s
 //!   final `X_j mod N_j` uses the same scheme, so no lookup path pays a
 //!   hardware division. Values stored as `u32` words (`b ≤ 32`, see
-//!   [`Word`]) take a 64-bit reciprocal and one multiply instead.
+//!   [`Word`]) take a 64-bit reciprocal split into 32-bit halves, whose
+//!   32×32→64 products vectorise (DESIGN §8).
 //!
 //! The pipeline is append-only, mirroring the log: after a scaling
 //! operation, [`RemapPipeline::extend_from`] compiles just the new
@@ -28,10 +29,18 @@
 use crate::address::DiskIndex;
 use crate::log::{RecordAction, ScalingLog, ScalingRecord};
 use crate::ops::RemovedSet;
+use scaddar_prng::multiversion::{self, Kernel};
 
 /// Sentinel in a step's `table_off` marking an addition step (additions
 /// need no renumber table; it doubles as the op-kind tag).
 const ADDITION: usize = usize::MAX;
+
+/// Words per chunk of a step's two phases ([`RemapPipeline::step_words`]).
+const STEP_CHUNK: usize = 1024;
+
+/// A block's `to` disk in an addition chunk when it kept its disk. No disk
+/// index reaches it: disk counts are at most `u32::MAX`.
+const STAYED: u32 = u32::MAX;
 
 mod sealed {
     pub trait Sealed {}
@@ -45,8 +54,8 @@ mod sealed {
 /// No `REMAP` step increases `X` (an addition yields `q - t + r <= x`, a
 /// removal `q` or `q·N_j + m` with `m <= r`), so every `X_j` fits the
 /// `b` bits of its `X_0`. Folds widen a word into a `u64` register and
-/// narrow the result back; for `u32` every reduction takes the
-/// one-multiply 32-bit reciprocal. The width is a type parameter, so a
+/// narrow the result back; for `u32` every reduction takes the split
+/// 32-bit reciprocal. The width is a type parameter, so a
 /// fold dispatches on it once per call, never per block.
 pub trait Word: Copy + Eq + std::fmt::Debug + Send + Sync + 'static + sealed::Sealed {
     /// True for `u32`: values and divisors fit 32 bits.
@@ -57,6 +66,8 @@ pub trait Word: Copy + Eq + std::fmt::Debug + Send + Sync + 'static + sealed::Se
     fn widen(self) -> u64;
     /// Stores `x`, truncating; callers check `x <= Self::MAX`.
     fn narrow(x: u64) -> Self;
+    /// The words as `u32`s, for `u32` only: the vectorised fold's view.
+    fn as_narrow(xs: &mut [Self]) -> Option<&mut [u32]>;
 }
 
 impl Word for u32 {
@@ -69,6 +80,10 @@ impl Word for u32 {
     #[inline(always)]
     fn narrow(x: u64) -> Self {
         x as u32
+    }
+    #[inline(always)]
+    fn as_narrow(xs: &mut [Self]) -> Option<&mut [u32]> {
+        Some(xs)
     }
 }
 
@@ -83,6 +98,10 @@ impl Word for u64 {
     fn narrow(x: u64) -> Self {
         x
     }
+    #[inline(always)]
+    fn as_narrow(_: &mut [Self]) -> Option<&mut [u32]> {
+        None
+    }
 }
 
 /// Exact division and remainder by a fixed divisor via a precomputed
@@ -94,17 +113,20 @@ impl Word for u64 {
 /// * **Narrow** (`x, d < 2^32`): `M₃₂ = ⌊2⁶⁴/d⌋ + 1`, so
 ///   `M₃₂·d = 2⁶⁴ + e` with `0 < e <= d`. Then
 ///   `M₃₂·x / 2⁶⁴ = x/d + e·x/(d·2⁶⁴)`, and `e·x < 2⁶⁴` keeps the error
-///   below `1/d`, so `⌊x/d⌋ = ⌊M₃₂·x / 2⁶⁴⌋`: one 64×64 multiply. The
-///   remainder is computed directly, `x mod d = ⌊(M₃₂·x mod 2⁶⁴)·d / 2⁶⁴⌋`
-///   (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
-///   exact under the same `e·x < 2⁶⁴` condition).
+///   below `1/d`, so `⌊x/d⌋ = ⌊M₃₂·x / 2⁶⁴⌋`. The product is taken in
+///   the **split form** (DESIGN §8): with `M₃₂ = mh·2³² + ml`,
+///   `q = (x·mh + ⌊x·ml/2³²⌋) >> 32` and `r = x − q·d` in `u32` — only
+///   32×32→64 products, which vector units have, so the reduction loop
+///   vectorises ([`MagicDivisor::reduce32`]).
 ///
-/// `d = 1` is kept as a trivial branch (its magic would overflow).
+/// `d = 1` is kept as a trivial branch (its magics would overflow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MagicDivisor {
     d: u64,
     magic: u128,
-    magic32: u64,
+    /// `M₃₂`'s high and low 32-bit halves.
+    mh: u32,
+    ml: u32,
 }
 
 impl MagicDivisor {
@@ -119,7 +141,12 @@ impl MagicDivisor {
                 ((1u128 << 64) / u128::from(d) + 1) as u64,
             )
         };
-        MagicDivisor { d, magic, magic32 }
+        MagicDivisor {
+            d,
+            magic,
+            mh: (magic32 >> 32) as u32,
+            ml: magic32 as u32,
+        }
     }
 
     /// `(x / d, x % d)` with two multiplies and no division.
@@ -141,38 +168,49 @@ impl MagicDivisor {
         x - self.mul_hi(x) * self.d
     }
 
-    /// `(x / d, x % d)` for `x, d < 2^32`: one wide multiply for the
-    /// quotient.
+    /// `(x / d, x % d)` for `x, d < 2^32`, in the split form: three
+    /// 32×32→64 multiplies. `x·mh + ⌊x·ml/2³²⌋` is below
+    /// `(2³² − 1)² + 2³² < 2⁶⁴`, so the sum cannot overflow. Every
+    /// operand is a `u32`, so a vector loop keeps 32-bit lanes except
+    /// for the products.
     #[inline(always)]
-    fn divmod32(self, x: u64) -> (u64, u64) {
-        debug_assert!(x <= u64::from(u32::MAX) && self.d <= u64::from(u32::MAX));
+    fn divmod_u32(self, x: u32) -> (u32, u32) {
         if self.d == 1 {
             return (x, 0);
         }
-        let q = ((u128::from(self.magic32) * u128::from(x)) >> 64) as u64;
-        (q, x - q * self.d)
+        let x64 = u64::from(x);
+        let sum = x64 * u64::from(self.mh) + ((x64 * u64::from(self.ml)) >> 32);
+        let q = (sum >> 32) as u32;
+        (q, x.wrapping_sub(q.wrapping_mul(self.d as u32)))
     }
 
-    /// `x % d` for `x, d < 2^32`, by direct computation from the
-    /// fractional bits of `M₃₂·x`.
+    /// `(x / d, x % d)` for `x, d < 2^32`.
+    #[inline(always)]
+    fn divmod32(self, x: u64) -> (u64, u64) {
+        debug_assert!(x <= u64::from(u32::MAX) && self.d <= u64::from(u32::MAX));
+        let (q, r) = self.divmod_u32(x as u32);
+        (q.into(), r.into())
+    }
+
+    /// `x % d` for `x, d < 2^32`.
     #[inline(always)]
     fn rem32(self, x: u64) -> u64 {
-        debug_assert!(x <= u64::from(u32::MAX) && self.d <= u64::from(u32::MAX));
-        if self.d == 1 {
-            return 0;
-        }
-        let frac = self.magic32.wrapping_mul(x);
-        ((u128::from(frac) * u128::from(self.d)) >> 64) as u64
+        self.divmod32(x).1
     }
 
-    /// [`Self::divmod`] at word width `W`.
-    #[inline(always)]
-    fn divmod_w<W: Word>(self, x: u64) -> (u64, u64) {
-        if W::NARROW {
-            self.divmod32(x)
-        } else {
-            self.divmod(x)
-        }
+    /// `out[k] = xs[k] mod d` for `u32` words and `d < 2^32`: one
+    /// counted loop over the split form, which vectorises, run at the
+    /// host's widest vector tier ([`Reduce32`]).
+    ///
+    /// # Panics
+    /// If `out` and `xs` differ in length.
+    #[inline]
+    pub(crate) fn reduce32(self, xs: &[u32], out: &mut [u32]) {
+        multiversion::run(Reduce32 {
+            disks: self,
+            xs,
+            out,
+        });
     }
 
     /// [`Self::rem`] at word width `W`.
@@ -202,6 +240,26 @@ impl MagicDivisor {
     }
 }
 
+/// [`MagicDivisor::reduce32`]'s loop, compiled once per vector tier.
+pub(crate) struct Reduce32<'a> {
+    pub(crate) disks: MagicDivisor,
+    pub(crate) xs: &'a [u32],
+    pub(crate) out: &'a mut [u32],
+}
+
+impl Kernel for Reduce32<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn apply(self) {
+        let Reduce32 { disks, xs, out } = self;
+        assert_eq!(xs.len(), out.len(), "one remainder per word");
+        for (r, &x) in out.iter_mut().zip(xs) {
+            *r = disks.divmod_u32(x).1;
+        }
+    }
+}
+
 /// One compiled `REMAP` step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Step {
@@ -213,6 +271,71 @@ struct Step {
     /// Offset of this step's dense renumber table in
     /// [`RemapPipeline::tables`], or [`ADDITION`].
     table_off: usize,
+}
+
+/// One addition step (Eq. 5) over one chunk of narrow words in
+/// [`RemapPipeline::step_words`], without branches, compiled once per
+/// vector tier: each word remapped in place, `from[k]` its disk before
+/// the step and `to[k]` its disk after it, or [`STAYED`] if it kept its
+/// disk. Returns the OR of the new values.
+struct AddChunk<'a> {
+    /// `N_{j-1}` and `N_j` with their reciprocals.
+    np: MagicDivisor,
+    nn: MagicDivisor,
+    xs: &'a mut [u32],
+    from: &'a mut [u32],
+    to: &'a mut [u32],
+}
+
+impl Kernel for AddChunk<'_> {
+    type Output = u32;
+
+    #[inline(always)]
+    fn apply(self) -> u32 {
+        let AddChunk {
+            np,
+            nn,
+            xs,
+            from,
+            to,
+        } = self;
+        let n_prev = np.d as u32;
+        let mut seen = 0;
+        // Fresh draw t = q mod N_j; t < N_{j-1} keeps disk r, and
+        // (q/N_j)·N_j + r = q - t + r needs no extra division.
+        for (x, (from, to)) in xs.iter_mut().zip(from.iter_mut().zip(to.iter_mut())) {
+            let (q, r) = np.divmod_u32(*x);
+            let t = nn.divmod_u32(q).1;
+            let stays = t < n_prev;
+            let v = if stays { q - t + r } else { q };
+            *from = r;
+            *to = if stays { STAYED } else { t };
+            seen |= v;
+            *x = v;
+        }
+        seen
+    }
+}
+
+/// The division of a removal step (Eq. 3) over one chunk of narrow
+/// words in [`RemapPipeline::step_words`], compiled once per vector
+/// tier: each word replaced by its quotient by `d`, and its remainder
+/// stored in `rems`.
+struct DivChunk<'a> {
+    d: MagicDivisor,
+    xs: &'a mut [u32],
+    rems: &'a mut [u32],
+}
+
+impl Kernel for DivChunk<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn apply(self) {
+        for (x, rem) in self.xs.iter_mut().zip(self.rems.iter_mut()) {
+            (*x, *rem) = self.d.divmod_u32(*x);
+        }
+    }
 }
 
 /// A [`ScalingLog`] compiled to a flat, division-free step list.
@@ -352,7 +475,7 @@ impl RemapPipeline {
     /// reciprocal, renumber table) stay in registers/L1 for the whole
     /// inner loop. This is the engine's bulk path — the throughput win
     /// the scalar fold cannot reach latency-bound. `u32` words reduce by
-    /// the one-multiply 32-bit reciprocal.
+    /// the split 32-bit reciprocal.
     pub fn fold_batch<W: Word>(&self, xs: &mut [W]) {
         self.fold_words(0, xs, W::MAX);
     }
@@ -371,6 +494,15 @@ impl RemapPipeline {
     /// division: `from` is its remainder `r`, and a moved block's new
     /// value is its quotient `q`, so `to = q mod N_{i+1}`.
     ///
+    /// Narrow words run in two phases per chunk of [`STEP_CHUNK`], the
+    /// first at the host's widest vector tier. An addition remaps the
+    /// chunk without branches ([`AddChunk`]) and then reports the moved
+    /// blocks (a fold that ignores moves compiles that scan away); a
+    /// removal divides the chunk ([`DivChunk`]) and then renumbers it
+    /// in a scalar pass, because a table lookup would vectorise only as
+    /// a gather. Wide words take one scalar pass: their 128-bit
+    /// reciprocal has no vector form.
+    ///
     /// # Panics
     /// If a result exceeds `max` (`2^b - 1`, or the word's own maximum) —
     /// impossible for inputs at most `max`, as no step increases `X`.
@@ -380,47 +512,122 @@ impl RemapPipeline {
         i: usize,
         xs: &mut [W],
         max: u64,
-        mut moved: impl FnMut(usize, DiskIndex, DiskIndex),
+        moved: impl FnMut(usize, DiskIndex, DiskIndex),
     ) {
         let step = &self.steps[i];
-        let (np, nn) = (step.n_prev, step.n_new);
-        let mut seen = 0u64;
-        if step.table_off == ADDITION {
-            // Eq. 5: fresh draw t = q mod N_j; t < N_{j-1} keeps disk r,
-            // and (q/N_j)·N_j + r = q - t + r needs no extra division.
-            for (k, x) in xs.iter_mut().enumerate() {
-                let (q, r) = np.divmod_w::<W>(x.widen());
-                let t = nn.rem_w::<W>(q);
-                let v = if t < np.d {
-                    q - t + r
-                } else {
-                    moved(k, DiskIndex(r as u32), DiskIndex(t as u32));
-                    q
-                };
-                seen |= v;
-                *x = W::narrow(v);
-            }
+        // Eq. 3's dense table gives new(r) or the removed sentinel. r <
+        // N_{j-1} always, so the slice is exactly N_{j-1} long and the
+        // bounds check on a lookup never fires. Additions have none.
+        let table = (step.table_off != ADDITION)
+            .then(|| &self.tables[step.table_off..step.table_off + step.n_prev.d as usize]);
+        let seen = if let Some(xs) = W::as_narrow(xs) {
+            Self::step_narrow(step, table, xs, moved)
         } else {
-            // Eq. 3: the dense table gives new(r) or the removed
-            // sentinel. r < N_{j-1} always, so the table slice is exactly
-            // N_{j-1} long and the inner bounds check never fires.
-            let table = &self.tables[step.table_off..step.table_off + np.d as usize];
-            for (k, x) in xs.iter_mut().enumerate() {
-                let (q, r) = np.divmod_w::<W>(x.widen());
-                let m = table[r as usize];
-                let v = if m == RemovedSet::REMOVED {
-                    moved(k, DiskIndex(r as u32), nn.disk(W::narrow(q)));
-                    q
-                } else {
-                    q * nn.d + u64::from(m)
-                };
-                seen |= v;
-                *x = W::narrow(v);
-            }
-        }
+            Self::step_wide(step, table, xs, moved)
+        };
         // `max` is all ones (2^b - 1), so the OR exceeds it exactly
         // when some value does.
         assert!(seen <= max, "a REMAP step increased X past {max:#x}");
+    }
+
+    /// [`Self::step_words`] for `u32` words, chunk by chunk: the
+    /// step's division at the host's widest vector tier, then a scalar
+    /// pass for what depends on each block. Returns the OR of the new
+    /// values.
+    #[inline(always)]
+    fn step_narrow(
+        step: &Step,
+        table: Option<&[u32]>,
+        xs: &mut [u32],
+        mut moved: impl FnMut(usize, DiskIndex, DiskIndex),
+    ) -> u64 {
+        let (np, nn) = (step.n_prev, step.n_new);
+        let (mut from, mut to) = ([0u32; STEP_CHUNK], [0u32; STEP_CHUNK]);
+        let mut seen = 0u64;
+        for (c, xs) in xs.chunks_mut(STEP_CHUNK).enumerate() {
+            let block = |k: usize| c * STEP_CHUNK + k;
+            let (from, to) = (&mut from[..xs.len()], &mut to[..xs.len()]);
+            match table {
+                None => {
+                    let kernel = AddChunk {
+                        np,
+                        nn,
+                        xs,
+                        from,
+                        to,
+                    };
+                    seen |= u64::from(multiversion::run(kernel));
+                    for (k, (&from, &to)) in from.iter().zip(to.iter()).enumerate() {
+                        if to != STAYED {
+                            moved(block(k), DiskIndex(from), DiskIndex(to));
+                        }
+                    }
+                }
+                Some(table) => {
+                    let rems = &mut *from;
+                    multiversion::run(DivChunk {
+                        d: np,
+                        xs: &mut *xs,
+                        rems: &mut *rems,
+                    });
+                    for (k, (x, &r)) in xs.iter_mut().zip(rems.iter()).enumerate() {
+                        let q = *x;
+                        let m = table[r as usize];
+                        let v = if m == RemovedSet::REMOVED {
+                            moved(block(k), DiskIndex(r), nn.disk(q));
+                            u64::from(q)
+                        } else {
+                            u64::from(q) * nn.d + u64::from(m)
+                        };
+                        seen |= v;
+                        *x = v as u32;
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    /// [`Self::step_words`] for `u64` words: one scalar pass, as the
+    /// 128-bit reciprocal has no vector form. Returns the OR of the new
+    /// values.
+    #[inline(always)]
+    fn step_wide<W: Word>(
+        step: &Step,
+        table: Option<&[u32]>,
+        xs: &mut [W],
+        mut moved: impl FnMut(usize, DiskIndex, DiskIndex),
+    ) -> u64 {
+        let (np, nn) = (step.n_prev, step.n_new);
+        let mut seen = 0u64;
+        for (k, x) in xs.iter_mut().enumerate() {
+            let (q, r) = np.divmod(x.widen());
+            let v = match table {
+                // Eq. 5: fresh draw t = q mod N_j; t < N_{j-1} keeps
+                // disk r, and (q/N_j)·N_j + r = q - t + r.
+                None => {
+                    let t = nn.rem(q);
+                    if t < np.d {
+                        q - t + r
+                    } else {
+                        moved(k, DiskIndex(r as u32), DiskIndex(t as u32));
+                        q
+                    }
+                }
+                Some(table) => {
+                    let m = table[r as usize];
+                    if m == RemovedSet::REMOVED {
+                        moved(k, DiskIndex(r as u32), DiskIndex(nn.rem(q) as u32));
+                        q
+                    } else {
+                        q * nn.d + u64::from(m)
+                    }
+                }
+            };
+            seen |= v;
+            *x = W::narrow(v);
+        }
+        seen
     }
 
     /// `AF()` against the compiled log: `D_j = fold(x0) mod N_j`.
@@ -443,6 +650,7 @@ mod tests {
     use crate::address::{locate, x_at_current_epoch};
     use crate::ops::ScalingOp;
     use proptest::prelude::*;
+    use scaddar_prng::multiversion::{run_at, Tier};
 
     #[test]
     fn magic_division_is_exact() {
@@ -480,30 +688,45 @@ mod tests {
     }
 
     /// Divisors of every shape the engine meets: small, powers of two,
-    /// and uniform up to `u32::MAX`.
+    /// uniform up to `u32::MAX`, and `u32::MAX` itself.
     fn divisors() -> impl Strategy<Value = u64> {
         prop_oneof![
             1u64..64,
             (0u32..32).prop_map(|k| 1u64 << k),
             1u64..(1 << 32),
+            Just(u64::from(u32::MAX)),
         ]
     }
 
+    /// Every vector tier this host supports.
+    fn tiers() -> impl Iterator<Item = Tier> {
+        Tier::ALL.into_iter().filter(|t| t.supported())
+    }
+
     proptest! {
-        /// The 32-bit reciprocal is exact for every `x, d < 2^32`: at a
-        /// random `x` and at the boundaries `0`, `d - 1`, `d`, `k·d - 1`
-        /// (for the multiple nearest `x` and the largest below `2^32`),
-        /// and `2^32 - 1`.
+        /// The split 32-bit reciprocal is exact for every `x, d < 2^32`:
+        /// at a random `x` and at the boundaries `0`, `d - 1`, `d`,
+        /// `k·d - 1` (for the multiple nearest `x` and the largest below
+        /// `2^32`), and `2^32 - 1`; scalar, and as the chunk reduction
+        /// at every vector tier.
         #[test]
         fn prop_narrow_reciprocal_matches_hardware(d in divisors(), x in 0u64..(1 << 32)) {
             let m = MagicDivisor::new(d);
             let top = u64::from(u32::MAX);
             let near = (x / d).max(1) * d;
             let last = top / d * d;
-            for x in [x, 0, d - 1, d, near - 1, near, last - 1, last, top] {
+            let edges = [x, 0, d - 1, d, near - 1, near, last - 1, last, top];
+            for x in edges {
                 prop_assert_eq!(m.divmod32(x), (x / d, x % d), "x={} d={}", x, d);
                 prop_assert_eq!(m.rem32(x), x % d, "x={} d={}", x, d);
                 prop_assert_eq!(m.divmod(x), (x / d, x % d), "x={} d={}", x, d);
+            }
+            let words: Vec<u32> = edges.iter().map(|&x| x as u32).collect();
+            let expected: Vec<u32> = words.iter().map(|&x| x % d as u32).collect();
+            for tier in tiers() {
+                let mut out = vec![u32::MAX; words.len()];
+                run_at(tier, Reduce32 { disks: m, xs: &words, out: &mut out });
+                prop_assert_eq!(&out, &expected, "{:?} d={}", tier, d);
             }
         }
 
@@ -553,6 +776,94 @@ mod tests {
             pipe.fold_batch(&mut narrow);
             let scalar: Vec<u32> = xs.iter().map(|&x| pipe.fold(u64::from(x as u32)) as u32).collect();
             prop_assert_eq!(narrow, scalar);
+        }
+    }
+
+    #[test]
+    fn every_tier_reduces_what_the_baseline_reduces() {
+        // Long enough for every tier's vector body and scalar tail, at
+        // divisors of every shape up to u32::MAX.
+        let words: Vec<u32> = (0..4099u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) ^ (i >> 3))
+            .chain([0, 1, u32::MAX - 1, u32::MAX])
+            .collect();
+        for d in [1u32, 2, 3, 7, 8, 64, 97, 1 << 20, u32::MAX] {
+            let m = MagicDivisor::new(u64::from(d));
+            let mut base = vec![0u32; words.len()];
+            run_at(
+                Tier::Baseline,
+                Reduce32 {
+                    disks: m,
+                    xs: &words,
+                    out: &mut base,
+                },
+            );
+            let hardware: Vec<u32> = words.iter().map(|&x| x % d).collect();
+            assert_eq!(base, hardware, "baseline d={d}");
+            for tier in tiers() {
+                let mut out = vec![0u32; words.len()];
+                run_at(
+                    tier,
+                    Reduce32 {
+                        disks: m,
+                        xs: &words,
+                        out: &mut out,
+                    },
+                );
+                assert_eq!(out, base, "{tier:?} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_steps_what_the_baseline_steps() {
+        let words: Vec<u32> = (0..1024u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) ^ (i >> 3))
+            .chain([0, 1, u32::MAX - 1, u32::MAX])
+            .take(STEP_CHUNK)
+            .collect();
+        let n = words.len();
+        for (before, after) in [
+            (1u64, 2u64),
+            (4, 5),
+            (8, 11),
+            (7, 9),
+            (u64::from(u32::MAX) - 2, u64::from(u32::MAX)),
+        ] {
+            let (np, nn) = (MagicDivisor::new(before), MagicDivisor::new(after));
+            let add = |tier| {
+                let (mut xs, mut from, mut to) = (words.clone(), vec![0; n], vec![0; n]);
+                let seen = run_at(
+                    tier,
+                    AddChunk {
+                        np,
+                        nn,
+                        xs: &mut xs,
+                        from: &mut from,
+                        to: &mut to,
+                    },
+                );
+                (xs, from, to, seen)
+            };
+            let div = |tier| {
+                let (mut xs, mut rems) = (words.clone(), vec![0; n]);
+                run_at(
+                    tier,
+                    DivChunk {
+                        d: np,
+                        xs: &mut xs,
+                        rems: &mut rems,
+                    },
+                );
+                (xs, rems)
+            };
+            let (base_add, base_div) = (add(Tier::Baseline), div(Tier::Baseline));
+            let hardware: Vec<u32> = words.iter().map(|&x| x / before as u32).collect();
+            assert_eq!(base_div.0, hardware, "quotients by {before}");
+            for tier in tiers() {
+                assert_eq!(add(tier), base_add, "{tier:?} {before} -> {after}");
+                assert_eq!(div(tier), base_div, "{tier:?} / {before}");
+            }
         }
     }
 

@@ -27,7 +27,7 @@
 //!
 //! No `REMAP` step increases `X` (DESIGN §8), so every cached `X_j` fits
 //! the `b` bits of its `X_0`. At `b <= 32` an object's values are kept
-//! as `Vec<u32>` (4 B per block) and reduced by the one-multiply 32-bit
+//! as `Vec<u32>` (4 B per block) and reduced by the split 32-bit
 //! reciprocal; `b` in 33..=64 keeps `Vec<u64>`. The width is chosen once
 //! from the catalog's [`Bits`], and every bulk path dispatches on it
 //! once per object.
@@ -36,12 +36,14 @@
 //!
 //! A slice's length is its object's block count, so `Scaddar::locate`
 //! validates and answers from one read of the map from object id to
-//! slice and one reciprocal `mod`. Every whole-object read of the
-//! values (bulk `AF()`, the load census, the rehash count, and cmsim's
+//! slice and one reciprocal `mod`. Every bulk read of the values (bulk
+//! `AF()`, the load census, the rehash count, and cmsim's admission,
 //! residency audit and compaction plan on top of
-//! `Scaddar::map_placements`) goes through one method,
-//! `Xs::map_placements`: one width dispatch, then one reciprocal per
-//! block.
+//! `Scaddar::map_placements`, `Scaddar::map_placements_range` and
+//! `Scaddar::for_each_disk_chunk`) goes through one method,
+//! `Xs::for_each_disk_chunk`: one width dispatch, then one reciprocal
+//! per block into a stack buffer of disks — for narrow words, a chunked
+//! loop run at the host's widest vector tier.
 
 use crate::address::DiskIndex;
 use crate::log::ScalingLog;
@@ -50,6 +52,7 @@ use crate::pipeline::{MagicDivisor, RemapPipeline, Word};
 use crate::plan::{BlockMove, MovePlan};
 use scaddar_prng::Bits;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// One object's cached values, at its catalog's word width.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,21 +140,63 @@ impl Xs<'_> {
         }
     }
 
-    /// `f` of every block's disk, collected in block order: one width
-    /// dispatch, then a counted map over the slice. The one bulk read of
-    /// cached values; a `T = ()` fold allocates nothing.
+    /// The blocks in `range`, or `None` if it reaches past the end or
+    /// is reversed.
+    pub(crate) fn range(self, range: Range<usize>) -> Option<Self> {
+        match self {
+            Xs::Narrow(xs) => xs.get(range).map(Xs::Narrow),
+            Xs::Wide(xs) => xs.get(range).map(Xs::Wide),
+        }
+    }
+
+    /// `f` of every block's disk, collected in block order, from
+    /// [`Xs::for_each_disk_chunk`]. A `T = ()` fold allocates nothing.
     #[inline]
     pub(crate) fn map_placements<T>(
         self,
         disks: MagicDivisor,
         mut f: impl FnMut(DiskIndex) -> T,
     ) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_disk_chunk(disks, |chunk| {
+            out.extend(chunk.iter().map(|&disk| f(DiskIndex(disk))));
+        });
+        out
+    }
+
+    /// The one bulk read of cached values: every block's disk, as
+    /// logical-disk words handed to `f` up to [`CHUNK`] at a time, in
+    /// block order. One width dispatch; narrow words are reduced by the
+    /// vectorised kernel ([`MagicDivisor::reduce32`] at the host's
+    /// widest tier), wide ones by the 128-bit reciprocal, into one
+    /// stack buffer.
+    #[inline]
+    pub(crate) fn for_each_disk_chunk(self, disks: MagicDivisor, mut f: impl FnMut(&[u32])) {
+        let mut buf = [0u32; CHUNK];
         match self {
-            Xs::Narrow(xs) => xs.iter().map(|&x| f(disks.disk(x))).collect(),
-            Xs::Wide(xs) => xs.iter().map(|&x| f(disks.disk(x))).collect(),
+            Xs::Narrow(xs) => {
+                for chunk in xs.chunks(CHUNK) {
+                    let reduced = &mut buf[..chunk.len()];
+                    disks.reduce32(chunk, reduced);
+                    f(reduced);
+                }
+            }
+            Xs::Wide(xs) => {
+                for chunk in xs.chunks(CHUNK) {
+                    let reduced = &mut buf[..chunk.len()];
+                    for (disk, &x) in reduced.iter_mut().zip(chunk) {
+                        *disk = disks.disk(x).0;
+                    }
+                    f(reduced);
+                }
+            }
         }
     }
 }
+
+/// Blocks per chunk of [`Xs::for_each_disk_chunk`]: 4 KiB of disks on
+/// the stack.
+const CHUNK: usize = 1024;
 
 /// Per-block current random numbers `X_e`, tagged with their epoch `e`.
 #[derive(Debug, Clone)]

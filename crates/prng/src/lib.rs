@@ -35,6 +35,13 @@
 //! key-seeded LCG walk that the cluster router and the E11 comparator
 //! share, so neither depends on the other.
 //!
+//! [`multiversion`] is the workspace's one dispatch point for
+//! index-parallel loops (the SplitMix64 fill here; the `mod N_j`
+//! reduction and the fold's steps in `scaddar-core`): it runs a kernel
+//! compiled for the widest vector tier the host supports. It holds the workspace's only
+//! `unsafe` code, so this crate denies `unsafe_code` and allows it in
+//! that one module; every other crate forbids it.
+//!
 //! # Quick example
 //!
 //! ```
@@ -49,12 +56,14 @@
 //! assert_eq!(again.value_at(7), x7);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bits;
 mod jump_hash;
 mod lcg;
+#[allow(unsafe_code)]
+pub mod multiversion;
 mod pcg;
 mod philox;
 mod seed;

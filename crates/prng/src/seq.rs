@@ -9,6 +9,7 @@
 
 use crate::bits::Bits;
 use crate::lcg::Lcg64;
+use crate::multiversion;
 use crate::pcg::Pcg64;
 use crate::philox::Philox4x32;
 use crate::splitmix::SplitMix64;
@@ -138,10 +139,19 @@ impl BlockRandoms {
     }
 
     /// The family dispatch shared by both fills: once per call.
+    /// SplitMix64's values are a pure function of the block index, so
+    /// its fill is one index-parallel loop, run at the host's widest
+    /// vector tier ([`multiversion::run`]).
     fn fill_with<T>(&self, n: usize, out: &mut Vec<T>, word: impl Fn(u64) -> T) {
         let (seed, bits) = (self.seed, self.bits);
         match self.kind {
-            RngKind::SplitMix64 => extend_from::<SplitMix64, T>(seed, bits, n, out, word),
+            RngKind::SplitMix64 => multiversion::run(SplitMixFill {
+                seed,
+                bits,
+                n,
+                out,
+                word,
+            }),
             RngKind::Lcg64 => extend_from::<Lcg64, T>(seed, bits, n, out, word),
             RngKind::Pcg64 => extend_from::<Pcg64, T>(seed, bits, n, out, word),
             RngKind::XorShift64Star => extend_from::<XorShift64Star, T>(seed, bits, n, out, word),
@@ -163,6 +173,35 @@ fn extend_from<G: SeededRng, T>(
 ) {
     let mut g = G::from_seed(seed);
     out.extend((0..n).map(|_| word(bits.truncate(g.next_u64()))));
+}
+
+/// SplitMix64's first `n` `bits`-wide values for `seed`, stored as
+/// `word(value)` and appended to `out`: value `i` is
+/// [`SplitMix64::value_at`]`(seed, i)`, so no iteration waits on the
+/// last and the loop vectorises. The same values as [`extend_from`]'s
+/// sequential walk.
+struct SplitMixFill<'a, T, W> {
+    seed: u64,
+    bits: Bits,
+    n: usize,
+    out: &'a mut Vec<T>,
+    word: W,
+}
+
+impl<T, W: Fn(u64) -> T> multiversion::Kernel for SplitMixFill<'_, T, W> {
+    type Output = ();
+
+    #[inline(always)]
+    fn apply(self) {
+        let SplitMixFill {
+            seed,
+            bits,
+            n,
+            out,
+            word,
+        } = self;
+        out.extend((0..n as u64).map(|i| word(bits.truncate(SplitMix64::value_at(seed, i)))));
+    }
 }
 
 /// Dispatch-free sequential state for one stream.
@@ -283,6 +322,49 @@ mod tests {
                 assert_eq!(narrow[0], 9);
                 let widened: Vec<u64> = narrow[1..].iter().map(|&v| u64::from(v)).collect();
                 assert_eq!(widened, seq.take_values(300), "{kind} {b}-bit");
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_fills_what_the_sequential_walk_yields() {
+        // The walk is the baseline: what every tier, the baseline
+        // included, must reproduce at both word widths.
+        use crate::multiversion::{run_at, tests::tiers};
+        for bits in [Bits::B32, Bits::B64, Bits::new(17).unwrap()] {
+            for seed in [0, 21, 0x5EED_F111, u64::MAX] {
+                let walked: Vec<u64> = BlockRandoms::new(RngKind::SplitMix64, seed, bits)
+                    .cursor()
+                    .take(4099)
+                    .collect();
+                for tier in tiers() {
+                    for n in [0usize, 1, 7, 4096, 4099] {
+                        let mut wide = vec![5u64];
+                        let fill = SplitMixFill {
+                            seed,
+                            bits,
+                            n,
+                            out: &mut wide,
+                            word: |v| v,
+                        };
+                        run_at(tier, fill);
+                        assert_eq!(wide[0], 5);
+                        assert_eq!(wide[1..], walked[..n], "{tier:?} {bits} seed {seed} n={n}");
+                        if bits.get() <= 32 {
+                            let mut narrow = Vec::new();
+                            let fill = SplitMixFill {
+                                seed,
+                                bits,
+                                n,
+                                out: &mut narrow,
+                                word: |v| v as u32,
+                            };
+                            run_at(tier, fill);
+                            let widened: Vec<u64> = narrow.iter().map(|&v| v.into()).collect();
+                            assert_eq!(widened, walked[..n], "{tier:?} {bits} seed {seed} n={n}");
+                        }
+                    }
+                }
             }
         }
     }

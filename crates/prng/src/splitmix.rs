@@ -16,6 +16,7 @@ use crate::traits::{IndexedRng, SeededRng};
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Finalization mix (variant "mix13" of Stafford's MurmurHash3 finalizers).
+#[inline(always)]
 fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -57,6 +58,7 @@ impl SeededRng for SplitMix64 {
 }
 
 impl IndexedRng for SplitMix64 {
+    #[inline]
     fn value_at(seed: u64, index: u64) -> u64 {
         mix(seed.wrapping_add(GAMMA.wrapping_mul(index.wrapping_add(1))))
     }
