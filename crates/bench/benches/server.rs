@@ -143,7 +143,12 @@ fn lookup_loop<'a>(
     move || {
         let (object, block) = lookups[i % lookups.len()];
         i += 1;
-        black_box(server.locate_current(object, block).expect("catalog block"))
+        black_box(
+            server
+                .placement()
+                .locate(object, block)
+                .expect("catalog block"),
+        )
     }
 }
 

@@ -735,7 +735,8 @@ impl Cluster {
                 shard
                     .server
                     .with_read(|s| {
-                        s.locate_batch(scaddar_core::ObjectId(local), &[0])
+                        s.placement()
+                            .locate_batch(scaddar_core::ObjectId(local), &[0])
                             .map(|_| ())
                     })
                     .map_err(|e| format!("shard {} object {gid}: {e}", shard.id))?;

@@ -5,76 +5,27 @@
 //! operations the REMAP chain is long and statistically stale, and the
 //! paper's prescribed escape hatch is a full rehash. Doing that offline
 //! would violate the §1 no-downtime requirement, so the server runs it
-//! like any other redistribution: [`CmServer::begin_compaction`] opens a
-//! staging engine at the next generation (fresh `X_0 mod N` seed, empty
-//! scaling log — see [`Scaddar::open_next_generation`]) and enqueues one
-//! move per block whose new-generation placement differs from its
-//! current residency. While those moves drain through the rate-limited
-//! executor the server serves from **both** generations: a lookup first
+//! like any other redistribution: [`CmServer::begin_compaction`] has
+//! [`PlacementState`] open a staging engine at the next generation
+//! (fresh `X_0 mod N` seed, empty scaling log — see
+//! [`Scaddar::open_next_generation`]) and enqueues one move per block
+//! whose new-generation placement differs from its current residency.
+//! While those moves drain through the rate-limited executor the server
+//! serves from **both** generations: [`PlacementState::locate`] first
 //! consults the migrated set (new-generation residency), then falls back
 //! to the old engine — the same never-served-twice discipline the
-//! cluster handoff uses. When the last move lands the server flips
-//! atomically: the staging engine becomes *the* engine, locate collapses
-//! back to a single O(1) hash, and the fairness budget is full again.
+//! cluster handoff uses. When the last move lands the placement flips
+//! atomically: the staging engine becomes *the* engine, locate
+//! collapses back to a single O(1) hash, and the fairness budget is
+//! full again.
 //!
 //! [`CmServer::begin_compaction`]: crate::server::CmServer::begin_compaction
+//! [`PlacementState`]: crate::PlacementState
+//! [`PlacementState::locate`]: crate::PlacementState::locate
 //! [`Scaddar::open_next_generation`]: scaddar_core::Scaddar::open_next_generation
 
-use crate::disk::PhysicalDiskId;
-use crate::redistribute::PendingMove;
-use scaddar_core::{BlockRef, ObjectId, Scaddar};
+use scaddar_core::{BlockRef, ObjectId};
 use std::collections::HashMap;
-
-/// In-flight state of one compaction: the staging next-generation engine
-/// plus the set of blocks already resident at their new-generation
-/// placement.
-#[derive(Debug, Clone)]
-pub(crate) struct CompactionState {
-    /// The next-generation engine blocks are migrating toward. Serves
-    /// lookups for migrated blocks; becomes the live engine at flip.
-    pub(crate) staging: Scaddar,
-    /// Blocks whose residency already matches the staging placement.
-    pub(crate) migrated: BlockSet,
-    /// Catalog blocks at begin (progress denominator; object churn
-    /// during the compaction adjusts it).
-    pub(crate) total: u64,
-}
-
-impl CompactionState {
-    /// Plans the migration of one object whose blocks are `resident`
-    /// (4-byte physical ids): blocks already at their staging placement
-    /// join the migrated set, every other block gets a move toward it.
-    /// `ids` is the live physical id of each logical disk.
-    pub(crate) fn plan_object(
-        &mut self,
-        ids: &[u32],
-        object: ObjectId,
-        resident: &[u32],
-        moves: &mut Vec<PendingMove>,
-    ) {
-        let targets = self
-            .staging
-            .map_placements(object, |logical| ids[logical.0 as usize])
-            .expect("staged object");
-        debug_assert_eq!(targets.len(), resident.len());
-        let mut bits = vec![0u64; resident.len().div_ceil(64)];
-        for (b, (&from, &to)) in resident.iter().zip(&targets).enumerate() {
-            if from == to {
-                bits[b / 64] |= 1 << (b % 64);
-            } else {
-                moves.push(PendingMove {
-                    block: BlockRef {
-                        object,
-                        block: b as u64,
-                    },
-                    from: PhysicalDiskId(from.into()),
-                    to: PhysicalDiskId(to.into()),
-                });
-            }
-        }
-        self.migrated.insert_object(object, bits);
-    }
-}
 
 /// A set of blocks held as one bitmap per object (bit `b % 64` of word
 /// `b / 64` is block `b`) with a running count: membership costs one

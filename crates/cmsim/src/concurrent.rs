@@ -13,6 +13,7 @@
 //! itself).
 
 use crate::disk::PhysicalDiskId;
+use crate::placement::PlacementState;
 use crate::server::{CmServer, ServerError};
 use scaddar_core::{DiskIndex, ObjectId, ScalingOp};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -126,18 +127,22 @@ impl SharedServer {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// `f` of the placement, with the `(epoch, disks)` it read at, under
+    /// one shared lock acquisition.
+    fn at_epoch<R>(&self, f: impl FnOnce(&PlacementState) -> R) -> (usize, u32, R) {
+        let guard = self.read();
+        let (epoch, disks) = guard.placement().epoch_view();
+        (epoch, disks, f(guard.placement()))
+    }
+
     /// Consistent lookup: epoch, disk count and location read under one
     /// shared lock acquisition. Generation-aware: during a compaction,
     /// migrated blocks answer from the staging generation
-    /// ([`CmServer::locate_current`]).
+    /// ([`PlacementState::locate`]).
     pub fn locate(&self, object: ObjectId, block: u64) -> Result<EpochRead, ServerError> {
-        let guard = self.read();
-        let disk = guard.locate_current(object, block)?;
-        Ok(EpochRead {
-            epoch: guard.engine().epoch(),
-            disks: guard.disks().disks(),
-            disk,
-        })
+        let (epoch, disks, disk) = self.at_epoch(|p| p.locate(object, block));
+        let disk = disk?;
+        Ok(EpochRead { epoch, disks, disk })
     }
 
     /// Consistent **bulk** lookup: every block located under *one*
@@ -153,12 +158,11 @@ impl SharedServer {
         object: ObjectId,
         blocks: &[u64],
     ) -> Result<BatchRead, ServerError> {
-        let guard = self.read();
-        let locations = guard.locate_batch(object, blocks)?;
+        let (epoch, disks, locations) = self.at_epoch(|p| p.locate_batch(object, blocks));
         Ok(BatchRead {
-            epoch: guard.engine().epoch(),
-            disks: guard.disks().disks(),
-            locations,
+            epoch,
+            disks,
+            locations: locations?,
         })
     }
 
@@ -187,22 +191,21 @@ impl SharedServer {
         queries: &[LocateQuery<'_>],
         on_locked: impl FnOnce(),
     ) -> CoalescedRead {
-        let guard = self.read();
-        on_locked();
-        let answers = queries
-            .iter()
-            .map(|query| match *query {
+        let (epoch, disks, answers) = self.at_epoch(|placement| {
+            on_locked();
+            let answer = |query: &LocateQuery<'_>| match *query {
                 LocateQuery::One { object, block } => {
-                    guard.locate_current(object, block).map(LocateAnswer::One)
+                    placement.locate(object, block).map(LocateAnswer::One)
                 }
-                LocateQuery::Many { object, blocks } => {
-                    guard.locate_batch(object, blocks).map(LocateAnswer::Many)
-                }
-            })
-            .collect();
+                LocateQuery::Many { object, blocks } => placement
+                    .locate_batch(object, blocks)
+                    .map(LocateAnswer::Many),
+            };
+            queries.iter().map(|q| Ok(answer(q)?)).collect()
+        });
         CoalescedRead {
-            epoch: guard.engine().epoch(),
-            disks: guard.disks().disks(),
+            epoch,
+            disks,
             answers,
         }
     }
@@ -219,7 +222,8 @@ impl SharedServer {
     pub fn scale_read(&self, op: ScalingOp) -> Result<(usize, u32, u64), ServerError> {
         let mut guard = self.write();
         let queued = guard.scale(op)?;
-        Ok((guard.engine().epoch(), guard.disks().disks(), queued))
+        let (epoch, disks) = guard.placement().epoch_view();
+        Ok((epoch, disks, queued))
     }
 
     /// Advances one service round under the exclusive lock.
@@ -263,8 +267,7 @@ impl SharedServer {
     /// acquisition — the reference point concurrent-read checkers
     /// compare their [`EpochRead`]s against.
     pub fn epoch_view(&self) -> (usize, u32) {
-        let guard = self.read();
-        (guard.engine().epoch(), guard.disks().disks())
+        self.read().placement().epoch_view()
     }
 
     /// Runs `f` with shared access to the server.
@@ -337,7 +340,7 @@ mod tests {
         });
         assert!(total_reads.load(Ordering::Relaxed) >= 200);
 
-        assert_eq!(shared.with_read(|s| s.disks().disks()), 8);
+        assert_eq!(shared.with_read(|s| s.placement().disks().disks()), 8);
         assert!(shared.with_read(|s| s.residency_consistent()));
     }
 
@@ -389,7 +392,7 @@ mod tests {
             }
             stop.store(true, Ordering::Relaxed);
         });
-        assert_eq!(shared.with_read(|s| s.disks().disks()), 7);
+        assert_eq!(shared.with_read(|s| s.placement().disks().disks()), 7);
     }
 
     #[test]
@@ -489,7 +492,7 @@ mod tests {
             }
             stop.store(true, Ordering::Relaxed);
         });
-        assert_eq!(shared.with_read(|s| s.disks().disks()), 7);
+        assert_eq!(shared.with_read(|s| s.placement().disks().disks()), 7);
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl DeclusteredParity {
     pub fn build(server: &CmServer, group_size: u32) -> Result<Self, ScaddarError> {
         assert!(group_size >= 2, "parity group needs >= 2 members");
         assert!(
-            group_size - 1 <= server.disks().disks(),
+            group_size - 1 <= server.placement().disks().disks(),
             "cannot decluster: group data members exceed disk count"
         );
         let mut layer = DeclusteredParity {
@@ -68,7 +68,7 @@ impl DeclusteredParity {
             objects: HashMap::new(),
         };
         for obj in server.engine().catalog().objects().to_vec() {
-            let placements = server.engine().locate_all(obj.id)?;
+            let placements = server.placement().placements(obj.id)?;
             layer
                 .objects
                 .insert(obj.id, Self::group_greedily(&placements, group_size));
@@ -147,7 +147,7 @@ impl DeclusteredParity {
     pub fn conflicted_groups(&self, server: &CmServer) -> Result<u64, ScaddarError> {
         let mut conflicts = 0;
         for (&id, og) in &self.objects {
-            let placements = server.engine().locate_all(id)?;
+            let placements = server.placement().placements(id)?;
             for members in &og.groups {
                 let mut disks: Vec<DiskIndex> =
                     members.iter().map(|&b| placements[b as usize]).collect();
@@ -170,7 +170,7 @@ impl DeclusteredParity {
         let mut stats = RepairStats::default();
         let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
         for id in ids {
-            let placements = server.engine().locate_all(id)?;
+            let placements = server.placement().placements(id)?;
             let og = self.objects.get_mut(&id).expect("known object");
             // 1. Evict duplicate-disk members (keep the first per disk).
             let mut evicted: Vec<u64> = Vec::new();
@@ -237,7 +237,7 @@ impl DeclusteredParity {
         let mut readable = 0u64;
         let mut lost = 0u64;
         for (&id, og) in &self.objects {
-            let placements = server.engine().locate_all(id)?;
+            let placements = server.placement().placements(id)?;
             let down = |b: u64| failed.contains(&placements[b as usize]);
             for (block, &gid) in og.member_of.iter().enumerate() {
                 let block = block as u64;

@@ -58,8 +58,9 @@ pub fn mirror_of(primary: DiskIndex, disks: u32) -> DiskIndex {
 /// `(object, block)` be read from if the given logical disks have failed?
 ///
 /// The primary is the block's placement under the generation serving
-/// it ([`CmServer::locate_current`]): mid-compaction, a migrated block
-/// lives where the staging generation places it.
+/// it ([`PlacementState::locate`](crate::PlacementState::locate)):
+/// mid-compaction, a migrated block lives where the staging generation
+/// places it.
 ///
 /// Returns the surviving logical disk holding a copy, or `None` if both
 /// primary and mirror are down (data loss for that block).
@@ -69,8 +70,9 @@ pub fn locate_with_failures(
     block: u64,
     failed: &[DiskIndex],
 ) -> Result<Option<DiskIndex>, ServerError> {
-    let primary = server.locate_current(object, block)?;
-    Ok(surviving_copy(primary, server.disks().disks(), failed))
+    let placement = server.placement();
+    let primary = placement.locate(object, block)?;
+    Ok(surviving_copy(primary, placement.disks().disks(), failed))
 }
 
 /// The surviving copy of a block whose primary is `primary` among
@@ -97,19 +99,17 @@ pub fn availability_census(
     server: &CmServer,
     failed: &[DiskIndex],
 ) -> Result<(u64, u64), ServerError> {
-    let n = server.disks().disks();
+    let placement = server.placement();
+    let n = placement.disks().disks();
     let lost_on: Vec<bool> = (0..n)
         .map(|d| surviving_copy(DiskIndex(d), n, failed).is_none())
         .collect();
     let mut total = 0u64;
     let mut lost = 0u64;
-    for obj in server.engine().catalog().objects() {
+    for obj in placement.engine().catalog().objects() {
         total += obj.blocks;
-        lost += server
-            .placements_current(obj.id, 0..obj.blocks)
-            .into_iter()
-            .filter(|&d| lost_on[d as usize])
-            .count() as u64;
+        let disks = placement.placements(obj.id)?;
+        lost += disks.iter().filter(|d| lost_on[d.0 as usize]).count() as u64;
     }
     Ok((total - lost, lost))
 }
@@ -179,7 +179,7 @@ mod tests {
         // (mirror on the other failed disk).
         let mut expected_lost = 0;
         for b in 0..3_000 {
-            let p = s.engine().locate(id, b).unwrap();
+            let p = s.placement().locate(id, b).unwrap();
             if p == DiskIndex(0) || p == DiskIndex(3) {
                 expected_lost += 1;
             }
@@ -200,7 +200,7 @@ mod tests {
         let (mut s, id) = server(6, 100);
         s.scale_offline(ScalingOp::Add { count: 2 }).unwrap();
         // Now 8 disks: offset must be 4.
-        let p = s.engine().locate(id, 0).unwrap();
+        let p = s.placement().locate(id, 0).unwrap();
         assert_eq!(mirror_of(p, 8).0, (p.0 + 4) % 8);
     }
 
@@ -222,10 +222,10 @@ mod tests {
         }
         let progress = s.compaction_progress().expect("still migrating");
         assert!(progress.migrated_blocks > 0, "some blocks migrated");
-        let n = s.disks().disks();
+        let n = s.placement().disks().disks();
         let failed = [DiskIndex(0), mirror_of(DiskIndex(0), n)];
         let on_pair: Vec<u64> = (0..4_000)
-            .filter(|&b| failed.contains(&s.locate_current(id, b).unwrap()))
+            .filter(|&b| failed.contains(&s.placement().locate(id, b).unwrap()))
             .collect();
         let (readable, lost) = availability_census(&s, &failed).unwrap();
         assert_eq!(lost, on_pair.len() as u64);
@@ -302,13 +302,13 @@ mod tests {
     fn mixing_epochs_names_the_wrong_partner() {
         let (mut s, id) = server(6, 500);
         let pre: Vec<DiskIndex> = (0..500)
-            .map(|b| s.engine().locate(id, b).unwrap())
+            .map(|b| s.placement().locate(id, b).unwrap())
             .collect();
         s.scale_offline(ScalingOp::remove_one(2)).unwrap();
-        let n_now = s.disks().disks();
+        let n_now = s.placement().disks().disks();
         let mut mixed_diverges = false;
         for (b, &old_primary) in pre.iter().enumerate() {
-            let current = s.engine().locate(id, b as u64).unwrap();
+            let current = s.placement().locate(id, b as u64).unwrap();
             let correct = mirror_of(current, n_now);
             // Write-epoch primary with read-epoch count: out of range or
             // simply a different disk than the true partner.

@@ -16,6 +16,7 @@
 //! * [`redistribute`] — the rate-limited online redistribution executor;
 //! * [`compaction`] — online rehash to the next placement generation
 //!   (dual-generation serving during cutover, atomic flip);
+//! * [`placement`] — the one place a block's disk is decided;
 //! * [`server`] — the round-based server tying it all together;
 //! * [`sim`] — the closed-loop driver (workload + server);
 //! * [`concurrent`] — thread-safe online access during scaling
@@ -59,6 +60,7 @@ pub mod faults;
 pub mod hetero;
 pub mod metrics;
 pub mod parity;
+pub mod placement;
 pub mod redistribute;
 pub mod scrub;
 pub mod server;
@@ -81,6 +83,7 @@ pub use faults::{availability_census, locate_with_failures, mirror_of, mirror_of
 pub use hetero::{HeteroDiskId, HeteroMap};
 pub use metrics::{Metrics, RoundRecord, DEFAULT_RETENTION};
 pub use parity::{parity_availability_census, parity_disk, parity_read, ParityRead};
+pub use placement::PlacementState;
 pub use redistribute::{PendingMove, RedistributionExecutor};
 pub use scrub::{ScrubReport, Scrubber};
 pub use server::{CmServer, ServerError};

@@ -16,7 +16,7 @@
 //! mirrors into the shared metric registry, making the registry a live
 //! view of the same totals.
 
-use crate::stats::ServerStats;
+use crate::stats::{gauge, ServerStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -115,12 +115,8 @@ impl Metrics {
             stats.hiccups.add(record.hiccups);
             stats.recovered.add(record.recovered);
             stats.moves.add(record.moves);
-            stats
-                .backlog
-                .set(record.backlog.min(i64::MAX as u64) as i64);
-            stats
-                .active_streams
-                .set(record.active_streams.min(i64::MAX as u64) as i64);
+            stats.backlog.set(gauge(record.backlog));
+            stats.active_streams.set(gauge(record.active_streams));
             if self.evicted > stats.rounds_evicted.get() {
                 stats.rounds_evicted.inc();
             }

@@ -59,16 +59,19 @@ fn parity_x0(object_seed: u64, group: u64, bits: scaddar_prng::Bits) -> u64 {
 /// Where the parity block of `group` of `object` lives, at the current
 /// epoch, given the disks of the group's data members (to probe past).
 ///
-/// The probe walks logical disks from the pseudo-random base until it
-/// finds one not hosting a member — still a pure function of metadata,
-/// so the parity block needs no directory entry either.
+/// Members are placed under the generation serving each; the parity
+/// block's own pseudo-random base stays on the live log. The probe walks
+/// logical disks from that base until it finds one not hosting a member
+/// — still a pure function of metadata, so the parity block needs no
+/// directory entry either.
 pub fn parity_disk(
     server: &CmServer,
     object: ObjectId,
     group: u64,
     group_size: u32,
 ) -> Result<DiskIndex, ScaddarError> {
-    let engine = server.engine();
+    let placement = server.placement();
+    let engine = placement.engine();
     let obj = *engine
         .catalog()
         .object(object)
@@ -76,9 +79,9 @@ pub fn parity_disk(
     let members = group_members(group, group_size, obj.blocks);
     let mut member_disks = Vec::with_capacity(group_size as usize);
     for b in members {
-        member_disks.push(engine.locate(object, b)?);
+        member_disks.push(placement.locate(object, b)?);
     }
-    let n = server.disks().disks();
+    let n = placement.disks().disks();
     let x = parity_x0(obj.seed, group, engine.catalog().bits());
     let base = scaddar_core::locate(x, engine.log());
     for probe in 0..n {
@@ -114,13 +117,14 @@ pub fn parity_read(
     group_size: u32,
     failed: &[DiskIndex],
 ) -> Result<ParityRead, ScaddarError> {
-    let engine = server.engine();
-    let obj = *engine
+    let placement = server.placement();
+    let obj = *placement
+        .engine()
         .catalog()
         .object(object)
         .ok_or(ScaddarError::UnknownObject(object))?;
     let down = |d: DiskIndex| failed.contains(&d);
-    let own = engine.locate(object, block)?;
+    let own = placement.locate(object, block)?;
     if !down(own) {
         return Ok(ParityRead::Direct(own));
     }
@@ -131,7 +135,7 @@ pub fn parity_read(
         if sibling == block {
             continue;
         }
-        let d = engine.locate(object, sibling)?;
+        let d = placement.locate(object, sibling)?;
         if down(d) {
             return Ok(ParityRead::Lost);
         }
@@ -215,7 +219,7 @@ mod tests {
         for group in 0..group_count(4_000, 5) {
             let p = parity_disk(&s, id, group, 5).unwrap();
             for b in group_members(group, 5, 4_000) {
-                assert_ne!(p, s.engine().locate(id, b).unwrap(), "group {group}");
+                assert_ne!(p, s.placement().locate(id, b).unwrap(), "group {group}");
             }
         }
     }
@@ -230,7 +234,7 @@ mod tests {
         assert!(after.0 < 10);
         // Still valid (collision-free) at the new epoch.
         for b in group_members(3, 5, 1_000) {
-            assert_ne!(after, s.engine().locate(id, b).unwrap());
+            assert_ne!(after, s.placement().locate(id, b).unwrap());
         }
     }
 
@@ -267,7 +271,7 @@ mod tests {
     #[test]
     fn reconstruction_reads_g_minus_one_disks() {
         let (s, id) = server(10, 300);
-        let own = s.engine().locate(id, 42).unwrap();
+        let own = s.placement().locate(id, 42).unwrap();
         match parity_read(&s, id, 42, 5, &[own]).unwrap() {
             ParityRead::Reconstructed { from } => {
                 // 3 data siblings + 1 parity.
@@ -279,7 +283,7 @@ mod tests {
                 let group = group_of(42, 5);
                 let shared = group_members(group, 5, 300)
                     .filter(|&b| b != 42)
-                    .any(|b| s.engine().locate(id, b).unwrap() == own);
+                    .any(|b| s.placement().locate(id, b).unwrap() == own);
                 assert!(shared, "Lost without a co-resident sibling");
             }
             ParityRead::Direct(_) => panic!("own disk is down"),
@@ -292,6 +296,43 @@ mod tests {
         assert!(colocation_hazard(8, 16) > colocation_hazard(4, 16));
         assert!(colocation_hazard(4, 8) > colocation_hazard(4, 32));
         assert_eq!(colocation_hazard(2, 10), 0.0); // one data member only
+    }
+
+    /// Regression (mid-compaction): members are placed by the generation
+    /// serving them, as `locate` places them. With the live engine alone
+    /// the census counted 3311 direct reads here, the blocks the old
+    /// generation keeps off disk 0, where `locate` keeps 3315 off it.
+    #[test]
+    fn census_follows_the_serving_generation_through_a_compaction() {
+        let mut s = CmServer::new(ServerConfig::new(5).with_catalog_seed(6)).unwrap();
+        let id = s.add_object(4_000).unwrap();
+        s.scale(ScalingOp::Add { count: 1 }).unwrap();
+        while s.backlog() > 0 {
+            s.tick();
+        }
+        assert!(s.begin_compaction().unwrap() > 0);
+        for _ in 0..5 {
+            s.tick();
+        }
+        let progress = s.compaction_progress().expect("still migrating");
+        assert!(progress.migrated_blocks > 0, "some blocks migrated");
+        let dead = DiskIndex(0);
+        let off_dead = (0..4_000)
+            .filter(|&b| s.placement().locate(id, b).unwrap() != dead)
+            .count() as u64;
+        assert_eq!(off_dead, 3_315);
+        let (direct, reconstructed, lost) = parity_availability_census(&s, 4, &[dead]).unwrap();
+        assert_eq!(direct, off_dead);
+        assert_eq!(direct + reconstructed + lost, 4_000);
+        for b in 0..4_000 {
+            if let ParityRead::Reconstructed { from } = parity_read(&s, id, b, 4, &[dead]).unwrap()
+            {
+                for sibling in group_members(group_of(b, 4), 4, 4_000).filter(|&m| m != b) {
+                    let disk = s.placement().locate(id, sibling).unwrap();
+                    assert!(from.contains(&disk), "block {b}: sibling {sibling}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -312,11 +353,11 @@ mod tests {
         let g = 5u32;
         s.scale_offline(ScalingOp::Add { count: 3 }).unwrap();
         s.scale_offline(ScalingOp::remove_one(1)).unwrap();
-        let n = s.disks().disks();
+        let n = s.placement().disks().disks();
         let dead = DiskIndex(4);
         let mut reconstructed = 0u64;
         for b in 0..2_500u64 {
-            let own = s.engine().locate(id, b).unwrap();
+            let own = s.placement().locate(id, b).unwrap();
             if own != dead {
                 continue;
             }
@@ -337,7 +378,7 @@ mod tests {
                     let group = group_of(b, g);
                     let sibling_down = group_members(group, g, 2_500)
                         .filter(|&sib| sib != b)
-                        .any(|sib| s.engine().locate(id, sib).unwrap() == dead);
+                        .any(|sib| s.placement().locate(id, sib).unwrap() == dead);
                     let parity_down = parity_disk(&s, id, group, g).unwrap() == dead;
                     assert!(
                         sibling_down || parity_down,

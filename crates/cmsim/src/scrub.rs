@@ -201,6 +201,7 @@ mod tests {
             let blockref = BlockRef { object: id, block };
             let home = s.store().locate(blockref).unwrap();
             let wrong = s
+                .placement()
                 .disks()
                 .physical_ids()
                 .into_iter()
@@ -249,6 +250,7 @@ mod tests {
         ));
         assert!(s.residency_consistent());
         let wrong = s
+            .placement()
             .disks()
             .physical_ids()
             .into_iter()

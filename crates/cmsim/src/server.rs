@@ -13,18 +13,17 @@
 //! 4. metrics record whether they actually kept playing (hiccups).
 
 use crate::admission::AdmissionController;
-use crate::compaction::{has_block, BlockSet, CompactionProgress, CompactionState};
+use crate::compaction::{has_block, BlockSet, CompactionProgress};
 use crate::config::ServerConfig;
-use crate::disk::{DiskArray, DiskSpec, DiskState, PhysicalDiskId};
+use crate::disk::{DiskState, PhysicalDiskId};
 use crate::metrics::{Metrics, RoundRecord};
+use crate::placement::PlacementState;
 use crate::redistribute::{PendingMove, RedistributionExecutor};
 use crate::scrub::ScrubReport;
-use crate::stats::ServerStats;
+use crate::stats::{gauge, ServerStats};
 use crate::store::BlockStore;
 use crate::stream::{PlayState, Stream, StreamId};
-use scaddar_core::{
-    BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig, ScaddarError, ScalingOp,
-};
+use scaddar_core::{BlockRef, ObjectId, Scaddar, ScaddarConfig, ScaddarError, ScalingOp};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -86,23 +85,18 @@ impl From<ScaddarError> for ServerError {
     }
 }
 
-/// The simulated CM server.
+/// The simulated CM server: the [`PlacementState`] plus the executor
+/// state (residency, the move queue, streams, metrics and admission).
 #[derive(Debug, Clone)]
 pub struct CmServer {
     config: ServerConfig,
-    engine: Scaddar,
-    disks: DiskArray,
+    placement: PlacementState,
     store: BlockStore,
     streams: Vec<Stream>,
     next_stream: u64,
     executor: RedistributionExecutor,
     metrics: Metrics,
     admission: AdmissionController,
-    /// In-flight rehash compaction, if any: the staging next-generation
-    /// engine plus the migrated set (see [`crate::compaction`]). While
-    /// set, lookups dual-serve (migrated blocks answer from the staging
-    /// generation) and scaling/snapshots are refused.
-    compaction: Option<CompactionState>,
     stats: Option<Arc<ServerStats>>,
 }
 
@@ -116,50 +110,23 @@ impl CmServer {
                 .with_catalog_seed(config.catalog_seed)
                 .with_epsilon(config.epsilon),
         )?;
-        CmServer::from_engine(config, engine)
+        let placement = PlacementState::replay(engine, &config)?;
+        Ok(CmServer::around(config, placement))
     }
 
-    /// A quiet server around `engine`. The disk array replays the
-    /// engine's scaling log, so physical identities line up with a
-    /// server that lived through the history, and the block store is
-    /// derived from `AF()`. Fails if the log mints a physical id past
-    /// the ceiling.
-    fn from_engine(config: ServerConfig, engine: Scaddar) -> Result<Self, ServerError> {
-        let spec = DiskSpec {
-            bandwidth: config.disk_bandwidth,
-            capacity: config.disk_capacity,
-        };
-        let mut disks = DiskArray::new(engine.log().initial_disks(), spec);
-        for record in engine.log().records() {
-            let op = match record.action() {
-                scaddar_core::RecordAction::Added { count } => ScalingOp::Add { count: *count },
-                scaddar_core::RecordAction::Removed(set) => ScalingOp::Remove {
-                    disks: set.indices().to_vec(),
-                },
-            };
-            disks.apply(&op).map_err(ScaddarError::from)?;
-        }
-        let ids = disks.physical_words();
-        let mut store = BlockStore::new();
-        for obj in engine.catalog().objects() {
-            let (resident, tally) = place(&engine, &ids, obj.id);
-            store.ingest_object(obj.id, resident, physical(&ids).zip(tally));
-        }
-        // The replay left every removed disk draining; none holds a block.
-        disks.retire_empty(&store);
-        Ok(CmServer {
-            engine,
-            disks,
-            store,
+    /// A quiet server with `placement`: residency is derived from `AF()`.
+    fn around(config: ServerConfig, placement: PlacementState) -> Self {
+        CmServer {
+            store: placement.derive_store(),
+            placement,
             streams: Vec::new(),
             next_stream: 0,
             executor: RedistributionExecutor::new(),
             metrics: Metrics::new(),
             admission: AdmissionController::new(0.8),
-            compaction: None,
             stats: None,
             config,
-        })
+        }
     }
 
     /// Attaches server metric handles: subsequent rounds, scaling
@@ -175,22 +142,21 @@ impl CmServer {
         self.stats.as_ref()
     }
 
-    /// The placement engine (read-only). During a compaction this is
-    /// the *old* generation; migrated blocks answer from the staging
-    /// engine via [`CmServer::locate_current`].
+    /// Which generation and which physical disk serve each block: every
+    /// block-to-disk read goes through this.
+    pub fn placement(&self) -> &PlacementState {
+        &self.placement
+    }
+
+    /// The live placement engine, [`PlacementState::engine`].
     pub fn engine(&self) -> &Scaddar {
-        &self.engine
+        self.placement.engine()
     }
 
     /// The static configuration (read-only) — trigger policies read the
     /// auto-compaction knobs from here.
     pub fn config(&self) -> &ServerConfig {
         &self.config
-    }
-
-    /// The disk array (read-only).
-    pub fn disks(&self) -> &DiskArray {
-        &self.disks
     }
 
     /// The block store (read-only).
@@ -219,7 +185,7 @@ impl CmServer {
     /// mid-drain would teleport in-transit blocks on restore — and with no
     /// failed disk, which a restored server would serve as healthy.
     pub fn snapshot(&self) -> Result<Vec<u8>, ServerError> {
-        if self.compaction.is_some() {
+        if self.compaction_active() {
             return Err(ServerError::CompactionActive);
         }
         if !self.executor.is_idle() {
@@ -228,7 +194,7 @@ impl CmServer {
         if !self.failed_disks().is_empty() {
             return Err(ServerError::FailedDisksPresent);
         }
-        Ok(self.engine.snapshot())
+        Ok(self.engine().snapshot())
     }
 
     /// Rebuilds a server from a [`CmServer::snapshot`]: the engine is
@@ -239,7 +205,9 @@ impl CmServer {
     pub fn restore(config: ServerConfig, bytes: &[u8]) -> Result<Self, ServerError> {
         let engine = Scaddar::from_snapshot(bytes, config.epsilon)
             .map_err(|e| ServerError::Snapshot(e.to_string()))?;
-        CmServer::from_engine(config, engine).map_err(|e| ServerError::Snapshot(e.to_string()))
+        let placement = PlacementState::replay(engine, &config)
+            .map_err(|e| ServerError::Snapshot(ServerError::Engine(e).to_string()))?;
+        Ok(CmServer::around(config, placement))
     }
 
     /// Simulates an **unexpected failure** of the disk at logical index
@@ -249,39 +217,24 @@ impl CmServer {
     /// reconstruction moves will read from mirrors too. Returns the
     /// failed physical id.
     pub fn fail_disk(&mut self, logical: scaddar_core::DiskIndex) -> PhysicalDiskId {
-        let id = self.disks.fail(logical);
+        let id = self.placement.fail_disk(logical);
         if let Some(stats) = &self.stats {
             stats.disk_failures.inc();
         }
-        // Mid-compaction, migration moves *into* the dead disk would
-        // never drain (a dead disk has no move bandwidth) and would
-        // wedge the cutover. They complete here as metadata-only
-        // relocations instead: the block's new-generation home is the
-        // dead disk, its data stays recoverable through the §6 mirror
-        // — exactly the steady state a failed disk has outside
-        // compaction (resident but unreadable, mirror-served). No
-        // bandwidth is charged because nothing can be written.
-        if let Some(c) = self.compaction.as_mut() {
-            for mv in self.executor.extract(|mv| mv.to == id) {
-                if let Some(stored) = self.store.locate(mv.block) {
-                    if stored != id {
-                        self.store.relocate(mv.block, stored, id);
-                    }
-                }
-                c.migrated.insert(mv.block);
+        // Mid-compaction, migration moves into the dead disk complete as
+        // metadata. Every pending move out of it now reads from the
+        // mirror of the block's placement under the generation serving
+        // it.
+        if self.compaction_active() {
+            for mut mv in self.executor.extract(|mv| mv.to == id) {
+                self.bypass_failed(&mut mv);
             }
         }
-        // Pending moves sourced from the dead disk must now read from
-        // the mirror of the block's placement under the generation
-        // serving it (the data's replica location).
-        let (compaction, engine, disks) = (self.compaction.as_ref(), &self.engine, &self.disks);
+        let placement = &self.placement;
         self.executor.resource_moves(|mv| {
-            (mv.from == id).then(|| {
-                Serving::of(compaction, engine, mv.block.object).mirror(disks, mv.block.block)
-            })
+            (mv.from == id).then(|| placement.mirror(mv.block.object, mv.block.block))
         });
         // Completing stranded moves may have emptied the queue.
-        self.refresh_compaction_gauges();
         self.maybe_finish_compaction();
         id
     }
@@ -289,12 +242,16 @@ impl CmServer {
     /// Physical disks currently marked failed: still in the array, or
     /// pulled with blocks awaiting reconstruction. Ascending.
     pub fn failed_disks(&self) -> Vec<PhysicalDiskId> {
-        self.disks.ids_where(DiskState::failed).collect()
+        self.placement
+            .disks()
+            .ids_where(DiskState::failed)
+            .collect()
     }
 
     /// Removed disks still draining their blocks. Ascending.
     pub fn draining_disks(&self) -> Vec<PhysicalDiskId> {
-        self.disks
+        self.placement
+            .disks()
             .ids_where(|state| state == DiskState::Draining)
             .collect()
     }
@@ -315,62 +272,46 @@ impl CmServer {
     /// physical disk and tallies the blocks per disk; capacity is one
     /// comparison per disk, and the census one add per disk.
     pub fn add_object(&mut self, blocks: u64) -> Result<ObjectId, ServerError> {
-        let id = self.engine.add_object(blocks);
-        // Object churn during a compaction: the staging generation must
-        // carry the same catalog, so register the object there too (ids
-        // advance in lockstep — both catalogs share `next_id`, and a
-        // refused object burns its id in both).
-        if let Some(c) = &mut self.compaction {
-            let staged = c.staging.add_object(blocks);
-            debug_assert_eq!(staged, id, "generations allocate ids in lockstep");
-        }
-        let ids = self.disks.physical_words();
-        let (resident, tally) = place(&self.engine, &ids, id);
-        if physical(&ids)
-            .zip(&tally)
-            .any(|(disk, &n)| n > self.room(disk))
-        {
+        let (id, (resident, tally)) = self.placement.admit(blocks);
+        if tally.iter().any(|&(disk, n)| n > self.room(disk)) {
             let full = self.first_full(&resident);
-            self.engine.remove_object(id).expect("object just added");
-            if let Some(c) = &mut self.compaction {
-                c.staging.remove_object(id).expect("object just staged");
-            }
+            self.placement.remove_object(id).expect("object just added");
             return Err(ServerError::DiskFull(full));
         }
-        self.store
-            .ingest_object(id, resident, physical(&ids).zip(tally));
+        self.store.ingest_object(id, resident, tally);
         // Schedule the blocks toward their new-generation placement.
-        if let Some(c) = &mut self.compaction {
-            c.total += blocks;
-            let mut moves = Vec::new();
-            let resident = self.store.object(id).expect("object just ingested");
-            c.plan_object(&ids, id, resident, &mut moves);
-            // A failed disk has no move bandwidth, so a move into or out
-            // of one would wedge the flip. Treat them as `fail_disk`
-            // treats stranded moves: a move into the dead disk completes
-            // as metadata (its data stays mirror-served), and a move out
-            // of it reads from the mirror of the block's placement under
-            // the generation serving it (the old one: it is unmigrated).
-            moves.retain_mut(|mv| {
-                if self.disks.state(mv.to).failed() {
-                    self.store.relocate(mv.block, mv.from, mv.to);
-                    c.migrated.insert(mv.block);
-                    return false;
-                }
-                if self.disks.state(mv.from).failed() {
-                    mv.from =
-                        Serving::of(Some(c), &self.engine, id).mirror(&self.disks, mv.block.block);
-                }
-                true
-            });
-            self.executor.enqueue(moves);
-        }
+        let mut moves = self.placement.plan_migration(&self.store, &[id]);
+        moves.retain_mut(|mv| self.bypass_failed(mv));
+        self.executor.enqueue(moves);
         Ok(id)
+    }
+
+    /// Routes a migration move around failed disks, which have no move
+    /// bandwidth and would wedge the flip. A move into one
+    /// completes here as a metadata-only relocation (returns false): the
+    /// block's new-generation home is the dead disk and its data stays
+    /// recoverable through the §6 mirror, the steady state a failed disk
+    /// has outside a compaction. A move out of one reads from the mirror
+    /// of the block's placement under the generation serving it.
+    fn bypass_failed(&mut self, mv: &mut PendingMove) -> bool {
+        let disks = self.placement.disks();
+        if disks.state(mv.to).failed() {
+            if let Some(stored) = self.store.locate(mv.block).filter(|&d| d != mv.to) {
+                self.store.relocate(mv.block, stored, mv.to);
+            }
+            self.placement.mark_migrated(mv.block);
+            return false;
+        }
+        if disks.state(mv.from).failed() {
+            mv.from = self.placement.mirror(mv.block.object, mv.block.block);
+        }
+        true
     }
 
     /// Blocks `disk` can still take.
     fn room(&self, disk: PhysicalDiskId) -> u64 {
-        self.disks
+        self.placement
+            .disks()
             .spec(disk)
             .capacity
             .saturating_sub(self.store.blocks_on(disk))
@@ -380,7 +321,7 @@ impl CmServer {
     /// block of `resident` (physical ids) that does not fit — where a
     /// block-by-block ingest would have stopped.
     fn first_full(&self, resident: &[u32]) -> PhysicalDiskId {
-        let mut taken = self.disks.table(|_, _| 0u64);
+        let mut taken = self.placement.disks().table(|_, _| 0u64);
         physical(resident)
             .find(|&disk| {
                 let n = &mut taken[disk.0 as usize];
@@ -393,17 +334,10 @@ impl CmServer {
     /// Deletes an object: evicts its blocks and cancels its pending
     /// moves.
     pub fn remove_object(&mut self, id: ObjectId) -> Result<(), ServerError> {
-        let obj = self.engine.remove_object(id)?;
+        self.placement.remove_object(id)?;
         self.store
             .evict_object(id)
             .expect("catalog objects are resident");
-        if let Some(c) = &mut self.compaction {
-            c.staging
-                .remove_object(id)
-                .expect("generations hold the same catalog");
-            c.migrated.remove_object(id);
-            c.total = c.total.saturating_sub(obj.blocks);
-        }
         self.executor.cancel_blocks(|blk| blk.object == id);
         let before = self.streams.len();
         self.streams.retain(|s| s.object != id);
@@ -418,7 +352,7 @@ impl CmServer {
     /// Opens a stream on `object`, subject to admission control.
     pub fn open_stream(&mut self, object: ObjectId) -> Result<StreamId, ServerError> {
         let blocks = self
-            .engine
+            .engine()
             .catalog()
             .object(object)
             .ok_or(ServerError::Engine(ScaddarError::UnknownObject(object)))?
@@ -426,7 +360,7 @@ impl CmServer {
         // `streams` still holds the `Done` streams no tick has reaped,
         // so its length bounds the live count from above: live streams
         // are counted only when that bound is refused.
-        let (disks, bandwidth) = (self.disks.disks(), self.config.disk_bandwidth);
+        let (disks, bandwidth) = (self.placement.disks().disks(), self.config.disk_bandwidth);
         let admit = |streams: usize| self.admission.admit(streams as u64, disks, bandwidth);
         if !admit(self.streams.len()) && !admit(self.active_streams()) {
             return Err(ServerError::AdmissionRejected);
@@ -467,8 +401,8 @@ impl CmServer {
 
     /// §4.3 guard, surfaced: would `op` keep fairness within `eps`?
     pub fn next_op_is_safe(&self, op: &ScalingOp) -> bool {
-        match op.disks_after(self.disks.disks()) {
-            Ok(after) => self.engine.next_op_is_safe(after),
+        match op.disks_after(self.placement.disks().disks()) {
+            Ok(after) => self.engine().next_op_is_safe(after),
             Err(_) => false,
         }
     }
@@ -481,24 +415,9 @@ impl CmServer {
     /// *actual* current residency, so at most one pending move exists per
     /// block at any time.
     pub fn scale(&mut self, op: ScalingOp) -> Result<u64, ServerError> {
-        if self.compaction.is_some() {
-            // Scaling mid-compaction would have to re-plan against two
-            // generations at once; operators wait for the flip (the
-            // compaction is itself the response to too much scaling).
-            return Err(ServerError::CompactionActive);
-        }
-        // Refuse what the disk array would refuse (the physical id
-        // ceiling) before the engine commits the op.
-        self.disks.check(&op).map_err(ScaddarError::from)?;
         let scale_start = self.stats.as_ref().map(|s| s.clock.now_ns());
-        let plan = self.engine.scale(op.clone())?;
-        // Snapshot the pre-op logical -> physical mapping: reconstruction
-        // sources (mirrors) are defined against the pre-op epoch.
-        let pre_physicals: Vec<PhysicalDiskId> = self.disks.physical_ids();
-        let n_prev = self.disks.disks();
-        self.disks
-            .apply(&op)
-            .expect("engine accepted the op, the array must too");
+        let (plan, pre_physicals) = self.placement.scale(&op)?;
+        let disks = self.placement.disks();
         // The plan lists each object's moves as one run, in block order.
         let runs = || plan.moves.chunk_by(|a, b| a.block.object == b.block.object);
         if !self.executor.is_idle() {
@@ -521,27 +440,26 @@ impl CmServer {
                 .expect("planned object exists in store");
             for m in run {
                 let stored = PhysicalDiskId(resident[m.block.block as usize].into());
-                let to = self.disks.physical(m.to);
-                if self.disks.state(stored).failed() {
+                let to = disks.physical(m.to);
+                let from = if disks.state(stored).failed() {
                     // Reconstruction: data is read from the pre-op
                     // mirror. Keep the move even when mirror == target —
                     // the block must still be materialized there (the
                     // executor treats it as a one-disk local copy).
-                    let mirror = crate::faults::mirror_of(m.from, n_prev);
-                    moves.push(PendingMove {
-                        block: m.block,
-                        from: pre_physicals[mirror.0 as usize],
-                        to,
-                    });
+                    let n_prev = pre_physicals.len() as u32;
+                    pre_physicals[crate::faults::mirror_of(m.from, n_prev).0 as usize]
                 } else if stored != to {
-                    // `stored == to` is a replanned block whose earlier
-                    // pending move already completed to the same target.
-                    moves.push(PendingMove {
-                        block: m.block,
-                        from: stored,
-                        to,
-                    });
-                }
+                    stored
+                } else {
+                    // A replanned block whose earlier pending move
+                    // already completed to the same target.
+                    continue;
+                };
+                moves.push(PendingMove {
+                    block: m.block,
+                    from,
+                    to,
+                });
             }
         }
         let queued = moves.len() as u64;
@@ -549,9 +467,7 @@ impl CmServer {
         if let (Some(stats), Some(start)) = (&self.stats, scale_start) {
             stats.scale_ops.inc();
             stats.moves_queued.add(queued);
-            stats
-                .backlog
-                .set(self.executor.backlog().min(i64::MAX as u64) as i64);
+            stats.backlog.set(gauge(self.executor.backlog()));
             stats
                 .scale_ns
                 .record(stats.clock.now_ns().saturating_sub(start));
@@ -568,9 +484,10 @@ impl CmServer {
 
     /// Executes every pending move immediately, ignoring bandwidth.
     fn drain_all_moves(&mut self) -> u64 {
-        let mut unlimited = self
-            .disks
-            .table(|_, state| if state.attached() { u32::MAX } else { 0 });
+        let mut unlimited =
+            self.placement
+                .disks()
+                .table(|_, state| if state.attached() { u32::MAX } else { 0 });
         let executed = self.executor.execute_round(&mut unlimited);
         self.apply_executed(&executed);
         self.purge_drained();
@@ -598,7 +515,7 @@ impl CmServer {
     /// healthy array again. A retired disk leaves the gauge refresh, so
     /// its per-disk gauges are zeroed here, once.
     fn purge_drained(&mut self) {
-        for id in self.disks.retire_empty(&self.store) {
+        for id in self.placement.retire_empty(&self.store) {
             if let Some(stats) = &self.stats {
                 stats.disk_load(id).set(0);
                 stats.disk_queue_depth(id).set(0);
@@ -607,19 +524,14 @@ impl CmServer {
     }
 
     /// Begins an **online rehash compaction**: opens the next placement
-    /// generation (fresh `X_0 mod N` seed, empty scaling log) and
-    /// enqueues one move per block whose new-generation placement
-    /// differs from its current residency. Subsequent [`Self::tick`]
-    /// calls drain the migration within the usual bandwidth budgets
-    /// while lookups dual-serve from both generations; the generation
-    /// flips atomically the round the last move lands. Returns the
-    /// number of queued migration moves.
-    ///
-    /// Requires an idle executor (a compaction re-plans *every* block,
-    /// so in-flight scaling moves must land first) and no compaction
-    /// already in flight.
+    /// generation and enqueues one move per block whose new-generation
+    /// placement differs from its residency. [`Self::tick`] drains them
+    /// within the usual budgets while lookups dual-serve from both
+    /// generations, and flips the round the last move lands. Returns
+    /// the number of queued moves. Requires an idle executor (a
+    /// compaction re-plans *every* block) and no compaction in flight.
     pub fn begin_compaction(&mut self) -> Result<u64, ServerError> {
-        if self.compaction.is_some() {
+        if self.compaction_active() {
             return Err(ServerError::CompactionActive);
         }
         if !self.executor.is_idle() {
@@ -634,30 +546,16 @@ impl CmServer {
         if !self.failed_disks().is_empty() {
             return Err(ServerError::FailedDisksPresent);
         }
-        let mut c = CompactionState {
-            staging: self.engine.open_next_generation(),
-            migrated: BlockSet::default(),
-            total: self.engine.catalog().total_blocks(),
-        };
-        let mut moves = Vec::new();
-        let ids = self.disks.physical_words();
-        for obj in self.engine.catalog().objects() {
-            let resident = self.store.object(obj.id).expect("catalog object stored");
-            c.plan_object(&ids, obj.id, resident, &mut moves);
-        }
+        let moves = self.placement.begin_compaction(&self.store);
         let queued = moves.len() as u64;
         self.executor.enqueue(moves);
-        let generation = c.staging.generation();
-        self.compaction = Some(c);
         if let Some(stats) = &self.stats {
             stats.compactions_started.inc();
-            stats.compaction_active.set(1);
-            stats.compaction_target_generation.set(generation as i64);
             stats
-                .backlog
-                .set(self.executor.backlog().min(i64::MAX as u64) as i64);
+                .compaction_target_generation
+                .set(gauge(self.generation() + 1));
+            stats.backlog.set(gauge(self.executor.backlog()));
         }
-        self.refresh_compaction_gauges();
         // An empty catalog (or one whose placements all coincide)
         // finishes immediately.
         self.maybe_finish_compaction();
@@ -666,84 +564,38 @@ impl CmServer {
 
     /// Progress of the in-flight compaction, if any.
     pub fn compaction_progress(&self) -> Option<CompactionProgress> {
-        let c = self.compaction.as_ref()?;
-        Some(CompactionProgress {
-            from_generation: self.engine.generation(),
-            to_generation: c.staging.generation(),
-            total_blocks: c.total,
-            migrated_blocks: c.migrated.len(),
-            backlog: self.executor.backlog(),
-        })
+        self.placement.progress(self.executor.backlog())
     }
 
     /// True while a compaction is migrating blocks.
     pub fn compaction_active(&self) -> bool {
-        self.compaction.is_some()
+        self.placement.compaction_active()
     }
 
     /// The serving placement generation (post-flip it reflects the new
     /// generation; during a compaction, still the old one).
     pub fn generation(&self) -> u64 {
-        self.engine.generation()
+        self.engine().generation()
     }
 
-    /// Marks compaction moves executed this round as migrated.
-    fn note_compaction_executed(&mut self, executed: &[PendingMove]) {
-        if let Some(c) = &mut self.compaction {
-            // While a compaction is in flight scaling is refused, so
-            // every executed move is a migration move.
-            for mv in executed {
-                c.migrated.insert(mv.block);
+    /// Flips to the next generation ([`PlacementState::flip`]) once
+    /// every migration move has landed, then publishes the compaction
+    /// gauges.
+    fn maybe_finish_compaction(&mut self) {
+        if self.compaction_active() && self.executor.is_idle() {
+            self.placement.flip(self.store.len() as u64);
+            if let Some(stats) = &self.stats {
+                stats.compactions_completed.inc();
             }
         }
-    }
-
-    /// Flips to the next generation once every migration move has
-    /// landed: the staging engine becomes *the* engine (stats handles
-    /// transfer), lookups collapse back to one O(1) hash, and the
-    /// fairness budget is full again.
-    fn maybe_finish_compaction(&mut self) {
-        let done = self
-            .compaction
-            .as_ref()
-            .is_some_and(|_| self.executor.is_idle());
-        if !done {
-            return;
-        }
-        let c = self.compaction.take().expect("checked above");
-        let mut staging = c.staging;
-        assert_eq!(
-            c.migrated.len(),
-            self.store.len() as u64,
-            "flip with unmigrated blocks"
-        );
-        if let Some(stats) = self.engine.stats() {
-            staging.attach_stats(stats.clone());
-        }
-        self.engine = staging;
-        if let Some(stats) = &self.stats {
-            stats.compactions_completed.inc();
-            stats.compaction_active.set(0);
-            stats.compaction_remaining.set(0);
-            stats
-                .compaction_generation
-                .set(self.engine.generation().min(i64::MAX as u64) as i64);
-        }
-    }
-
-    /// Publishes the compaction progress gauges.
-    fn refresh_compaction_gauges(&self) {
         let Some(stats) = &self.stats else { return };
-        stats
-            .compaction_generation
-            .set(self.engine.generation().min(i64::MAX as u64) as i64);
-        if let Some(c) = &self.compaction {
-            stats
-                .compaction_remaining
-                .set((c.total.saturating_sub(c.migrated.len())).min(i64::MAX as u64) as i64);
-            stats
-                .compaction_total
-                .set(c.total.min(i64::MAX as u64) as i64);
+        let progress = self.compaction_progress();
+        stats.compaction_active.set(i64::from(progress.is_some()));
+        stats.compaction_generation.set(gauge(self.generation()));
+        let remaining = progress.map_or(0, |p| p.total_blocks.saturating_sub(p.migrated_blocks));
+        stats.compaction_remaining.set(gauge(remaining));
+        if let Some(p) = progress {
+            stats.compaction_total.set(gauge(p.total_blocks));
         }
     }
 
@@ -754,10 +606,10 @@ impl CmServer {
     /// at its old placement) or has a queued move. With no compaction in
     /// flight this is plain residency consistency.
     pub fn compaction_consistent(&self) -> bool {
-        if self.compaction.is_none() && !self.executor.is_idle() {
+        if !self.compaction_active() && !self.executor.is_idle() {
             return false;
         }
-        let objects = self.engine.catalog().objects().iter();
+        let objects = self.engine().catalog().objects().iter();
         self.audit(objects.map(|obj| (obj.id, 0..obj.blocks)))
             .corrupt
             .is_empty()
@@ -766,9 +618,8 @@ impl CmServer {
     /// Advances one service round.
     pub fn tick(&mut self) {
         let tick_start = self.stats.as_ref().map(|s| s.clock.now_ns());
-        let mut budget = self
-            .disks
-            .table(|spec, state| if state.serves() { spec.bandwidth } else { 0 });
+        let disks = self.placement.disks();
+        let mut budget = disks.table(|spec, state| if state.serves() { spec.bandwidth } else { 0 });
 
         // 1. Serve playing streams from actual residency, in id order.
         //    Requests landing on a failed disk fall back to the §6
@@ -782,39 +633,28 @@ impl CmServer {
                 continue;
             };
             requested += 1;
-            let blockref = BlockRef {
-                object: stream.object,
-                block,
-            };
             // A block can be missing only if the object was deleted, and
             // deletion reaps its streams; treat missing as a hiccup
             // defensively.
-            let Some(disk) = self.store.locate(blockref) else {
+            let object = stream.object;
+            let Some(disk) = self.store.locate(BlockRef { object, block }) else {
                 hiccups += 1;
                 continue;
             };
-            let (serve_from, is_recovery) = if self.disks.state(disk).failed() {
-                // Primary gone: read the mirror copy at
-                // (AF + N/2) mod N. The mirror is defined against the
-                // generation the block is currently served by.
-                let mirror = Serving::of(self.compaction.as_ref(), &self.engine, stream.object)
-                    .mirror(&self.disks, block);
-                if self.disks.state(mirror).failed() {
-                    // Both copies gone: data loss, permanent stall.
-                    hiccups += 1;
-                    continue;
-                }
-                (mirror, true)
+            // Primary gone: read the mirror copy at (AF + N/2) mod N,
+            // defined against the generation the block is served by.
+            let from = if disks.state(disk).failed() {
+                self.placement.mirror(object, block)
             } else {
-                (disk, false)
+                disk
             };
-            let cap = &mut budget[serve_from.0 as usize];
+            // A failed disk has no budget: with both copies gone the
+            // data is lost, a permanent stall.
+            let cap = &mut budget[from.0 as usize];
             if *cap > 0 {
                 *cap -= 1;
                 served += 1;
-                if is_recovery {
-                    recovered += 1;
-                }
+                recovered += u64::from(from != disk);
                 stream.advance();
             } else {
                 hiccups += 1;
@@ -823,15 +663,18 @@ impl CmServer {
 
         // 2. Redistribution: reserved bandwidth plus whatever streams
         //    left unused this round.
-        for id in self.disks.ids_where(DiskState::serves) {
+        for id in disks.ids_where(DiskState::serves) {
             let left = &mut budget[id.0 as usize];
             *left = left.saturating_add(self.config.redistribution_bandwidth);
         }
         let executed = self.executor.execute_round(&mut budget);
         self.apply_executed(&executed);
-        self.note_compaction_executed(&executed);
+        // While a compaction is in flight scaling is refused, so every
+        // executed move is a migration move.
+        for mv in &executed {
+            self.placement.mark_migrated(mv.block);
+        }
         self.purge_drained();
-        self.refresh_compaction_gauges();
         self.maybe_finish_compaction();
 
         // 3. Reap finished streams and record the round.
@@ -861,75 +704,21 @@ impl CmServer {
     /// and the residency load census, over the disks in the array
     /// (failed or not) and the draining ones.
     fn refresh_disk_gauges(&self, stats: &ServerStats) {
-        let mut queue = self.disks.table(|_, _| 0i64);
+        let disks = self.placement.disks();
+        let mut queue = disks.table(|_, _| 0i64);
         for mv in self.executor.pending() {
             queue[mv.from.0 as usize] += 1;
         }
-        for id in self.disks.ids_where(DiskState::attached) {
+        for id in disks.ids_where(DiskState::attached) {
             stats.disk_queue_depth(id).set(queue[id.0 as usize]);
-            stats
-                .disk_load(id)
-                .set(self.store.blocks_on(id).min(i64::MAX as u64) as i64);
+            stats.disk_load(id).set(gauge(self.store.blocks_on(id)));
         }
-    }
-
-    /// Bulk lookup: the *physical* disks of the given blocks of one
-    /// object, in input order. Delegates to the engine's cached batch
-    /// path ([`Scaddar::locate_batch`]) and maps logical to physical in
-    /// one pass — the session-serving companion of per-block
-    /// [`Scaddar::locate`].
-    pub fn locate_batch(
-        &self,
-        object: ObjectId,
-        blocks: &[u64],
-    ) -> Result<Vec<PhysicalDiskId>, ServerError> {
-        let logical = self.engine.locate_batch(object, blocks)?;
-        let mut out: Vec<PhysicalDiskId> = logical
-            .into_iter()
-            .map(|logical| self.disks.physical(logical))
-            .collect();
-        // Dual-generation serving: blocks already migrated answer from
-        // the staging generation (new-gen residency first, old-gen
-        // fallback — residency is never ambiguous between the two).
-        let serving = Serving::of(self.compaction.as_ref(), &self.engine, object);
-        if serving.staged.is_some() {
-            for (slot, &b) in out.iter_mut().zip(blocks) {
-                if let Some(staging) = serving.staging_for(b) {
-                    *slot = self
-                        .disks
-                        .physical(staging.locate(object, b).expect("staged block"));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Generation-aware `AF()`: the **logical** disk of one block under
-    /// the generation currently serving it — the staging generation for
-    /// blocks already migrated by an in-flight compaction, the live
-    /// engine for everything else (and for every block when no
-    /// compaction is running). This is the lookup session threads use;
-    /// it is what collapses back to a single O(1) hash at flip.
-    pub fn locate_current(&self, object: ObjectId, block: u64) -> Result<DiskIndex, ServerError> {
-        let serving = Serving::of(self.compaction.as_ref(), &self.engine, object);
-        Ok(serving.engine(block).locate(object, block)?)
-    }
-
-    /// Generation-aware bulk `AF()`: the logical disk of each of the
-    /// given blocks of a catalog object, in block order, under the
-    /// generation serving it — [`CmServer::locate_current`] for a range,
-    /// at one ranged bulk read per generation in play.
-    ///
-    /// # Panics
-    /// If the object is not in the catalog or `blocks` reaches past it.
-    pub(crate) fn placements_current(&self, object: ObjectId, blocks: Range<u64>) -> Vec<u32> {
-        Serving::of(self.compaction.as_ref(), &self.engine, object).placements(blocks, |d| d.0)
     }
 
     /// Load census (blocks per disk) in logical order — the §5 metric's
     /// input. Uses actual residency.
     pub fn load_census(&self) -> Vec<u64> {
-        self.store.census(&self.disks.physical_ids())
+        self.store.census(&self.placement.disks().physical_ids())
     }
 
     /// **Test hook** — plants silent data rot: moves `block`'s residency
@@ -958,20 +747,18 @@ impl CmServer {
     /// The one residency audit, behind both consistency checks and the
     /// [`Scrubber`](crate::scrub::Scrubber). A block of the given ranges
     /// (one catalog object each) is clean if it is resident where the
-    /// generation serving it places it ([`Serving`]), in transit if it
-    /// is elsewhere with a queued move, and corrupt otherwise. Only the
-    /// given ranges' placements are read, in bulk; a range wholly at
-    /// home costs one slice comparison.
+    /// generation serving it places it ([`PlacementState::homes`]), in
+    /// transit if it is elsewhere with a queued move, and corrupt
+    /// otherwise. Only the given ranges' placements are read, in bulk; a
+    /// range wholly at home costs one slice comparison.
     pub(crate) fn audit(
         &self,
         ranges: impl IntoIterator<Item = (ObjectId, Range<u64>)>,
     ) -> ScrubReport {
-        let ids = self.disks.physical_words();
         let pending: BlockSet = self.executor.pending().map(|mv| mv.block).collect();
         let mut report = ScrubReport::default();
         for (object, blocks) in ranges {
-            let serving = Serving::of(self.compaction.as_ref(), &self.engine, object);
-            let expected = serving.placements(blocks.clone(), |d| ids[d.0 as usize]);
+            let expected = self.placement.homes(object, blocks.clone());
             let resident = self.store.object(object).unwrap_or_default();
             let span = blocks.start as usize..blocks.end as usize;
             report.scanned += span.len() as u64;
@@ -992,127 +779,6 @@ impl CmServer {
     }
 }
 
-/// Which generation serves each block of one object, decided here
-/// only: the staging engine for blocks an in-flight compaction has
-/// migrated, the live engine for every other block. Built from fields,
-/// not `&CmServer`, so [`CmServer::tick`] can use it while it holds its
-/// streams mutably.
-#[derive(Clone, Copy)]
-struct Serving<'a> {
-    object: ObjectId,
-    live: &'a Scaddar,
-    /// Mid-compaction: the staging engine and the object's migrated bitmap.
-    staged: Option<(&'a Scaddar, &'a [u64])>,
-}
-
-impl<'a> Serving<'a> {
-    fn of(compaction: Option<&'a CompactionState>, live: &'a Scaddar, object: ObjectId) -> Self {
-        let staged = compaction.map(|c| (&c.staging, c.migrated.bits(object)));
-        Serving {
-            object,
-            live,
-            staged,
-        }
-    }
-
-    /// The staging engine, if it serves `block`.
-    fn staging_for(self, block: u64) -> Option<&'a Scaddar> {
-        let (staging, migrated) = self.staged?;
-        has_block(migrated, block).then_some(staging)
-    }
-
-    /// The engine whose `AF()` places `block`.
-    fn engine(self, block: u64) -> &'a Scaddar {
-        self.staging_for(block).unwrap_or(self.live)
-    }
-
-    /// The physical disk of `block`'s §6 mirror: the mirror of its
-    /// placement under the generation serving it.
-    fn mirror(self, disks: &DiskArray, block: u64) -> PhysicalDiskId {
-        let af = self
-            .engine(block)
-            .locate(self.object, block)
-            .expect("catalog block");
-        disks.physical(crate::faults::mirror_of(af, disks.disks()))
-    }
-
-    /// `word` of the disk of each block in `blocks` under the
-    /// generation serving it, in block order: one ranged bulk read per
-    /// generation in play.
-    ///
-    /// # Panics
-    /// If the object is not in the catalog or `blocks` reaches past it.
-    fn placements(self, blocks: Range<u64>, word: impl Fn(DiskIndex) -> u32) -> Vec<u32> {
-        let read = |engine: &Scaddar| {
-            engine
-                .map_placements_range(self.object, blocks.clone(), &word)
-                .expect("catalog blocks")
-        };
-        let mut disks = read(self.live);
-        if let Some((staging, _)) = self.staged {
-            let new = read(staging);
-            for ((block, disk), new) in blocks.clone().zip(&mut disks).zip(new) {
-                if self.staging_for(block).is_some() {
-                    *disk = new;
-                }
-            }
-        }
-        disks
-    }
-}
-
-/// The one admission pass, shared by [`CmServer::add_object`] and every
-/// rebuild of residency from `AF()` (`new`, `restore`): the object's
-/// logical disks come from the engine's bulk read a chunk at a time
-/// (its cached `X_j` reduced by the vectorised kernel), and while each
-/// chunk is in L1 it is tallied per logical disk and mapped through the
-/// live `ids` table (logical order, 4-byte physical ids) into the
-/// residency vector.
-fn place(engine: &Scaddar, ids: &[u32], object: ObjectId) -> (Vec<u32>, Vec<u64>) {
-    let blocks = engine
-        .catalog()
-        .object(object)
-        .expect("catalog object")
-        .blocks;
-    let mut resident = Vec::with_capacity(blocks as usize);
-    let mut tally = Tally::new(ids.len());
-    engine
-        .for_each_disk_chunk(object, 0..blocks, |logical| {
-            tally.add(logical);
-            resident.extend(logical.iter().map(|&l| ids[l as usize]));
-        })
-        .expect("catalog object");
-    (resident, tally.total())
-}
-
-/// Blocks per disk, counted in four sub-tallies that take consecutive
-/// blocks in turn and are summed at the end, so runs of blocks on one
-/// disk do not each wait for the last increment of the same counter.
-struct Tally(Vec<[u64; 4]>);
-
-impl Tally {
-    fn new(disks: usize) -> Self {
-        Tally(vec![[0; 4]; disks])
-    }
-
-    /// Counts each disk index in `logical` (all below `disks`).
-    fn add(&mut self, logical: &[u32]) {
-        let mut quads = logical.chunks_exact(4);
-        for quad in &mut quads {
-            for (lane, &disk) in quad.iter().enumerate() {
-                self.0[disk as usize][lane] += 1;
-            }
-        }
-        for &disk in quads.remainder() {
-            self.0[disk as usize][0] += 1;
-        }
-    }
-
-    fn total(&self) -> Vec<u64> {
-        self.0.iter().map(|lanes| lanes.iter().sum()).collect()
-    }
-}
-
 /// Stored 4-byte physical ids as [`PhysicalDiskId`]s.
 fn physical(ids: &[u32]) -> impl Iterator<Item = PhysicalDiskId> + '_ {
     ids.iter().map(|&id| PhysicalDiskId(id.into()))
@@ -1121,6 +787,7 @@ fn physical(ids: &[u32]) -> impl Iterator<Item = PhysicalDiskId> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scaddar_core::DiskIndex;
     use std::collections::HashMap;
 
     fn server(disks: u32) -> CmServer {
@@ -1141,13 +808,43 @@ mod tests {
         let obj = s.add_object(2_000).unwrap();
         s.scale_offline(ScalingOp::Add { count: 2 }).unwrap();
         let blocks: Vec<u64> = (0..2_000).step_by(7).collect();
-        let batch = s.locate_batch(obj, &blocks).unwrap();
+        let batch = s.placement().locate_batch(obj, &blocks).unwrap();
         for (&b, &physical) in blocks.iter().zip(&batch) {
-            let logical = s.engine().locate(obj, b).unwrap();
-            assert_eq!(physical, s.disks().physical(logical), "block {b}");
+            let logical = s.placement().locate(obj, b).unwrap();
+            assert_eq!(
+                physical,
+                s.placement().disks().physical(logical),
+                "block {b}"
+            );
         }
-        assert!(s.locate_batch(obj, &[2_000]).is_err());
-        assert!(s.locate_batch(ObjectId(99), &[0]).is_err());
+        assert!(s.placement().locate_batch(obj, &[2_000]).is_err());
+        assert!(s.placement().locate_batch(ObjectId(99), &[0]).is_err());
+
+        // Mid-compaction, with some blocks migrated and some not, every
+        // read of a block agrees: the batch, the per-block lookup through
+        // the disk table, the bulk placements, and the §6 mirror.
+        s.begin_compaction().unwrap();
+        s.tick();
+        let progress = s.compaction_progress().expect("still migrating");
+        assert!(progress.migrated_blocks > 0 && progress.backlog > 0);
+        let p = s.placement();
+        let all: Vec<u64> = (0..2_000).collect();
+        let batch = p.locate_batch(obj, &all).unwrap();
+        let bulk = p.placements(obj).unwrap();
+        let n = p.disks().disks();
+        let mut staged = 0;
+        for (&b, &physical) in all.iter().zip(&batch) {
+            let logical = p.locate(obj, b).unwrap();
+            staged += usize::from(logical != s.engine().locate(obj, b).unwrap());
+            assert_eq!(physical, p.disks().physical(logical), "block {b}");
+            assert_eq!(bulk[b as usize], logical, "block {b}");
+            let mirror = crate::faults::mirror_of(logical, n);
+            assert_eq!(p.mirror(obj, b), p.disks().physical(mirror), "block {b}");
+        }
+        assert!(
+            staged > 0,
+            "some migrated blocks answer from the staging generation"
+        );
     }
 
     #[test]
@@ -1299,7 +996,7 @@ mod tests {
             s.tick();
         }
         assert!(s.residency_consistent());
-        assert_eq!(s.disks().disks(), 6);
+        assert_eq!(s.placement().disks().disks(), 6);
     }
 
     #[test]
@@ -1361,7 +1058,10 @@ mod tests {
         let bytes = s.snapshot().unwrap();
         let restored =
             CmServer::restore(ServerConfig::new(5).with_catalog_seed(21), &bytes).unwrap();
-        assert_eq!(restored.disks().disks(), s.disks().disks());
+        assert_eq!(
+            restored.placement().disks().disks(),
+            s.placement().disks().disks()
+        );
         assert!(restored.residency_consistent());
         assert_eq!(restored.load_census(), s.load_census());
         for blk in (0..3_000).step_by(97) {
@@ -1411,7 +1111,7 @@ mod tests {
         s.attach_stats(stats.clone());
         // Engine stats share the same registry.
         let engine_stats = scaddar_core::EngineStats::register_monotonic(&registry);
-        s.engine.attach_stats(engine_stats.clone());
+        s.placement.engine_mut().attach_stats(engine_stats.clone());
 
         let obj = s.add_object(5_000).unwrap();
         for _ in 0..5 {
@@ -1433,6 +1133,7 @@ mod tests {
         // Per-disk gauges exist for every live disk and sum to the
         // catalog size.
         let census_total: i64 = s
+            .placement()
             .disks()
             .physical_ids()
             .into_iter()
@@ -1455,7 +1156,7 @@ mod tests {
         }
         let registry = scaddar_obs::Registry::new();
         let stats = scaddar_core::EngineStats::register_monotonic(&registry);
-        s.engine.attach_stats(stats.clone());
+        s.placement.engine_mut().attach_stats(stats.clone());
         let mut scrubber = Scrubber::new();
         let mut pass = ScrubReport::default();
         while !pass.completed_pass {
@@ -1469,7 +1170,7 @@ mod tests {
         }
         assert_eq!(stats.locate_bulk_blocks.get(), 64 * 4_096);
         let whole = s.audit(
-            s.engine
+            s.engine()
                 .catalog()
                 .objects()
                 .iter()
@@ -1502,7 +1203,7 @@ mod tests {
             s.add_object(1_000).unwrap();
         }
         s.tick();
-        let victim = s.disks().physical(DiskIndex(1));
+        let victim = s.placement().disks().physical(DiskIndex(1));
         assert!(stats.disk_load(victim).get() > 0, "gauges published");
         s.scale(ScalingOp::remove_one(1)).unwrap();
         s.tick();
@@ -1520,13 +1221,13 @@ mod tests {
     /// The disk a block-by-block ingest of a `blocks`-block object
     /// stops at: the first block whose disk is already full.
     fn first_overflow(s: &CmServer, blocks: u64) -> PhysicalDiskId {
-        let mut probe = s.engine.clone();
+        let mut probe = s.engine().clone();
         let id = probe.add_object(blocks);
         let mut held: HashMap<PhysicalDiskId, u64> = HashMap::new();
         for b in 0..blocks {
-            let disk = s.disks.physical(probe.locate(id, b).unwrap());
+            let disk = s.placement.disks().physical(probe.locate(id, b).unwrap());
             let count = held.entry(disk).or_insert(s.store.blocks_on(disk));
-            if *count >= s.disks.spec(disk).capacity {
+            if *count >= s.placement.disks().spec(disk).capacity {
                 return disk;
             }
             *count += 1;
@@ -1569,7 +1270,7 @@ mod tests {
     /// The census over every minted disk id.
     fn minted_census(s: &CmServer) -> Vec<u64> {
         s.store
-            .census(&s.disks.ids_where(|_| true).collect::<Vec<_>>())
+            .census(&s.placement.disks().ids_where(|_| true).collect::<Vec<_>>())
     }
 
     /// The three-pass admission the one pass replaced, kept as its
@@ -1581,14 +1282,15 @@ mod tests {
         s: &CmServer,
         blocks: u64,
     ) -> Result<(Vec<PhysicalDiskId>, Vec<u64>), PhysicalDiskId> {
-        let mut engine = s.engine.clone();
+        let mut engine = s.engine().clone();
         let id = engine.add_object(blocks);
         let placements = engine.locate_all(id).unwrap();
-        let ids = s.disks.physical_ids();
+        let ids = s.placement.disks().physical_ids();
         let mut room: Vec<u64> = ids
             .iter()
             .map(|&d| {
-                s.disks
+                s.placement
+                    .disks()
                     .spec(d)
                     .capacity
                     .saturating_sub(s.store.blocks_on(d))
@@ -1601,8 +1303,10 @@ mod tests {
             }
             *left -= 1;
         }
-        let resident: Vec<PhysicalDiskId> =
-            placements.iter().map(|&l| s.disks.physical(l)).collect();
+        let resident: Vec<PhysicalDiskId> = placements
+            .iter()
+            .map(|&l| s.placement.disks().physical(l))
+            .collect();
         let mut census = minted_census(s);
         for &disk in &resident {
             census[disk.0 as usize] += 1;
@@ -1615,7 +1319,7 @@ mod tests {
         (
             minted_census(s),
             s.store.len(),
-            s.engine.catalog().objects().to_vec(),
+            s.engine().catalog().objects().to_vec(),
             s.pending_moves(),
             s.compaction_progress(),
         )
@@ -1689,7 +1393,7 @@ mod tests {
             cfg.disk_capacity = capacity;
             let mut s = CmServer::new(cfg).unwrap();
             for (kind, pick, blocks) in history {
-                let n = s.disks().disks();
+                let n = s.placement().disks().disks();
                 match kind {
                     0..=3 => {
                         admit_like_oracle(&mut s, blocks);
@@ -1698,7 +1402,7 @@ mod tests {
                         }
                     }
                     4 => {
-                        if let Some(obj) = s.engine.catalog().objects().first() {
+                        if let Some(obj) = s.engine().catalog().objects().first() {
                             s.remove_object(obj.id).unwrap();
                         }
                     }
@@ -1736,11 +1440,8 @@ mod tests {
     /// executor), then one `store.locate` per move.
     fn scale_with_hash_set(s: &mut CmServer, op: ScalingOp) -> Result<u64, ServerError> {
         use std::collections::HashSet;
-        s.disks.check(&op).map_err(ScaddarError::from)?;
-        let plan = s.engine.scale(op.clone())?;
-        let pre_physicals: Vec<PhysicalDiskId> = s.disks.physical_ids();
-        let n_prev = s.disks.disks();
-        s.disks.apply(&op).unwrap();
+        let (plan, pre_physicals) = s.placement.scale(&op)?;
+        let n_prev = pre_physicals.len() as u32;
         let replanned: HashSet<BlockRef> = plan.moves.iter().map(|m| m.block).collect();
         s.executor.cancel_blocks(|b| replanned.contains(&b));
         let moves: Vec<PendingMove> = plan
@@ -1748,8 +1449,8 @@ mod tests {
             .iter()
             .filter_map(|m| {
                 let stored = s.store.locate(m.block).unwrap();
-                let to = s.disks.physical(m.to);
-                if s.disks.state(stored).failed() {
+                let to = s.placement.disks().physical(m.to);
+                if s.placement.disks().state(stored).failed() {
                     let mirror = crate::faults::mirror_of(m.from, n_prev);
                     Some(PendingMove {
                         block: m.block,
@@ -1804,7 +1505,7 @@ mod tests {
                 s.add_object(blocks).unwrap();
             }
             for (kind, pick, ticks) in history {
-                let n = s.disks().disks();
+                let n = s.placement().disks().disks();
                 let healthy = s.failed_disks().is_empty();
                 let op = match kind {
                     0..=2 => Some(ScalingOp::Add { count: 1 + pick % 2 }),
@@ -1821,7 +1522,7 @@ mod tests {
                         None
                     }
                     8 => {
-                        match s.engine.catalog().objects().first() {
+                        match s.engine().catalog().objects().first() {
                             Some(obj) if pick % 2 == 0 => s.remove_object(obj.id).unwrap(),
                             _ => {
                                 s.add_object(u64::from(pick) * 37).unwrap();
@@ -1900,7 +1601,7 @@ mod compaction_tests {
         while s.compaction_active() {
             assert!(s.compaction_consistent(), "round {rounds}");
             for blk in (0..6_000).step_by(599) {
-                let logical = s.locate_current(obj, blk).unwrap();
+                let logical = s.placement().locate(obj, blk).unwrap();
                 assert!(logical.0 < 6);
             }
             s.tick();
@@ -1916,12 +1617,14 @@ mod compaction_tests {
         assert!(s.engine().next_op_is_safe(5));
         assert!(s.residency_consistent());
         assert_eq!(s.metrics().total_hiccups(), 0, "no service interruption");
-        // locate_batch and locate_current agree post-flip.
-        let batch = s.locate_batch(obj, &[0, 17, 5_999]).unwrap();
+        // locate_batch and locate agree post-flip.
+        let batch = s.placement().locate_batch(obj, &[0, 17, 5_999]).unwrap();
         for (&b, &physical) in [0u64, 17, 5_999].iter().zip(&batch) {
             assert_eq!(
                 physical,
-                s.disks().physical(s.locate_current(obj, b).unwrap())
+                s.placement()
+                    .disks()
+                    .physical(s.placement().locate(obj, b).unwrap())
             );
         }
     }
@@ -2007,11 +1710,11 @@ mod compaction_tests {
         assert_eq!(s.generation(), 1);
         assert!(s.residency_consistent());
         assert_eq!(s.load_census().iter().sum::<u64>(), 2_800);
-        assert!(s.locate_current(keep, 0).is_ok());
-        assert!(s.locate_current(newcomer, 799).is_ok());
+        assert!(s.placement().locate(keep, 0).is_ok());
+        assert!(s.placement().locate(newcomer, 799).is_ok());
         assert!(matches!(
-            s.locate_current(doomed, 0),
-            Err(ServerError::Engine(ScaddarError::UnknownObject(_)))
+            s.placement().locate(doomed, 0),
+            Err(ScaddarError::UnknownObject(_))
         ));
     }
 
@@ -2233,7 +1936,7 @@ mod failure_tests {
         }
         assert_eq!(s.store().blocks_on(dead), 0);
         assert!(s.residency_consistent());
-        assert_eq!(s.disks().disks(), 5);
+        assert_eq!(s.placement().disks().disks(), 5);
     }
 
     #[test]
@@ -2249,7 +1952,7 @@ mod failure_tests {
             s.tick();
         }
         assert!(s.residency_consistent());
-        assert_eq!(s.disks().disks(), 6); // 6 + 1 - 1
+        assert_eq!(s.placement().disks().disks(), 6); // 6 + 1 - 1
     }
 
     #[test]

@@ -208,6 +208,11 @@ impl ServerStats {
     }
 }
 
+/// A count as a gauge value, saturating at `i64::MAX`.
+pub(crate) fn gauge(count: u64) -> i64 {
+    count.min(i64::MAX as u64) as i64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

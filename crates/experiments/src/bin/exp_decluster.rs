@@ -27,7 +27,7 @@ const BLOCKS: u64 = 20_000;
 
 /// Mean single-failure loss fraction over all current disks.
 fn static_loss(server: &CmServer) -> f64 {
-    let n = server.disks().disks();
+    let n = server.placement().disks().disks();
     let mut lost_total = 0u64;
     for d in 0..n {
         let (_, _, lost) = parity_availability_census(server, GROUP, &[DiskIndex(d)]).unwrap();
@@ -37,7 +37,7 @@ fn static_loss(server: &CmServer) -> f64 {
 }
 
 fn declustered_loss(server: &CmServer, layer: &DeclusteredParity) -> f64 {
-    let n = server.disks().disks();
+    let n = server.placement().disks().disks();
     let mut lost_total = 0u64;
     for d in 0..n {
         let (_, lost) = layer.availability(server, &[DiskIndex(d)]).unwrap();

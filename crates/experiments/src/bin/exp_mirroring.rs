@@ -14,7 +14,7 @@ use scaddar_core::{DiskIndex, ScalingOp};
 use scaddar_experiments::{banner, write_csv};
 
 fn pair_survey(server: &CmServer, total_blocks: u64, csv: &mut Csv, phase: &str) {
-    let n = server.disks().disks();
+    let n = server.placement().disks().disks();
     let mut fatal_pairs = 0u32;
     let mut worst_loss = 0u64;
     for a in 0..n {

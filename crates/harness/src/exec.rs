@@ -267,6 +267,7 @@ impl<'a> Executor<'a> {
                 };
                 let Some(to) = self
                     .server
+                    .placement()
                     .disks()
                     .physical_ids()
                     .into_iter()
@@ -774,7 +775,7 @@ impl<'a> Executor<'a> {
                 let ours = self.engine.locate(obj.id, blk).map_err(|e| {
                     exec_failure(format!("engine.locate({:?},{blk}): {e:?}", obj.id))
                 })?;
-                let theirs = self.server.engine().locate(obj.id, blk).map_err(|e| {
+                let theirs = self.server.placement().locate(obj.id, blk).map_err(|e| {
                     exec_failure(format!("server locate({:?},{blk}): {e:?}", obj.id))
                 })?;
                 if ours != theirs {

@@ -26,7 +26,7 @@ fn main() {
     );
 
     // Mirror math: every block is also reachable at offset N/2.
-    let sample = server.engine().locate(ObjectId(0), 0).unwrap();
+    let sample = server.placement().locate(ObjectId(0), 0).unwrap();
     println!(
         "sample block: primary {sample}, mirror {} (offset {})",
         mirror_of(sample, 10),
@@ -53,7 +53,7 @@ fn main() {
         }
         println!(
             "  window {window}: moved {queued} blocks over {rounds} rounds; now {} disks, draining {} left",
-            server.disks().disks(),
+            server.placement().disks().disks(),
             server.draining_disks().len(),
         );
         assert!(server.residency_consistent());

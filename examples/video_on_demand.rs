@@ -89,7 +89,7 @@ fn report(sim: &Simulation, label: &str) {
     println!(
         "  [{label}] {} viewers, {} disks, {} blocks stored, worst disk deviation {:.1}%, hiccups so far: {}",
         sim.server().active_streams(),
-        sim.server().disks().disks(),
+        sim.server().placement().disks().disks(),
         total,
         worst * 100.0,
         sim.server().metrics().total_hiccups(),

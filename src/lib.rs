@@ -81,6 +81,6 @@ mod tests {
         let obj = engine.add_object(10);
         assert!(engine.locate(obj, 0).unwrap().0 < 2);
         let server = CmServer::new(ServerConfig::new(2)).unwrap();
-        assert_eq!(server.disks().disks(), 2);
+        assert_eq!(server.placement().disks().disks(), 2);
     }
 }

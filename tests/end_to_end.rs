@@ -54,7 +54,7 @@ fn server_lifetime_with_mixed_scaling_and_content_churn() {
 
     // Blocks of the remaining objects are all reachable.
     for blk in (0..10_000).step_by(997) {
-        let d = server.engine().locate(third, blk).unwrap();
+        let d = server.placement().locate(third, blk).unwrap();
         assert!(d.0 < 7);
     }
 }
@@ -79,7 +79,7 @@ fn overlapping_online_scalings_converge() {
     }
     server.scale(ScalingOp::Add { count: 2 }).unwrap();
     drained(&mut server);
-    assert_eq!(server.disks().disks(), 8);
+    assert_eq!(server.placement().disks().disks(), 8);
     assert!(server.residency_consistent());
 }
 
@@ -120,7 +120,7 @@ fn simulation_under_continuous_churn_stays_clean() {
         0,
         "maintenance must be invisible at this load"
     );
-    assert_eq!(sim.server().disks().disks(), 9); // 8 +1 -1 +2 -1
+    assert_eq!(sim.server().placement().disks().disks(), 9); // 8 +1 -1 +2 -1
 }
 
 #[test]

@@ -170,7 +170,7 @@ fn an_addition_past_the_id_ceiling_is_a_typed_error() {
         Err(ScaddarError::Scaling(ScalingError::PhysicalIdsExhausted).into())
     );
     assert_eq!(s.engine().epoch(), epoch, "the engine did not commit");
-    assert_eq!(s.disks().disks(), 1);
+    assert_eq!(s.placement().disks().disks(), 1);
     assert!(s.residency_consistent());
     // A snapshot whose log passes the ceiling restores as an error,
     // not a panic.

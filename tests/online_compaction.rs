@@ -33,7 +33,7 @@ fn unknown_blocks(server: &CmServer) -> u64 {
     let mut unknown = 0;
     for obj in server.engine().catalog().objects() {
         for block in 0..obj.blocks {
-            if !matches!(server.locate_current(obj.id, block), Ok(d) if d.0 < disks) {
+            if !matches!(server.placement().locate(obj.id, block), Ok(d) if d.0 < disks) {
                 unknown += 1;
             }
         }
@@ -83,7 +83,7 @@ fn auto_compaction_serves_through_the_cutover() {
         for _ in 0..LOOKUPS_PER_ROUND {
             let object = ObjectId(rng.next_u64() % OBJECTS);
             let block = rng.next_u64() % BLOCKS;
-            let disk = server.locate_current(object, block);
+            let disk = server.placement().locate(object, block);
             assert!(
                 matches!(disk, Ok(d) if d.0 < server.engine().disks()),
                 "hiccup in round {rounds}: {object:?}/{block} -> {disk:?}"

@@ -64,7 +64,7 @@ fn failure_scaling_scrub_snapshot_lifecycle() {
     assert!(server.residency_consistent());
 
     // Single-failure safety holds on the reshaped array.
-    for d in 0..server.disks().disks() {
+    for d in 0..server.placement().disks().disks() {
         let (_, lost) = parity.availability(&server, &[DiskIndex(d)]).unwrap();
         assert_eq!(lost, 0, "disk {d} after lifecycle");
     }
@@ -75,8 +75,8 @@ fn failure_scaling_scrub_snapshot_lifecycle() {
     let restored = CmServer::restore(ServerConfig::new(8).with_catalog_seed(12), &bytes).unwrap();
     for blk in (0..10_000).step_by(503) {
         assert_eq!(
-            restored.engine().locate(obj, blk).unwrap(),
-            server.engine().locate(obj, blk).unwrap()
+            restored.placement().locate(obj, blk).unwrap(),
+            server.placement().locate(obj, blk).unwrap()
         );
     }
     let mut scrubber = Scrubber::new();

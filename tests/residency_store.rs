@@ -74,10 +74,13 @@ fn first_full_disk(s: &CmServer, blocks: u64) -> Option<PhysicalDiskId> {
     let id = probe.add_object(blocks);
     let mut taken: HashMap<PhysicalDiskId, u64> = HashMap::new();
     (0..blocks).find_map(|block| {
-        let disk = s.disks().physical(probe.locate(id, block).unwrap());
+        let disk = s
+            .placement()
+            .disks()
+            .physical(probe.locate(id, block).unwrap());
         let n = taken.entry(disk).or_insert(s.store().blocks_on(disk));
         *n += 1;
-        (*n > s.disks().spec(disk).capacity).then_some(disk)
+        (*n > s.placement().disks().spec(disk).capacity).then_some(disk)
     })
 }
 
@@ -116,7 +119,7 @@ impl Run {
         }
         // A tick retires every removed disk that holds no block.
         let s = &self.server;
-        let live = s.disks().physical_ids();
+        let live = s.placement().disks().physical_ids();
         self.draining.retain(|&d| s.store().blocks_on(d) > 0);
         self.failed
             .retain(|&d| live.contains(&d) || s.store().blocks_on(d) > 0);
@@ -164,7 +167,7 @@ impl Run {
         let victims: Vec<PhysicalDiskId> = match &op {
             ScalingOp::Remove { disks } => disks
                 .iter()
-                .map(|&l| self.server.disks().physical(DiskIndex(l)))
+                .map(|&l| self.server.placement().disks().physical(DiskIndex(l)))
                 .collect(),
             ScalingOp::Add { .. } => Vec::new(),
         };
@@ -182,7 +185,7 @@ impl Run {
     /// The §6 remedy before any scaling: remove a failed disk still in
     /// the array and reconstruct its blocks from their mirrors.
     fn heal(&mut self) {
-        let live = self.server.disks().physical_ids();
+        let live = self.server.placement().disks().physical_ids();
         if let Some(at) = live.iter().position(|d| self.failed.contains(d)) {
             self.scale(ScalingOp::remove_one(at as u32));
             assert!(self.failed.is_empty(), "{:?}", self.failed);
@@ -199,7 +202,7 @@ impl Run {
         ) {
             self.heal();
         }
-        let disks = self.server.disks().disks();
+        let disks = self.server.placement().disks().disks();
         match *step {
             Step::Add(blocks) => {
                 let full = first_full_disk(&self.server, blocks);
@@ -255,6 +258,7 @@ impl Run {
                 self.quiesce();
                 let at = self
                     .server
+                    .placement()
                     .disks()
                     .physical_ids()
                     .iter()
@@ -337,7 +341,7 @@ impl Run {
                 *recount.entry(disk).or_insert(0) += 1;
             }
         }
-        let live = s.disks().physical_ids();
+        let live = s.placement().disks().physical_ids();
         let expected: Vec<u64> = live
             .iter()
             .map(|d| recount.get(d).copied().unwrap_or(0))

@@ -36,8 +36,8 @@ fn restart_reconstructs_identical_placement() {
         let id = ObjectId(i as u64);
         for blk in (0..blocks).step_by(101) {
             assert_eq!(
-                a.engine().locate(id, blk).unwrap(),
-                b.engine().locate(id, blk).unwrap(),
+                a.placement().locate(id, blk).unwrap(),
+                b.placement().locate(id, blk).unwrap(),
                 "object {i} block {blk} diverged across restart"
             );
             assert_eq!(
@@ -65,8 +65,8 @@ fn restart_with_different_catalog_seed_diverges() {
     let b = replay(ServerConfig::new(5).with_catalog_seed(2), &objects, &ops);
     let same = (0..4_000)
         .filter(|&blk| {
-            a.engine().locate(ObjectId(0), blk).unwrap()
-                == b.engine().locate(ObjectId(0), blk).unwrap()
+            a.placement().locate(ObjectId(0), blk).unwrap()
+                == b.placement().locate(ObjectId(0), blk).unwrap()
         })
         .count();
     // ~1/6 agree by chance on 6 disks; identical placement would be 4000.
