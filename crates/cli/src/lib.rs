@@ -442,11 +442,20 @@ impl Session {
         Ok(out)
     }
 
-    fn parse_object_block(args: &[&str], usage: &str) -> Result<(ObjectId, u64), CliError> {
+    /// Parses `<object> <block>`, for this console and the remote one
+    /// alike; a trailing argument is a usage error.
+    pub(crate) fn parse_object_block(
+        args: &[&str],
+        usage: &str,
+    ) -> Result<(ObjectId, u64), CliError> {
         let err = || CliError::Usage(usage.to_string());
-        let object: u64 = args.first().and_then(|a| a.parse().ok()).ok_or_else(err)?;
-        let block: u64 = args.get(1).and_then(|a| a.parse().ok()).ok_or_else(err)?;
-        Ok((ObjectId(object), block))
+        match args {
+            [object, block] => Ok((
+                ObjectId(object.parse().map_err(|_| err())?),
+                block.parse().map_err(|_| err())?,
+            )),
+            _ => Err(err()),
+        }
     }
 
     fn cmd_locate(&self, args: &[&str]) -> Result<String, CliError> {
@@ -555,19 +564,21 @@ impl Session {
         Ok(out)
     }
 
-    /// Parses `add <count>` / `remove <list>` argument forms.
-    fn parse_op(args: &[&str], usage: &str) -> Result<ScalingOp, CliError> {
+    /// Parses `add <count>` / `remove <d1,d2,...>`, for this console and
+    /// the remote one alike; a trailing argument is a usage error.
+    pub(crate) fn parse_op(args: &[&str], usage: &str) -> Result<ScalingOp, CliError> {
         let err = || CliError::Usage(usage.to_string());
-        match (args.first().copied(), args.get(1)) {
-            (Some("add"), Some(count)) => Ok(ScalingOp::Add {
+        match args {
+            ["add", count] => Ok(ScalingOp::Add {
                 count: count.parse().map_err(|_| err())?,
             }),
-            (Some("remove"), Some(list)) => {
-                let disks: Result<Vec<u32>, _> = list.split(',').map(str::parse).collect();
-                Ok(ScalingOp::Remove {
-                    disks: disks.map_err(|_| err())?,
-                })
-            }
+            ["remove", list] => Ok(ScalingOp::Remove {
+                disks: list
+                    .split(',')
+                    .map(str::parse)
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| err())?,
+            }),
             _ => Err(err()),
         }
     }

@@ -15,9 +15,9 @@
 //! status (`OK`=0, `WARN`=1, `CRIT`=2) so CI and operators can gate on
 //! them.
 
+use crate::Session;
 use cmsim::{CmServer, ServerConfig, SharedServer};
 use scaddar_cluster::FleetAggregator;
-use scaddar_core::ScalingOp;
 use scaddar_monitor::Severity;
 use scaddar_net::{
     fetch_map, ClusterMap, NetClient, NetServerConfig, Scaddard, ServerMode, ShardRuntime,
@@ -408,19 +408,14 @@ impl RemoteSession {
         match command {
             "help" => Ok((REMOTE_HELP.to_string(), 0)),
             "locate" => {
-                let (object, block) = match args {
-                    [o, b] => (
-                        o.parse().map_err(|_| usage("locate <object> <block>"))?,
-                        b.parse().map_err(|_| usage("locate <object> <block>"))?,
-                    ),
-                    _ => return Err(usage("locate <object> <block>")),
-                };
+                let (object, block) = Session::parse_object_block(args, "locate <object> <block>")
+                    .map_err(|e| e.to_string())?;
                 let (epoch, disks, disk) = self
                     .client
-                    .locate(object, block)
+                    .locate(object.0, block)
                     .map_err(|e| e.to_string())?;
                 Ok((
-                    format!("object {object} block {block} -> disk {disk} (epoch {epoch}, {disks} disks)"),
+                    format!("{object} block {block} -> disk {disk} (epoch {epoch}, {disks} disks)"),
                     0,
                 ))
             }
@@ -451,21 +446,8 @@ impl RemoteSession {
                 Ok((out, 0))
             }
             "scale" => {
-                let op = match args {
-                    ["add", count] => ScalingOp::Add {
-                        count: count
-                            .parse()
-                            .map_err(|_| usage("scale add <count> | scale remove <d1,d2,...>"))?,
-                    },
-                    ["remove", list] => ScalingOp::Remove {
-                        disks: list
-                            .split(',')
-                            .map(str::parse)
-                            .collect::<Result<_, _>>()
-                            .map_err(|_| usage("scale add <count> | scale remove <d1,d2,...>"))?,
-                    },
-                    _ => return Err(usage("scale add <count> | scale remove <d1,d2,...>")),
-                };
+                let op = Session::parse_op(args, "scale add <count> | scale remove <d1,d2,...>")
+                    .map_err(|e| e.to_string())?;
                 let (epoch, disks, queued) = self.client.scale(op).map_err(|e| e.to_string())?;
                 Ok((
                     format!("op {epoch}: now {disks} disks; {queued} moves queued"),
@@ -718,6 +700,27 @@ mod tests {
         assert!(session.execute("locate nope").is_err());
         assert!(session.execute("frobnicate").is_err());
         assert_eq!(session.execute("").unwrap(), (String::new(), 0));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn both_consoles_reject_trailing_and_missing_arguments() {
+        let mut local = Session::new();
+        local.execute("init 4 seed=7").unwrap();
+        local.execute("add-object 1000").unwrap();
+        let parsed =
+            parse_serve_args(&args(&["--addr", "127.0.0.1:0", "--blocks", "1000"])).unwrap();
+        let (daemon, _) = boot_daemon(&parsed).unwrap();
+        let remote = RemoteSession::connect(daemon.local_addr());
+        for line in ["scale add 1 extra", "locate 0"] {
+            let local_err = local.execute(line).unwrap_err();
+            assert!(matches!(local_err, crate::CliError::Usage(_)), "{line}");
+            let remote_err = remote.execute(line).unwrap_err();
+            assert_eq!(remote_err, local_err.to_string(), "{line}");
+        }
+        // The rejected scale never reached either engine.
+        assert!(local.execute("fairness").unwrap().contains("operations: 0"));
+        assert!(remote.execute("ping").unwrap().0.contains("epoch 0"));
         daemon.shutdown();
     }
 

@@ -80,25 +80,24 @@ impl RedistributionExecutor {
             budget.get(d.0 as usize).is_some_and(|&left| left > 0)
         };
         let mut executed = Vec::new();
-        let mut deferred = VecDeque::new();
-        while let Some(mv) = self.queue.pop_front() {
+        // One in-place pass: an executed move leaves the queue, a
+        // deferred one keeps its place. Other moves may touch disks with
+        // budget left, so the scan goes on past a blocked one.
+        self.queue.retain(|mv| {
             // A local copy (from == to, e.g. materializing a
             // reconstructed block from a mirror co-resident with the
             // target) is one disk operation on a single spindle.
             let local = mv.from == mv.to;
-            if has_budget(budget, mv.to) && (local || has_budget(budget, mv.from)) {
+            let runs = has_budget(budget, mv.to) && (local || has_budget(budget, mv.from));
+            if runs {
                 budget[mv.to.0 as usize] -= 1;
                 if !local {
                     budget[mv.from.0 as usize] -= 1;
                 }
-                executed.push(mv);
-            } else {
-                // Other moves may touch disks with budget left; keep
-                // scanning — queue lengths are bounded by the plan size.
-                deferred.push_back(mv);
+                executed.push(*mv);
             }
-        }
-        self.queue = deferred;
+            !runs
+        });
         executed
     }
 

@@ -774,28 +774,35 @@ mod tests {
         let daemon = Scaddard::bind(
             "127.0.0.1:0",
             Arc::new(SharedServer::new(server)),
-            NetServerConfig::default(),
+            NetServerConfig {
+                workers: 1,
+                ..NetServerConfig::default()
+            },
             &registry,
             tracer.clone(),
         )
         .unwrap();
         let client = NetClient::connect(daemon.local_addr());
-        let ctx = TraceContext::root(42, 0);
-        let response = client
-            .request_traced(
-                &Frame::Locate {
-                    object: 0,
-                    block: 1,
-                },
-                Some(&ctx),
-            )
-            .unwrap();
-        assert!(matches!(response, Frame::Located { .. }));
-        let spans = tracer.spans_for_trace(ctx.trace_id);
-        assert_eq!(spans.len(), 1, "server recorded one continuation span");
-        assert_eq!(spans[0].name, "serve.locate");
-        assert_eq!(spans[0].parent_id, ctx.span_id);
-        assert_eq!(spans[0].span_id, ctx.child(0).span_id);
+        // Traced lookups take the coalesced path that untraced ones take,
+        // so the 1-in-SAMPLE_EVERY phase sample finds them too.
+        for sequence in 0..=crate::seam::SAMPLE_EVERY as u64 {
+            let ctx = TraceContext::root(43, sequence);
+            let response = client
+                .request_traced(
+                    &Frame::Locate {
+                        object: 0,
+                        block: sequence,
+                    },
+                    Some(&ctx),
+                )
+                .unwrap();
+            assert!(matches!(response, Frame::Located { .. }));
+            let spans = tracer.spans_for_trace(ctx.trace_id);
+            assert_eq!(spans.len(), 1, "server recorded one continuation span");
+            assert_eq!(spans[0].name, "serve.locate");
+            assert_eq!(spans[0].parent_id, ctx.span_id);
+            assert_eq!(spans[0].span_id, ctx.child(0).span_id);
+        }
         // An unsampled context propagates ids but records no span.
         let quiet = TraceContext {
             sampled: false,
@@ -812,6 +819,18 @@ mod tests {
             .unwrap();
         assert!(tracer.spans_for_trace(quiet.trace_id).is_empty());
         daemon.shutdown();
+        // The worker is joined: every phase it closed is recorded.
+        let engine_samples: u64 = crate::seam::ENGINE_DEPTH_BUCKETS
+            .iter()
+            .map(|depth| {
+                let name = format!("net_phase_ns{{phase=\"engine\",depth=\"{depth}\"}}");
+                registry.snapshot().histogram(&name).map_or(0, |h| h.count)
+            })
+            .sum();
+        assert!(
+            engine_samples >= 1,
+            "a traced lookup timed its engine phase"
+        );
     }
 
     #[test]

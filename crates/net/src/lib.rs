@@ -18,19 +18,22 @@
 //!   `net.*` spans. Two cores behind one bind call ([`ServerMode`]):
 //!   the default readiness-based event loop and the thread-per-
 //!   connection reference kept for A/B runs.
+//!   Every `Locate` and `LocateBatch` on either core, traced, routed or
+//!   plain, is answered on one lookup path: a run of lookup frames
+//!   served by one [`cmsim::SharedServer::locate_coalesced_with`] call.
 //! * [`reactor`] — the event-loop core: nonblocking sockets driven by
 //!   epoll/poll(2) (via the vendored `polling` shim), a slab of
 //!   per-connection states with reusable buffers, cross-connection
-//!   request coalescing into single [`cmsim::SharedServer`] read-lock
-//!   acquisitions, batched writes with graceful EAGAIN handling, and
-//!   the PR 5 deadline/backpressure policy preserved.
+//!   coalescing of lookups into one wave per wakeup on that path,
+//!   batched writes with graceful EAGAIN handling, and the threaded
+//!   core's deadline/backpressure policy preserved.
 //! * [`seam`] — the reactor's one instrumentation seam: each edge
 //!   publishes the worker's profiler state word and, for the 1-in-64
 //!   sampled requests, times the phase it closes into `net_phase_ns`.
 //! * [`client`] — [`NetClient`]: connection pooling, request
 //!   pipelining, and deadline-aware retry-on-reconnect.
 //! * [`load`] — a deterministic loopback load generator (seeded
-//!   open/closed-loop workloads) whose measurements feed the
+//!   closed-loop and pipelined workloads) whose measurements feed the
 //!   `net_load` rows of the bench gate table via `scaddard-load`.
 //! * [`cluster`] — the sharded-topology layer: the versioned
 //!   [`ClusterMap`] with jump-consistent-hash object routing, the
@@ -46,7 +49,7 @@
 //! Every response that depends on placement carries the scaling epoch
 //! it was served at (`Located`, `BatchLocated`, `Scaled`, even `Pong`),
 //! and every batch is served under **one** lock acquisition
-//! ([`cmsim::SharedServer::locate_batch_read`]) — so a remote client
+//! ([`cmsim::SharedServer::locate_coalesced_with`]) — so a remote client
 //! observes the same "entirely pre-op or entirely post-op, never torn"
 //! guarantee that `cmsim`'s in-process tests pin down, now across the
 //! socket boundary (`tests/loopback_concurrent.rs` holds the line with

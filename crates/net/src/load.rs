@@ -7,16 +7,11 @@
 //! is fully determined by [`LoadConfig::seed`] (SplitMix64 per client);
 //! wall-clock timings obviously are not.
 //!
-//! Three loop disciplines:
+//! Two loop disciplines, over one request sequence per seed:
 //!
 //! * [`LoopMode::Closed`] — each client fires its next request the
 //!   moment the previous response lands; measures service latency under
 //!   maximum sustainable pressure.
-//! * [`LoopMode::Open`] — each client schedules request `i` at
-//!   `start + i/rate` and measures latency **from the scheduled send
-//!   time**, so queueing delay from a slow server is charged to the
-//!   percentiles instead of silently vanishing (the coordinated-
-//!   omission correction).
 //! * [`LoopMode::Pipelined`] — each client keeps a whole window of
 //!   requests on the wire at once (one connection, responses read back
 //!   in order). This is the discipline that exercises the event loop's
@@ -44,12 +39,6 @@ use std::time::{Duration, Instant};
 pub enum LoopMode {
     /// Fire the next request as soon as the previous response lands.
     Closed,
-    /// Schedule requests at a fixed per-client rate (requests/second),
-    /// measuring from the scheduled send time.
-    Open {
-        /// Target request rate per client thread.
-        rps: f64,
-    },
     /// Keep `window` requests in flight per client on one pipelined
     /// connection; latency is recorded as window wall time / window
     /// size (amortized service time).
@@ -165,18 +154,58 @@ struct ClientOutcome {
     epoch_mask: u64,
 }
 
-fn classify(err: &ClientError) -> (u64, u64) {
-    match err {
-        ClientError::Frame(_) | ClientError::UnexpectedResponse { .. } => (0, 1),
-        _ => (1, 0),
+impl ClientOutcome {
+    /// Books one response: a located answer is checked for a torn epoch
+    /// and its latency recorded, an `Error` frame counts as a request
+    /// error, anything else as a protocol error.
+    fn tally(&mut self, response: &Frame, ns: u64, histograms: &[Histogram; 2]) {
+        let (epoch, torn, histogram) = match response {
+            Frame::Located { epoch, disks, disk } => {
+                (epoch, u64::from(*disk >= u64::from(*disks)), LOCATE_LAT)
+            }
+            Frame::BatchLocated {
+                epoch,
+                disks,
+                locations,
+            } => {
+                let torn = locations.iter().filter(|d| **d >= u64::from(*disks));
+                (epoch, torn.count() as u64, BATCH_LAT)
+            }
+            Frame::Error { .. } => {
+                self.errors += 1;
+                return;
+            }
+            _ => {
+                self.protocol_errors += 1;
+                return;
+            }
+        };
+        self.requests += 1;
+        self.consistency_violations += torn;
+        self.epoch_mask |= 1u64 << (epoch % 64);
+        histograms[histogram].record(ns);
+    }
+
+    /// Books `n` requests lost to one failed client call.
+    fn fail(&mut self, err: &ClientError, n: u64) {
+        match err {
+            ClientError::Frame(_) | ClientError::UnexpectedResponse { .. } => {
+                self.protocol_errors += n
+            }
+            _ => self.errors += n,
+        }
     }
 }
 
-/// The seeded request mixture, one request at a time: `(is_batch,
-/// request frame)` for global request index `i` of one client.
-fn next_request(config: &LoadConfig, rng: &mut SplitMix64, i: u64) -> (bool, Frame) {
+fn elapsed_ns(since: Instant, n: usize) -> u64 {
+    (since.elapsed().as_nanos() / n as u128).min(u64::MAX as u128) as u64
+}
+
+/// The seeded request mixture, one request at a time: the request
+/// frame for global request index `i` of one client.
+fn next_request(config: &LoadConfig, rng: &mut SplitMix64, i: u64) -> Frame {
     let is_batch = config.batch_every > 0 && i % config.batch_every == config.batch_every - 1;
-    let frame = if is_batch {
+    if is_batch {
         let span = config.batch_len.min(config.object_blocks).max(1);
         let first = rng.next_u64() % config.object_blocks.saturating_sub(span - 1).max(1);
         Frame::LocateBatch {
@@ -188,8 +217,7 @@ fn next_request(config: &LoadConfig, rng: &mut SplitMix64, i: u64) -> (bool, Fra
             object: 0,
             block: rng.next_u64() % config.object_blocks,
         }
-    };
-    (is_batch, frame)
+    }
 }
 
 fn run_client(
@@ -230,50 +258,12 @@ fn run_client(
         );
         return outcome;
     }
-    let start = Instant::now();
-    let interval = match config.mode {
-        LoopMode::Closed | LoopMode::Pipelined { .. } => None,
-        LoopMode::Open { rps } => (rps > 0.0).then(|| Duration::from_secs_f64(1.0 / rps)),
-    };
     for i in 0..config.requests_per_client {
-        let scheduled = interval.map(|iv| {
-            let at = start + iv * i as u32;
-            if let Some(wait) = at.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-            at
-        });
-        let is_batch = config.batch_every > 0 && i % config.batch_every == config.batch_every - 1;
-        let t0 = scheduled.unwrap_or_else(Instant::now);
-        let result = if is_batch {
-            let span = config.batch_len.min(config.object_blocks).max(1);
-            let first = rng.next_u64() % config.object_blocks.saturating_sub(span - 1).max(1);
-            let blocks: Vec<u64> = (first..first + span).collect();
-            client
-                .locate_batch(0, &blocks)
-                .map(|(epoch, disks, locations)| {
-                    let torn = locations.iter().filter(|d| **d >= disks as u64).count();
-                    (epoch, torn as u64)
-                })
-        } else {
-            let block = rng.next_u64() % config.object_blocks;
-            client
-                .locate(0, block)
-                .map(|(epoch, disks, disk)| (epoch, u64::from(disk >= disks as u64)))
-        };
-        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        match result {
-            Ok((epoch, torn)) => {
-                outcome.requests += 1;
-                outcome.consistency_violations += torn;
-                outcome.epoch_mask |= 1u64 << (epoch % 64);
-                histograms[if is_batch { BATCH_LAT } else { LOCATE_LAT }].record(ns);
-            }
-            Err(e) => {
-                let (errs, proto) = classify(&e);
-                outcome.errors += errs;
-                outcome.protocol_errors += proto;
-            }
+        let frame = next_request(config, &mut rng, i);
+        let t0 = Instant::now();
+        match client.request(&frame) {
+            Ok(response) => outcome.tally(&response, elapsed_ns(t0, 1), histograms),
+            Err(e) => outcome.fail(&e, 1),
         }
         progress.fetch_add(1, Ordering::Relaxed);
     }
@@ -299,47 +289,18 @@ fn run_client_pipelined(
         let n = (config.requests_per_client - issued).min(window as u64) as usize;
         let mut frames = Vec::with_capacity(n);
         for _ in 0..n {
-            let (_is_batch, frame) = next_request(config, rng, issued);
-            frames.push(frame);
+            frames.push(next_request(config, rng, issued));
             issued += 1;
         }
         let t0 = Instant::now();
         match client.pipeline(&frames) {
             Ok(responses) => {
-                let per_request_ns =
-                    (t0.elapsed().as_nanos() / n as u128).min(u64::MAX as u128) as u64;
+                let per_request_ns = elapsed_ns(t0, n);
                 for response in &responses {
-                    match response {
-                        Frame::Located { epoch, disks, disk } => {
-                            outcome.requests += 1;
-                            outcome.consistency_violations += u64::from(*disk >= u64::from(*disks));
-                            outcome.epoch_mask |= 1u64 << (epoch % 64);
-                            histograms[LOCATE_LAT].record(per_request_ns);
-                        }
-                        Frame::BatchLocated {
-                            epoch,
-                            disks,
-                            locations,
-                        } => {
-                            outcome.requests += 1;
-                            outcome.consistency_violations += locations
-                                .iter()
-                                .filter(|d| **d >= u64::from(*disks))
-                                .count()
-                                as u64;
-                            outcome.epoch_mask |= 1u64 << (epoch % 64);
-                            histograms[BATCH_LAT].record(per_request_ns);
-                        }
-                        Frame::Error { .. } => outcome.errors += 1,
-                        _ => outcome.protocol_errors += 1,
-                    }
+                    outcome.tally(response, per_request_ns, histograms);
                 }
             }
-            Err(e) => {
-                let (errs, proto) = classify(&e);
-                outcome.errors += errs * n as u64;
-                outcome.protocol_errors += proto * n as u64;
-            }
+            Err(e) => outcome.fail(&e, n as u64),
         }
         progress.fetch_add(n as u64, Ordering::Relaxed);
     }
@@ -466,26 +427,6 @@ mod tests {
         assert!(report.locate.p50 > 0);
         assert!(report.locate.p999 >= report.locate.p99);
         assert!(report.throughput_rps > 0.0);
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn open_loop_paces_requests() {
-        let daemon = boot(1_000);
-        let config = LoadConfig {
-            clients: 2,
-            requests_per_client: 20,
-            object_blocks: 1_000,
-            scale_ops: 0,
-            batch_every: 0,
-            mode: LoopMode::Open { rps: 200.0 },
-            ..LoadConfig::default()
-        };
-        let report = run_load(daemon.local_addr(), &config);
-        assert_eq!(report.requests, 40);
-        assert_eq!(report.errors + report.protocol_errors, 0);
-        // 20 requests at 200/s per client is ≥ ~95ms of pacing.
-        assert!(report.elapsed >= Duration::from_millis(90), "{report:?}");
         daemon.shutdown();
     }
 

@@ -38,14 +38,14 @@
 //!    the read deadline — slow-loris clients get the PR 5
 //!    `read_timeout`, not a thread).
 //! 4. **Cross-connection coalescing**: consecutive `Locate` /
-//!    `LocateBatch` frames — across *all* connections woken this round
-//!    — are answered by one [`cmsim::SharedServer::locate_coalesced`]
-//!    call under a single read-lock acquisition. Non-lookup frames
-//!    (`Scale`, `Tick`, …) act as barriers: the pending lookup wave is
-//!    flushed before they run, so responses on any one connection are
-//!    in request order and its observed epoch never runs backwards.
-//!    The batching window is exactly one poller wakeup — no timer, no
-//!    added latency.
+//!    `LocateBatch` frames — across *all* connections woken this round,
+//!    traced or not, routed here or not — form a wave that the one
+//!    lookup path, `server::answer_lookups`, answers under a
+//!    single read-lock acquisition. Non-lookup frames (`Scale`, `Tick`,
+//!    …) act as barriers: the pending lookup wave is flushed before
+//!    they run, so responses on any one connection are in request order
+//!    and its observed epoch never runs backwards. The batching window
+//!    is exactly one poller wakeup — no timer, no added latency.
 //! 5. Responses are batch-encoded into each connection's write buffer
 //!    and flushed with one `write` per connection (the writev of this
 //!    protocol: many frames, one syscall). A short write arms writable
@@ -64,12 +64,10 @@
 
 use crate::seam::{Phase, Sample, Seam};
 use crate::server::{
-    engine_error, flush, handle_request, shard_gate, Accept, Shared, ACCEPT_PAUSE,
+    answer_lookups, flush, handle_request, is_lookup, Accept, Request, Shared, ACCEPT_PAUSE,
 };
 use crate::wire::{complete_frames, decode_frame_traced, ErrorCode, Frame, FrameError};
-use cmsim::LocateQuery;
 use polling::{Event, Poller};
-use scaddar_obs::TraceContext;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -150,16 +148,15 @@ struct Conn {
     /// Peer sent EOF (possibly a half-close): answer everything already
     /// received, then close once drained.
     close_when_drained: bool,
-    /// A heavy engine op (`Scale`/`Tick`) is running on an offload
+    /// A heavy engine op (see [`is_heavy`]) is running on an offload
     /// thread; frames decoded meanwhile queue in `deferred` so the
     /// connection's response order survives.
     busy: bool,
     /// Incarnation of this slab slot — a completion whose generation
     /// doesn't match arrived for a connection that is already gone.
     generation: u64,
-    /// Frames awaiting the in-flight offloaded op, in arrival order
-    /// (each with the trace context it arrived under, if any).
-    deferred: VecDeque<TracedFrame>,
+    /// Requests awaiting the in-flight offloaded op, in arrival order.
+    deferred: VecDeque<Request>,
     /// Sampled requests whose responses sit in `out`: the next flush
     /// times `write-flush` for them.
     flush: Sample,
@@ -182,21 +179,17 @@ struct Completion {
     keep_open: bool,
 }
 
-/// `Scale` and `Tick` hold the engine's write lock for milliseconds
-/// (a full redistribution drain); executing them on the reactor thread
-/// would stall every connection on the worker for the duration. They
-/// run on a short-lived offload thread instead.
+/// `Scale`, `Tick` and `Compact` hold the engine's write lock for
+/// milliseconds (a scale commit, a redistribution drain, a compaction
+/// begin that re-places every block); executing them on the reactor
+/// thread would stall every connection on the worker for the duration.
+/// They run on a short-lived offload thread instead.
 fn is_heavy(frame: &Frame) -> bool {
-    matches!(frame, Frame::Scale { .. } | Frame::Tick { .. })
+    matches!(
+        frame,
+        Frame::Scale { .. } | Frame::Tick { .. } | Frame::Compact
+    )
 }
-
-/// A decoded frame plus the trace context that rode in on its trailer.
-type TracedFrame = (Frame, Option<TraceContext>);
-
-/// A decoded request waiting for dispatch this wakeup: slab slot, the
-/// frame (taken out of the `Option` when individually dispatched), and
-/// its seam sample (`coalesce-wait` open when the request is sampled).
-type PendingReq = (usize, Option<TracedFrame>, Sample);
 
 struct Worker {
     shared: Arc<Shared>,
@@ -238,7 +231,7 @@ impl Worker {
             self.apply_completions();
             self.accept_ready();
             self.seam.enter(Phase::Decode);
-            let mut pending: Vec<PendingReq> = Vec::new();
+            let mut pending: Vec<Request> = Vec::new();
             let events = std::mem::take(&mut self.events);
             for ev in &events {
                 self.handle_event(ev, &mut pending);
@@ -393,7 +386,7 @@ impl Worker {
     /// `pending` (in arrival order). A short read ends the drain without
     /// the extra `read` that would return `WouldBlock`: the poller is
     /// level-triggered, so anything still unread re-fires the next wait.
-    fn handle_event(&mut self, ev: &Event, pending: &mut Vec<PendingReq>) {
+    fn handle_event(&mut self, ev: &Event, pending: &mut Vec<Request>) {
         let slot = ev.key;
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return; // already closed this wakeup
@@ -437,7 +430,12 @@ impl Worker {
                 Ok((frame, ctx, used)) => {
                     consumed += used;
                     let sample = self.seam.decoded(readable_at);
-                    pending.push((slot, Some((frame, ctx)), sample));
+                    pending.push(Request {
+                        slot,
+                        frame,
+                        ctx,
+                        sample,
+                    });
                 }
                 Err(FrameError::Incomplete { .. }) => break,
                 Err(err) => {
@@ -472,7 +470,7 @@ impl Worker {
                 && conn.out.is_empty()
                 && !conn.busy
                 && conn.deferred.is_empty()
-                && pending.iter().all(|p| p.0 != slot);
+                && pending.iter().all(|p| p.slot != slot);
             if idle {
                 self.close(slot);
             } else {
@@ -487,11 +485,10 @@ impl Worker {
     /// connections accumulate into a wave answered under one read lock;
     /// any other frame flushes the wave first (order barrier), then
     /// runs through the ordinary per-request path.
-    fn dispatch(&mut self, mut pending: Vec<PendingReq>) {
-        let mut wave: Vec<usize> = Vec::new();
-        for i in 0..pending.len() {
-            let slot = pending[i].0;
-            let Some(conn) = self.conns[slot].as_mut() else {
+    fn dispatch(&mut self, pending: Vec<Request>) {
+        let mut wave: Vec<Request> = Vec::new();
+        for req in pending {
+            let Some(conn) = self.conns[req.slot].as_mut() else {
                 continue;
             };
             if conn.close_after_flush {
@@ -501,54 +498,34 @@ impl Worker {
             // everything behind it waits in the deferred queue. (Does
             // not barrier the wave — ordering is per-connection.)
             if conn.busy {
-                conn.deferred.push_back(pending[i].1.take().unwrap());
+                conn.deferred.push_back(req);
                 continue;
             }
-            // Sampled-trace lookups skip the wave: they take the
-            // ordinary path so a continuation span is recorded.
-            let coalescible = match pending[i].1.as_ref() {
-                Some((_, Some(ctx))) if ctx.sampled => false,
-                Some((Frame::Locate { .. }, _)) => true,
-                Some((Frame::LocateBatch { blocks, .. }, _)) => !blocks.is_empty(),
-                _ => false,
-            };
-            // Cluster mode: only lookups this shard actually serves may
-            // join the wave — and the wave must see the shard-local
-            // object id. Everything else (WrongShard/StaleMap/unknown)
-            // takes the ordinary path, which runs the routing gate.
-            if coalescible {
-                let (Frame::Locate { object, .. } | Frame::LocateBatch { object, .. }) =
-                    &mut pending[i].1.as_mut().unwrap().0
-                else {
-                    unreachable!("coalescible is lookup-only");
-                };
-                if let Ok(local) = shard_gate(&self.shared, *object) {
-                    *object = local;
-                    wave.push(i);
-                    continue;
-                }
+            if is_lookup(&req.frame) {
+                wave.push(req);
+                continue;
             }
-            self.flush_wave(&mut wave, &pending);
-            let (frame, ctx) = pending[i].1.take().unwrap();
-            if is_heavy(&frame) {
-                self.offload(slot, (frame, ctx));
-            } else if let Some(conn) = self.conns[slot].as_mut() {
+            self.flush_wave(&mut wave);
+            if is_heavy(&req.frame) {
+                self.offload(req);
+            } else if let Some(conn) = self.conns[req.slot].as_mut() {
                 self.seam.enter(Phase::Engine);
-                if !handle_request(frame, &self.shared, &mut conn.out, ctx) {
+                if !handle_request(req.frame, &self.shared, &mut conn.out, req.ctx) {
                     conn.close_after_flush = true;
                 }
-                conn.flush.carry(pending[i].2);
+                conn.flush.carry(req.sample);
                 self.seam.enter(Phase::Decode);
             }
         }
-        self.flush_wave(&mut wave, &pending);
+        self.flush_wave(&mut wave);
     }
 
     /// Runs a heavy frame on a short-lived offload thread. The
     /// connection is parked (`busy`) until the completion comes back
     /// through [`Self::apply_completions`]; a spawn failure falls back
     /// to inline execution (slow, but correct).
-    fn offload(&mut self, slot: usize, traced: TracedFrame) {
+    fn offload(&mut self, req: Request) {
+        let slot = req.slot;
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
@@ -557,8 +534,7 @@ impl Worker {
         let completions = Arc::clone(&self.completions);
         let poller = Arc::clone(&self.poller);
         conn.busy = true;
-        let fallback = traced.clone();
-        let (frame, ctx) = traced;
+        let (frame, ctx) = (req.frame.clone(), req.ctx);
         let spawned = std::thread::Builder::new()
             .name("scaddard-op".into())
             .spawn(move || {
@@ -584,8 +560,7 @@ impl Worker {
             // Thread exhaustion: execute inline rather than wedge.
             let conn = self.conns[slot].as_mut().expect("checked above");
             conn.busy = false;
-            let (frame, ctx) = fallback;
-            if !handle_request(frame, &self.shared, &mut conn.out, ctx) {
+            if !handle_request(req.frame, &self.shared, &mut conn.out, req.ctx) {
                 conn.close_after_flush = true;
             }
         }
@@ -614,16 +589,16 @@ impl Worker {
                 continue;
             }
             // Replay what queued up behind the op, in order.
-            while let Some((frame, ctx)) = self.conns[completion.slot]
+            while let Some(req) = self.conns[completion.slot]
                 .as_mut()
                 .and_then(|c| c.deferred.pop_front())
             {
-                if is_heavy(&frame) {
-                    self.offload(completion.slot, (frame, ctx));
+                if is_heavy(&req.frame) {
+                    self.offload(req);
                     break;
                 }
                 let conn = self.conns[completion.slot].as_mut().expect("still live");
-                if !handle_request(frame, &self.shared, &mut conn.out, ctx) {
+                if !handle_request(req.frame, &self.shared, &mut conn.out, req.ctx) {
                     conn.close_after_flush = true;
                     conn.deferred.clear();
                     break;
@@ -632,91 +607,19 @@ impl Worker {
         }
     }
 
-    /// Answers the accumulated lookup wave with one
-    /// [`cmsim::SharedServer::locate_coalesced`] call and encodes each
-    /// response into its connection's write buffer.
-    fn flush_wave(&mut self, wave: &mut Vec<usize>, pending: &[PendingReq]) {
+    /// Answers the accumulated lookup wave through [`answer_lookups`]
+    /// and encodes each response into its connection's write buffer.
+    fn flush_wave(&mut self, wave: &mut Vec<Request>) {
         if wave.is_empty() {
             return;
         }
-        let instrument = self.shared.config.instrument;
-        let clock = self.shared.tracer.clock();
-        // The per-endpoint histograms read the clock at wave start and
-        // end; the seam reuses both readings. The wave-start edge closes
-        // each sampled member's `coalesce-wait` and opens `lock-wait` on
-        // the wave, which carries them all.
-        let start = instrument.then(|| clock.now_ns());
-        let mut sample = Sample::default();
-        for &i in wave.iter() {
-            let mut member = pending[i].2;
-            self.seam.edge(Phase::LockWait, &mut member, start);
-            sample.carry(member);
-        }
-        self.seam.edge(Phase::LockWait, &mut sample, start);
-        let queries: Vec<LocateQuery<'_>> = wave
-            .iter()
-            .map(|&i| match &pending[i].1.as_ref().unwrap().0 {
-                Frame::Locate { object, block } => LocateQuery::One {
-                    object: scaddar_core::ObjectId(*object),
-                    block: *block,
-                },
-                Frame::LocateBatch { object, blocks } => LocateQuery::Many {
-                    object: scaddar_core::ObjectId(*object),
-                    blocks,
-                },
-                _ => unreachable!("wave holds only lookup frames"),
-            })
-            .collect();
-        let seam = &mut self.seam;
-        let read = self
-            .shared
-            .server
-            .locate_coalesced_with(&queries, || seam.edge(Phase::Engine, &mut sample, None));
-        sample.at_epoch(read.epoch as u64);
-        self.seam.edge(Phase::Encode, &mut sample, None);
-        drop(queries);
-        let epoch = read.epoch as u64;
-        let disks = read.disks;
-        for (&i, answer) in wave.iter().zip(read.answers) {
-            let (slot, _, member) = pending[i];
-            let Some(conn) = self.conns[slot].as_mut() else {
-                continue;
-            };
-            if conn.close_after_flush {
-                continue;
+        let conns = &mut self.conns;
+        answer_lookups(&self.shared, wave, Some(&mut self.seam), |req, response| {
+            if let Some(conn) = conns[req.slot].as_mut().filter(|c| !c.close_after_flush) {
+                conn.flush.carry(req.sample);
+                response.encode(&mut conn.out);
             }
-            conn.flush.carry(member);
-            let response = match answer {
-                Ok(cmsim::LocateAnswer::One(disk)) => Frame::Located {
-                    epoch,
-                    disks,
-                    disk: disk.0 as u64,
-                },
-                Ok(cmsim::LocateAnswer::Many(locations)) => Frame::BatchLocated {
-                    epoch,
-                    disks,
-                    locations: locations.into_iter().map(|d| d.0).collect(),
-                },
-                Err(e) => {
-                    self.shared.stats.errors.inc();
-                    engine_error(e)
-                }
-            };
-            response.encode(&mut conn.out);
-        }
-        let done = instrument.then(|| clock.now_ns());
-        self.seam.edge(Phase::Decode, &mut sample, done);
-        // Per-frame latency is the wave's wall time split evenly — the
-        // whole point of coalescing is that the lock+dispatch cost is
-        // shared, so the share *is* the per-request server-side cost.
-        let per_frame_ns = match (start, done) {
-            (Some(t0), Some(done)) => done.saturating_sub(t0) / wave.len() as u64,
-            _ => 0,
-        };
-        for &i in wave.iter() {
-            let endpoint = pending[i].1.as_ref().unwrap().0.endpoint();
-            self.shared.stats.record(endpoint, per_frame_ns, instrument);
-        }
+        });
         wave.clear();
     }
 

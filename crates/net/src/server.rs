@@ -34,12 +34,14 @@
 //!   never panics, so neither does the server.
 
 use crate::cluster::{RouteDecision, ShardRuntime};
+use crate::seam::{Phase, Sample, Seam};
 use crate::wire::{decode_frame_traced, ErrorCode, Frame, FrameError, FRAME_HEADER_LEN};
-use cmsim::SharedServer;
+use cmsim::{LocateAnswer, LocateQuery, SharedServer};
 use scaddar_compact::CompactionController;
+use scaddar_core::ObjectId;
 use scaddar_monitor::{HealthMonitor, MonitorConfig, Severity};
 use scaddar_obs::{
-    Counter, Gauge, Histogram, Profiler, Registry, StateHandle, TraceContext, Tracer,
+    Counter, Gauge, Histogram, Profiler, Registry, SpanGuard, StateHandle, TraceContext, Tracer,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -207,7 +209,7 @@ impl NetStats {
         })
     }
 
-    pub(crate) fn record(&self, endpoint: &str, ns: u64, instrument: bool) {
+    fn record(&self, endpoint: &str, ns: u64, instrument: bool) {
         if let Some(c) = self.requests.get(endpoint) {
             c.inc();
         }
@@ -682,15 +684,26 @@ pub(crate) fn flush(mut stream: &TcpStream, shared: &Shared, out: &[u8]) -> bool
     true
 }
 
+/// A decoded request: the frame, the trace context that rode in on its
+/// trailer, the reactor connection slot its answer goes to (0 on the
+/// other paths) and its seam sample (`coalesce-wait` open when sampled).
+pub(crate) struct Request {
+    pub(crate) slot: usize,
+    pub(crate) frame: Frame,
+    pub(crate) ctx: Option<TraceContext>,
+    pub(crate) sample: Sample,
+}
+
+/// `Locate` and `LocateBatch`: the frames [`answer_lookups`] serves.
+pub(crate) fn is_lookup(frame: &Frame) -> bool {
+    matches!(frame, Frame::Locate { .. } | Frame::LocateBatch { .. })
+}
+
 /// Dispatches one request, appending the response to `out`. Returns
 /// false when the connection must close (a response frame arrived where
-/// a request belongs — direction violation).
-///
-/// When the request carried a sampled [`TraceContext`], the handler
-/// continues the distributed trace: a child span (salted with the
-/// shard id, so sibling shards touched by one client hop stay
-/// distinct) is recorded in this process's flight recorder, parented
-/// to the client's span, with routing verdicts attached as events.
+/// a request belongs — direction violation). A lookup is answered as a
+/// one-frame run of [`answer_lookups`], so it is never coalesced with
+/// the requests pipelined behind it.
 pub(crate) fn handle_request(
     frame: Frame,
     shared: &Shared,
@@ -706,44 +719,174 @@ pub(crate) fn handle_request(
         .encode(out);
         return false;
     }
+    if is_lookup(&frame) {
+        let run = [Request {
+            slot: 0,
+            frame,
+            ctx,
+            sample: Sample::default(),
+        }];
+        answer_lookups(shared, &run, None, |_, response| {
+            response.encode(out);
+        });
+        return true;
+    }
     let endpoint = frame.endpoint();
-    let instrument = shared.config.instrument;
-    let mut span = match &ctx {
-        Some(c) if instrument && c.sampled => {
-            let salt = shared.shard.as_ref().map_or(0, |s| u64::from(s.self_id()));
-            let child = c.child(salt);
-            Some(
-                shared
-                    .tracer
-                    .span_in(&format!("serve.{endpoint}"), &child, c.span_id),
-            )
-        }
-        _ => None,
-    };
-    let start = instrument.then(|| shared.tracer.clock().now_ns());
+    let span = continue_trace(shared, endpoint, ctx.as_ref());
+    let clock = shared.tracer.clock();
+    let start = shared.config.instrument.then(|| clock.now_ns());
     let response = dispatch(frame, shared);
-    let ns = start.map_or(0, |s| shared.tracer.clock().now_ns().saturating_sub(s));
-    shared.stats.record(endpoint, ns, instrument);
+    let ns = start.map_or(0, |s| clock.now_ns().saturating_sub(s));
+    record(shared, endpoint, ns, span, &response);
+    response.encode(out);
+    true
+}
+
+/// The continuation span of a request that carried a sampled
+/// [`TraceContext`]: a child span (salted with the shard id, so sibling
+/// shards touched by one client hop stay distinct) recorded in this
+/// process's flight recorder, parented to the client's span.
+fn continue_trace(
+    shared: &Shared,
+    endpoint: &str,
+    ctx: Option<&TraceContext>,
+) -> Option<SpanGuard> {
+    let ctx = ctx.filter(|c| shared.config.instrument && c.sampled)?;
+    let salt = shared.shard.as_ref().map_or(0, |s| u64::from(s.self_id()));
+    let name = format!("serve.{endpoint}");
+    Some(shared.tracer.span_in(&name, &ctx.child(salt), ctx.span_id))
+}
+
+/// Books one answered request: its per-endpoint count and latency, an
+/// `Error` answer in the error count, and its continuation span's
+/// `critical-path-ns` (the server-side cost, a wave's share for a
+/// lookup) and routing verdict.
+fn record(shared: &Shared, endpoint: &str, ns: u64, span: Option<SpanGuard>, response: &Frame) {
+    shared.stats.record(endpoint, ns, shared.config.instrument);
     if matches!(response, Frame::Error { .. }) {
         shared.stats.errors.inc();
     }
-    if let Some(span) = span.as_mut() {
-        // The per-request critical-path record: sampled traces carry
-        // the server-side dispatch cost alongside the phase histograms'
-        // aggregate view.
+    if let Some(mut span) = span {
         span.event("critical-path-ns", ns);
-        match &response {
+        match response {
             Frame::WrongShard { owner, .. } => span.event("wrong-shard", owner),
             Frame::StaleMap { map_version } => span.event("stale-map", map_version),
             Frame::Error { code, .. } => span.event("error", code.label()),
             _ => {}
         }
     }
-    response.encode(out);
-    true
 }
 
-pub(crate) fn engine_error(e: impl std::fmt::Display) -> Frame {
+/// Answers a run of lookups: the one place in the serving layer where a
+/// `Locate` or `LocateBatch` reaches the engine.
+///
+/// A frame whose answer needs no engine is decided first: an empty
+/// batch is a `BadRequest`, and in cluster mode the routing gate's
+/// `WrongShard`, `StaleMap` or unknown-object answer goes back as is.
+/// The rest are answered by one
+/// [`SharedServer::locate_coalesced_with`] call, under one shared-lock
+/// acquisition and so at one epoch; none is made when every frame was
+/// decided. `emit` receives every response in run order, and [`record`]
+/// books each frame with the run's time to its answers split evenly.
+///
+/// `seam` is the reactor worker's: the run's start closes each sampled
+/// member's `coalesce-wait` and opens `lock-wait`, the lock acquisition
+/// opens `engine`, the answers open `encode`, and the last response
+/// hands the worker back to `decode`.
+pub(crate) fn answer_lookups(
+    shared: &Shared,
+    run: &[Request],
+    mut seam: Option<&mut Seam>,
+    mut emit: impl FnMut(&Request, &Frame),
+) {
+    let mut edge = |next: Phase, sample: &mut Sample, now: Option<u64>| {
+        if let Some(seam) = seam.as_deref_mut() {
+            seam.edge(next, sample, now);
+        }
+    };
+    let clock = shared.tracer.clock();
+    let start = shared.config.instrument.then(|| clock.now_ns());
+    let mut sample = Sample::default();
+    for req in run {
+        let mut member = req.sample;
+        edge(Phase::LockWait, &mut member, start);
+        sample.carry(member);
+    }
+    edge(Phase::LockWait, &mut sample, start);
+    // Traced and decided frames are rare: both lists stay unallocated
+    // on an ordinary run.
+    let mut spans = Vec::new();
+    let mut decided = Vec::new();
+    let mut queries = Vec::with_capacity(run.len());
+    for (k, req) in run.iter().enumerate() {
+        if let Some(span) = continue_trace(shared, req.frame.endpoint(), req.ctx.as_ref()) {
+            spans.push((k, span));
+        }
+        let query = match &req.frame {
+            Frame::LocateBatch { blocks, .. } if blocks.is_empty() => Err(Frame::Error {
+                code: ErrorCode::BadRequest,
+                message: "empty batch".into(),
+            }),
+            Frame::Locate { object, block } => {
+                shard_gate(shared, *object).map(|local| LocateQuery::One {
+                    object: ObjectId(local),
+                    block: *block,
+                })
+            }
+            Frame::LocateBatch { object, blocks } => {
+                shard_gate(shared, *object).map(|local| LocateQuery::Many {
+                    object: ObjectId(local),
+                    blocks,
+                })
+            }
+            _ => unreachable!("a lookup run holds only lookup frames"),
+        };
+        match query {
+            Ok(query) => queries.push(query),
+            Err(response) => decided.push((k, response)),
+        }
+    }
+    let read = (!queries.is_empty()).then(|| {
+        shared
+            .server
+            .locate_coalesced_with(&queries, || edge(Phase::Engine, &mut sample, None))
+    });
+    let (epoch, disks, answers) =
+        read.map_or((0, 0, Vec::new()), |r| (r.epoch as u64, r.disks, r.answers));
+    sample.at_epoch(epoch);
+    let answered = shared.config.instrument.then(|| clock.now_ns());
+    edge(Phase::Encode, &mut sample, answered);
+    let ns = start
+        .zip(answered)
+        .map_or(0, |(t0, t1)| t1.saturating_sub(t0) / run.len() as u64);
+    let mut answers = answers.into_iter();
+    let mut decided = decided.into_iter().peekable();
+    let mut spans = spans.into_iter().peekable();
+    for (k, req) in run.iter().enumerate() {
+        let response = match decided.next_if(|&(at, _)| at == k) {
+            Some((_, response)) => response,
+            None => match answers.next().expect("one answer per query") {
+                Ok(LocateAnswer::One(disk)) => Frame::Located {
+                    epoch,
+                    disks,
+                    disk: disk.0 as u64,
+                },
+                Ok(LocateAnswer::Many(locations)) => Frame::BatchLocated {
+                    epoch,
+                    disks,
+                    locations: locations.into_iter().map(|d| d.0).collect(),
+                },
+                Err(e) => engine_error(e),
+            },
+        };
+        let span = spans.next_if(|&(at, _)| at == k).map(|(_, span)| span);
+        record(shared, req.frame.endpoint(), ns, span, &response);
+        emit(req, &response);
+    }
+    edge(Phase::Decode, &mut sample, None);
+}
+
+fn engine_error(e: impl std::fmt::Display) -> Frame {
     Frame::Error {
         code: ErrorCode::Engine,
         message: e.to_string(),
@@ -754,7 +897,7 @@ pub(crate) fn engine_error(e: impl std::fmt::Display) -> Frame {
 /// shard-local translation in cluster mode, the wire id standalone);
 /// `Err` is the routing response that must go back instead of touching
 /// the engine.
-pub(crate) fn shard_gate(shared: &Shared, object: u64) -> Result<u64, Frame> {
+fn shard_gate(shared: &Shared, object: u64) -> Result<u64, Frame> {
     let Some(shard) = &shared.shard else {
         return Ok(object);
     };
@@ -770,45 +913,9 @@ pub(crate) fn shard_gate(shared: &Shared, object: u64) -> Result<u64, Frame> {
     }
 }
 
+/// Answers one request that is neither a lookup nor a response frame.
 fn dispatch(frame: Frame, shared: &Shared) -> Frame {
     match frame {
-        Frame::Locate { object, block } => {
-            let local = match shard_gate(shared, object) {
-                Ok(local) => local,
-                Err(response) => return response,
-            };
-            match shared.server.locate(scaddar_core::ObjectId(local), block) {
-                Ok(read) => Frame::Located {
-                    epoch: read.epoch as u64,
-                    disks: read.disks,
-                    disk: read.disk.0 as u64,
-                },
-                Err(e) => engine_error(e),
-            }
-        }
-        Frame::LocateBatch { object, blocks } => {
-            if blocks.is_empty() {
-                return Frame::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "empty batch".into(),
-                };
-            }
-            let local = match shard_gate(shared, object) {
-                Ok(local) => local,
-                Err(response) => return response,
-            };
-            match shared
-                .server
-                .locate_batch_read(scaddar_core::ObjectId(local), &blocks)
-            {
-                Ok(read) => Frame::BatchLocated {
-                    epoch: read.epoch as u64,
-                    disks: read.disks,
-                    locations: read.locations.into_iter().map(|d| d.0).collect(),
-                },
-                Err(e) => engine_error(e),
-            }
-        }
         Frame::Scale { op } => {
             let mut span = shared
                 .config
@@ -933,8 +1040,8 @@ fn dispatch(frame: Frame, shared: &Shared) -> Frame {
                 message: "standalone daemon: no cluster map".into(),
             },
         },
-        // is_request() filtered responses out before dispatch.
-        _ => unreachable!("dispatch only sees request frames"),
+        // handle_request filtered responses and lookups out first.
+        _ => unreachable!("dispatch only sees non-lookup request frames"),
     }
 }
 
@@ -1193,6 +1300,37 @@ mod tests {
             read_buffered(&mut stream, &mut buf),
             Frame::Pong { epoch: 0 }
         ));
+        // A heavy op runs off the worker; the frames behind it wait for
+        // it and still answer in order.
+        let mut batch = Vec::new();
+        Frame::Locate {
+            object: 0,
+            block: 4,
+        }
+        .encode(&mut batch);
+        Frame::Compact.encode(&mut batch);
+        Frame::Locate {
+            object: 0,
+            block: 5,
+        }
+        .encode(&mut batch);
+        Frame::Ping.encode(&mut batch);
+        stream.write_all(&batch).unwrap();
+        let answers: Vec<Frame> = (0..4)
+            .map(|_| read_buffered(&mut stream, &mut buf))
+            .collect();
+        assert!(
+            matches!(
+                answers.as_slice(),
+                [
+                    Frame::Located { .. },
+                    Frame::CompactStatus { .. },
+                    Frame::Located { .. },
+                    Frame::Pong { .. },
+                ]
+            ),
+            "{answers:?}"
+        );
         daemon.shutdown();
     }
 
