@@ -12,7 +12,8 @@
 //!   via `bind_sharded` with a [`ShardRuntime`] routing gate.
 //! * **Ingest**: objects get global ids; each lands on the shard the
 //!   map names, with the global→local id binding registered in the
-//!   shard's runtime.
+//!   shard's runtime. A killed owner refuses the object
+//!   ([`IngestError::OwnerDown`]) until it restarts.
 //! * **Scale out/in**: [`Cluster::add_shard`] / [`Cluster::remove_shard`]
 //!   migrate exactly the jump-hash delta — copy-in gated by
 //!   `pending_in`, old owner serving through `handoff_out`, then a
@@ -100,6 +101,24 @@ pub enum ProbeResult {
     Error(String),
     /// The shard did not answer (killed, draining, or unreachable).
     Unreachable,
+}
+
+/// Why [`Cluster::add_object`] ingested nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IngestError {
+    /// The owning shard is killed and not yet restarted.
+    OwnerDown(u32),
+    /// Any other failure: an empty map or the engine's refusal.
+    Failed(String),
+}
+
+impl std::fmt::Display for IngestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IngestError::OwnerDown(owner) => write!(f, "owner shard {owner} is down"),
+            IngestError::Failed(why) => f.write_str(why),
+        }
+    }
 }
 
 /// One completed topology change and exactly what it moved — the
@@ -377,21 +396,26 @@ impl Cluster {
     // ---- data plane ----
 
     /// Ingests one object of `blocks` blocks on the shard the map
-    /// names; returns its global id.
-    pub fn add_object(&mut self, blocks: u64) -> Result<u64, String> {
+    /// names; returns its global id. A killed owner refuses it, and the
+    /// id stays free for the next attempt: the restart restores the
+    /// kill-time snapshot, which would not hold the object.
+    pub fn add_object(&mut self, blocks: u64) -> Result<u64, IngestError> {
         let gid = self.next_object_id;
         let owner = self
             .map
             .route(gid)
-            .ok_or_else(|| "empty cluster map".to_string())?;
+            .ok_or_else(|| IngestError::Failed("empty cluster map".into()))?;
         let shard = self
             .shards
             .get(&owner)
-            .ok_or_else(|| format!("owner shard {owner} missing"))?;
+            .ok_or_else(|| IngestError::Failed(format!("owner shard {owner} missing")))?;
+        if shard.daemon.is_none() {
+            return Err(IngestError::OwnerDown(owner));
+        }
         let local = shard
             .server
             .add_object(blocks)
-            .map_err(|e| format!("shard {owner}: {e}"))?;
+            .map_err(|e| IngestError::Failed(format!("shard {owner}: {e}")))?;
         shard.runtime.register_object(gid, local.0);
         self.next_object_id += 1;
         self.objects.insert(gid, blocks);
@@ -402,7 +426,8 @@ impl Cluster {
     /// Ingests `count` objects of the configured size.
     pub fn populate(&mut self, count: u64) -> Result<(), String> {
         for _ in 0..count {
-            self.add_object(self.config.blocks_per_object)?;
+            self.add_object(self.config.blocks_per_object)
+                .map_err(|e| e.to_string())?;
         }
         self.events.emit(
             "populate",
@@ -909,6 +934,22 @@ mod tests {
         let (_, _, _, refreshes, errors) = client.stats_snapshot();
         assert!(refreshes >= 1, "rejoin must be discovered via refresh");
         assert_eq!(errors, 0);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_killed_owner_refuses_ingest_and_keeps_the_id_free() {
+        let mut cluster = Cluster::boot(small()).unwrap();
+        cluster.populate(12).unwrap();
+        let next = cluster.object_ids().len() as u64;
+        let owner = cluster.map().route(next).unwrap();
+        let snapshot = cluster.kill(owner).unwrap();
+        assert_eq!(cluster.add_object(200), Err(IngestError::OwnerDown(owner)));
+        assert_eq!(cluster.object_ids().len() as u64, next, "no id consumed");
+        cluster.restart(owner, &snapshot).unwrap();
+        cluster.residency_consistent().unwrap();
+        assert_eq!(cluster.add_object(200), Ok(next));
+        cluster.residency_consistent().unwrap();
         cluster.shutdown();
     }
 

@@ -32,7 +32,9 @@ use crate::invariants::{
 use crate::Mode;
 use proptest::shrink::halvings;
 use proptest::test_runner::TestRng;
-use scaddar_cluster::{Cluster, ClusterConfig, FleetAggregator, MigrationRecord, ProbeResult};
+use scaddar_cluster::{
+    Cluster, ClusterConfig, FleetAggregator, IngestError, MigrationRecord, ProbeResult,
+};
 use scaddar_net::{ClusterClient, NetClient};
 use scaddar_obs::{Tracer, VirtualClock};
 use std::fmt::Write as _;
@@ -620,16 +622,24 @@ fn run_step(exec: &mut Exec, step: &ClusterStep) -> Result<String, Failure> {
     match step {
         ClusterStep::Ingest { count } => {
             let n = 1 + count % 8;
+            // A killed owner refuses its object (the id stays free, so
+            // the rest of the step names the same owner).
+            let mut refused = 0;
             for _ in 0..n {
-                exec.cluster
-                    .add_object(BLOCKS_PER_OBJECT)
-                    .map_err(|e| Failure {
-                        invariant: "cluster-boot",
-                        detail: format!("ingest: {e}"),
-                    })?;
+                match exec.cluster.add_object(BLOCKS_PER_OBJECT) {
+                    Ok(_) => {}
+                    Err(IngestError::OwnerDown(_)) => refused += 1,
+                    Err(e) => {
+                        return Err(Failure {
+                            invariant: "cluster-boot",
+                            detail: format!("ingest: {e}"),
+                        })
+                    }
+                }
             }
             Ok(format!(
-                "ingested {n} (population {})",
+                "ingested {} refused {refused} (population {})",
+                n - refused,
                 exec.cluster.object_ids().len()
             ))
         }
@@ -899,6 +909,22 @@ mod tests {
         let b = execute(&scenario, ClusterMutation::None);
         assert_eq!(a.trace, b.trace);
         assert!(a.passed(), "{}", a.trace);
+    }
+
+    #[test]
+    fn ingest_refused_by_a_killed_owner_is_counted_not_failed() {
+        // Seed 1 ingests while the owner of its next object is down.
+        let scenario = ClusterScenario::generate(1);
+        let a = execute(&scenario, ClusterMutation::None);
+        assert!(a.passed(), "{}", a.trace);
+        assert!(
+            a.trace
+                .lines()
+                .any(|l| l.contains(" refused ") && !l.contains(" refused 0 ")),
+            "{}",
+            a.trace
+        );
+        assert_eq!(a.trace, execute(&scenario, ClusterMutation::None).trace);
     }
 
     /// One seeded run: a client holding a stale map looks up an object

@@ -819,7 +819,7 @@ mod tests {
             .unwrap();
         assert!(tracer.spans_for_trace(quiet.trace_id).is_empty());
         daemon.shutdown();
-        // The worker is joined: every phase it closed is recorded.
+        // The worker has stopped: every phase it closed is recorded.
         let engine_samples: u64 = crate::seam::ENGINE_DEPTH_BUCKETS
             .iter()
             .map(|depth| {

@@ -26,7 +26,10 @@
 //!   per-connection states with reusable buffers, cross-connection
 //!   coalescing of lookups into one wave per wakeup on that path,
 //!   batched writes with graceful EAGAIN handling, and the threaded
-//!   core's deadline/backpressure policy preserved.
+//!   core's deadline/backpressure policy preserved. Its workers and
+//!   offloaded heavy ops run on a process-wide cache of parked threads
+//!   that outlive their daemon, so a boot wakes threads instead of
+//!   spawning them.
 //! * [`seam`] — the reactor's one instrumentation seam: each edge
 //!   publishes the worker's profiler state word and, for the 1-in-64
 //!   sampled requests, times the phase it closes into `net_phase_ns`.

@@ -2,7 +2,7 @@
 //!
 //! ## Threading model
 //!
-//! N **worker** threads, nothing else. Each worker owns a
+//! N **worker** loops, nothing else. Each worker owns a
 //! [`polling::Poller`] (epoll on Linux, poll(2) elsewhere — both
 //! level-triggered), a slab of connection states, and reusable scratch
 //! buffers; a connection lives its whole life on the worker that
@@ -21,6 +21,14 @@
 //! means one worker per core, read once per process. Worker `i` is
 //! pinned to CPU `i` (Linux only, best effort: a worker past the last
 //! CPU runs unpinned) so its connection states stay cache-local.
+//!
+//! Threads outlive their daemon. Workers and offloaded ops run on a
+//! process-wide cache of parked threads (`run_pooled`): a thread is
+//! spawned only when none is parked, at most 2 × cores stay parked,
+//! and a thread that finds the cache full exits. Each job is pinned to
+//! its CPU: worker `i` to CPU `i`, an op to its worker's. A boot
+//! therefore wakes parked threads instead of spawning, and takes the
+//! idle pollers of earlier workers that drained cleanly.
 //!
 //! ## A wakeup, start to finish
 //!
@@ -60,7 +68,9 @@
 //! listener, so later arrivals are refused by the kernel. Then each
 //! worker waits boundedly for its offloaded ops, flushes what it owes
 //! (reverting the socket to blocking writes under `write_timeout`),
-//! closes everything, and is joined.
+//! closes everything and drops its state, and its done signal fires
+//! (a panicking worker fires it too); shutdown returns once every
+//! worker's has, and the threads park.
 
 use crate::seam::{Phase, Sample, Seam};
 use crate::server::{
@@ -73,6 +83,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver, SendError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -88,10 +99,22 @@ const BUF_SHRINK_THRESHOLD: usize = 1 << 20;
 /// exercise both code paths on one platform.
 pub const BACKEND_ENV: &str = "SCADDARD_BACKEND";
 
+/// Pollers of workers that drained cleanly: nothing is registered in
+/// them, so the next daemon's workers take them instead of opening new
+/// ones (at most [`parked_bound`] are kept).
+static IDLE_POLLERS: Mutex<Vec<Poller>> = Mutex::new(Vec::new());
+
+/// An idle poller of the backend [`BACKEND_ENV`] asks for, or a new one.
 fn open_poller() -> std::io::Result<Poller> {
-    match std::env::var(BACKEND_ENV) {
-        Ok(v) if v.eq_ignore_ascii_case("poll") => Poller::with_backend(polling::Backend::Poll),
-        _ => Poller::new(),
+    let poll = matches!(std::env::var(BACKEND_ENV), Ok(v) if v.eq_ignore_ascii_case("poll"));
+    let mut idle = IDLE_POLLERS.lock().unwrap_or_else(|e| e.into_inner());
+    let reusable = idle
+        .iter()
+        .rposition(|p| (p.backend() == polling::Backend::Poll) == poll);
+    match reusable {
+        Some(at) => Ok(idle.swap_remove(at)),
+        None if poll => Poller::with_backend(polling::Backend::Poll),
+        None => Poller::new(),
     }
 }
 
@@ -100,6 +123,88 @@ fn open_poller() -> std::io::Result<Poller> {
 fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// Parked threads the process keeps at most; a thread that finishes
+/// its job while this many are parked exits instead.
+fn parked_bound() -> usize {
+    2 * cores()
+}
+
+/// A worker's loop or an offloaded op, run on a pooled thread.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A job and the CPU to run it on.
+type Pinned = (usize, Job);
+
+/// The process's parked threads, each blocked on its own channel for
+/// its next job, with the CPU its last job ran on.
+static PARKED: Mutex<Vec<(usize, Sender<Pinned>)>> = Mutex::new(Vec::new());
+
+/// Runs `job` pinned to `cpu` on a parked thread, spawning one only
+/// when none is parked. The latest thread parked on `cpu` is taken
+/// first: it wakes there and keeps its pin, where any other re-pins
+/// and migrates (on a boot, before its first wait). When the job
+/// returns, its thread parks again, or exits if [`parked_bound`]
+/// threads already wait. `Err` when no thread was parked and none
+/// could be spawned; the job is then dropped unrun.
+fn run_pooled(cpu: usize, job: Job) -> std::io::Result<()> {
+    let parked = {
+        let mut parked = PARKED.lock().unwrap_or_else(|e| e.into_inner());
+        let at = parked.iter().rposition(|(on, _)| *on == cpu);
+        at.or(parked.len().checked_sub(1))
+            .map(|at| parked.remove(at))
+    };
+    let job = match parked {
+        // A parked thread holds its receiver until it leaves the stack,
+        // so this send only fails if that thread is gone.
+        Some((_, thread)) => match thread.send((cpu, job)) {
+            Ok(()) => return Ok(()),
+            Err(SendError((_, job))) => job,
+        },
+        None => job,
+    };
+    let (wake, next) = mpsc::channel::<Pinned>();
+    std::thread::Builder::new()
+        .name("scaddard-pool".into())
+        .spawn(move || {
+            let (mut cpu, mut job) = (cpu, job);
+            let mut pinned = None;
+            loop {
+                if pinned != Some(cpu) {
+                    pin_to(cpu);
+                    pinned = Some(cpu);
+                }
+                job();
+                {
+                    let mut parked = PARKED.lock().unwrap_or_else(|e| e.into_inner());
+                    if parked.len() >= parked_bound() {
+                        return;
+                    }
+                    parked.push((cpu, wake.clone()));
+                }
+                (cpu, job) = match next.recv() {
+                    Ok(next) => next,
+                    Err(_) => return,
+                };
+            }
+        })
+        .map(drop)
+}
+
+/// The CPUs a thread may use before any pin: those of the thread that
+/// first starts a reactor (`None` where they cannot be read).
+static HOME_CPUS: OnceLock<Option<polling::CpuSet>> = OnceLock::new();
+
+/// Pins the calling pooled thread to `cpu`, best effort. Past the last
+/// CPU it gets [`HOME_CPUS`] back, so no pin from its last job
+/// survives: a worker there runs unpinned, as a fresh thread would.
+fn pin_to(cpu: usize) {
+    if polling::pin_current_thread_to_cpu(cpu).is_err() {
+        if let Some(Some(home)) = HOME_CPUS.get() {
+            let _ = polling::set_current_thread_affinity(home);
+        }
+    }
 }
 
 /// Worker 0's poller key for the listener. Connection slots count up
@@ -183,7 +288,7 @@ struct Completion {
 /// milliseconds (a scale commit, a redistribution drain, a compaction
 /// begin that re-places every block); executing them on the reactor
 /// thread would stall every connection on the worker for the duration.
-/// They run on a short-lived offload thread instead.
+/// They run on a pooled thread instead (see [`run_pooled`]).
 fn is_heavy(frame: &Frame) -> bool {
     matches!(
         frame,
@@ -193,6 +298,8 @@ fn is_heavy(frame: &Frame) -> bool {
 
 struct Worker {
     shared: Arc<Shared>,
+    /// The CPU this worker and the ops it offloads are pinned to.
+    cpu: usize,
     poller: Arc<Poller>,
     injector: Injector,
     /// Worker 0 only: the listener it accepts from for every worker.
@@ -520,10 +627,10 @@ impl Worker {
         self.flush_wave(&mut wave);
     }
 
-    /// Runs a heavy frame on a short-lived offload thread. The
-    /// connection is parked (`busy`) until the completion comes back
-    /// through [`Self::apply_completions`]; a spawn failure falls back
-    /// to inline execution (slow, but correct).
+    /// Runs a heavy frame on a pooled thread pinned to this worker's
+    /// CPU. The connection is parked (`busy`) until the completion
+    /// comes back through [`Self::apply_completions`]; when no thread
+    /// can be had the op runs inline (slow, but correct).
     fn offload(&mut self, req: Request) {
         let slot = req.slot;
         let Some(conn) = self.conns[slot].as_mut() else {
@@ -535,9 +642,9 @@ impl Worker {
         let poller = Arc::clone(&self.poller);
         conn.busy = true;
         let (frame, ctx) = (req.frame.clone(), req.ctx);
-        let spawned = std::thread::Builder::new()
-            .name("scaddard-op".into())
-            .spawn(move || {
+        let started = run_pooled(
+            self.cpu,
+            Box::new(move || {
                 // The op threads share one state word ("scaddard-op"):
                 // overlapping ops under-report `offload`, and the last
                 // one to finish always leaves it `idle`.
@@ -555,8 +662,9 @@ impl Worker {
                         keep_open,
                     });
                 let _ = poller.notify();
-            });
-        if spawned.is_err() {
+            }),
+        );
+        if started.is_err() {
             // Thread exhaustion: execute inline rather than wedge.
             let conn = self.conns[slot].as_mut().expect("checked above");
             conn.busy = false;
@@ -771,11 +879,14 @@ impl Worker {
     }
 }
 
-/// Handle for one spawned worker: its poller (to wake it for shutdown)
-/// and its join handle.
+/// Handle for one running worker: its poller (to wake it for
+/// shutdown) and its done signal. Once the worker's loop has returned
+/// or unwound, its [`Worker`] (listener, connections, `Arc<Shared>`) is
+/// dropped and the signal fires: `()` after a clean drain, a disconnect
+/// after a panic.
 struct WorkerHandle {
     poller: Arc<Poller>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    done: Receiver<()>,
 }
 
 /// The running event-loop core behind a [`crate::Scaddard`] in
@@ -785,8 +896,10 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// Spawns the worker threads; worker 0 takes the listener.
+    /// Starts the workers on pooled threads; worker 0 takes the
+    /// listener.
     pub(crate) fn start(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<Reactor> {
+        HOME_CPUS.get_or_init(|| polling::current_thread_affinity().ok());
         let n = match shared.config.workers {
             0 => cores(),
             n => n,
@@ -821,11 +934,12 @@ impl Reactor {
         let mut seams: Vec<Seam> = (1..n).map(|i| first.sibling(state(i))).collect();
         seams.insert(0, first);
         for (i, ((poller, injector), seam)) in queues.into_iter().zip(seams).enumerate() {
-            let mut worker = Worker {
+            let worker = Worker {
                 shared: Arc::clone(&shared),
+                cpu: i,
                 poller: Arc::clone(&poller),
                 injector,
-                // Worker 0, spawned first: the first client waits on it.
+                // Worker 0, started first: the first client waits on it.
                 acceptor: acceptor.take(),
                 completions: Arc::new(Mutex::new(Vec::new())),
                 conns: Vec::new(),
@@ -836,16 +950,22 @@ impl Reactor {
                 high_water: shared.config.max_frame_len as usize * 4,
                 seam,
             };
-            let spawned = std::thread::Builder::new()
-                .name(format!("scaddard-worker-{i}"))
-                .spawn(move || {
-                    let _ = polling::pin_current_thread_to_cpu(i);
+            let (done, signal) = mpsc::channel::<()>();
+            let started = run_pooled(
+                i,
+                Box::new(move || {
+                    // Unwinding drops the worker, then `done`.
+                    let done = done;
+                    let mut worker = worker;
                     worker.run();
-                });
-            match spawned {
-                Ok(thread) => reactor.workers.push(WorkerHandle {
+                    drop(worker);
+                    let _ = done.send(());
+                }),
+            );
+            match started {
+                Ok(()) => reactor.workers.push(WorkerHandle {
                     poller,
-                    thread: Some(thread),
+                    done: signal,
                 }),
                 Err(e) => {
                     // Stop the workers already running; worker 0 closes
@@ -859,26 +979,63 @@ impl Reactor {
         Ok(reactor)
     }
 
-    /// Wakes and joins every worker. The caller sets the shutdown flag
-    /// first; worker 0 then closes the listener as it drains.
+    /// Wakes every worker and waits until each has drained and dropped
+    /// its state; their threads then park for the next daemon, and the
+    /// pollers of clean drains go idle for its workers. The caller sets
+    /// the shutdown flag first; worker 0 then closes the listener as it
+    /// drains.
     pub(crate) fn shutdown(&mut self) {
         for worker in &self.workers {
             let _ = worker.poller.notify();
         }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.thread.take() {
-                let _ = handle.join();
+        for worker in self.workers.drain(..) {
+            let clean = worker.done.recv().is_ok();
+            match Arc::try_unwrap(worker.poller) {
+                // A panicked worker may have left sockets registered, and
+                // an op abandoned at the drain deadline still holds a
+                // handle: those pollers close instead.
+                Ok(poller) if clean => {
+                    let mut idle = IDLE_POLLERS.lock().unwrap_or_else(|e| e.into_inner());
+                    if idle.len() < parked_bound() {
+                        idle.push(poller);
+                    }
+                }
+                _ => {}
             }
         }
     }
 
     pub(crate) fn is_shut_down(&self) -> bool {
-        self.workers.iter().all(|w| w.thread.is_none())
+        self.workers.is_empty()
     }
 }
 
-// Unit tests for the reactor live at the crate's integration level
+// Tests of the serving loop live at the crate's integration level
 // (`tests/reactor_edge.rs`, `tests/loopback_concurrent.rs`) where both
 // server modes are exercised through real sockets; NetStats conformance
 // is additionally covered by the `server` module tests running the
 // same assertions against `ServerMode::EventLoop` (see `server::tests`).
+// The thread cache's bounds are counted in `tests/sampler_threads.rs`.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_job_that_panics_still_signals_done_and_the_cache_runs_on() {
+        let (done, signal) = mpsc::channel::<()>();
+        run_pooled(
+            0,
+            Box::new(move || {
+                let _done = done;
+                panic!("a worker loop panicked");
+            }),
+        )
+        .unwrap();
+        // What `Reactor::shutdown` waits on returns: the sender was
+        // dropped while unwinding.
+        assert!(signal.recv().is_err());
+        let (tx, rx) = mpsc::channel();
+        run_pooled(0, Box::new(move || tx.send(7).unwrap())).unwrap();
+        assert_eq!(rx.recv(), Ok(7));
+    }
+}

@@ -239,9 +239,9 @@ pub(crate) struct Shared {
     /// The always-on cooperative profiler; reactor workers and offload
     /// threads register state words against it, `ProfileDump` reads it.
     pub(crate) profiler: Arc<Profiler>,
-    /// Shared state word for the short-lived `scaddard-op` offload
-    /// threads (one row; concurrent ops share it, which is the
-    /// documented approximation).
+    /// Shared state word for the offloaded ops, whichever pooled threads
+    /// run them (one `scaddard-op` row; concurrent ops share it, which
+    /// is the documented approximation).
     pub(crate) op_state: StateHandle,
 }
 
@@ -506,7 +506,10 @@ impl Scaddard {
     }
 
     /// Graceful drain: stop accepting, let in-flight requests finish,
-    /// join every thread. Idempotent-by-construction (consumes self).
+    /// and return once every serving thread has stopped serving this
+    /// daemon (the threaded core's are joined; the reactor's workers
+    /// drop their state and park). Idempotent-by-construction (consumes
+    /// self).
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }

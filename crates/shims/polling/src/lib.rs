@@ -161,30 +161,60 @@ mod sys {
                 timeout: c_int,
             ) -> c_int;
             pub fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
+            pub fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut u64) -> c_int;
         }
+    }
+}
+
+/// The CPUs a thread may run on: a 1024-bit Linux `cpu_set_t`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CpuSet([u64; 16]);
+
+/// The calling thread's CPU affinity (Linux; elsewhere an empty set
+/// that [`set_current_thread_affinity`] ignores).
+pub fn current_thread_affinity() -> io::Result<CpuSet> {
+    #[cfg_attr(not(target_os = "linux"), allow(unused_mut))]
+    let mut set = CpuSet([0; 16]);
+    #[cfg(target_os = "linux")]
+    {
+        // SAFETY: pid 0 = calling thread; the mask buffer outlives the
+        // call and its length is passed alongside.
+        let ret =
+            unsafe { sys::sched_getaffinity(0, std::mem::size_of_val(&set.0), set.0.as_mut_ptr()) };
+        cvt(ret)?;
+    }
+    Ok(set)
+}
+
+/// Restricts the calling thread to `set` (Linux; a no-op `Ok`
+/// elsewhere) — e.g. one read earlier by [`current_thread_affinity`],
+/// to undo a pin.
+pub fn set_current_thread_affinity(set: &CpuSet) -> io::Result<()> {
+    #[cfg(target_os = "linux")]
+    {
+        // SAFETY: pid 0 = calling thread; the mask buffer outlives the
+        // call and its length is passed alongside.
+        let ret =
+            unsafe { sys::sched_setaffinity(0, std::mem::size_of_val(&set.0), set.0.as_ptr()) };
+        cvt(ret).map(|_| ())
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = set;
+        Ok(())
     }
 }
 
 /// Pins the calling thread to one CPU (Linux; a no-op `Ok` elsewhere).
 /// Best-effort affinity for reactor-style workers that want their
 /// per-connection state to stay cache-local; `cpu` is taken modulo the
-/// mask width libc accepts here (1024 CPUs).
+/// mask width libc accepts here (1024 CPUs). A CPU the thread may not
+/// use is an error and leaves its affinity as it was.
 pub fn pin_current_thread_to_cpu(cpu: usize) -> io::Result<()> {
-    #[cfg(target_os = "linux")]
-    {
-        let cpu = cpu % 1024;
-        let mut mask = [0u64; 16]; // 1024-bit cpu_set_t
-        mask[cpu / 64] = 1 << (cpu % 64);
-        // SAFETY: pid 0 = calling thread; the mask buffer outlives the
-        // call and its length is passed alongside.
-        let ret = unsafe { sys::sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-        cvt(ret).map(|_| ())
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = cpu;
-        Ok(())
-    }
+    let cpu = cpu % 1024;
+    let mut set = CpuSet([0; 16]);
+    set.0[cpu / 64] = 1 << (cpu % 64);
+    set_current_thread_affinity(&set)
 }
 
 /// Converts a `-1` libc return into the thread's errno as an
@@ -639,6 +669,28 @@ mod tests {
             );
             assert!(start.elapsed() < Duration::from_secs(1), "{backend:?}");
         }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn restoring_the_affinity_read_before_a_pin_undoes_it() {
+        std::thread::spawn(|| {
+            let home = current_thread_affinity().unwrap();
+            let word = home.0.iter().position(|&w| w != 0).unwrap();
+            let cpu = word * 64 + home.0[word].trailing_zeros() as usize;
+            pin_current_thread_to_cpu(cpu).unwrap();
+            let pinned = current_thread_affinity().unwrap();
+            assert_eq!(pinned.0.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+            assert_ne!(pinned.0[cpu / 64] & 1 << (cpu % 64), 0);
+            // A CPU the thread may not use is refused and changes nothing.
+            if pin_current_thread_to_cpu(1023).is_err() {
+                assert_eq!(current_thread_affinity().unwrap(), pinned);
+            }
+            set_current_thread_affinity(&home).unwrap();
+            assert_eq!(current_thread_affinity().unwrap(), home);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
