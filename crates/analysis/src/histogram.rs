@@ -42,13 +42,6 @@ impl Histogram {
         self.bins[idx] += 1;
     }
 
-    /// Records many samples.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.record(v);
-        }
-    }
-
     /// Bin counts.
     pub fn bins(&self) -> &[u64] {
         &self.bins
@@ -94,7 +87,9 @@ mod tests {
     #[test]
     fn bins_partition_the_range() {
         let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record_all([0.0, 1.9, 2.0, 9.999, 10.0, -0.1]);
+        for v in [0.0, 1.9, 2.0, 9.999, 10.0, -0.1] {
+            h.record(v);
+        }
         assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
         assert_eq!(h.outliers(), 2);
         assert_eq!(h.total(), 6);
@@ -117,7 +112,9 @@ mod tests {
     #[test]
     fn display_renders_all_bins() {
         let mut h = Histogram::new(0.0, 3.0, 3);
-        h.record_all([0.5, 1.5, 1.6, 2.5]);
+        for v in [0.5, 1.5, 1.6, 2.5] {
+            h.record(v);
+        }
         let s = h.to_string();
         assert_eq!(s.lines().count(), 3);
         assert!(s.contains('#'));

@@ -15,13 +15,6 @@ pub struct LineFit {
     pub n: usize,
 }
 
-impl LineFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 /// Fits a line to `(x, y)` pairs.
 ///
 /// # Panics
@@ -81,7 +74,6 @@ mod tests {
         assert!((fit.slope - 3.0).abs() < 1e-12);
         assert!((fit.intercept + 2.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(20.0) - 58.0).abs() < 1e-9);
     }
 
     #[test]

@@ -106,7 +106,11 @@ impl PlacementStrategy for DirectoryStrategy {
                 let added = n_new - n_prev;
                 // Each block moves with probability added/n_new onto a
                 // uniform added disk.
-                let keys: Vec<u64> = self.directory.keys().copied().collect();
+                // Sorted, so every process walks the blocks, and draws
+                // their randomness, in one order (a `HashMap`'s own order
+                // is seeded per process).
+                let mut keys: Vec<u64> = self.directory.keys().copied().collect();
+                keys.sort_unstable();
                 for id in keys {
                     if self.uniform_below(n_new) >= n_prev {
                         let target = n_prev + self.uniform_below(added);
@@ -116,7 +120,8 @@ impl PlacementStrategy for DirectoryStrategy {
             }
             ScalingOp::Remove { disks } => {
                 let removed = RemovedSet::new(disks, n_prev)?;
-                let keys: Vec<u64> = self.directory.keys().copied().collect();
+                let mut keys: Vec<u64> = self.directory.keys().copied().collect();
+                keys.sort_unstable();
                 for id in keys {
                     let current = self.directory[&id];
                     let new_disk = if removed.contains(current) {

@@ -41,15 +41,6 @@ pub fn churn_log(disks: u32, ops: usize) -> ScalingLog {
     log
 }
 
-/// Builds a log of `ops` single-disk additions starting from `disks`.
-pub fn growth_log(disks: u32, ops: usize) -> ScalingLog {
-    let mut log = ScalingLog::new(disks).expect("positive disk count");
-    for _ in 0..ops {
-        log.push(&ScalingOp::Add { count: 1 }).expect("valid add");
-    }
-    log
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,6 +49,5 @@ mod tests {
     fn fixtures_have_requested_depth() {
         assert_eq!(churn_log(8, 16).epoch(), 16);
         assert_eq!(churn_log(8, 16).current_disks(), 8);
-        assert_eq!(growth_log(4, 10).current_disks(), 14);
     }
 }

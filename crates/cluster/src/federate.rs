@@ -27,7 +27,6 @@ use scaddar_net::{ClientConfig, NetClient};
 use scaddar_obs::slo::{SloConfig, SloTracker};
 use scaddar_obs::{Clock, EventLog, ProfileSnapshot, Registry, RegistrySnapshot, Tracer};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -218,34 +217,6 @@ impl FleetSnapshot {
     /// The fleet view in Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         self.fleet_registry().render_prometheus()
-    }
-
-    /// One status line per shard — the dashboard's table body.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        for s in &self.shards {
-            let state = if s.reachable { "up" } else { "UNREACHABLE" };
-            let verdict = match s.verdict {
-                0 => "ok",
-                1 => "WARN",
-                _ => "CRIT",
-            };
-            let p99 = s.request_p99();
-            let compaction = s
-                .compaction()
-                .map_or(String::new(), |c| format!(" {}", c.render()));
-            let _ = writeln!(
-                out,
-                "shard {:>3} @ {} [{state}] epoch={} verdict={verdict} requests={} p99={}ns stale={}ms{compaction}",
-                s.shard,
-                s.addr,
-                s.epoch,
-                s.requests_total(),
-                p99.map_or_else(|| "-".to_string(), |v| v.to_string()),
-                s.staleness_ns(self.at_ns) / 1_000_000,
-            );
-        }
-        out
     }
 }
 
@@ -550,7 +521,6 @@ mod tests {
         let prom = fleet.render_prometheus();
         assert!(prom.contains("fleet_shards_unreachable 1"));
         assert!(prom.contains("fleet_shard_up{shard=\"1\"} 0"));
-        assert!(fleet.render_table().contains("UNREACHABLE"));
         cluster.shutdown();
     }
 
@@ -593,11 +563,9 @@ mod tests {
         assert!((c0.fraction() - 0.4).abs() < 1e-9);
         let c1 = fleet.shard(1).unwrap().compaction().unwrap();
         assert!(!c1.active);
+        assert_eq!(c0.render(), "gen 2 compacting ->3 40%");
         assert_eq!(c1.render(), "gen 3");
         assert_eq!(fleet.shard(2).unwrap().compaction(), None);
-        let table = fleet.render_table();
-        assert!(table.contains("gen 2 compacting ->3 40%"), "{table}");
-        assert!(table.contains("gen 3"), "{table}");
     }
 
     #[test]
@@ -723,24 +691,24 @@ mod tests {
         let mut aggregator = FleetAggregator::new(cluster.clock().clone());
         aggregator.enable_slo(SloConfig::default(), SloRules::default(), log);
         aggregator.scrape(&cluster.scrape_targets());
-        let after_first = aggregator
-            .slo
-            .as_ref()
+        // One failed request on top of the warm-up traffic: its
+        // availability burn is diluted by every success the tracker
+        // holds, so re-fed totals would lower it.
+        aggregator
+            .slo_monitor()
             .unwrap()
-            .monitor
             .tracker()
-            .retained_total();
+            .record(false, 10);
+        let burns = |a: &FleetAggregator| a.slo_monitor().unwrap().tracker().burn_rates();
+        let before = burns(&aggregator);
+        assert!(before.availability.long > 0.0, "the failure counts");
         // No new traffic: the second round's delta is zero.
         aggregator.scrape(&cluster.scrape_targets());
-        let after_second = aggregator
-            .slo
-            .as_ref()
-            .unwrap()
-            .monitor
-            .tracker()
-            .retained_total();
-        assert_eq!(after_first, after_second, "idle scrape must feed nothing");
-        assert!(after_first > 0, "first scrape fed the warm-up traffic");
+        assert_eq!(burns(&aggregator), before, "idle scrape must feed nothing");
+        assert!(
+            before.availability.long < 1.0 / (1.0 - SloConfig::default().availability_target),
+            "first scrape fed the warm-up traffic"
+        );
         cluster.shutdown();
     }
 }

@@ -33,7 +33,7 @@
 //! byte-identical JSONL per seed. Per-shard facts are mirrored into a
 //! cluster [`Registry`] as inline-labeled series
 //! (`cluster_shard_objects{shard="2"}`), read back with
-//! `counters_with_prefix`/`gauges_with_prefix`.
+//! `gauges_with_prefix`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

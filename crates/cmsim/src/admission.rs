@@ -4,13 +4,9 @@
 //! With random placement there are no deterministic per-disk guarantees —
 //! service quality is statistical (§2: "random placement techniques are
 //! modeled statistically"). The controller admits streams while
-//!
-//! 1. expected per-disk demand stays below a target utilization of disk
-//!    bandwidth (headroom for the binomial fluctuation of which disks a
-//!    round's requests hit, and for redistribution traffic), and
-//! 2. server buffer memory suffices: the round-based display model
-//!    double-buffers each stream (one block playing, one being fetched),
-//!    so each admitted stream pins two blocks of RAM.
+//! expected per-disk demand stays below a target utilization of disk
+//! bandwidth (headroom for the binomial fluctuation of which disks a
+//! round's requests hit, and for redistribution traffic).
 
 /// Statistical admission controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,38 +14,23 @@ pub struct AdmissionController {
     /// Fraction of total disk bandwidth the controller will commit
     /// (0..=1).
     pub target_utilization: f64,
-    /// Server buffer memory in blocks, if memory-constrained.
-    pub memory_blocks: Option<u64>,
 }
 
 impl AdmissionController {
-    /// A bandwidth-only controller committing up to `target_utilization`.
+    /// A controller committing up to `target_utilization`.
     pub fn new(target_utilization: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&target_utilization),
             "utilization must be a fraction"
         );
-        AdmissionController {
-            target_utilization,
-            memory_blocks: None,
-        }
-    }
-
-    /// Adds a buffer-memory budget (in blocks). Each stream pins two.
-    pub fn with_memory(mut self, blocks: u64) -> Self {
-        self.memory_blocks = Some(blocks);
-        self
+        AdmissionController { target_utilization }
     }
 
     /// Maximum streams admitted for an array of `disks` disks with
     /// `bandwidth` blocks/round each.
     pub fn capacity(&self, disks: u32, bandwidth: u32) -> u64 {
         let total = u64::from(disks) * u64::from(bandwidth);
-        let by_bandwidth = (total as f64 * self.target_utilization).floor() as u64;
-        match self.memory_blocks {
-            Some(mem) => by_bandwidth.min(mem / 2),
-            None => by_bandwidth,
-        }
+        (total as f64 * self.target_utilization).floor() as u64
     }
 
     /// Admit another stream given the current active count?
@@ -75,19 +56,6 @@ mod tests {
     fn full_utilization_uses_everything() {
         let c = AdmissionController::new(1.0);
         assert_eq!(c.capacity(2, 10), 20);
-    }
-
-    #[test]
-    fn memory_caps_admission_when_scarcer_than_bandwidth() {
-        // Bandwidth alone admits 96; 100 blocks of RAM admit only 50.
-        let c = AdmissionController::new(0.75).with_memory(100);
-        assert_eq!(c.capacity(4, 32), 50);
-        // Ample memory defers to bandwidth.
-        let c = AdmissionController::new(0.75).with_memory(10_000);
-        assert_eq!(c.capacity(4, 32), 96);
-        // Degenerate: one block of RAM cannot double-buffer anything.
-        let c = AdmissionController::new(1.0).with_memory(1);
-        assert_eq!(c.capacity(4, 32), 0);
     }
 
     #[test]

@@ -185,11 +185,24 @@ impl DiskArray {
             .collect()
     }
 
+    /// The most live disks a scaling op may leave. Every tick and
+    /// every addition allocates per disk, so this bounds what one `Add`
+    /// from a client can make a server allocate (DESIGN §17).
+    pub const MAX_LIVE_DISKS: u32 = 1 << 16;
+
     /// The error [`DiskArray::apply`] would return for `op`, without
-    /// applying it: an invalid op, or an addition past the physical id
-    /// ceiling ([`PhysicalMap::MAX_ID`]).
+    /// applying it: an invalid op, an addition past the physical id
+    /// ceiling ([`PhysicalMap::MAX_ID`]), or one past
+    /// [`DiskArray::MAX_LIVE_DISKS`].
     pub(crate) fn check(&self, op: &ScalingOp) -> Result<(), ScalingError> {
-        self.map.check(op)
+        self.map.check(op)?;
+        if let ScalingOp::Add { count } = op {
+            let max = Self::MAX_LIVE_DISKS;
+            if u64::from(self.disks()) + u64::from(*count) > u64::from(max) {
+                return Err(ScalingError::TooManyLiveDisks { max });
+            }
+        }
+        Ok(())
     }
 
     /// The ids whose state satisfies `pred`, ascending.
@@ -206,9 +219,10 @@ impl DiskArray {
     /// (homogeneous array; heterogeneity is modelled one level up, in
     /// [`crate::hetero`]). A removed disk drains, or is pulled if it had
     /// failed, until it is retired once empty. An addition past the
-    /// physical id ceiling is refused before anything is allocated.
+    /// physical id ceiling or the live-disk ceiling is refused before
+    /// anything is allocated.
     pub fn apply(&mut self, op: &ScalingOp) -> Result<(), ScalingError> {
-        self.map.check(op)?;
+        self.check(op)?;
         match op {
             ScalingOp::Add { count } => {
                 // `PhysicalMap` mints the next `count` ids in sequence.
@@ -363,6 +377,21 @@ mod tests {
         assert_eq!(a.disks(), 1);
         assert_eq!(a.slots.len(), 3, "nothing minted");
         assert_eq!(a.check(&ScalingOp::Add { count: 2 }), Ok(()));
+    }
+
+    #[test]
+    fn additions_past_the_live_disk_ceiling_are_refused_before_allocating() {
+        let max = DiskArray::MAX_LIVE_DISKS;
+        let mut a = DiskArray::new(8, SPEC);
+        let over = ScalingOp::Add { count: max - 7 };
+        assert_eq!(a.check(&over), Err(ScalingError::TooManyLiveDisks { max }));
+        assert_eq!(a.apply(&over), Err(ScalingError::TooManyLiveDisks { max }));
+        assert_eq!((a.disks(), a.slots.len()), (8, 8), "nothing minted");
+        a.apply(&ScalingOp::Add { count: max - 8 }).unwrap();
+        assert_eq!(a.disks(), max, "exactly at the ceiling is allowed");
+        // A removal frees room under the ceiling again.
+        a.apply(&ScalingOp::remove_one(0)).unwrap();
+        assert_eq!(a.check(&ScalingOp::Add { count: 1 }), Ok(()));
     }
 
     #[test]

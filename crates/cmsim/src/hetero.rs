@@ -33,16 +33,6 @@ impl HeteroMap {
         HeteroMap::default()
     }
 
-    /// Number of logical disks (what SCADDAR sees as `N`).
-    pub fn logical_disks(&self) -> u32 {
-        self.backing.len() as u32
-    }
-
-    /// Number of physical disks.
-    pub fn physical_disks(&self) -> usize {
-        self.physicals.len()
-    }
-
     /// Live physical disks and their weights.
     pub fn physicals(&self) -> &[(HeteroDiskId, u32)] {
         &self.physicals
@@ -136,12 +126,12 @@ mod tests {
         let (b, op_b) = h.attach(4).unwrap();
         assert_eq!(op_a, ScalingOp::Add { count: 2 });
         assert_eq!(op_b, ScalingOp::Add { count: 4 });
-        assert_eq!(h.logical_disks(), 6);
-        assert_eq!(h.physical_disks(), 2);
+        assert_eq!(h.backing.len() as u32, 6);
+        assert_eq!(h.physicals.len(), 2);
         // Detach the first: its logical indices are 0 and 1.
         let op = h.detach(a).unwrap();
         assert_eq!(op, ScalingOp::Remove { disks: vec![0, 1] });
-        assert_eq!(h.logical_disks(), 4);
+        assert_eq!(h.backing.len() as u32, 4);
         assert!(h.backing.iter().all(|&x| x == b));
     }
 
@@ -175,7 +165,7 @@ mod tests {
         let (b, _) = h.attach(2).unwrap();
         let (_c, _) = h.attach(4).unwrap();
         let before = h.backing.clone();
-        let disks_before = h.logical_disks();
+        let disks_before = h.backing.len() as u32;
         let op = h.detach(b).unwrap();
         let removed = match &op {
             ScalingOp::Remove { disks } => RemovedSet::new(disks, disks_before).unwrap(),
@@ -194,7 +184,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(h.logical_disks(), disks_before - removed.len());
+        assert_eq!(h.backing.len() as u32, disks_before - removed.len());
     }
 
     /// Weighting sanity under churn: shares always sum to 1, follow the
@@ -214,14 +204,14 @@ mod tests {
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((shares[0] - 5.0 / 7.0).abs() < 1e-12);
 
-        let logical_census: Vec<u64> = (0..h.logical_disks() as u64).map(|i| 10 + i).collect();
+        let logical_census: Vec<u64> = (0..h.backing.len() as u64).map(|i| 10 + i).collect();
         let phys = h.aggregate_census(&logical_census);
         assert_eq!(
             phys.iter().sum::<u64>(),
             logical_census.iter().sum::<u64>(),
             "aggregation conserves blocks"
         );
-        assert_eq!(phys.len(), h.physical_disks());
+        assert_eq!(phys.len(), h.physicals.len());
     }
 
     /// End to end with SCADDAR: a 1:3 weighted pair receives load in a

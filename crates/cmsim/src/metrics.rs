@@ -92,15 +92,17 @@ impl Metrics {
         self.total_recovered = self.total_recovered.saturating_add(record.recovered);
         self.total_moves = self.total_moves.saturating_add(record.moves);
         // Drain-interval tracking: an interval opens at the first round
-        // with a backlog and closes at the next backlog-free round. A
-        // backlog reappearing later (another scale op) opens a new one.
-        match self.drain_started {
-            None if record.backlog > 0 => self.drain_started = Some(self.total_rounds),
-            Some(start) if record.backlog == 0 => {
-                self.drains.push((self.total_rounds - start) as usize);
-                self.drain_started = None;
+        // that starts with a backlog (the moves it executed plus what it
+        // left) and closes with the first round that ends without one,
+        // both counted. A backlog reappearing later (another scale op)
+        // opens a new one.
+        if self.drain_started.is_none() && record.backlog.saturating_add(record.moves) > 0 {
+            self.drain_started = Some(self.total_rounds);
+        }
+        if record.backlog == 0 {
+            if let Some(start) = self.drain_started.take() {
+                self.drains.push((self.total_rounds - start + 1) as usize);
             }
-            _ => {}
         }
         self.total_rounds += 1;
         if self.rounds.len() == self.retention {
@@ -176,19 +178,10 @@ impl Metrics {
         }
     }
 
-    /// Rounds until the *first* redistribution backlog drained to zero,
-    /// measured from the first round with a backlog; `None` if no
-    /// backlog ever appeared or it has not drained yet.
-    ///
-    /// A run with several scale operations has several drain intervals —
-    /// see [`Metrics::drain_times`] for all of them.
-    pub fn drain_time(&self) -> Option<usize> {
-        self.drains.first().copied()
-    }
-
     /// Every completed drain interval, in order: for each time a
-    /// redistribution backlog appeared, the number of rounds until it
-    /// reached zero. A backlog still draining is not included.
+    /// redistribution backlog appeared, the number of rounds that ran
+    /// while it was non-zero, the one that emptied it included. A
+    /// backlog still draining is not included.
     pub fn drain_times(&self) -> &[usize] {
         &self.drains
     }
@@ -230,40 +223,47 @@ mod tests {
         m.push(rec(0, 0, 0, 2, 8)); // backlog appears
         m.push(rec(0, 0, 0, 4, 4));
         m.push(rec(0, 0, 0, 4, 0)); // drained
-        assert_eq!(m.drain_time(), Some(2));
-        assert_eq!(m.drain_times(), &[2]);
+        assert_eq!(m.drain_times(), &[3]);
+    }
+
+    /// A backlog emptied by the round right after the scale op is one
+    /// round of draining, not none.
+    #[test]
+    fn drain_time_counts_a_one_round_drain() {
+        let mut m = Metrics::new();
+        m.push(rec(0, 0, 0, 0, 0));
+        m.push(rec(0, 0, 0, 5, 0)); // the whole backlog moved at once
+        assert_eq!(m.drain_times(), &[1]);
     }
 
     #[test]
     fn drain_time_none_cases() {
         let mut m = Metrics::new();
         m.push(rec(1, 1, 0, 0, 0));
-        assert_eq!(m.drain_time(), None, "no backlog ever");
+        assert!(m.drain_times().is_empty(), "no backlog ever");
         m.push(rec(1, 1, 0, 1, 7));
-        assert_eq!(m.drain_time(), None, "backlog never drained");
-        assert!(m.drain_times().is_empty());
+        assert!(m.drain_times().is_empty(), "backlog never drained");
     }
 
     /// Regression: a second scale op's backlog after the first drained
-    /// used to be invisible — `drain_time` stopped at the first
-    /// interval. `drain_times` reports every completed interval.
+    /// used to be invisible, when only the first interval was kept.
+    /// `drain_times` reports every completed interval.
     #[test]
     fn backlog_reappearing_yields_multiple_drain_intervals() {
         let mut m = Metrics::new();
         m.push(rec(0, 0, 0, 0, 0));
         m.push(rec(0, 0, 0, 2, 8)); // scale #1: backlog appears
         m.push(rec(0, 0, 0, 4, 4));
-        m.push(rec(0, 0, 0, 4, 0)); // drained after 2 rounds
+        m.push(rec(0, 0, 0, 4, 0)); // drained after 3 rounds
         m.push(rec(0, 0, 0, 0, 0));
         m.push(rec(0, 0, 0, 1, 6)); // scale #2: backlog reappears
         m.push(rec(0, 0, 0, 2, 4));
         m.push(rec(0, 0, 0, 2, 2));
-        m.push(rec(0, 0, 0, 2, 0)); // drained after 3 rounds
-        assert_eq!(m.drain_times(), &[2, 3]);
-        assert_eq!(m.drain_time(), Some(2), "first drain, unchanged");
+        m.push(rec(0, 0, 0, 2, 0)); // drained after 4 rounds
+        assert_eq!(m.drain_times(), &[3, 4]);
         // A third backlog still draining stays out of the list.
         m.push(rec(0, 0, 0, 0, 9));
-        assert_eq!(m.drain_times(), &[2, 3]);
+        assert_eq!(m.drain_times(), &[3, 4]);
     }
 
     #[test]
@@ -291,8 +291,8 @@ mod tests {
         assert_eq!(m.rounds()[3].moves, 9);
         assert_eq!(m.rounds()[0].moves, 6);
         // Drain intervals kept as accumulators too: backlog alternated
-        // 1,0 so every appearance drained in one round.
-        assert_eq!(m.drain_times(), &[1, 1, 1, 1, 1]);
+        // 1,0 so every appearance drained in the round after it.
+        assert_eq!(m.drain_times(), &[2, 2, 2, 2, 2]);
     }
 
     #[test]

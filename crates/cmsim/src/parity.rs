@@ -42,11 +42,6 @@ pub fn group_members(group: u64, group_size: u32, object_blocks: u64) -> std::op
     start..object_blocks.min(start + per)
 }
 
-/// Number of parity groups an object of `blocks` blocks needs.
-pub fn group_count(blocks: u64, group_size: u32) -> u64 {
-    blocks.div_ceil(data_per_group(group_size))
-}
-
 /// Deterministic placement randomness for a parity block: an avalanche
 /// over (object seed, group), independent of the data blocks' stream.
 fn parity_x0(object_seed: u64, group: u64, bits: scaddar_prng::Bits) -> u64 {
@@ -208,15 +203,15 @@ mod tests {
         assert_eq!(group_of(0, 5), 0);
         assert_eq!(group_of(3, 5), 0);
         assert_eq!(group_of(4, 5), 1);
-        assert_eq!(group_count(8, 5), 2);
-        assert_eq!(group_count(9, 5), 3);
+        assert_eq!(group_of(7, 5), 1);
+        assert_eq!(group_of(8, 5), 2);
         assert_eq!(group_members(2, 5, 10), 8..10); // short tail group
     }
 
     #[test]
     fn parity_never_shares_a_disk_with_members() {
         let (s, id) = server(8, 4_000);
-        for group in 0..group_count(4_000, 5) {
+        for group in 0..=group_of(3_999, 5) {
             let p = parity_disk(&s, id, group, 5).unwrap();
             for b in group_members(group, 5, 4_000) {
                 assert_ne!(p, s.placement().locate(id, b).unwrap(), "group {group}");

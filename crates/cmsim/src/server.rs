@@ -1208,13 +1208,11 @@ mod tests {
         s.scale(ScalingOp::remove_one(1)).unwrap();
         s.tick();
         assert_eq!(s.backlog(), 0, "unbounded bandwidth drains in one tick");
+        assert_eq!(s.metrics().drain_times(), &[1]);
         assert!(s.draining_disks().is_empty(), "the victim retired");
-        let census = stats.disk_load_census();
-        assert!(
-            census.contains(&(victim.0, 0)),
-            "drained disk reads 0: {census:?}"
-        );
-        assert_eq!(census.iter().map(|&(_, n)| n).sum::<u64>(), 4_000);
+        assert_eq!(stats.disk_load(victim).get(), 0, "drained disk reads 0");
+        let census = registry.gauges_with_prefix("cmsim_disk_load_blocks{");
+        assert_eq!(census.iter().map(|(_, n)| n).sum::<i64>(), 4_000);
         assert_eq!(stats.disk_queue_depth(victim).get(), 0);
     }
 

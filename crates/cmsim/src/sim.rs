@@ -178,7 +178,7 @@ mod tests {
         // Capacity: 0.8 * 1 disk * 4 = 3 streams; arrivals 5/round.
         let mut s = Simulation::new(
             ServerConfig::new(1).with_bandwidth(4).with_catalog_seed(2),
-            WorkloadConfig::sequential(5.0),
+            WorkloadConfig::interactive(5.0),
             3,
             5,
             10_000,

@@ -179,33 +179,6 @@ impl ServerStats {
             "Blocks resident on this disk",
         )
     }
-
-    /// The per-disk load census as currently published in the registry
-    /// (`(physical disk id, blocks)` pairs, sorted by disk id) — the
-    /// read side of [`ServerStats::disk_load`], consumed by health
-    /// monitors that poll the registry instead of the server. Stale
-    /// until the first [`tick`](crate::server::CmServer::tick) with
-    /// stats attached refreshes the gauges; gauges of drained (removed)
-    /// disks remain with a load of 0.
-    pub fn disk_load_census(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self
-            .registry
-            .gauges_with_prefix("cmsim_disk_load_blocks{disk=\"")
-            .into_iter()
-            .filter_map(|(name, value)| {
-                let id = name
-                    .strip_prefix("cmsim_disk_load_blocks{disk=\"")?
-                    .strip_suffix("\"}")?
-                    .parse::<u64>()
-                    .ok()?;
-                Some((id, value.max(0) as u64))
-            })
-            .collect();
-        // Name order is lexicographic ("10" < "2"); census order is
-        // numeric.
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out
-    }
 }
 
 /// A count as a gauge value, saturating at `i64::MAX`.
@@ -228,20 +201,5 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("cmsim_disk_queue_depth{disk=\"3\"} 5"));
         assert!(text.contains("cmsim_disk_load_blocks{disk=\"0\"} 100"));
-    }
-
-    #[test]
-    fn disk_load_census_reads_back_in_numeric_order() {
-        let registry = Registry::new();
-        let stats = ServerStats::register_monotonic(&registry);
-        // Register out of order, with a double-digit id to catch
-        // lexicographic-vs-numeric ordering bugs ("10" < "2").
-        stats.disk_load(PhysicalDiskId(10)).set(30);
-        stats.disk_load(PhysicalDiskId(2)).set(20);
-        stats.disk_load(PhysicalDiskId(0)).set(10);
-        // Queue-depth gauges share the `cmsim_disk_` prefix but must
-        // not leak into the load census.
-        stats.disk_queue_depth(PhysicalDiskId(1)).set(99);
-        assert_eq!(stats.disk_load_census(), vec![(0, 10), (2, 20), (10, 30)]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each active stream consumes one block per service round while playing
 //! (the standard round-based CM service model the paper's §1 assumes) and
-//! may issue VCR operations — pause, resume, seek, fast-forward — whose
+//! may issue VCR operations — pause, resume, seek — whose
 //! unpredictable access patterns are one of the published reasons for
 //! random placement (the RIO arguments quoted in §1).
 
@@ -15,7 +15,7 @@ pub struct StreamId(pub u64);
 /// Playback state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlayState {
-    /// Consuming one block per round (per `speed`).
+    /// Consuming one block per round.
     Playing,
     /// Holding position.
     Paused,
@@ -36,13 +36,10 @@ pub struct Stream {
     pub position: u64,
     /// Playback state.
     pub state: PlayState,
-    /// Blocks consumed per round while playing (1 = normal speed,
-    /// 2+ = fast-forward with display subsampling).
-    pub speed: u64,
 }
 
 impl Stream {
-    /// Starts a stream at block 0, normal speed.
+    /// Starts a stream at block 0.
     pub fn new(id: StreamId, object: ObjectId, object_blocks: u64) -> Self {
         Stream {
             id,
@@ -54,7 +51,6 @@ impl Stream {
             } else {
                 PlayState::Playing
             },
-            speed: 1,
         }
     }
 
@@ -69,7 +65,7 @@ impl Stream {
     /// Advances after a successful block delivery.
     pub fn advance(&mut self) {
         debug_assert_eq!(self.state, PlayState::Playing);
-        self.position = self.position.saturating_add(self.speed);
+        self.position += 1;
         if self.position >= self.object_blocks {
             self.state = PlayState::Done;
         }
@@ -99,12 +95,6 @@ impl Stream {
                 self.state = PlayState::Playing;
             }
         }
-    }
-
-    /// VCR: change speed (1 = normal; `>1` = fast-forward).
-    pub fn set_speed(&mut self, speed: u64) {
-        assert!(speed >= 1, "speed must be at least 1");
-        self.speed = speed;
     }
 }
 
@@ -147,23 +137,5 @@ mod tests {
         // Seeking back into range revives a done stream.
         s.seek(10);
         assert_eq!(s.state, PlayState::Playing);
-    }
-
-    #[test]
-    fn fast_forward_skips() {
-        let mut s = stream(10);
-        s.set_speed(3);
-        s.advance();
-        assert_eq!(s.position, 3);
-        s.advance();
-        s.advance();
-        s.advance();
-        assert_eq!(s.state, PlayState::Done);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_speed_rejected() {
-        stream(10).set_speed(0);
     }
 }

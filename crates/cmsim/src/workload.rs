@@ -72,22 +72,11 @@ pub struct WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// A sequential-playback-only workload.
-    pub fn sequential(arrival_rate: f64) -> Self {
-        WorkloadConfig {
-            arrival_rate,
-            zipf_exponent: 0.729, // the classic VoD measurement
-            pause_probability: 0.0,
-            resume_probability: 0.0,
-            seek_probability: 0.0,
-        }
-    }
-
     /// An interactive workload with VCR operations.
     pub fn interactive(arrival_rate: f64) -> Self {
         WorkloadConfig {
             arrival_rate,
-            zipf_exponent: 0.729,
+            zipf_exponent: 0.729, // the classic VoD measurement
             pause_probability: 0.01,
             resume_probability: 0.10,
             seek_probability: 0.005,
@@ -214,7 +203,7 @@ mod tests {
     #[test]
     fn poisson_mean_is_calibrated() {
         let objects = vec![(ObjectId(0), 100)];
-        let mut gen = WorkloadGen::new(3, WorkloadConfig::sequential(2.5), objects);
+        let mut gen = WorkloadGen::new(3, WorkloadConfig::interactive(2.5), objects);
         let rounds = 20_000;
         let total: u64 = (0..rounds).map(|_| u64::from(gen.arrivals())).sum();
         let mean = total as f64 / rounds as f64;

@@ -161,11 +161,6 @@ impl CompactionController {
         self.requested = true;
     }
 
-    /// Is a manual request still waiting to begin?
-    pub fn pending_request(&self) -> bool {
-        self.requested
-    }
-
     /// Is the controller watching an in-flight compaction?
     pub fn in_flight(&self) -> bool {
         self.watching.is_some()
@@ -306,10 +301,7 @@ mod tests {
         let mut events = Vec::new();
         for _ in 0..10_000 {
             events.extend(controller.step(server, monitor));
-            if !server.compaction_active()
-                && !controller.in_flight()
-                && !controller.pending_request()
-            {
+            if !server.compaction_active() && !controller.in_flight() && !controller.requested {
                 return events;
             }
             server.tick();
@@ -394,7 +386,7 @@ mod tests {
             matches!(events.as_slice(), [ControllerEvent::Deferred { .. }]),
             "{events:?}"
         );
-        assert!(controller.pending_request(), "request is sticky");
+        assert!(controller.requested, "request is sticky");
         let events = drive_to_completion(&mut server, &mut monitor, &mut controller);
         assert!(events
             .iter()
@@ -455,7 +447,7 @@ mod tests {
         let mut events = Vec::new();
         for _ in 0..10_000 {
             events.extend(controller.step_shared(&shared, &mut monitor));
-            if !controller.in_flight() && !controller.pending_request() {
+            if !controller.in_flight() && !controller.requested {
                 break;
             }
             // Reads stay serviceable mid-cutover through the shared lock.

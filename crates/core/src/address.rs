@@ -8,7 +8,7 @@
 //! in `crates/bench/benches/access.rs`.
 
 use crate::log::{RecordAction, ScalingLog};
-use crate::remap::{remap_add, remap_remove, split_qr};
+use crate::remap::{remap_add, remap_remove};
 use std::fmt;
 
 /// A logical disk index at some epoch (`0..N_j`).
@@ -106,13 +106,6 @@ pub fn trace(x0: u64, log: &ScalingLog) -> Vec<TraceStep> {
     steps
 }
 
-/// The residual random quotient `q_j = X_j div N_j` at the current epoch —
-/// the randomness left for *future* operations (§4.3).
-pub fn residual_randomness(x0: u64, log: &ScalingLog) -> u64 {
-    let x = x_at_current_epoch(x0, log);
-    split_qr(x, u64::from(log.current_disks())).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,11 +176,16 @@ mod tests {
 
     #[test]
     fn residual_randomness_shrinks() {
+        // The quotient q_j = X_j div N_j is the randomness left for
+        // future operations (§4.3).
+        let residual = |x0, log: &ScalingLog| {
+            crate::remap::split_qr(x_at_current_epoch(x0, log), u64::from(log.current_disks())).0
+        };
         let mut log = ScalingLog::new(4).unwrap();
         let x0 = u64::MAX - 12345;
-        let q0 = residual_randomness(x0, &log);
+        let q0 = residual(x0, &log);
         log.push(&ScalingOp::Add { count: 1 }).unwrap();
-        let q1 = residual_randomness(x0, &log);
+        let q1 = residual(x0, &log);
         assert!(q1 < q0, "quotient should shrink: {q0} -> {q1}");
     }
 

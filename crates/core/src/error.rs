@@ -30,6 +30,11 @@ pub enum ScalingError {
     /// An addition would mint a physical disk id past `u32::MAX`: ids
     /// are never reused, and residency stores them in 4 bytes.
     PhysicalIdsExhausted,
+    /// An addition would leave more live disks than a server keeps.
+    TooManyLiveDisks {
+        /// The live-disk ceiling.
+        max: u32,
+    },
 }
 
 impl fmt::Display for ScalingError {
@@ -53,6 +58,9 @@ impl fmt::Display for ScalingError {
             ScalingError::TooManyDisks => write!(f, "disk count overflows u32"),
             ScalingError::PhysicalIdsExhausted => {
                 write!(f, "addition would mint a physical disk id past u32::MAX")
+            }
+            ScalingError::TooManyLiveDisks { max } => {
+                write!(f, "addition would leave more than {max} live disks")
             }
         }
     }

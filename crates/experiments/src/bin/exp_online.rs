@@ -19,7 +19,7 @@ use scaddar_experiments::{banner, write_csv};
 
 struct Outcome {
     queued: u64,
-    drain_rounds: u32,
+    drain_rounds: usize,
     hiccups: u64,
     served: u64,
 }
@@ -61,12 +61,18 @@ fn run(redistribution_bw: u32, heavy_op: bool) -> Outcome {
         sim.server_mut().scale(ScalingOp::Add { count: 2 }).unwrap()
     };
 
-    let mut drain_rounds = 0u32;
-    while sim.server().backlog() > 0 {
+    for _ in 0..100_000 {
+        if sim.server().backlog() == 0 {
+            break;
+        }
         sim.round();
-        drain_rounds += 1;
-        assert!(drain_rounds < 100_000, "drain never completes");
     }
+    let drain_rounds = *sim
+        .server()
+        .metrics()
+        .drain_times()
+        .last()
+        .expect("drain never completes");
     sim.run(50); // cool-down
     Outcome {
         queued,

@@ -78,12 +78,6 @@ pub fn catalog_population(catalog: &Catalog) -> Vec<BlockKey> {
         .collect()
 }
 
-/// A schedule of `n` successive single-disk additions (the §5 shape:
-/// "successive scaling operations").
-pub fn additions(n: usize) -> Vec<ScalingOp> {
-    (0..n).map(|_| ScalingOp::Add { count: 1 }).collect()
-}
-
 /// A schedule alternating remove-disk-0 / add-one, hovering around the
 /// starting disk count — the worst case for range shrinkage.
 pub fn churn(n: usize) -> Vec<ScalingOp> {
@@ -130,7 +124,6 @@ mod tests {
 
     #[test]
     fn schedules_have_expected_shape() {
-        assert_eq!(additions(3).len(), 3);
         let c = churn(4);
         assert_eq!(c[0], ScalingOp::remove_one(0));
         assert_eq!(c[1], ScalingOp::Add { count: 1 });

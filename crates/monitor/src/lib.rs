@@ -294,18 +294,8 @@ impl HealthMonitor {
         self.evaluate_budget();
     }
 
-    /// Runs one applied operation through the RO1 probe and records it
-    /// against the budget. The standalone path for callers without an
-    /// engine reference; [`HealthMonitor::observe_engine`] subsumes it.
-    pub fn observe_scale(&mut self, movement: &OpMovement) {
-        self.observe_movement(movement);
-        self.tracker.record_op(movement.disks_after);
-        self.disks = movement.disks_after;
-        self.evaluate_budget();
-    }
-
-    /// Feeds one per-disk load census (e.g. from
-    /// `ServerStats::disk_load_census` or
+    /// Feeds one per-disk load census (e.g. from cmsim's
+    /// `CmServer::load_census` or
     /// [`Scaddar::load_distribution`]) into the RO2 sliding window and
     /// re-evaluates the statistical uniformity checks. Below two disks
     /// or [`MonitorConfig::min_population`] blocks the checks are
@@ -597,7 +587,7 @@ mod tests {
     fn excess_movement_raises_an_ro1_alert() {
         let (mut monitor, _clock) = monitor_for(&engine_with_blocks(4, 10_000));
         // A remap bug moving 2× optimal.
-        monitor.observe_scale(&OpMovement {
+        monitor.observe_movement(&OpMovement {
             epoch: 1,
             disks_before: 4,
             disks_after: 5,

@@ -19,9 +19,6 @@
 use crate::clock::Clock;
 use crate::registry::json_escape;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// One logged event: a kind tag plus ordered key/value fields.
@@ -58,53 +55,9 @@ impl Event {
     }
 }
 
-/// A live size-capped JSONL file sink: every emitted event is also
-/// appended to `path`, and when the file would exceed `max_bytes` it
-/// is rolled over *once* — the current file renames to `path.1`
-/// (replacing any previous rollover) and a fresh file starts. Total
-/// on-disk footprint is therefore bounded by ~`2 * max_bytes` no
-/// matter how long a `watch`/soak run emits.
-#[derive(Debug)]
-struct FileSink {
-    path: PathBuf,
-    max_bytes: u64,
-    file: File,
-    written: u64,
-}
-
-impl FileSink {
-    /// Path of the single rollover file (`<path>.1`).
-    fn rollover_path(path: &Path) -> PathBuf {
-        let mut name = path.as_os_str().to_os_string();
-        name.push(".1");
-        PathBuf::from(name)
-    }
-
-    /// Appends one rendered line, rotating first if it would push the
-    /// current file past the cap. Best-effort: I/O errors drop the
-    /// line from the file (never from the in-memory log) rather than
-    /// poisoning the emitter.
-    fn append(&mut self, line: &str) {
-        if self.written > 0 && self.written + line.len() as u64 > self.max_bytes {
-            let _ = std::fs::rename(&self.path, Self::rollover_path(&self.path));
-            match File::create(&self.path) {
-                Ok(file) => {
-                    self.file = file;
-                    self.written = 0;
-                }
-                Err(_) => return,
-            }
-        }
-        if self.file.write_all(line.as_bytes()).is_ok() {
-            self.written += line.len() as u64;
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     events: Vec<Event>,
-    sink: Option<FileSink>,
 }
 
 /// A cheaply clonable, append-only event sink with a JSONL renderer.
@@ -112,9 +65,7 @@ struct Inner {
 /// Shares one buffer across clones (like [`Registry`]); emission takes
 /// a short lock. There is no capacity bound on the in-memory buffer:
 /// event volume is expected to be low (alerts, state changes), unlike
-/// spans or metrics. Long-running emitters that stream to disk attach
-/// a size-capped rotating file via
-/// [`attach_file_sink`](EventLog::attach_file_sink).
+/// spans or metrics.
 ///
 /// [`Registry`]: crate::registry::Registry
 #[derive(Debug, Clone)]
@@ -137,26 +88,6 @@ impl EventLog {
         &self.clock
     }
 
-    /// Streams every future event to `path` as JSONL, rotating to a
-    /// single `<path>.1` rollover whenever the file would exceed
-    /// `max_bytes` (so disk usage stays bounded under soak runs). The
-    /// file is created (truncated) now; events already in memory are
-    /// not back-filled. Appends happen under the same lock as the
-    /// in-memory push, so file order always matches
-    /// [`events`](EventLog::events) order and concurrent writers
-    /// never tear lines.
-    pub fn attach_file_sink(&self, path: &Path, max_bytes: u64) -> std::io::Result<()> {
-        let file = File::create(path)?;
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.sink = Some(FileSink {
-            path: path.to_path_buf(),
-            max_bytes,
-            file,
-            written: 0,
-        });
-        Ok(())
-    }
-
     /// Appends one event stamped with the current clock reading.
     /// `fields` render in the given order.
     pub fn emit<K, V>(&self, kind: &str, fields: impl IntoIterator<Item = (K, V)>)
@@ -173,11 +104,6 @@ impl EventLog {
                 .collect(),
         };
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(sink) = inner.sink.as_mut() {
-            let mut line = event.to_json();
-            line.push('\n');
-            sink.append(&line);
-        }
         inner.events.push(event);
     }
 
@@ -215,7 +141,7 @@ impl EventLog {
         std::fs::write(path, self.render_jsonl())
     }
 
-    /// Drops every logged event (the file sink, if any, is untouched).
+    /// Drops every logged event.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.events.clear();
@@ -324,77 +250,6 @@ mod tests {
             next_seq[w] += 1;
         }
         assert!(next_seq.iter().all(|&n| n == PER_WRITER));
-    }
-
-    #[test]
-    fn file_sink_rotates_once_at_the_byte_cap() {
-        let (log, _clock) = virtual_log();
-        let dir = std::env::temp_dir().join("scaddar-obs-eventlog-rotate");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let rollover = dir.join("events.jsonl.1");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&rollover);
-        // Each line is ~45 bytes; a 256-byte cap forces several
-        // rotations over 40 emits, exercising the .1 replacement.
-        log.attach_file_sink(&path, 256).unwrap();
-        for i in 0..40 {
-            log.emit("tick", [("i", i.to_string())]);
-        }
-        let current = std::fs::read_to_string(&path).unwrap();
-        let old = std::fs::read_to_string(&rollover).unwrap();
-        assert!(
-            current.len() as u64 <= 256,
-            "cap respected: {}",
-            current.len()
-        );
-        assert!(old.len() as u64 <= 256);
-        for line in current.lines().chain(old.lines()) {
-            try_parse_json_values(line).expect("rotated files hold whole lines");
-        }
-        // The two files together are exactly a suffix of the full
-        // stream — rotation loses only what aged past the rollover.
-        let on_disk = format!("{old}{current}");
-        assert!(log.render_jsonl().ends_with(&on_disk));
-        // The in-memory log is complete regardless of rotation.
-        assert_eq!(log.len(), 40);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&rollover);
-    }
-
-    #[test]
-    fn concurrent_writers_with_rotation_never_tear_file_lines() {
-        let (log, _clock) = virtual_log();
-        let dir = std::env::temp_dir().join("scaddar-obs-eventlog-rotate-mt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let rollover = dir.join("events.jsonl.1");
-        let _ = std::fs::remove_file(&rollover);
-        log.attach_file_sink(&path, 2048).unwrap();
-        const WRITERS: usize = 8;
-        const PER_WRITER: usize = 100;
-        std::thread::scope(|s| {
-            for w in 0..WRITERS {
-                let log = log.clone();
-                s.spawn(move || {
-                    for i in 0..PER_WRITER {
-                        log.emit("tick", [("writer", w.to_string()), ("seq", i.to_string())]);
-                    }
-                });
-            }
-        });
-        assert_eq!(log.len(), WRITERS * PER_WRITER);
-        let current = std::fs::read_to_string(&path).unwrap();
-        let old = std::fs::read_to_string(&rollover).expect("cap forced at least one rotation");
-        let on_disk = format!("{old}{current}");
-        for line in on_disk.lines() {
-            try_parse_json_values(line).expect("torn line across rotation");
-        }
-        // File emission shares the in-memory lock: disk order is the
-        // tail of the global emission order even across the rollover.
-        assert!(log.render_jsonl().ends_with(&on_disk));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&rollover);
     }
 
     #[test]

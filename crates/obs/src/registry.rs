@@ -189,23 +189,6 @@ impl Registry {
             .collect()
     }
 
-    /// Current values of every *counter* whose name starts with
-    /// `prefix`, in name order — the counter twin of
-    /// [`gauges_with_prefix`](Self::gauges_with_prefix), used to read
-    /// inline-labeled families like
-    /// `cluster_shard_requests_total{shard="2"}` back numerically.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        entries
-            .range(prefix.to_string()..)
-            .take_while(|(name, _)| name.starts_with(prefix))
-            .filter_map(|(name, entry)| match &entry.metric {
-                Metric::Counter(c) => Some((name.clone(), c.get())),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// An owned, structured copy of every registered metric — the unit
     /// of metrics federation. A shard serializes this over the wire
     /// (`ScrapeStats`/`StatsReply` in `scaddar-net`); the fleet

@@ -212,18 +212,18 @@ impl SloTracker {
             },
         }
     }
-
-    /// Total requests currently retained in the ring (all windows).
-    pub fn retained_total(&self) -> u64 {
-        let ring = self.buckets.lock().unwrap_or_else(|e| e.into_inner());
-        ring.iter().map(|b| b.total).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+
+    /// Requests still held in the ring, across every window.
+    fn retained(tracker: &SloTracker) -> u64 {
+        let ring = tracker.buckets.lock().unwrap();
+        ring.iter().map(|b| b.total).sum()
+    }
 
     fn fixture() -> (Arc<VirtualClock>, SloTracker) {
         let clock = Arc::new(VirtualClock::new());
@@ -264,7 +264,7 @@ mod tests {
         let burns = tracker.burn_rates();
         assert_eq!(burns.availability.gating(), 0.0);
         assert_eq!(burns.latency.gating(), 0.0);
-        assert_eq!(tracker.retained_total(), 0);
+        assert_eq!(retained(&tracker), 0);
     }
 
     #[test]
@@ -296,7 +296,7 @@ mod tests {
         }
         clock.advance(cfg.long_window_ns + 2 * cfg.bucket_ns);
         tracker.record(true, 10); // triggers pruning
-        assert_eq!(tracker.retained_total(), 1, "old buckets dropped");
+        assert_eq!(retained(&tracker), 1, "old buckets dropped");
         let burns = tracker.burn_rates();
         assert_eq!(burns.availability.long, 0.0);
     }
@@ -342,6 +342,6 @@ mod tests {
         let peer = tracker.clone();
         tracker.record(false, 10);
         peer.record(false, 10);
-        assert_eq!(tracker.retained_total(), 2);
+        assert_eq!(retained(&tracker), 2);
     }
 }

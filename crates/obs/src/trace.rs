@@ -93,11 +93,6 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// The span's duration.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-
     /// One deterministic timeline line:
     /// `[start..end ns] name key=value ...`, with
     /// `trace=… span=… parent=…` appended on traced spans.
@@ -360,7 +355,6 @@ mod tests {
         assert_eq!(spans[0].name, "scale");
         assert_eq!(spans[0].start_ns, 0);
         assert_eq!(spans[0].end_ns, 120);
-        assert_eq!(spans[0].duration_ns(), 120);
         assert_eq!(
             spans[0].render(),
             "[         0 ..       120 ns] scale op=Add{count: 2} moves=42"
@@ -534,8 +528,8 @@ mod tests {
         let spans = tracer.recent(10);
         // Inner closes first.
         assert_eq!(spans[0].name, "inner");
-        assert_eq!(spans[0].duration_ns(), 3);
+        assert_eq!(spans[0].end_ns - spans[0].start_ns, 3);
         assert_eq!(spans[1].name, "outer");
-        assert_eq!(spans[1].duration_ns(), 10);
+        assert_eq!(spans[1].end_ns - spans[1].start_ns, 10);
     }
 }

@@ -69,13 +69,17 @@ fn main() {
     );
 }
 
-fn drain(sim: &mut Simulation) -> u32 {
-    let mut rounds = 0;
+/// Runs rounds until the redistribution backlog is empty; returns the
+/// rounds that took, as the server's metrics count them.
+fn drain(sim: &mut Simulation) -> usize {
     while sim.server().backlog() > 0 {
         sim.round();
-        rounds += 1;
     }
-    rounds
+    *sim.server()
+        .metrics()
+        .drain_times()
+        .last()
+        .expect("a backlog drained")
 }
 
 fn report(sim: &Simulation, label: &str) {

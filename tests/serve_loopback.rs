@@ -6,7 +6,7 @@
 use cmsim::{CmServer, ServerConfig, SharedServer};
 use scaddar::prelude::*;
 use scaddar::prng::{SeededRng, SplitMix64};
-use scaddar_net::{seam, Frame, NetClient, NetServerConfig, Scaddard};
+use scaddar_net::{seam, ClientError, ErrorCode, Frame, NetClient, NetServerConfig, Scaddard};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -128,6 +128,41 @@ fn pipelined_lookups_match_the_engine_and_fill_every_phase() {
             .map(|h| h.snapshot.count)
             .sum();
         assert!(samples > 0, "phase {label} recorded no sample");
+    }
+    daemon.shutdown();
+}
+
+/// A client asking for a million more disks gets a typed `Error` frame
+/// before the server allocates anything, and the daemon goes on
+/// answering lookups at the epoch it had.
+#[test]
+fn a_hostile_addition_is_refused_and_lookups_still_answer() {
+    let mut server = CmServer::new(ServerConfig::new(8).with_catalog_seed(21)).unwrap();
+    server.add_object(BLOCKS).unwrap();
+    let shared = Arc::new(SharedServer::new(server));
+    let daemon = Scaddard::bind(
+        "127.0.0.1:0",
+        Arc::clone(&shared),
+        NetServerConfig::default(),
+        &Registry::new(),
+        Tracer::new(Arc::new(MonotonicClock::new()), 16),
+    )
+    .unwrap();
+    let client = NetClient::connect(daemon.local_addr());
+    // The client turns the daemon's `Error` frame into `Remote`.
+    match client.scale(ScalingOp::Add { count: 1 << 20 }) {
+        Err(ClientError::Remote {
+            code: ErrorCode::Engine,
+            message,
+        }) => assert!(message.contains("65536 live disks"), "{message}"),
+        other => panic!("a hostile Add answered {other:?}"),
+    }
+    assert_eq!(shared.with_read(|s| s.placement().disks().disks()), 8);
+    for block in [0, 31, BLOCKS - 1] {
+        let located = client.locate(0, block).unwrap();
+        let (epoch, disks, want) = expected(&shared, 0, &[block]);
+        assert_eq!(located, (epoch, disks, want[0]), "block {block}");
+        assert_eq!((epoch, disks), (0, 8), "nothing committed");
     }
     daemon.shutdown();
 }
