@@ -11,7 +11,7 @@
 use cmsim::{CmServer, ServerConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scaddar_core::{Scaddar, ScaddarConfig, ScalingOp};
-use scaddar_monitor::{HealthMonitor, MonitorConfig};
+use scaddar_monitor::HealthMonitor;
 use scaddar_obs::VirtualClock;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -33,11 +33,7 @@ fn churned_engine(ops: usize) -> Scaddar {
 
 /// A monitor riding a virtual clock, synced to `engine`.
 fn monitor_for(engine: &Scaddar) -> HealthMonitor {
-    HealthMonitor::for_engine(
-        MonitorConfig::default(),
-        Arc::new(VirtualClock::new()),
-        engine,
-    )
+    HealthMonitor::for_engine(Arc::new(VirtualClock::new()), engine)
 }
 
 /// Locate polls are amortized over this many lookups — the monitor is

@@ -16,14 +16,17 @@
 
 use crate::remote::verdict_exit_code;
 use scaddar_cluster::FleetAggregator;
-use scaddar_monitor::{Severity, SloRules};
+use scaddar_monitor::Severity;
 use scaddar_net::{fetch_map, NetClient};
-use scaddar_obs::slo::SloConfig;
 use scaddar_obs::{EventLog, MonotonicClock};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
+
+/// The fleet SLO's latency objective: the stack's north star, a
+/// sub-100 µs tail.
+const LATENCY_OBJECTIVE_NS: u64 = 100_000;
 
 const TOP_USAGE: &str = "top <addr> [--interval MS] [--frames N]";
 
@@ -115,15 +118,11 @@ impl Default for FleetTop {
 }
 
 impl FleetTop {
-    /// A dashboard with fleet SLO tracking on (default objectives).
+    /// A dashboard with fleet SLO tracking on.
     pub fn new() -> FleetTop {
         let clock = Arc::new(MonotonicClock::new());
         let mut aggregator = FleetAggregator::new(clock.clone());
-        aggregator.enable_slo(
-            SloConfig::default(),
-            SloRules::default(),
-            EventLog::new(clock),
-        );
+        aggregator.enable_slo(LATENCY_OBJECTIVE_NS, EventLog::new(clock));
         FleetTop {
             aggregator,
             prev: BTreeMap::new(),

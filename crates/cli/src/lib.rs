@@ -25,7 +25,7 @@ use scaddar_analysis::{fmt_f64, fmt_pct, Summary};
 use scaddar_core::{
     audit_balance, audit_census, EngineStats, ObjectId, Scaddar, ScaddarConfig, ScalingOp,
 };
-use scaddar_monitor::{HealthMonitor, MonitorConfig, Severity};
+use scaddar_monitor::{HealthMonitor, Severity};
 use scaddar_obs::{render_trace_dump, MetricValue, MonotonicClock, Registry, TraceContext, Tracer};
 use scaddar_prng::Bits;
 use std::fmt::Write as _;
@@ -242,11 +242,7 @@ impl Session {
     /// A health monitor synced to `engine`, mirroring its state
     /// (`monitor_*` metrics) into the session registry.
     fn monitor_for(&self, engine: &Scaddar) -> HealthMonitor {
-        let mut monitor = HealthMonitor::for_engine(
-            MonitorConfig::default(),
-            self.tracer.clock().clone(),
-            engine,
-        );
+        let mut monitor = HealthMonitor::for_engine(self.tracer.clock().clone(), engine);
         monitor.attach_registry(&self.registry);
         monitor.evaluate_budget();
         monitor

@@ -22,9 +22,9 @@
 //! [`HistogramSnapshot::count_over`]: scaddar_obs::HistogramSnapshot::count_over
 //! [`SloTracker`]: scaddar_obs::slo::SloTracker
 
-use scaddar_monitor::{HealthEvent, Severity, SloMonitor, SloRules};
+use scaddar_monitor::{HealthEvent, Severity, SloMonitor};
 use scaddar_net::{ClientConfig, NetClient};
-use scaddar_obs::slo::{SloConfig, SloTracker};
+use scaddar_obs::slo::SloTracker;
 use scaddar_obs::{Clock, EventLog, ProfileSnapshot, Registry, RegistrySnapshot, Tracer};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -305,14 +305,13 @@ impl FleetAggregator {
 
     /// Attaches fleet SLO tracking: every subsequent
     /// [`scrape`](Self::scrape) feeds per-shard counter deltas into a
-    /// [`SloTracker`] under `slo_config`, and
-    /// [`evaluate_slo`](Self::evaluate_slo) runs them through the
-    /// hysteresis rules, emitting health events into `log`.
-    pub fn enable_slo(&mut self, slo_config: SloConfig, rules: SloRules, log: EventLog) {
-        let objective_ns = slo_config.latency_objective_ns;
-        let tracker = SloTracker::new(slo_config, self.clock.clone());
+    /// [`SloTracker`], counting a request slower than `objective_ns`
+    /// as slow, and [`evaluate_slo`](Self::evaluate_slo) runs them
+    /// through the hysteresis rules, emitting health events into `log`.
+    pub fn enable_slo(&mut self, objective_ns: u64, log: EventLog) {
+        let tracker = SloTracker::new(self.clock.clone());
         self.slo = Some(FleetSlo {
-            monitor: SloMonitor::new(tracker, rules, log),
+            monitor: SloMonitor::new(tracker, log),
             objective_ns,
             fed: BTreeMap::new(),
         });
@@ -645,7 +644,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let log = EventLog::new(clock.clone());
         let mut aggregator = FleetAggregator::new(clock.clone());
-        aggregator.enable_slo(SloConfig::default(), SloRules::default(), log);
+        aggregator.enable_slo(100_000, log);
 
         // Hand-feed the tracker through the same path scrape() uses:
         // totals-at-scrape minus totals-at-previous-scrape.
@@ -689,7 +688,7 @@ mod tests {
         }
         let log = EventLog::new(cluster.clock().clone());
         let mut aggregator = FleetAggregator::new(cluster.clock().clone());
-        aggregator.enable_slo(SloConfig::default(), SloRules::default(), log);
+        aggregator.enable_slo(100_000, log);
         aggregator.scrape(&cluster.scrape_targets());
         // One failed request on top of the warm-up traffic: its
         // availability burn is diluted by every success the tracker
@@ -698,7 +697,7 @@ mod tests {
             .slo_monitor()
             .unwrap()
             .tracker()
-            .record(false, 10);
+            .record_batch(1, 1, 0);
         let burns = |a: &FleetAggregator| a.slo_monitor().unwrap().tracker().burn_rates();
         let before = burns(&aggregator);
         assert!(before.availability.long > 0.0, "the failure counts");
@@ -706,7 +705,7 @@ mod tests {
         aggregator.scrape(&cluster.scrape_targets());
         assert_eq!(burns(&aggregator), before, "idle scrape must feed nothing");
         assert!(
-            before.availability.long < 1.0 / (1.0 - SloConfig::default().availability_target),
+            before.availability.long < 1.0 / (1.0 - scaddar_obs::slo::AVAILABILITY_TARGET),
             "first scrape fed the warm-up traffic"
         );
         cluster.shutdown();

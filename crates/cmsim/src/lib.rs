@@ -70,7 +70,6 @@ pub mod store;
 pub mod stream;
 pub mod workload;
 
-pub use admission::AdmissionController;
 pub use compaction::CompactionProgress;
 pub use concurrent::{
     BatchRead, CoalescedRead, EpochRead, LocateAnswer, LocateQuery, SharedServer,

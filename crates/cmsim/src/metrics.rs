@@ -20,8 +20,8 @@ use crate::stats::{gauge, ServerStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Default retention window: enough for every experiment in the repo
-/// while bounding a long-running simulation's memory.
+/// The retention window: enough for every experiment in the repo while
+/// bounding a long-running simulation's memory.
 pub const DEFAULT_RETENTION: usize = 4096;
 
 /// One round's aggregate record.
@@ -48,7 +48,6 @@ pub struct RoundRecord {
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     rounds: VecDeque<RoundRecord>,
-    retention: usize,
     total_rounds: u64,
     total_requested: u64,
     total_served: u64,
@@ -64,18 +63,11 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// An empty metrics sink with the default retention window.
+    /// An empty metrics sink retaining the last [`DEFAULT_RETENTION`]
+    /// round records. Totals and drain intervals are unaffected by the
+    /// window.
     pub fn new() -> Self {
-        Self::with_retention(DEFAULT_RETENTION)
-    }
-
-    /// An empty metrics sink retaining the last `retention` (≥ 1) round
-    /// records. Totals and drain intervals are unaffected by the window.
-    pub fn with_retention(retention: usize) -> Self {
-        Metrics {
-            retention: retention.max(1),
-            ..Metrics::default()
-        }
+        Metrics::default()
     }
 
     /// Mirrors every subsequent push into `stats`' registry handles.
@@ -105,7 +97,7 @@ impl Metrics {
             }
         }
         self.total_rounds += 1;
-        if self.rounds.len() == self.retention {
+        if self.rounds.len() == DEFAULT_RETENTION {
             self.rounds.pop_front();
             self.evicted += 1;
         }
@@ -125,10 +117,9 @@ impl Metrics {
         }
     }
 
-    /// The retained round records, oldest first (at most the retention
-    /// window, [`DEFAULT_RETENTION`] unless set by
-    /// [`Metrics::with_retention`]; earlier rounds have been evicted but
-    /// remain in the totals).
+    /// The retained round records, oldest first (at most the
+    /// [`DEFAULT_RETENTION`] window; earlier rounds have been evicted
+    /// but remain in the totals).
     pub fn rounds(&self) -> &VecDeque<RoundRecord> {
         &self.rounds
     }
@@ -275,29 +266,35 @@ mod tests {
 
     #[test]
     fn retention_window_bounds_memory_but_not_totals() {
-        let mut m = Metrics::with_retention(4);
-        for i in 0..10u64 {
+        let mut m = Metrics::new();
+        let pushed = DEFAULT_RETENTION as u64 + 6;
+        for i in 0..pushed {
             m.push(rec(10, 9, 1, i, if i % 2 == 0 { 1 } else { 0 }));
         }
-        assert_eq!(m.rounds().len(), 4, "window holds the last 4 rounds");
+        assert_eq!(
+            m.rounds().len(),
+            DEFAULT_RETENTION,
+            "window holds the last rounds"
+        );
         assert_eq!(m.evicted(), 6);
-        assert_eq!(m.len(), 10, "len counts evicted rounds");
+        assert_eq!(m.len(), pushed as usize, "len counts evicted rounds");
         // Totals accumulated at push time, unaffected by eviction.
-        assert_eq!(m.total_served(), 90);
-        assert_eq!(m.total_hiccups(), 10);
-        assert_eq!(m.total_moves(), (0..10).sum::<u64>());
+        assert_eq!(m.total_served(), 9 * pushed);
+        assert_eq!(m.total_hiccups(), pushed);
+        assert_eq!(m.total_moves(), (0..pushed).sum::<u64>());
         assert!((m.hiccup_rate() - 0.1).abs() < 1e-12);
         // The window really is the *last* rounds.
-        assert_eq!(m.rounds()[3].moves, 9);
+        assert_eq!(m.rounds()[DEFAULT_RETENTION - 1].moves, pushed - 1);
         assert_eq!(m.rounds()[0].moves, 6);
         // Drain intervals kept as accumulators too: backlog alternated
         // 1,0 so every appearance drained in the round after it.
-        assert_eq!(m.drain_times(), &[2, 2, 2, 2, 2]);
+        assert_eq!(m.drain_times().len(), pushed as usize / 2);
+        assert!(m.drain_times().iter().all(|&t| t == 2));
     }
 
     #[test]
     fn totals_saturate_instead_of_wrapping() {
-        let mut m = Metrics::with_retention(2);
+        let mut m = Metrics::new();
         m.push(rec(u64::MAX, u64::MAX, u64::MAX, u64::MAX, 0));
         m.push(rec(100, 100, 100, 100, 0));
         assert_eq!(m.total_served(), u64::MAX);
@@ -311,12 +308,18 @@ mod tests {
         use scaddar_obs::Registry;
         let registry = Registry::new();
         let stats = crate::stats::ServerStats::register_monotonic(&registry);
-        let mut m = Metrics::with_retention(2);
+        let mut m = Metrics::new();
         m.attach_stats(stats.clone());
         m.push(rec(10, 8, 2, 3, 5));
         m.push(rec(10, 10, 0, 5, 0));
+        // Idle rounds up to one past the window: the first round is
+        // evicted.
+        for _ in 0..DEFAULT_RETENTION - 2 {
+            m.push(rec(0, 0, 0, 0, 0));
+        }
         m.push(rec(4, 4, 0, 0, 0));
-        assert_eq!(stats.rounds.get(), 3);
+        assert_eq!(stats.rounds.get(), DEFAULT_RETENTION as u64 + 1);
+        assert_eq!(m.evicted(), 1);
         assert_eq!(stats.requested.get(), 24);
         assert_eq!(stats.served.get(), 22);
         assert_eq!(stats.hiccups.get(), 2);

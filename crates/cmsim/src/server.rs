@@ -12,7 +12,7 @@
 //!    rounds within per-disk bandwidth budgets — streams keep playing;
 //! 4. metrics record whether they actually kept playing (hiccups).
 
-use crate::admission::AdmissionController;
+use crate::admission;
 use crate::compaction::{has_block, BlockSet, CompactionProgress};
 use crate::config::ServerConfig;
 use crate::disk::{DiskState, PhysicalDiskId};
@@ -86,7 +86,7 @@ impl From<ScaddarError> for ServerError {
 }
 
 /// The simulated CM server: the [`PlacementState`] plus the executor
-/// state (residency, the move queue, streams, metrics and admission).
+/// state (residency, the move queue, streams and metrics).
 #[derive(Debug, Clone)]
 pub struct CmServer {
     config: ServerConfig,
@@ -96,7 +96,6 @@ pub struct CmServer {
     next_stream: u64,
     executor: RedistributionExecutor,
     metrics: Metrics,
-    admission: AdmissionController,
     stats: Option<Arc<ServerStats>>,
 }
 
@@ -123,7 +122,6 @@ impl CmServer {
             next_stream: 0,
             executor: RedistributionExecutor::new(),
             metrics: Metrics::new(),
-            admission: AdmissionController::new(0.8),
             stats: None,
             config,
         }
@@ -360,9 +358,9 @@ impl CmServer {
         // `streams` still holds the `Done` streams no tick has reaped,
         // so its length bounds the live count from above: live streams
         // are counted only when that bound is refused.
-        let (disks, bandwidth) = (self.placement.disks().disks(), self.config.disk_bandwidth);
-        let admit = |streams: usize| self.admission.admit(streams as u64, disks, bandwidth);
-        if !admit(self.streams.len()) && !admit(self.active_streams()) {
+        let capacity =
+            admission::capacity(self.placement.disks().disks(), self.config.disk_bandwidth);
+        if self.streams.len() as u64 >= capacity && self.active_streams() as u64 >= capacity {
             return Err(ServerError::AdmissionRejected);
         }
         let id = StreamId(self.next_stream);

@@ -30,18 +30,14 @@
 //! ```
 //! use cmsim::{CmServer, ServerConfig};
 //! use scaddar_compact::CompactionController;
-//! use scaddar_monitor::{HealthMonitor, MonitorConfig};
+//! use scaddar_monitor::HealthMonitor;
 //! use scaddar_obs::VirtualClock;
 //! use std::sync::Arc;
 //!
 //! let config = ServerConfig::new(6).with_catalog_seed(7);
 //! let mut server = CmServer::new(config).unwrap();
 //! server.add_object(5_000).unwrap();
-//! let mut monitor = HealthMonitor::for_engine(
-//!     MonitorConfig::default(),
-//!     Arc::new(VirtualClock::new()),
-//!     server.engine(),
-//! );
+//! let mut monitor = HealthMonitor::for_engine(Arc::new(VirtualClock::new()), server.engine());
 //! let mut controller = CompactionController::from_config(&config);
 //!
 //! controller.request(); // operator: `compact`
@@ -137,20 +133,15 @@ pub struct CompactionController {
 }
 
 impl CompactionController {
-    /// A controller with an explicit trigger policy: `auto` is the
-    /// remaining-safe-ops level the auto policy fires at (`None`: manual
-    /// requests only).
-    pub fn new(auto: Option<u32>) -> Self {
+    /// A controller with the trigger policy a [`ServerConfig`]
+    /// declares: [`ServerConfig::auto_compact`] is the remaining-safe-ops
+    /// level the auto policy fires at (`None`: manual requests only).
+    pub fn from_config(config: &ServerConfig) -> Self {
         CompactionController {
-            auto,
+            auto: config.auto_compact,
             requested: false,
             watching: None,
         }
-    }
-
-    /// A controller with the policy a [`ServerConfig`] declares.
-    pub fn from_config(config: &ServerConfig) -> Self {
-        Self::new(config.auto_compact)
     }
 
     /// Queues a manual compaction (the `compact` command). Honored on
@@ -266,7 +257,7 @@ mod tests {
     use super::*;
     use cmsim::ServerConfig;
     use scaddar_core::ScalingOp;
-    use scaddar_monitor::{MonitorConfig, Severity};
+    use scaddar_monitor::Severity;
     use scaddar_obs::VirtualClock;
     use std::sync::Arc;
 
@@ -275,11 +266,7 @@ mod tests {
         if blocks > 0 {
             server.add_object(blocks).unwrap();
         }
-        let monitor = HealthMonitor::for_engine(
-            MonitorConfig::default(),
-            Arc::new(VirtualClock::new()),
-            server.engine(),
-        );
+        let monitor = HealthMonitor::for_engine(Arc::new(VirtualClock::new()), server.engine());
         let controller = CompactionController::from_config(&config);
         (server, monitor, controller)
     }
@@ -436,11 +423,7 @@ mod tests {
         let config = ServerConfig::new(6).with_catalog_seed(4);
         let mut server = CmServer::new(config).unwrap();
         server.add_object(2_500).unwrap();
-        let mut monitor = HealthMonitor::for_engine(
-            MonitorConfig::default(),
-            Arc::new(VirtualClock::new()),
-            server.engine(),
-        );
+        let mut monitor = HealthMonitor::for_engine(Arc::new(VirtualClock::new()), server.engine());
         let shared = SharedServer::new(server);
         let mut controller = CompactionController::from_config(&config);
         controller.request();

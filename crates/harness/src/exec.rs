@@ -20,7 +20,7 @@ use cmsim::{
     WorkloadConfig,
 };
 use scaddar_core::{BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig, ScalingOp};
-use scaddar_monitor::{HealthMonitor, MonitorConfig};
+use scaddar_monitor::HealthMonitor;
 use scaddar_obs::{Clock, Registry, SpanGuard, Tracer, VirtualClock};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -124,8 +124,7 @@ impl<'a> Executor<'a> {
         let registry = Registry::new();
         let stats = ServerStats::register(&registry, clock.clone() as Arc<dyn Clock>);
         server.attach_stats(stats);
-        let mut monitor =
-            HealthMonitor::for_engine(MonitorConfig::default(), clock.clone(), &engine);
+        let mut monitor = HealthMonitor::for_engine(clock.clone(), &engine);
         monitor.attach_registry(&registry);
         Executor {
             scenario,

@@ -9,7 +9,7 @@
 use crate::model::Model;
 use scaddar_analysis::uniformity::{chi_square_uniform, max_relative_deviation};
 use scaddar_core::{locate, plan_last_op, MovePlan, ObjectId, Scaddar, ScalingOp};
-use scaddar_monitor::{HealthEvent, HealthMonitor, MonitorConfig};
+use scaddar_monitor::{HealthEvent, HealthMonitor};
 use scaddar_obs::{ProfileSnapshot, Registry, RegistrySnapshot, SpanRecord, VirtualClock};
 use std::sync::Arc;
 
@@ -381,12 +381,7 @@ pub fn check_compaction_resets_budget(engine: &Scaddar, budget_remaining: u32) -
             format!("REMAP chain still {chain} op(s) long after the flip"),
         ));
     }
-    let fresh = HealthMonitor::for_engine(
-        MonitorConfig::default(),
-        Arc::new(VirtualClock::new()),
-        engine,
-    )
-    .budget_remaining();
+    let fresh = HealthMonitor::for_engine(Arc::new(VirtualClock::new()), engine).budget_remaining();
     if budget_remaining != fresh {
         return Err(Failure::new(
             "compaction-resets-budget",
@@ -546,12 +541,14 @@ pub fn check_trace_complete(trace_id: u64, spans: &[SpanRecord], min_spans: usiz
 }
 
 /// **`obs-federation-agree`** — the federated fleet registry agrees
-///// with the sum of direct per-shard scrapes on every *serving* series:
+/// with the sum of direct per-shard scrapes on every *serving* series:
 /// per-endpoint request counters and latency histograms (bucket-wise
 /// equal, not just same percentiles) plus the error counters. The
 /// `scrape-stats` endpoint and the connection/byte-level series are
 /// excluded — the scrapes themselves perturb those (observer effect),
-/// so only the serving traffic is required to agree exactly.
+/// so only the serving traffic is required to agree exactly. Every
+/// shard must declare this build's bucket layout, or the aggregator
+/// would skip its histograms.
 pub fn check_federation_agreement(fleet: &RegistrySnapshot, directs: &[RegistrySnapshot]) -> Check {
     let serving_counter = |name: &str| {
         (name.starts_with("net_server_requests_total{") && !name.contains("scrape-stats"))
@@ -561,10 +558,18 @@ pub fn check_federation_agreement(fleet: &RegistrySnapshot, directs: &[RegistryS
     let serving_histogram =
         |name: &str| name.starts_with("net_server_request_ns{") && !name.contains("scrape-stats");
     // Fold the direct scrapes with the same absorb the aggregator uses,
-    // so any divergence indicts the federation path, not the fold.
+    // so any divergence indicts the federation path, not the fold. A
+    // shard that does not declare the bucket layout would have its
+    // histograms skipped by the aggregator, so it fails here.
     let expect = Registry::new();
-    for d in directs {
-        expect.absorb(d);
+    let skipped: u64 = directs.iter().map(|d| expect.absorb_checked(d)).sum();
+    if skipped > 0 {
+        return Err(Failure::new(
+            "obs-federation-agree",
+            format!(
+                "{skipped} histogram series skipped: a shard declares no or another bucket layout"
+            ),
+        ));
     }
     let expect = expect.snapshot();
     for c in expect.counters.iter().filter(|c| serving_counter(&c.name)) {
@@ -766,9 +771,7 @@ mod tests {
         assert!(f.detail.contains("chain still 1"), "{}", f.detail);
         // A real flip with the fresh monitor's own number passes...
         e.rehash_to_next_generation();
-        let fresh =
-            HealthMonitor::for_engine(MonitorConfig::default(), Arc::new(VirtualClock::new()), &e)
-                .budget_remaining();
+        let fresh = HealthMonitor::for_engine(Arc::new(VirtualClock::new()), &e).budget_remaining();
         check_compaction_resets_budget(&e, fresh).unwrap();
         // ...but a budget probe that failed to refill does not.
         let f = check_compaction_resets_budget(&e, fresh - 1).unwrap_err();
@@ -916,6 +919,7 @@ mod tests {
     fn federation_agreement_flags_counter_and_bucket_divergence() {
         let shard = |requests: u64, latency: u64| {
             let r = Registry::new();
+            r.mark_bucket_layout();
             let c = r.counter(
                 "net_server_requests_total{endpoint=\"locate\"}",
                 "Requests served, by endpoint",
@@ -933,21 +937,34 @@ mod tests {
         let directs = vec![shard(5, 100), shard(7, 9_000)];
         let fleet = Registry::new();
         for d in &directs {
-            fleet.absorb(d);
+            assert_eq!(fleet.absorb_checked(d), 0);
         }
         check_federation_agreement(&fleet.snapshot(), &directs).unwrap();
 
         // A fleet view that lost one shard's counts must be flagged.
         let partial = Registry::new();
-        partial.absorb(&directs[0]);
+        partial.absorb_checked(&directs[0]);
         let f = check_federation_agreement(&partial.snapshot(), &directs).unwrap_err();
         assert_eq!(f.invariant, "obs-federation-agree");
 
         // Same total count but wrong buckets (percentile-averaged
         // instead of bucket-merged) must also be flagged.
         let skewed = Registry::new();
-        skewed.absorb(&shard(12, 100));
+        skewed.absorb_checked(&shard(12, 100));
         let f = check_federation_agreement(&skewed.snapshot(), &directs).unwrap_err();
         assert!(f.detail.contains("bucket-wise"));
+
+        // A shard that declares no bucket layout must be flagged, even
+        // when the fleet view is its plain sum.
+        let mut unmarked = directs.clone();
+        unmarked[1]
+            .gauges
+            .retain(|g| g.name != scaddar_obs::BUCKET_LAYOUT_GAUGE);
+        let plain = Registry::new();
+        for d in &unmarked {
+            plain.absorb(d);
+        }
+        let f = check_federation_agreement(&plain.snapshot(), &unmarked).unwrap_err();
+        assert!(f.detail.contains("skipped"), "{}", f.detail);
     }
 }

@@ -18,21 +18,22 @@
 //!   configured `eps`.
 //!
 //! Signals run through a small rule engine (threshold + hysteresis +
-//! cooldown, see [`rules`]) and emit [`HealthEvent`]s into a
+//! cooldown, see [`rules`]) under the fixed thresholds of [`SIGNALS`]
+//! (DESIGN §10) and emit [`HealthEvent`]s into a
 //! structured JSONL [`EventLog`] stamped by the injected
 //! [`Clock`] — under a `VirtualClock`, harness runs produce
 //! byte-identical event streams per seed.
 //!
 //! ```
 //! use scaddar_core::{Scaddar, ScaddarConfig, ScalingOp};
-//! use scaddar_monitor::{HealthMonitor, MonitorConfig, Severity};
+//! use scaddar_monitor::{HealthMonitor, Severity};
 //! use scaddar_obs::VirtualClock;
 //! use std::sync::Arc;
 //!
 //! let mut engine = Scaddar::new(ScaddarConfig::new(4)).unwrap();
 //! engine.add_object(10_000);
 //! let clock = Arc::new(VirtualClock::new());
-//! let mut monitor = HealthMonitor::for_engine(MonitorConfig::default(), clock, &engine);
+//! let mut monitor = HealthMonitor::for_engine(clock, &engine);
 //!
 //! engine.scale(ScalingOp::Add { count: 1 }).unwrap();
 //! monitor.observe_engine(&engine);
@@ -53,98 +54,95 @@ pub mod slo;
 
 pub use event::{HealthEvent, Severity};
 pub use report::{HealthReport, ProbeStatus};
-pub use rules::{Rule, RuleState};
-pub use slo::{SloMonitor, SloRules};
+pub use rules::{Rule, RuleState, Signal};
+pub use slo::{SloMonitor, CAPTURE_SPANS, SLO_SIGNALS};
 
 use scaddar_analysis::CensusWindow;
 use scaddar_core::{FairnessTracker, OpMovement, Scaddar};
 use scaddar_obs::{Clock, Counter, EventLog, Gauge, Registry};
-use scaddar_prng::Bits;
 use std::sync::Arc;
 
-/// Tuning knobs for a [`HealthMonitor`]. The defaults mirror the
-/// harness invariants: RO1 slack past 6σ alerts at 0.5% excess, the
-/// chi-square floor matches the harness `CHI_SQUARE_P_FLOOR` (`1e-9`)
-/// at crit, and any exact-census discrepancy is critical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorConfig {
-    /// Census snapshots retained by the RO2 sliding window.
-    pub window: usize,
-    /// Minimum blocks in the window-mean census before the statistical
-    /// RO2 checks run (chi-square on a near-empty server is noise).
-    pub min_population: u64,
-    /// RO1 rule over the excess deviation
-    /// ([`probes::ro1_excess_deviation`], a raw fraction).
-    pub ro1: Rule,
-    /// RO2 statistical rule over `-log10(p)` of the windowed
-    /// chi-square (warn 6 ⇒ `p < 1e-6`, crit 9 ⇒ `p < 1e-9`).
-    pub ro2_chi: Rule,
-    /// RO2 exact rule over the census discrepancy in blocks
-    /// ([`probes::census_discrepancy`]); the default makes any
-    /// discrepancy critical.
-    pub ro2_misplacement: Rule,
-    /// Budget rule over [`probes::budget_pressure`]'s 0/1/2 scale.
-    pub budget: Rule,
-    /// Remaining-ops count at which the budget probe warns.
-    pub budget_warn_remaining: u32,
-    /// Simulation cap for the remaining-ops estimate.
-    pub budget_sim_cap: u32,
-}
+/// Census snapshots retained by the RO2 sliding window.
+pub const CENSUS_WINDOW: usize = 32;
+/// Minimum blocks in the window-mean census before the statistical
+/// RO2 checks run (chi-square on a near-empty server is noise).
+pub const MIN_POPULATION: u64 = 200;
+/// Remaining-ops count at which the budget probe warns.
+pub const BUDGET_WARN_REMAINING: u32 = 2;
+/// Simulation cap for the remaining-ops estimate.
+pub const BUDGET_SIM_CAP: u32 = 64;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        const COOLDOWN_NS: u64 = 1_000_000;
-        MonitorConfig {
-            window: 32,
-            min_population: 200,
-            ro1: Rule {
-                warn: 0.005,
-                crit: 0.02,
-                hysteresis: 0.25,
-                cooldown_ns: COOLDOWN_NS,
-            },
-            ro2_chi: Rule {
-                warn: 6.0,
-                crit: 9.0,
-                hysteresis: 0.25,
-                cooldown_ns: COOLDOWN_NS,
-            },
-            ro2_misplacement: Rule {
-                warn: 1.0,
-                crit: 1.0,
-                hysteresis: 0.0,
-                cooldown_ns: COOLDOWN_NS,
-            },
-            budget: Rule {
-                warn: 1.0,
-                crit: 2.0,
-                hysteresis: 0.0,
-                cooldown_ns: COOLDOWN_NS,
-            },
-            budget_warn_remaining: 2,
-            budget_sim_cap: 64,
-        }
-    }
-}
+/// Minimum clock time between re-emissions of an unchanged alert.
+const COOLDOWN_NS: u64 = 1_000_000;
+
+/// The four health signals in report order, with the thresholds of
+/// DESIGN §10's signal table: RO1 slack past 6σ alerts at 0.5% excess,
+/// the chi-square crit floor matches the harness `CHI_SQUARE_P_FLOOR`
+/// (`1e-9`), and any exact-census discrepancy is critical.
+pub const SIGNALS: [Signal; 4] = [
+    // The excess deviation (`probes::ro1_excess_deviation`, a raw
+    // fraction).
+    Signal {
+        probe: "ro1",
+        kind: "ro1-deviation",
+        rule: Rule {
+            warn: 0.005,
+            crit: 0.02,
+            hysteresis: 0.25,
+            cooldown_ns: COOLDOWN_NS,
+        },
+    },
+    // `-log10(p)` of the windowed chi-square (warn 6 ⇒ `p < 1e-6`,
+    // crit 9 ⇒ `p < 1e-9`).
+    Signal {
+        probe: "ro2",
+        kind: "ro2-chi-square",
+        rule: Rule {
+            warn: 6.0,
+            crit: 9.0,
+            hysteresis: 0.25,
+            cooldown_ns: COOLDOWN_NS,
+        },
+    },
+    // The census discrepancy in blocks
+    // (`probes::census_discrepancy`): any discrepancy is critical.
+    Signal {
+        probe: "ro2",
+        kind: "ro2-misplacement",
+        rule: Rule {
+            warn: 1.0,
+            crit: 1.0,
+            hysteresis: 0.0,
+            cooldown_ns: COOLDOWN_NS,
+        },
+    },
+    // `probes::budget_pressure`'s 0/1/2 scale.
+    Signal {
+        probe: "budget",
+        kind: "rehash-advised",
+        rule: Rule {
+            warn: 1.0,
+            crit: 2.0,
+            hysteresis: 0.0,
+            cooldown_ns: COOLDOWN_NS,
+        },
+    },
+];
 
 /// Per-signal bookkeeping: rule state plus the last evaluation, for
 /// reports.
 #[derive(Debug, Clone)]
 struct Slot {
-    probe: &'static str,
-    kind: &'static str,
-    rule: Rule,
+    signal: Signal,
     state: RuleState,
     last_value: Option<f64>,
     last_detail: String,
 }
 
 impl Slot {
-    fn new(probe: &'static str, kind: &'static str, rule: Rule) -> Self {
+    fn new(signal: Signal) -> Self {
         Slot {
-            probe,
-            kind,
-            rule,
+            signal,
             state: RuleState::new(),
             last_value: None,
             last_detail: String::new(),
@@ -153,8 +151,8 @@ impl Slot {
 
     fn status(&self) -> ProbeStatus {
         ProbeStatus {
-            probe: self.probe,
-            kind: self.kind,
+            probe: self.signal.probe,
+            kind: self.signal.kind,
             severity: self.state.severity(),
             value: self.last_value,
             detail: self.last_detail.clone(),
@@ -177,7 +175,6 @@ struct MonitorGauges {
 /// a JSONL [`EventLog`].
 #[derive(Debug)]
 pub struct HealthMonitor {
-    config: MonitorConfig,
     clock: Arc<dyn Clock>,
     log: EventLog,
     events: Vec<HealthEvent>,
@@ -190,62 +187,33 @@ pub struct HealthMonitor {
     /// has consumed.
     movements_seen: usize,
     movements_generation: u64,
-    ro1: Slot,
-    ro2_chi: Slot,
-    ro2_misplace: Slot,
-    budget: Slot,
+    /// One slot per [`SIGNALS`] entry, indexed by [`SlotId`].
+    slots: [Slot; 4],
     gauges: Option<MonitorGauges>,
 }
 
 impl HealthMonitor {
-    /// A monitor for an engine described by `bits`/`initial_disks`/
-    /// `epsilon`, before any scaling history.
-    pub fn new(
-        config: MonitorConfig,
-        clock: Arc<dyn Clock>,
-        bits: Bits,
-        initial_disks: u32,
-        epsilon: f64,
-    ) -> Self {
-        let window = CensusWindow::new(config.window);
-        HealthMonitor {
-            log: EventLog::new(clock.clone()),
-            events: Vec::new(),
-            alerts_emitted: 0,
-            window,
-            tracker: FairnessTracker::new(bits, initial_disks),
-            epsilon,
-            disks: initial_disks,
-            movements_seen: 0,
-            movements_generation: 0,
-            ro1: Slot::new("ro1", "ro1-deviation", config.ro1),
-            ro2_chi: Slot::new("ro2", "ro2-chi-square", config.ro2_chi),
-            ro2_misplace: Slot::new("ro2", "ro2-misplacement", config.ro2_misplacement),
-            budget: Slot::new("budget", "rehash-advised", config.budget),
-            gauges: None,
-            clock,
-            config,
-        }
-    }
-
     /// A monitor synced to a live engine: the budget tracker replays
     /// the engine's scaling log and `eps` comes from the engine's
     /// configuration. Operations already in [`Scaddar::op_movements`]
     /// count as seen (their RO1 conformance was the *harness*'s to
     /// check at apply time); subsequent [`HealthMonitor::observe_engine`]
     /// calls pick up new ones.
-    pub fn for_engine(config: MonitorConfig, clock: Arc<dyn Clock>, engine: &Scaddar) -> Self {
-        let mut monitor = Self::new(
-            config,
+    pub fn for_engine(clock: Arc<dyn Clock>, engine: &Scaddar) -> Self {
+        HealthMonitor {
+            log: EventLog::new(clock.clone()),
+            events: Vec::new(),
+            alerts_emitted: 0,
+            window: CensusWindow::new(CENSUS_WINDOW),
+            tracker: FairnessTracker::from_log(engine.catalog().bits(), engine.log()),
+            epsilon: engine.epsilon(),
+            disks: engine.disks(),
+            movements_seen: engine.op_movements().len(),
+            movements_generation: engine.generation(),
+            slots: SIGNALS.map(Slot::new),
+            gauges: None,
             clock,
-            engine.catalog().bits(),
-            engine.disks(),
-            engine.epsilon(),
-        );
-        monitor.sync_engine_state(engine);
-        monitor.movements_seen = engine.op_movements().len();
-        monitor.movements_generation = engine.generation();
-        monitor
+        }
     }
 
     /// Mirrors monitor state (`monitor_*` metrics) into `registry`:
@@ -277,7 +245,9 @@ impl HealthMonitor {
     /// op applied after a generation flip reaches the RO1 probe even
     /// when this monitor last saw a longer trail of the old generation.
     pub fn observe_engine(&mut self, engine: &Scaddar) {
-        self.sync_engine_state(engine);
+        self.tracker = FairnessTracker::from_log(engine.catalog().bits(), engine.log());
+        self.epsilon = engine.epsilon();
+        self.disks = engine.disks();
         let movements = engine.op_movements();
         // A new generation starts a fresh trail; a snapshot restore
         // keeps the generation but empties the trail.
@@ -298,13 +268,13 @@ impl HealthMonitor {
     /// `CmServer::load_census` or
     /// [`Scaddar::load_distribution`]) into the RO2 sliding window and
     /// re-evaluates the statistical uniformity checks. Below two disks
-    /// or [`MonitorConfig::min_population`] blocks the checks are
+    /// or [`MIN_POPULATION`] blocks the checks are
     /// skipped (a single bin is trivially uniform — see
     /// `chi_square_uniform`).
     pub fn observe_census(&mut self, census: &[u64]) {
         self.window.push(census);
         let mean = self.window.mean_census();
-        if mean.len() < 2 || mean.iter().sum::<u64>() < self.config.min_population {
+        if mean.len() < 2 || mean.iter().sum::<u64>() < MIN_POPULATION {
             return;
         }
         let Some(chi) = self.window.chi_square() else {
@@ -338,13 +308,8 @@ impl HealthMonitor {
 
     /// Re-evaluates the §4.3 budget probe at the current disk count.
     pub fn evaluate_budget(&mut self) {
-        let remaining = probes::remaining_safe_ops(
-            &self.tracker,
-            self.disks,
-            self.epsilon,
-            self.config.budget_sim_cap,
-        );
-        let pressure = probes::budget_pressure(remaining, self.config.budget_warn_remaining);
+        let remaining = self.budget_remaining();
+        let pressure = probes::budget_pressure(remaining, BUDGET_WARN_REMAINING);
         let report = self.tracker.report();
         let detail = if remaining == 0 {
             format!(
@@ -401,10 +366,10 @@ impl HealthMonitor {
                  {total_blocks} block(s) at chain length 0"
             ),
         );
-        self.window = CensusWindow::new(self.config.window);
-        self.ro1 = Slot::new("ro1", "ro1-deviation", self.config.ro1);
-        self.ro2_chi = Slot::new("ro2", "ro2-chi-square", self.config.ro2_chi);
-        self.ro2_misplace = Slot::new("ro2", "ro2-misplacement", self.config.ro2_misplacement);
+        self.window = CensusWindow::new(CENSUS_WINDOW);
+        for id in [SlotId::Ro1, SlotId::Ro2Chi, SlotId::Ro2Misplace] {
+            self.slots[id as usize] = Slot::new(SIGNALS[id as usize]);
+        }
     }
 
     fn note_compaction(&mut self, kind: &'static str, value: f64, detail: String) {
@@ -441,31 +406,15 @@ impl HealthMonitor {
 
     /// Remaining §4.3-safe operations at the current disk count.
     pub fn budget_remaining(&self) -> u32 {
-        probes::remaining_safe_ops(
-            &self.tracker,
-            self.disks,
-            self.epsilon,
-            self.config.budget_sim_cap,
-        )
+        probes::remaining_safe_ops(&self.tracker, self.disks, self.epsilon, BUDGET_SIM_CAP)
     }
 
     /// Point-in-time report across every probe.
     pub fn report(&self) -> HealthReport {
         HealthReport {
-            statuses: vec![
-                self.ro1.status(),
-                self.ro2_chi.status(),
-                self.ro2_misplace.status(),
-                self.budget.status(),
-            ],
+            statuses: self.slots.iter().map(Slot::status).collect(),
             alerts_emitted: self.alerts_emitted,
         }
-    }
-
-    fn sync_engine_state(&mut self, engine: &Scaddar) {
-        self.tracker = FairnessTracker::from_log(engine.catalog().bits(), engine.log());
-        self.epsilon = engine.epsilon();
-        self.disks = engine.disks();
     }
 
     fn observe_movement(&mut self, movement: &OpMovement) {
@@ -485,19 +434,20 @@ impl HealthMonitor {
 
     fn evaluate(&mut self, id: SlotId, value: f64, detail: String) {
         let now = self.clock.now_ns();
-        let slot = self.slot_mut(id);
+        let slot = &mut self.slots[id as usize];
         slot.last_value = Some(value);
         slot.last_detail = detail.clone();
-        let decision = slot.state.update(&slot.rule, value, now);
+        let Signal { probe, kind, rule } = slot.signal;
+        let decision = slot.state.update(&rule, value, now);
         if let Some(severity) = decision {
             let threshold = match severity {
-                Severity::Crit => slot.rule.crit,
-                _ => slot.rule.warn,
+                Severity::Crit => rule.crit,
+                _ => rule.warn,
             };
             let event = HealthEvent {
                 ts_ns: now,
-                probe: slot.probe,
-                kind: slot.kind,
+                probe,
+                kind,
                 severity,
                 value,
                 threshold,
@@ -526,17 +476,9 @@ impl HealthMonitor {
             g.severity.set(worst as i64);
         }
     }
-
-    fn slot_mut(&mut self, id: SlotId) -> &mut Slot {
-        match id {
-            SlotId::Ro1 => &mut self.ro1,
-            SlotId::Ro2Chi => &mut self.ro2_chi,
-            SlotId::Ro2Misplace => &mut self.ro2_misplace,
-            SlotId::Budget => &mut self.budget,
-        }
-    }
 }
 
+/// A signal's index in [`SIGNALS`] and in the monitor's slots.
 #[derive(Debug, Clone, Copy)]
 enum SlotId {
     Ro1,
@@ -559,7 +501,7 @@ mod tests {
 
     fn monitor_for(engine: &Scaddar) -> (HealthMonitor, Arc<VirtualClock>) {
         let clock = Arc::new(VirtualClock::new());
-        let m = HealthMonitor::for_engine(MonitorConfig::default(), clock.clone(), engine);
+        let m = HealthMonitor::for_engine(clock.clone(), engine);
         (m, clock)
     }
 
@@ -789,7 +731,7 @@ mod tests {
         monitor.observe_conformance(&expected, &actual);
         monitor.observe_conformance(&expected, &actual);
         assert_eq!(monitor.alerts_emitted(), 1, "cooldown holds repeats");
-        clock.advance(MonitorConfig::default().ro2_misplacement.cooldown_ns);
+        clock.advance(SIGNALS[SlotId::Ro2Misplace as usize].rule.cooldown_ns);
         monitor.observe_conformance(&expected, &actual);
         assert_eq!(monitor.alerts_emitted(), 2, "heartbeat after cooldown");
     }

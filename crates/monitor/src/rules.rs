@@ -1,7 +1,7 @@
 //! The alert state machine: threshold classification with hysteresis
 //! and cooldown, no external deps.
 //!
-//! Each signal gets a [`Rule`] (static thresholds) and a [`RuleState`]
+//! Each [`Signal`] has a [`Rule`] (static thresholds) and a [`RuleState`]
 //! (current severity + last emission time). [`RuleState::update`]
 //! classifies a fresh value and decides whether an event should be
 //! emitted:
@@ -44,6 +44,18 @@ impl Rule {
             Severity::Ok
         }
     }
+}
+
+/// One health signal: the probe that computes it, the event kind it
+/// emits, and the thresholds its [`RuleState`] judges it by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Signal {
+    /// Probe name stamped on the signal's events.
+    pub probe: &'static str,
+    /// Event kind stamped on the signal's events.
+    pub kind: &'static str,
+    /// The signal's thresholds.
+    pub rule: Rule,
 }
 
 /// Mutable per-signal state: where the state machine currently sits.

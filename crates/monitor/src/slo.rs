@@ -11,48 +11,46 @@
 //! timeline ships with the alert that demanded it.
 
 use crate::event::{HealthEvent, Severity};
-use crate::rules::{Rule, RuleState};
+use crate::rules::{Rule, RuleState, Signal};
 use scaddar_obs::slo::SloTracker;
 use scaddar_obs::{EventLog, Gauge, Registry, Tracer};
 
-/// Alert thresholds over the two gating burn rates. A burn of 1.0
-/// spends the budget exactly; the defaults alert at 2× (warn) and 10×
-/// (crit) with the monitor's usual hysteresis and cooldown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloRules {
-    /// Rule over the availability gating burn.
-    pub availability: Rule,
-    /// Rule over the latency gating burn.
-    pub latency: Rule,
-    /// Spans captured from the flight recorder on a CRIT transition.
-    pub capture_spans: usize,
-}
+/// Alert threshold over a gating burn rate. A burn of 1.0 spends the
+/// budget exactly; the rule alerts at 2× (warn) and 10× (crit) with a
+/// 10% hysteresis and the monitor's usual cooldown.
+const BURN_RULE: Rule = Rule {
+    warn: 2.0,
+    crit: 10.0,
+    hysteresis: 0.1,
+    cooldown_ns: crate::COOLDOWN_NS,
+};
 
-impl Default for SloRules {
-    fn default() -> Self {
-        let rule = Rule {
-            warn: 2.0,
-            crit: 10.0,
-            hysteresis: 0.1,
-            cooldown_ns: 1_000_000,
-        };
-        SloRules {
-            availability: rule,
-            latency: rule,
-            capture_spans: 32,
-        }
-    }
-}
+/// The two SLO signals, each over its objective's gating burn:
+/// availability first, then latency (DESIGN §13).
+pub const SLO_SIGNALS: [Signal; 2] = [
+    Signal {
+        probe: "slo",
+        kind: "availability-burn",
+        rule: BURN_RULE,
+    },
+    Signal {
+        probe: "slo",
+        kind: "latency-p999-burn",
+        rule: BURN_RULE,
+    },
+];
 
-/// Evaluates one [`SloTracker`] against [`SloRules`], emitting health
-/// events and mirroring state into registry gauges.
+/// Spans captured from the flight recorder on a CRIT transition.
+pub const CAPTURE_SPANS: usize = 32;
+
+/// Evaluates one [`SloTracker`] against [`SLO_SIGNALS`], emitting
+/// health events and mirroring state into registry gauges.
 #[derive(Debug)]
 pub struct SloMonitor {
     tracker: SloTracker,
-    rules: SloRules,
     log: EventLog,
-    availability_state: RuleState,
-    latency_state: RuleState,
+    /// One state per [`SLO_SIGNALS`] entry.
+    states: [RuleState; 2],
     alerts: u64,
     captures: u64,
     burn_gauges: Option<(Gauge, Gauge)>,
@@ -62,13 +60,11 @@ pub struct SloMonitor {
 impl SloMonitor {
     /// A monitor over `tracker`, emitting into `log` (whose clock also
     /// times cooldowns).
-    pub fn new(tracker: SloTracker, rules: SloRules, log: EventLog) -> Self {
+    pub fn new(tracker: SloTracker, log: EventLog) -> Self {
         SloMonitor {
             tracker,
-            rules,
             log,
-            availability_state: RuleState::new(),
-            latency_state: RuleState::new(),
+            states: [RuleState::new(); 2],
             alerts: 0,
             captures: 0,
             burn_gauges: None,
@@ -102,9 +98,7 @@ impl SloMonitor {
 
     /// Worst current severity across both objectives.
     pub fn severity(&self) -> Severity {
-        self.availability_state
-            .severity()
-            .max(self.latency_state.severity())
+        self.states[0].severity().max(self.states[1].severity())
     }
 
     /// Health events emitted so far (alerts and recoveries).
@@ -120,7 +114,7 @@ impl SloMonitor {
     /// Evaluates both objectives once: reads the burn rates, runs the
     /// rule state machines, emits any due [`HealthEvent`]s into the
     /// log, and — on a transition into `Crit` — captures the last
-    /// `capture_spans` spans of `flight` into the log. Returns the
+    /// [`CAPTURE_SPANS`] spans of `flight` into the log. Returns the
     /// emitted events.
     pub fn evaluate(&mut self, flight: Option<&Tracer>) -> Vec<HealthEvent> {
         let now = self.log.clock().now_ns();
@@ -131,30 +125,15 @@ impl SloMonitor {
         }
         let mut events = Vec::new();
         let mut entered_crit = false;
-        let objectives: [(&'static str, f64, f64, f64, Rule, &mut RuleState); 2] = [
-            (
-                "availability-burn",
-                burns.availability.gating(),
-                burns.availability.short,
-                burns.availability.long,
-                self.rules.availability,
-                &mut self.availability_state,
-            ),
-            (
-                "latency-p999-burn",
-                burns.latency.gating(),
-                burns.latency.short,
-                burns.latency.long,
-                self.rules.latency,
-                &mut self.latency_state,
-            ),
-        ];
-        for (kind, gating, short, long, rule, state) in objectives {
+        let objectives = [burns.availability, burns.latency];
+        for ((signal, burn), state) in SLO_SIGNALS.iter().zip(objectives).zip(&mut self.states) {
+            let Signal { probe, kind, rule } = *signal;
+            let (gating, short, long) = (burn.gating(), burn.short, burn.long);
             let was = state.severity();
             if let Some(severity) = state.update(&rule, gating, now) {
                 let event = HealthEvent {
                     ts_ns: now,
-                    probe: "slo",
+                    probe,
                     kind,
                     severity,
                     value: gating,
@@ -175,7 +154,7 @@ impl SloMonitor {
         }
         if entered_crit {
             if let Some(tracer) = flight {
-                let captured = tracer.capture_into(&self.log, self.rules.capture_spans);
+                let captured = tracer.capture_into(&self.log, CAPTURE_SPANS);
                 self.log.emit(
                     "flight-capture",
                     [
@@ -200,18 +179,14 @@ impl SloMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scaddar_obs::slo::SloConfig;
     use scaddar_obs::VirtualClock;
     use std::sync::Arc;
 
     fn fixture() -> (Arc<VirtualClock>, SloMonitor) {
         let clock = Arc::new(VirtualClock::new());
-        let tracker = SloTracker::new(SloConfig::default(), clock.clone());
+        let tracker = SloTracker::new(clock.clone());
         let log = EventLog::new(clock.clone());
-        (
-            clock.clone(),
-            SloMonitor::new(tracker, SloRules::default(), log),
-        )
+        (clock.clone(), SloMonitor::new(tracker, log))
     }
 
     fn burn_errors(monitor: &SloMonitor, errors: u64, total: u64) {

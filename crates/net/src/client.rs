@@ -26,7 +26,7 @@
 //! buffer and then reads the responses back in order — the throughput
 //! path the load generator uses. Pipelines are never retried.
 
-use crate::wire::{decode_frame_limited, Frame, FrameError, HARD_MAX_FRAME_LEN};
+use crate::wire::{decode_frame, Frame, FrameError};
 use scaddar_core::ScalingOp;
 use scaddar_obs::{ProfileSnapshot, RegistrySnapshot, TraceContext};
 use std::io::{ErrorKind, Read, Write};
@@ -34,34 +34,31 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`NetClient`].
+/// TCP connect deadline (capped by what is left of the request's).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Tuning knobs for [`NetClient`]. Responses are accepted up to the
+/// decoder's hard frame ceiling ([`decode_frame`]).
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// TCP connect deadline.
-    pub connect_timeout: Duration,
     /// End-to-end deadline per request (write + read, all retries).
     pub request_timeout: Duration,
     /// Idle connections kept for reuse.
     pub max_pool: usize,
     /// Extra attempts after the first (see the module retry policy).
     pub retries: u32,
-    /// Largest accepted response frame.
-    pub max_frame_len: u32,
     /// Pooled connections idle for at least this long are `Ping`-probed
     /// before reuse (dead ones are discarded, not handed to requests).
-    /// `None` disables keepalive probing.
-    pub idle_probe_after: Option<Duration>,
+    pub idle_probe_after: Duration,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            connect_timeout: Duration::from_secs(2),
             request_timeout: Duration::from_secs(5),
             max_pool: 4,
             retries: 2,
-            max_frame_len: HARD_MAX_FRAME_LEN,
-            idle_probe_after: Some(Duration::from_secs(10)),
+            idle_probe_after: Duration::from_secs(10),
         }
     }
 }
@@ -162,10 +159,7 @@ impl NetClient {
             let Some(mut conn) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() else {
                 break;
             };
-            let needs_probe = self
-                .config
-                .idle_probe_after
-                .is_some_and(|after| conn.idle_since.elapsed() >= after);
+            let needs_probe = conn.idle_since.elapsed() >= self.config.idle_probe_after;
             if !needs_probe || self.probe(&mut conn, deadline) {
                 return Ok(conn);
             }
@@ -174,8 +168,7 @@ impl NetClient {
         let remaining = deadline
             .checked_duration_since(Instant::now())
             .ok_or(ClientError::DeadlineExceeded)?;
-        let stream =
-            TcpStream::connect_timeout(&self.addr, self.config.connect_timeout.min(remaining))?;
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT.min(remaining))?;
         let _ = stream.set_nodelay(true);
         Ok(Conn {
             stream,
@@ -205,7 +198,7 @@ impl NetClient {
     fn read_frame(&self, conn: &mut Conn, deadline: Instant) -> Result<Frame, ClientError> {
         let mut chunk = [0u8; 4096];
         loop {
-            match decode_frame_limited(&conn.buf, self.config.max_frame_len) {
+            match decode_frame(&conn.buf) {
                 Ok((frame, used)) => {
                     conn.buf.drain(..used);
                     return Ok(frame);
@@ -686,7 +679,7 @@ mod tests {
         let client = NetClient::with_config(
             addr,
             ClientConfig {
-                idle_probe_after: Some(Duration::ZERO),
+                idle_probe_after: Duration::ZERO,
                 retries: 0,
                 ..ClientConfig::default()
             },
@@ -730,7 +723,7 @@ mod tests {
         let client = NetClient::with_config(
             daemon.local_addr(),
             ClientConfig {
-                idle_probe_after: Some(Duration::ZERO),
+                idle_probe_after: Duration::ZERO,
                 ..ClientConfig::default()
             },
         );

@@ -57,7 +57,7 @@
 //! 5. Responses are batch-encoded into each connection's write buffer
 //!    and flushed with one `write` per connection (the writev of this
 //!    protocol: many frames, one syscall). A short write arms writable
-//!    interest and the `write_timeout`; a backlog past the high-water
+//!    interest and the `WRITE_TIMEOUT`; a backlog past the high-water
 //!    mark suspends reading from that connection until it drains
 //!    (per-connection backpressure without blocking the loop).
 //! 6. Expired read/write deadlines close their connection (with a
@@ -67,7 +67,7 @@
 //! needed to wake anyone. Worker 0 first deregisters and closes the
 //! listener, so later arrivals are refused by the kernel. Then each
 //! worker waits boundedly for its offloaded ops, flushes what it owes
-//! (reverting the socket to blocking writes under `write_timeout`),
+//! (reverting the socket to blocking writes under `WRITE_TIMEOUT`),
 //! closes everything and drops its state, and its done signal fires
 //! (a panicking worker fires it too); shutdown returns once every
 //! worker's has, and the threads park.
@@ -75,6 +75,7 @@
 use crate::seam::{Phase, Sample, Seam};
 use crate::server::{
     answer_lookups, flush, handle_request, is_lookup, Accept, Request, Shared, ACCEPT_PAUSE,
+    WRITE_TIMEOUT,
 };
 use crate::wire::{complete_frames, decode_frame_traced, ErrorCode, Frame, FrameError};
 use polling::{Event, Poller};
@@ -786,7 +787,7 @@ impl Worker {
                     continue;
                 }
             } else if conn.write_deadline.is_none() {
-                conn.write_deadline = Some(Instant::now() + self.shared.config.write_timeout);
+                conn.write_deadline = Some(Instant::now() + WRITE_TIMEOUT);
             }
             // Backpressure hysteresis: suspend past high water, resume
             // below half of it.
@@ -853,7 +854,7 @@ impl Worker {
 
     /// Graceful drain: wait (boundedly) for in-flight offloaded ops,
     /// flush what each connection is owed (blocking, under
-    /// `write_timeout`), then close everything.
+    /// `WRITE_TIMEOUT`), then close everything.
     fn drain(&mut self) {
         // Stop accepting first: later arrivals are refused by the kernel
         // rather than left waiting in the backlog through the drain.
@@ -861,7 +862,7 @@ impl Worker {
             let _ = self.poller.delete(acceptor.listener.as_raw_fd());
         }
         self.admit_new();
-        let deadline = Instant::now() + self.shared.config.write_timeout;
+        let deadline = Instant::now() + WRITE_TIMEOUT;
         while self.conns.iter().flatten().any(|c| c.busy) && Instant::now() < deadline {
             let mut scratch = Vec::new();
             let _ = self

@@ -19,7 +19,7 @@
 //! * **Per-request deadlines**: once the first byte of a request
 //!   arrives, the rest must arrive within
 //!   [`read_timeout`](NetServerConfig::read_timeout); responses must
-//!   flush within [`write_timeout`](NetServerConfig::write_timeout).
+//!   flush within `WRITE_TIMEOUT` (5 s).
 //!   Idle connections may sit forever (they poll the shutdown flag).
 //! * **Accept errors**: an interrupted `accept` is retried and an
 //!   aborted peer skipped; any other error (descriptor exhaustion, say)
@@ -39,7 +39,7 @@ use crate::wire::{decode_frame_traced, ErrorCode, Frame, FrameError, FRAME_HEADE
 use cmsim::{LocateAnswer, LocateQuery, SharedServer};
 use scaddar_compact::CompactionController;
 use scaddar_core::ObjectId;
-use scaddar_monitor::{HealthMonitor, MonitorConfig, Severity};
+use scaddar_monitor::{HealthMonitor, Severity};
 use scaddar_obs::{
     Counter, Gauge, Histogram, Profiler, Registry, SpanGuard, StateHandle, TraceContext, Tracer,
 };
@@ -66,6 +66,9 @@ pub enum ServerMode {
     Threaded,
 }
 
+/// Deadline for flushing a response.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tuning knobs for [`Scaddard`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
@@ -81,8 +84,6 @@ pub struct NetServerConfig {
     /// Deadline for the remainder of a request once its first byte has
     /// arrived.
     pub read_timeout: Duration,
-    /// Deadline for flushing a response.
-    pub write_timeout: Duration,
     /// Largest accepted frame (both directions).
     pub max_frame_len: u32,
     /// When false, per-request histograms/spans and the 1-in-64 phase
@@ -98,7 +99,6 @@ impl Default for NetServerConfig {
             workers: 0,
             max_connections: 128,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             max_frame_len: 1 << 20,
             instrument: true,
         }
@@ -304,7 +304,7 @@ impl Shared {
         };
         // Some platforms hand out a nonblocking listener's sockets
         // nonblocking; the rejection is a blocking write under
-        // `write_timeout`.
+        // `WRITE_TIMEOUT`.
         let _ = stream.set_nonblocking(false);
         flush(&stream, self, &Frame::Error { code, message }.to_bytes());
         if code == ErrorCode::ShuttingDown {
@@ -422,11 +422,7 @@ impl Scaddard {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let monitor = server.with_read(|s| {
-            let mut m = HealthMonitor::for_engine(
-                MonitorConfig::default(),
-                tracer.clock().clone(),
-                s.engine(),
-            );
+            let mut m = HealthMonitor::for_engine(tracer.clock().clone(), s.engine());
             m.attach_registry(registry);
             m.evaluate_budget();
             m
@@ -679,7 +675,7 @@ pub(crate) fn flush(mut stream: &TcpStream, shared: &Shared, out: &[u8]) -> bool
     if out.is_empty() {
         return true;
     }
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     if stream.write_all(out).is_err() {
         return false;
     }

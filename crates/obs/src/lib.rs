@@ -74,5 +74,5 @@ pub use registry::{
     json_escape, parse_json_values, try_parse_json_values, CounterSample, GaugeSample,
     HistogramSample, MetricValue, ParseError, Registry, RegistrySnapshot, BUCKET_LAYOUT_GAUGE,
 };
-pub use slo::{BurnRates, SloConfig, SloTracker, WindowBurn};
+pub use slo::{BurnRates, SloTracker, WindowBurn};
 pub use trace::{render_trace_dump, SpanGuard, SpanRecord, TraceContext, Tracer};

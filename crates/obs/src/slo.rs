@@ -16,8 +16,9 @@
 //! Time comes from the injected [`Clock`]: a harness driving a
 //! [`VirtualClock`](crate::VirtualClock) gets byte-identical burn-rate
 //! sequences per seed. Counts live in a coarse ring of fixed-width time
-//! buckets (default 10 s), pruned past the long window, so memory is
-//! bounded by `long_window / bucket` regardless of traffic.
+//! buckets ([`BUCKET_NS`], 10 s), pruned past the long window, so
+//! memory is bounded by `LONG_WINDOW_NS / BUCKET_NS` regardless of
+//! traffic.
 //!
 //! This module is deliberately self-contained (the monitor crate
 //! depends on obs, not the reverse): it computes burn rates; the
@@ -28,38 +29,18 @@ use crate::clock::Clock;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// The objectives and windows one [`SloTracker`] evaluates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloConfig {
-    /// Availability objective: target fraction of requests that
-    /// succeed (e.g. `0.999` → 0.1% error budget).
-    pub availability_target: f64,
-    /// Latency objective in nanoseconds: a request slower than this is
-    /// "slow" (the stack's north star is a sub-100 µs tail).
-    pub latency_objective_ns: u64,
-    /// Latency target: fraction of requests that must beat the
-    /// objective (e.g. `0.999` → a p999 objective).
-    pub latency_target: f64,
-    /// Short ("still happening") window.
-    pub short_window_ns: u64,
-    /// Long ("sustained") window.
-    pub long_window_ns: u64,
-    /// Ring bucket width; the window resolution.
-    pub bucket_ns: u64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            availability_target: 0.999,
-            latency_objective_ns: 100_000,
-            latency_target: 0.999,
-            short_window_ns: 5 * 60 * 1_000_000_000,
-            long_window_ns: 60 * 60 * 1_000_000_000,
-            bucket_ns: 10 * 1_000_000_000,
-        }
-    }
-}
+/// Availability target: the fraction of requests that must succeed
+/// (a 0.1% error budget).
+pub const AVAILABILITY_TARGET: f64 = 0.999;
+/// Latency target: the fraction of requests that must beat the
+/// latency objective (a p999 objective).
+pub const LATENCY_TARGET: f64 = 0.999;
+/// Short ("still happening") window: 5 minutes.
+pub const SHORT_WINDOW_NS: u64 = 5 * 60 * 1_000_000_000;
+/// Long ("sustained") window: 1 hour.
+pub const LONG_WINDOW_NS: u64 = 60 * 60 * 1_000_000_000;
+/// Ring bucket width, the windows' resolution: 10 seconds.
+pub const BUCKET_NS: u64 = 10 * 1_000_000_000;
 
 /// One objective's burn rate over both windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,45 +83,29 @@ struct Bucket {
 /// [`Registry`]: crate::registry::Registry
 #[derive(Debug, Clone)]
 pub struct SloTracker {
-    config: SloConfig,
     clock: Arc<dyn Clock>,
     buckets: Arc<Mutex<VecDeque<Bucket>>>,
 }
 
 impl SloTracker {
-    /// A tracker with `config`, stamping buckets from `clock`.
-    pub fn new(config: SloConfig, clock: Arc<dyn Clock>) -> Self {
+    /// A tracker stamping buckets from `clock`.
+    pub fn new(clock: Arc<dyn Clock>) -> Self {
         SloTracker {
-            config,
             clock,
             buckets: Arc::new(Mutex::new(VecDeque::new())),
         }
     }
 
-    /// The tracker's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
-    }
-
-    /// Accounts one request: `ok` for availability, `latency_ns`
-    /// against the latency objective.
-    pub fn record(&self, ok: bool, latency_ns: u64) {
-        self.record_batch(
-            1,
-            u64::from(!ok),
-            u64::from(latency_ns > self.config.latency_objective_ns),
-        );
-    }
-
-    /// Accounts a pre-aggregated batch — the federation path, where
-    /// the aggregator feeds scrape-to-scrape counter deltas (total /
-    /// errored / slower-than-objective) instead of individual requests.
+    /// Accounts a pre-aggregated batch of requests: `total` of them,
+    /// `errors` that failed and `slow` that missed the latency
+    /// objective — the federation path, where the aggregator feeds
+    /// scrape-to-scrape counter deltas.
     pub fn record_batch(&self, total: u64, errors: u64, slow: u64) {
         if total == 0 && errors == 0 && slow == 0 {
             return;
         }
         let now = self.clock.now_ns();
-        let start = now - now % self.config.bucket_ns;
+        let start = now - now % BUCKET_NS;
         let mut ring = self.buckets.lock().unwrap_or_else(|e| e.into_inner());
         match ring.back_mut() {
             Some(back) if back.start_ns == start => {
@@ -156,10 +121,10 @@ impl SloTracker {
             }),
         }
         // Prune buckets wholly past the long window.
-        let horizon = now.saturating_sub(self.config.long_window_ns);
+        let horizon = now.saturating_sub(LONG_WINDOW_NS);
         while ring
             .front()
-            .is_some_and(|b| b.start_ns + self.config.bucket_ns <= horizon)
+            .is_some_and(|b| b.start_ns + BUCKET_NS <= horizon)
         {
             ring.pop_front();
         }
@@ -172,7 +137,7 @@ impl SloTracker {
         let mut acc = (0u64, 0u64, 0u64);
         for b in ring.iter() {
             // Any overlap with the window counts (bucket resolution).
-            if b.start_ns + self.config.bucket_ns > horizon {
+            if b.start_ns + BUCKET_NS > horizon {
                 acc.0 += b.total;
                 acc.1 += b.errors;
                 acc.2 += b.slow;
@@ -195,12 +160,12 @@ impl SloTracker {
         let per_window = |window_ns: u64| {
             let (total, errors, slow) = self.window_counts(now, window_ns);
             (
-                Self::burn(errors, total, self.config.availability_target),
-                Self::burn(slow, total, self.config.latency_target),
+                Self::burn(errors, total, AVAILABILITY_TARGET),
+                Self::burn(slow, total, LATENCY_TARGET),
             )
         };
-        let (avail_short, lat_short) = per_window(self.config.short_window_ns);
-        let (avail_long, lat_long) = per_window(self.config.long_window_ns);
+        let (avail_short, lat_short) = per_window(SHORT_WINDOW_NS);
+        let (avail_long, lat_long) = per_window(LONG_WINDOW_NS);
         BurnRates {
             availability: WindowBurn {
                 short: avail_short,
@@ -227,7 +192,7 @@ mod tests {
 
     fn fixture() -> (Arc<VirtualClock>, SloTracker) {
         let clock = Arc::new(VirtualClock::new());
-        let tracker = SloTracker::new(SloConfig::default(), clock.clone());
+        let tracker = SloTracker::new(clock.clone());
         (clock, tracker)
     }
 
@@ -236,7 +201,7 @@ mod tests {
         let (_clock, tracker) = fixture();
         // 1% errors against a 0.1% budget: burn 10 on both windows.
         for i in 0..1000 {
-            tracker.record(i % 100 != 0, 10);
+            tracker.record_batch(1, u64::from(i % 100 == 0), 0);
         }
         let burns = tracker.burn_rates();
         assert!((burns.availability.short - 10.0).abs() < 1e-6);
@@ -249,9 +214,9 @@ mod tests {
     #[test]
     fn latency_over_objective_burns_the_latency_budget() {
         let (_clock, tracker) = fixture();
-        // p999 objective at 100 µs; 0.5% of traffic at 2 ms.
+        // 0.5% of traffic past the p999 objective.
         for i in 0..1000u64 {
-            tracker.record(true, if i % 200 == 0 { 2_000_000 } else { 40_000 });
+            tracker.record_batch(1, 0, u64::from(i % 200 == 0));
         }
         let burns = tracker.burn_rates();
         assert!((burns.latency.short - 5.0).abs() < 1e-9);
@@ -270,15 +235,10 @@ mod tests {
     #[test]
     fn short_window_forgets_what_the_long_window_remembers() {
         let (clock, tracker) = fixture();
-        let cfg = tracker.config().clone();
         // A burst of errors, then 10 minutes of clean traffic.
-        for _ in 0..100 {
-            tracker.record(false, 10);
-        }
-        clock.advance(2 * cfg.short_window_ns);
-        for _ in 0..900 {
-            tracker.record(true, 10);
-        }
+        tracker.record_batch(100, 100, 0);
+        clock.advance(2 * SHORT_WINDOW_NS);
+        tracker.record_batch(900, 0, 0);
         let burns = tracker.burn_rates();
         // Short window: clean. Long window: 10% errors → burn 100.
         assert_eq!(burns.availability.short, 0.0);
@@ -290,12 +250,9 @@ mod tests {
     #[test]
     fn buckets_prune_past_the_long_window() {
         let (clock, tracker) = fixture();
-        let cfg = tracker.config().clone();
-        for _ in 0..500 {
-            tracker.record(false, 10);
-        }
-        clock.advance(cfg.long_window_ns + 2 * cfg.bucket_ns);
-        tracker.record(true, 10); // triggers pruning
+        tracker.record_batch(500, 500, 0);
+        clock.advance(LONG_WINDOW_NS + 2 * BUCKET_NS);
+        tracker.record_batch(1, 0, 0); // triggers pruning
         assert_eq!(retained(&tracker), 1, "old buckets dropped");
         let burns = tracker.burn_rates();
         assert_eq!(burns.availability.long, 0.0);
@@ -304,10 +261,10 @@ mod tests {
     #[test]
     fn batch_and_individual_recording_agree() {
         let clock = Arc::new(VirtualClock::new());
-        let a = SloTracker::new(SloConfig::default(), clock.clone());
-        let b = SloTracker::new(SloConfig::default(), clock.clone());
+        let a = SloTracker::new(clock.clone());
+        let b = SloTracker::new(clock.clone());
         for i in 0..200 {
-            a.record(i % 50 != 0, if i % 100 == 0 { 1_000_000 } else { 10 });
+            a.record_batch(1, u64::from(i % 50 == 0), u64::from(i % 100 == 0));
         }
         b.record_batch(200, 4, 2);
         assert_eq!(a.burn_rates(), b.burn_rates());
@@ -322,7 +279,9 @@ mod tests {
             let (clock, tracker) = fixture();
             let mut outputs = Vec::new();
             for step in 0..50u64 {
-                tracker.record(step % 7 != 0, 50_000 + step * 3_000);
+                // Requests past 100 µs are slow.
+                let latency_ns = 50_000 + step * 3_000;
+                tracker.record_batch(1, u64::from(step % 7 == 0), u64::from(latency_ns > 100_000));
                 clock.advance(30_000_000_000);
                 let burns = tracker.burn_rates();
                 outputs.push(format!(
@@ -340,8 +299,8 @@ mod tests {
     fn clones_share_the_ring() {
         let (_clock, tracker) = fixture();
         let peer = tracker.clone();
-        tracker.record(false, 10);
-        peer.record(false, 10);
+        tracker.record_batch(1, 1, 0);
+        peer.record_batch(1, 1, 0);
         assert_eq!(retained(&tracker), 2);
     }
 }

@@ -9,9 +9,8 @@
 //! * the last lookup's trace stitches the client root to a serving hop.
 
 use scaddar_cluster::{Cluster, ClusterConfig, FleetAggregator};
-use scaddar_monitor::{Severity, SloRules};
+use scaddar_monitor::Severity;
 use scaddar_net::{ClusterClient, NetClient};
-use scaddar_obs::slo::SloConfig;
 use scaddar_obs::{EventLog, RegistrySnapshot, Tracer};
 use scaddar_prng::{Pcg64, SeededRng};
 
@@ -74,14 +73,7 @@ fn federated_scrape_burn_alarm_and_stitched_trace() {
 
     let log = EventLog::new(cluster.clock().clone());
     let mut aggregator = FleetAggregator::new(cluster.clock().clone());
-    aggregator.enable_slo(
-        SloConfig {
-            latency_objective_ns: 100,
-            ..SloConfig::default()
-        },
-        SloRules::default(),
-        log.clone(),
-    );
+    aggregator.enable_slo(100, log.clone());
     let targets = cluster.scrape_targets();
     let fleet = aggregator.scrape(&targets);
     assert!(

@@ -13,7 +13,7 @@
 use cmsim::{CmServer, ServerConfig};
 use scaddar_compact::CompactionController;
 use scaddar_core::{ObjectId, ScalingOp};
-use scaddar_monitor::{HealthMonitor, MonitorConfig, Severity};
+use scaddar_monitor::{HealthMonitor, Severity};
 use scaddar_obs::VirtualClock;
 use scaddar_prng::{Pcg64, SeededRng};
 use std::sync::Arc;
@@ -51,8 +51,7 @@ fn auto_compaction_serves_through_the_cutover() {
         server.add_object(BLOCKS).expect("add object");
     }
     let clock = Arc::new(VirtualClock::new());
-    let mut monitor =
-        HealthMonitor::for_engine(MonitorConfig::default(), clock.clone(), server.engine());
+    let mut monitor = HealthMonitor::for_engine(clock.clone(), server.engine());
     let mut controller = CompactionController::from_config(&config);
 
     // Remove/add round-trips are the fastest budget spenders; each is
